@@ -36,11 +36,11 @@ from .spectrum import (
     BlockIsotropic,
     HamiltonianModel,
     ReducedHarper,
-    assemble,
     assemble_block,
     assemble_reduced,
     butterfly_sweep,
     eigenvalues,
+    model_spectrum,
 )
 from .tiling import (
     FundamentalDomain,
@@ -386,10 +386,10 @@ def cmd_spectrum(args: argparse.Namespace, config: dict[str, str]) -> int:
     k = parse_momentum(_resolve(args, config, "k", "0,0,0,0"))
     pair = FluxParam.from_field(flux)
     try:
-        h = assemble(model, pair.p, pair.q, k)
+        vals = model_spectrum(model, pair.p, pair.q, k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    for value in eigenvalues(h):
+    for value in vals:
         print(f"{value:.12g}")
     return 0
 

@@ -12,7 +12,8 @@ with an 8-site ring matrix inside each A_n whose corner phases e^{+-i 2 pi B}
 carry the rotation sector structure.  Diagonalizing the commuting ring first
 reduces each sector m to a q x q Harper-type matrix: diagonal 2cos(k2 - n phi),
 unit hoppings e^{-+ i k1}, and the scalar sector shift (16/pi^2) 2cos(pi B/4 +
-m pi/4).  Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
+m pi/4); `model_spectrum` computes the anisotropic block spectrum that way.
+Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
 
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc
 
 from .magnetic import FluxParam
 from .tiling import scaling_parameter
@@ -34,6 +34,7 @@ _TWO_PI = 2.0 * math.pi
 _MAX_DIMENSION = 2000
 _MAX_SWEEP_WORKLOAD = 2_000_000_000  # sum of dim^3 over all diagonalizations
 _MAX_SWEEP_Q = 500
+_HALTON_BASES = (2, 3, 5, 7)
 
 
 @dataclass(frozen=True)
@@ -119,11 +120,6 @@ class SpectrumSample:
             raise ValueError("eigenvalues must be ascending")
 
 
-def _check_flux_pair(p: int, q: int) -> FluxParam:
-    # FluxParam enforces q >= 1 and coprimality
-    return FluxParam(p, q)
-
-
 def rotation_sector_shift(B: float, m: int) -> float:
     """Eigenvalue 2cos(pi B/4 + m pi/4) of the ring term's sector m.
 
@@ -146,23 +142,31 @@ def ring_matrix(B: float) -> np.ndarray:
     return ring
 
 
-def assemble_reduced(p: int, q: int, k: BlochMomentum, m: int) -> HermitianMatrix:
-    """Sector-m q x q matrix: Harper core, momentum scalar, ring sector shift.
+def harper_core(flux: FluxParam, k1: float, k2: float, scale: float = 1.0) -> np.ndarray:
+    """The q x q Harper core at phi = 2 pi p/q, every term multiplied by `scale`.
 
-    Core wiring (times -1/(8 mu^2)): diagonal 2cos(k2 - n phi), hopping
-    e^{-i k1} above the diagonal and e^{+i k1} below, cyclically wrapped, so
-    the corners land at [0, q-1] = e^{+i k1} and [q-1, 0] = e^{-i k1}.
+    Diagonal 2cos(k2 - n phi), hopping e^{-i k1} above the diagonal and
+    e^{+i k1} below, cyclically wrapped, so the corners land at
+    [0, q-1] = e^{+i k1} and [q-1, 0] = e^{-i k1}.  For q <= 2 the wrap adds
+    onto an occupied entry; scaling each term before that sum, in this order,
+    keeps the entries bit-for-bit what per-entry accumulation gives.
     """
-    flux = _check_flux_pair(p, q)
-    B = flux.field
-    phi = _TWO_PI * p / q
-    c = -1.0 / (8.0 * MU * MU)
-
+    q = flux.q
+    phi = _TWO_PI * flux.p / q
+    n = np.arange(q)
     h = np.zeros((q, q), dtype=complex)
-    for n in range(q):
-        h[n, n] += c * 2.0 * math.cos(k.k2 - n * phi)
-        h[n, (n + 1) % q] += c * np.exp(-1j * k.k1)
-        h[(n + 1) % q, n] += c * np.exp(1j * k.k1)
+    h[n, n] += scale * 2.0 * np.cos(k2 - n * phi)
+    h[n, (n + 1) % q] += scale * np.exp(-1j * k1)
+    h[(n + 1) % q, n] += scale * np.exp(1j * k1)
+    return h
+
+
+def assemble_reduced(p: int, q: int, k: BlochMomentum, m: int) -> HermitianMatrix:
+    """Sector-m q x q matrix: Harper core times -1/(8 mu^2), momentum scalar, ring sector shift."""
+    flux = FluxParam(p, q)
+    B = flux.field
+    c = -1.0 / (8.0 * MU * MU)
+    h = harper_core(flux, k.k1, k.k2, scale=c)
     shift = 2.0 * c * (math.cos(k.k3) + math.cos(k.k4)) + (16.0 / math.pi**2) * rotation_sector_shift(B, m)
     h += shift * np.eye(q)
     return HermitianMatrix(h)
@@ -174,7 +178,7 @@ def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) 
     The hopping block sits below the diagonal (and at the [0, q-1] corner);
     its conjugate transpose sits above (and at [q-1, 0]).
     """
-    flux = _check_flux_pair(p, q)
+    flux = FluxParam(p, q)
     B = flux.field
     phi = _TWO_PI * p / q
     ring = (16.0 / math.pi**2) * ring_matrix(B)
@@ -207,12 +211,6 @@ def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) 
     return HermitianMatrix(h)
 
 
-def assemble(model: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> HermitianMatrix:
-    if isinstance(model, ReducedHarper):
-        return assemble_reduced(p, q, k, model.m)
-    return assemble_block(model, p, q, k)
-
-
 def model_dimension(model: HamiltonianModel, q: int) -> int:
     return q if isinstance(model, ReducedHarper) else RING_SIZE * q
 
@@ -238,6 +236,28 @@ def eigenvalues(h: HermitianMatrix) -> np.ndarray:
     return vals
 
 
+def model_spectrum(model: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:
+    """Ascending spectrum of one model at flux B = p/(2q) and momentum k.
+
+    The ring term commutes with the Harper core, so sector m is the sector-0
+    matrix plus the scalar (16/pi^2)(2cos(pi B/4 + m pi/4) - 2cos(pi B/4)),
+    and the anisotropic 8q x 8q spectrum is the union of the sector-0
+    spectrum shifted into all eight sectors: one q x q solve.  The sector-0
+    matrix is solved, never the bare scaled core, on which LAPACK can fail to
+    converge (p/q = 101/52, k = 0).  The isotropic block model does not
+    factor and is solved densely.
+    """
+    if isinstance(model, ReducedHarper):
+        return eigenvalues(assemble_reduced(p, q, k, model.m))
+    if isinstance(model, BlockAnisotropic):
+        vals = eigenvalues(assemble_reduced(p, q, k, 0))
+        B = FluxParam(p, q).field
+        base = rotation_sector_shift(B, 0)
+        shifts = [(16.0 / math.pi**2) * (rotation_sector_shift(B, m) - base) for m in range(RING_SIZE)]
+        return np.sort(np.add.outer(shifts, vals), axis=None)
+    return eigenvalues(assemble_block(model, p, q, k))
+
+
 def coprime_flux_pairs(q_max: int) -> list[tuple[int, int]]:
     """All (p, q) with q <= q_max, 1 <= p < 2q, gcd(p, q) = 1, sorted by p/q."""
     pairs = [(p, q) for q in range(1, q_max + 1) for p in range(1, 2 * q) if math.gcd(p, q) == 1]
@@ -245,20 +265,31 @@ def coprime_flux_pairs(q_max: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _radical_inverse(index: int, base: int) -> float:
+    """Van der Corput point of `index` in `base` (one unscrambled Halton axis)."""
+    value, f = 0.0, 1.0
+    while index > 0:
+        f /= base
+        index, digit = divmod(index, base)
+        value += f * digit
+    return value
+
+
 def momentum_samples(k_samples: int, seed: int) -> list[BlochMomentum]:
     """Low-discrepancy momenta: Halton points scaled to the 4-torus.
 
-    The seed fast-forwards the (unscrambled, fully deterministic) sequence, so
-    equal seeds reproduce byte-identical sweeps.
+    The seed is the index of the first point in the unscrambled sequence, so
+    equal seeds reproduce byte-identical sweeps.  Each coordinate is the
+    radical inverse of its index in base 2, 3, 5 or 7, accumulated in floating
+    point digit by digit (the same arithmetic as scipy's unscrambled
+    `qmc.Halton`), at O(log seed) cost per point.
     """
     if k_samples < 1:
         raise ValueError(f"need at least one momentum sample, got {k_samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    halton = qmc.Halton(d=4, scramble=False)
-    halton.fast_forward(seed)
-    pts = halton.random(k_samples) * _TWO_PI
-    return [BlochMomentum(*row) for row in pts]
+    pts = np.array([[_radical_inverse(seed + i, b) for b in _HALTON_BASES] for i in range(k_samples)])
+    return [BlochMomentum(*row) for row in pts * _TWO_PI]
 
 
 def butterfly_sweep(model: HamiltonianModel, q_max: int, k_samples: int, seed: int) -> list[SpectrumSample]:
@@ -285,29 +316,21 @@ def butterfly_sweep(model: HamiltonianModel, q_max: int, k_samples: int, seed: i
     for p, q in pairs:
         phi = _TWO_PI * p / q
         for k in momenta:
-            vals = eigenvalues(assemble(model, p, q, k))
+            vals = model_spectrum(model, p, q, k)
             out.append(SpectrumSample(phi, k, tuple(float(v) for v in vals)))
     return out
 
 
 def harper_oracle_compare(p: int, q: int, k1: float, k2: float) -> float:
-    """Spectral gap between the assembled Harper core and a clock-and-shift oracle.
+    """Spectral gap between the assembler's Harper core and a clock-and-shift oracle.
 
-    Route (a): assemble_reduced, strip the scalar diagonal, rescale by -8 mu^2.
+    Route (a): `harper_core`, the core `assemble_reduced` scales and shifts.
     Route (b): T + T^dagger + V + V^dagger with T = e^{i k1} roll(I), built
     with no code shared with the assembler.  Contract: max |difference| < 1e-9.
     """
     if p < 1:
         raise ValueError(f"oracle comparison needs p >= 1, got {p}")
-    k = BlochMomentum(k1, k2, 0.0, 0.0)
-    reduced = assemble_reduced(p, q, k, 0)
-    B = p / (2.0 * q)
-    shift = (
-        -2.0 / (8.0 * MU * MU) * (math.cos(k.k3) + math.cos(k.k4))
-        + (16.0 / math.pi**2) * rotation_sector_shift(B, 0)
-    )
-    core = (np.asarray(reduced.entries) - shift * np.eye(q)) * (-8.0 * MU * MU)
-    vals_a = np.sort(np.linalg.eigvalsh(core).real)
+    vals_a = np.sort(np.linalg.eigvalsh(harper_core(FluxParam(p, q), k1, k2)).real)
 
     t_shift = np.exp(1j * k1) * np.roll(np.eye(q, dtype=complex), 1, axis=0)
     v_diag = np.diag(np.exp(1j * (k2 - np.arange(q) * _TWO_PI * p / q)))

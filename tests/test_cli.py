@@ -1,10 +1,15 @@
 """Exit codes, report text, SVG and CSV artifacts of the command-line front end."""
 
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import hyperband
 from hyperband.cli import _cayley, _disk_edge_path, main, parse_config_file
 from hyperband.halfplane import HPoint
 from hyperband.tiling import TilingParams, enumerate_tiles, make_generators
@@ -14,6 +19,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(hyperband.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, hyperband.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- verify

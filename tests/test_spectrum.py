@@ -1,10 +1,15 @@
 """Lattice Hamiltonian assembly, diagonalization, sweeps, and their oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import qmc
 
+from hyperband.magnetic import FluxParam
 from hyperband.spectrum import (
     MU,
     BlochMomentum,
@@ -12,14 +17,15 @@ from hyperband.spectrum import (
     BlockIsotropic,
     HermitianMatrix,
     ReducedHarper,
-    assemble,
     assemble_block,
     assemble_reduced,
     butterfly_sweep,
     coprime_flux_pairs,
     eigenvalues,
+    harper_core,
     harper_oracle_compare,
     model_dimension,
+    model_spectrum,
     momentum_samples,
     ring_matrix,
     rotation_sector_shift,
@@ -151,6 +157,35 @@ def test_reduced_q1_single_site():
     assert eigenvalues(h).shape == (1,)
 
 
+def _reduced_by_entry_loop(p, q, k, m):
+    # reference: the per-entry accumulation the vectorized assembler replaces
+    phi = TWO_PI * p / q
+    c = -1.0 / (8.0 * MU * MU)
+    h = np.zeros((q, q), dtype=complex)
+    for n in range(q):
+        h[n, n] += c * 2.0 * math.cos(k.k2 - n * phi)
+        h[n, (n + 1) % q] += c * np.exp(-1j * k.k1)
+        h[(n + 1) % q, n] += c * np.exp(1j * k.k1)
+    shift = 2.0 * c * (math.cos(k.k3) + math.cos(k.k4)) + (16.0 / math.pi**2) * rotation_sector_shift(p / (2.0 * q), m)
+    return h + shift * np.eye(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(coprime_flux_pairs(40)),
+    st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=7),
+)
+# q <= 2: the cyclic wrap adds onto an occupied entry, where summation order shows
+@example((1, 1), [0.7, 1.9, 0.2, 5.1], 3)
+@example((1, 2), [1.3, 0.4, 2.2, 0.0], 0)
+@example((3, 2), [4.0, 2.8, 0.1, 6.0], 7)
+def test_reduced_assembly_bitwise_equals_entry_loop(pq, ks, m):
+    p, q = pq
+    k = BlochMomentum(*ks)
+    assert assemble_reduced(p, q, k, m).entries.tobytes() == _reduced_by_entry_loop(p, q, k, m).tobytes()
+
+
 def test_reduced_rejects_non_coprime():
     with pytest.raises(ValueError):
         assemble_reduced(2, 4, BlochMomentum.zero(), 0)
@@ -212,7 +247,10 @@ def test_assembled_matrices_hermitian_everywhere():
         model = models[rng.integers(0, len(models))]
         p, q = random_flux_pair(rng)
         k = random_momentum(rng)
-        h = assemble(model, p, q, k)  # HermitianMatrix enforces the invariant
+        if isinstance(model, ReducedHarper):
+            h = assemble_reduced(p, q, k, model.m)  # HermitianMatrix enforces the invariant
+        else:
+            h = assemble_block(model, p, q, k)
         assert h.dimension == model_dimension(model, q)
 
 
@@ -310,11 +348,38 @@ def test_conjugation_pairs_flux_p_with_2q_minus_p():
 
 def test_sector_union_equals_block_spectrum():
     rng = np.random.default_rng(239)
-    for p, q in [(1, 2), (2, 3)]:
+    for p, q in [(1, 2), (2, 3), (1, 1), (5, 3), (7, 4), (9, 5)]:
         k = random_momentum(rng)
         union = np.sort(np.concatenate([eigenvalues(assemble_reduced(p, q, k, m)) for m in range(8)]))
         block = np.asarray(eigenvalues(assemble_block(BlockAnisotropic(), p, q, k)))
         assert np.abs(union - block).max() < 1e-7
+        # the sweep kernel: sector-0 spectrum shifted into all eight sectors
+        kernel = model_spectrum(BlockAnisotropic(), p, q, k)
+        assert np.abs(kernel - block).max() < 1e-7
+
+
+def test_model_spectrum_where_bare_scaled_core_does_not_converge():
+    # p/q = 101/52 at k = 0 (the first Halton point): LAPACK fails on the bare
+    # core times -1/(8 mu^2); the kernel solves the shifted sector matrices
+    k = BlochMomentum.zero()
+    block = model_spectrum(BlockAnisotropic(), 101, 52, k)
+    assert block.shape == (416,)
+    assert np.all(np.diff(block) >= 0.0)
+    sectors = [model_spectrum(ReducedHarper(m), 101, 52, k) for m in range(8)]
+    for vals in sectors:
+        assert vals.shape == (52,)
+        assert np.all(np.diff(vals) >= 0.0)
+    assert np.abs(np.sort(np.concatenate(sectors)) - block).max() < 1e-7
+
+
+def test_model_spectrum_dispatch():
+    k = BlochMomentum(0.3, 1.1, 2.5, 4.0)
+    got = model_spectrum(ReducedHarper(4), 3, 7, k)
+    assert np.array_equal(got, eigenvalues(assemble_reduced(3, 7, k, 4)))
+    got = model_spectrum(BlockIsotropic(), 3, 7, k)
+    assert np.array_equal(got, eigenvalues(assemble_block(BlockIsotropic(), 3, 7, k)))
+    with pytest.raises(ValueError):
+        model_spectrum(BlockAnisotropic(), 2, 4, k)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -340,6 +405,31 @@ def test_momentum_samples_deterministic_and_seeded():
         momentum_samples(0, 0)
     with pytest.raises(ValueError):
         momentum_samples(1, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10_000))
+def test_momentum_samples_match_scipy_halton(k_samples, seed):
+    halton = qmc.Halton(d=4, scramble=False)
+    halton.fast_forward(seed)
+    want = [BlochMomentum(*row) for row in halton.random(k_samples) * TWO_PI]
+    assert momentum_samples(k_samples, seed) == want  # bit for bit
+
+
+def test_momentum_samples_large_seed_is_cheap():
+    # the seed indexes the sequence directly; no skipped point is generated
+    seed = 346_747_834
+    got = momentum_samples(4, seed)
+    assert len(got) == 4
+    assert got[1:] == momentum_samples(3, seed + 1)
+    for i, k in enumerate(got):
+        for base, value in zip((2, 3, 5, 7), (k.k1, k.k2, k.k3, k.k4)):
+            index, exact, f = seed + i, Fraction(0), Fraction(1)
+            while index:
+                f /= base
+                index, digit = divmod(index, base)
+                exact += f * digit
+            assert abs(value - TWO_PI * float(exact)) < 1e-14
 
 
 def test_butterfly_sweep_small():
@@ -385,11 +475,8 @@ def test_butterfly_sweep_guards():
 def test_harper_oracle_q2_hand_values():
     assert harper_oracle_compare(1, 2, 0.0, 0.0) < 1e-10
     # the bare q=2 core at k=0 is [[2, 2], [2, -2]]: eigenvalues -+2 sqrt 2
-    h = assemble_reduced(1, 2, BlochMomentum.zero(), 0)
-    shift = (
-        -2.0 / (8.0 * MU * MU) * 2.0 + (16.0 / math.pi**2) * rotation_sector_shift(0.25, 0)
-    )
-    core = (np.asarray(h.entries) - shift * np.eye(2)) * (-8.0 * MU * MU)
+    core = harper_core(FluxParam(1, 2), 0.0, 0.0)
+    assert np.abs(core - np.array([[2.0, 2.0], [2.0, -2.0]])).max() < 1e-15
     got = np.sort(np.linalg.eigvalsh(core))
     assert np.abs(got - np.array([-2.0 * math.sqrt(2.0), 2.0 * math.sqrt(2.0)])).max() < 1e-12
 
