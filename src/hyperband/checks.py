@@ -1,0 +1,148 @@
+"""The paper's identities, each written once, for `verify` and the acceptance suite.
+
+Every check takes its sample inputs (genera, fields, points, momenta, flux
+pairs) and returns the worst defect over them.  `TOLERANCES` holds the
+`verify` bounds that `--tol NAME=VALUE` overrides; the acceptance criteria
+keep their own.  Errors the library raises reach the caller unchanged.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from typing import Iterable
+
+import numpy as np
+
+from . import magnetic, spectrum, tiling
+from .halfplane import HPoint
+from .magnetic import DiffOpId, FluxParam
+from .spectrum import RING_SIZE, BlochMomentum, BlockAnisotropic, BlockIsotropic
+
+_TWO_PI = 2.0 * math.pi
+
+TOLERANCES = {
+    "relation": 1e-9,
+    "pairing": 1e-9,
+    "covering": 1e-8,
+    "flux": 1e-7,
+    "algebra": 1e-8,
+    "hamiltonian": 1e-8,
+    "forms": 1e-8,
+    "hermiticity": 1e-12,
+    "sector": 1e-7,
+}
+
+# [op1, op2] = sum c_i op_i for the field generators and their weighted forms
+COMMUTATORS = (
+    (DiffOpId.U_B, DiffOpId.T_B, {DiffOpId.T_B: -2.0}),
+    (DiffOpId.S_B, DiffOpId.T_B, {DiffOpId.U_B: -1.0}),
+    (DiffOpId.U_B, DiffOpId.S_B, {DiffOpId.T_B: -4.0, DiffOpId.S_B: 2.0}),
+    (DiffOpId.U_check, DiffOpId.T_check, {DiffOpId.T_check: -2.0}),
+    (DiffOpId.S_check, DiffOpId.T_check, {DiffOpId.U_check: -1.0}),
+    (DiffOpId.U_check, DiffOpId.S_check, {DiffOpId.T_check: -4.0, DiffOpId.S_check: 2.0}),
+)
+
+
+def random_points(rng: np.random.Generator, count: int) -> list[HPoint]:
+    """Points with x in [-2, 2), y in [0.2, 3), drawn x then y per point."""
+    return [HPoint(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.2, 3.0))) for _ in range(count)]
+
+
+def random_momenta(rng: np.random.Generator, count: int) -> list[BlochMomentum]:
+    return [BlochMomentum(*rng.uniform(0.0, _TWO_PI, size=4)) for _ in range(count)]
+
+
+def fuchsian_relation(genera: Iterable[int]) -> float:
+    return max(tiling.relation_defect(tiling.make_generators(tiling.TilingParams(g))) for g in genera)
+
+
+def edge_pairing(genera: Iterable[int]) -> float:
+    params = [tiling.TilingParams(g) for g in genera]
+    return max(
+        tiling.edge_pairing_defect(tiling.make_generators(p), tiling.make_fundamental_domain(p)) for p in params
+    )
+
+
+def covering_degree(samples: Iterable[tuple[int, HPoint]]) -> float:
+    """Half-turn phase at B = 1/q from z against e^{i 2 pi/q}, over (q, z) samples."""
+    return max(abs(magnetic.covering_degree_check(q, z) - cmath.exp(2j * math.pi / q)) for q, z in samples)
+
+
+def flux_relation(genus: int, B: float, points: list[HPoint]) -> tuple[float, complex]:
+    """Relation-word phase against e^{i4(g-1)pi B}, and the phase at the last point.
+
+    `flux_relation_phase` raises `RuntimeError` when the word's point orbit
+    fails to close, so a returned defect also certifies closure.
+    """
+    expected = cmath.exp(1j * 4.0 * (genus - 1) * math.pi * B)
+    phases = [magnetic.flux_relation_phase(tiling.TilingParams(genus), B, z) for z in points]
+    return max(abs(phase - expected) for phase in phases), phases[-1]
+
+
+def operator_commutators(fields: Iterable[float], points: list[HPoint]) -> float:
+    return max(
+        magnetic.commutator_residual(op1, op2, expected, z, B)
+        for B in fields
+        for z in points
+        for op1, op2, expected in COMMUTATORS
+    )
+
+
+def hamiltonian_symmetry(fields: Iterable[float], points: list[HPoint]) -> float:
+    """[H, X] for each field generator X."""
+    return max(
+        magnetic.hamiltonian_commutation_residual(op, z, B)
+        for B in fields
+        for z in points
+        for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
+    )
+
+
+def hamiltonian_forms(fields: Iterable[float], points: list[HPoint]) -> float:
+    """Generator form of the Landau Hamiltonian against its continuum form."""
+    return max(magnetic.hamiltonian_forms_residual(z, B) for B in fields for z in points)
+
+
+def lattice_hermiticity(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
+    """Largest |H - H^dagger| over sectors 0 and 5 and both block models."""
+    p, q = pair.p, pair.q
+    drift = 0.0
+    for k in momenta:
+        for h in (
+            spectrum.assemble_reduced(p, q, k, 0),
+            spectrum.assemble_reduced(p, q, k, 5),
+            spectrum.assemble_block(BlockAnisotropic(), p, q, k),
+            spectrum.assemble_block(BlockIsotropic(), p, q, k),
+        ):
+            drift = max(drift, float(np.abs(h.entries - h.entries.conj().T).max()))
+    return drift
+
+
+def rotation_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
+    """Union of the eight sector spectra against the dense 8q x 8q block-aniso spectrum."""
+    p, q = pair.p, pair.q
+    worst = 0.0
+    for k in momenta:
+        sectors = [spectrum.eigenvalues(spectrum.assemble_reduced(p, q, k, m)) for m in range(RING_SIZE)]
+        block = spectrum.eigenvalues(spectrum.assemble_block(BlockAnisotropic(), p, q, k))
+        worst = max(worst, float(np.abs(np.sort(np.concatenate(sectors)) - block).max()))
+    return worst
+
+
+def harper_oracle_compare(p: int, q: int, k1: float, k2: float) -> float:
+    """Spectral gap between the assembler's Harper core and a clock-and-shift oracle.
+
+    Route (a): `harper_core`, the core `assemble_reduced` scales and shifts.
+    Route (b): T + T^dagger + V + V^dagger with T = e^{i k1} roll(I), built
+    with no code shared with the assembler.  Contract: max |difference| < 1e-9.
+    """
+    if p < 1:
+        raise ValueError(f"oracle comparison needs p >= 1, got {p}")
+    vals_a = np.sort(np.linalg.eigvalsh(spectrum.harper_core(FluxParam(p, q), k1, k2)).real)
+
+    t_shift = np.exp(1j * k1) * np.roll(np.eye(q, dtype=complex), 1, axis=0)
+    v_diag = np.diag(np.exp(1j * (k2 - np.arange(q) * _TWO_PI * p / q)))
+    oracle = t_shift + t_shift.conj().T + v_diag + v_diag.conj().T
+    vals_b = np.sort(np.linalg.eigvalsh(oracle).real)
+    return float(np.abs(vals_a - vals_b).max())

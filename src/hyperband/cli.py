@@ -4,70 +4,45 @@ Subcommands: `verify` runs the numerical identity suite, `tile` renders a
 Poincare-disk patch of the {4g,4g} tiling to SVG, `spectrum` prints the
 eigenvalues of one lattice Hamiltonian, `butterfly` sweeps rational flux and
 writes a phi/energy CSV. Exit codes: 0 success, 1 verification failure,
-2 usage or configuration error.
+2 usage or configuration error; `verify` reports a library error inside a
+check as that check's FAIL line.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import checks
 from .halfplane import HPoint, moebius_act
-from .magnetic import (
-    DiffOpId,
-    FluxParam,
-    commutator_residual,
-    covering_degree_check,
-    flux_relation_phase,
-    hamiltonian_commutation_residual,
-    hamiltonian_forms_residual,
-)
+from .magnetic import FluxParam
 from .spectrum import (
     BlochMomentum,
     BlockAnisotropic,
     BlockIsotropic,
     HamiltonianModel,
     ReducedHarper,
-    assemble_block,
-    assemble_reduced,
     butterfly_sweep,
-    eigenvalues,
     model_spectrum,
 )
 from .tiling import (
     FundamentalDomain,
     TilingParams,
-    edge_pairing_defect,
     enumerate_tiles,
     make_fundamental_domain,
     make_generators,
-    relation_defect,
 )
 
 _TWO_PI = 2.0 * math.pi
 
 # straight-segment fallback for near-diameter geodesics
 _ARC_RADIUS_LIMIT = 1e4
-
-_VERIFY_TOLERANCES = {
-    "relation": 1e-9,
-    "pairing": 1e-9,
-    "covering": 1e-8,
-    "flux": 1e-7,
-    "algebra": 1e-8,
-    "hamiltonian": 1e-8,
-    "forms": 1e-8,
-    "hermiticity": 1e-12,
-    "sector": 1e-7,
-}
 
 
 class UsageError(Exception):
@@ -161,7 +136,7 @@ def parse_momentum(text: str) -> BlochMomentum:
 
 
 def _tolerances(overrides: Optional[Sequence[str]]) -> dict[str, float]:
-    tols = dict(_VERIFY_TOLERANCES)
+    tols = dict(checks.TOLERANCES)
     for item in overrides or ():
         if "=" not in item:
             raise UsageError(f"tolerance override needs name=value, got {item!r}")
@@ -175,26 +150,17 @@ def _tolerances(overrides: Optional[Sequence[str]]) -> dict[str, float]:
     return tols
 
 
-@dataclass
-class VerifyReport:
-    lines: list[str] = field(default_factory=list)
-    failed: bool = False
-
-    def add(self, name: str, defect: float, tol: float, extra: str = "") -> None:
-        ok = defect < tol
-        self.failed = self.failed or not ok
-        status = "PASS" if ok else "FAIL"
-        self.lines.append(f"{status} {name:<24s} defect {defect:.3e}  tol {tol:.0e}{extra}")
+def _check_line(name: str, tol: float, compute: Callable[[], tuple[float, str]]) -> tuple[bool, str]:
+    """Pass flag and report line from `compute() -> (defect, note)`; a library error in it fails."""
+    try:
+        defect, note = compute()
+    except (ValueError, RuntimeError) as exc:
+        defect, note = math.inf, f"  ({exc})"
+    ok = defect < tol
+    return ok, f"{'PASS' if ok else 'FAIL'} {name:<24s} defect {defect:.3e}  tol {tol:.0e}{note}"
 
 
 # ---------------------------------------------------------------- verify
-
-
-def _random_points(rng: np.random.Generator, count: int) -> list[HPoint]:
-    return [
-        HPoint(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.2, 3.0)))
-        for _ in range(count)
-    ]
 
 
 def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
@@ -208,85 +174,36 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
     tols = _tolerances(getattr(args, "tol", None))
 
     B = float(flux)
-    params = TilingParams(genus)
-    gens = make_generators(params)
-    rng = np.random.default_rng(seed)
-    report = VerifyReport()
-
-    report.add("fuchsian relation", relation_defect(gens), tols["relation"])
-    report.add("edge pairing", edge_pairing_defect(gens, make_fundamental_domain(params)), tols["pairing"])
-
-    covering = max(
-        abs(covering_degree_check(q) - cmath.exp(2j * math.pi / q)) for q in range(1, 9)
-    )
-    report.add("covering degree", covering, tols["covering"])
-
-    expected_phase = cmath.exp(1j * 4.0 * (genus - 1) * math.pi * B)
-    phase = expected_phase
-    try:
-        worst = 0.0
-        for z in _random_points(rng, 5):
-            phase = flux_relation_phase(params, B, z)
-            worst = max(worst, abs(phase - expected_phase))
-        extra = f"  phase {phase.real:.6g}{phase.imag:+.6g}j"
-        report.add("flux relation", worst, tols["flux"], extra)
-    except RuntimeError as exc:
-        report.add("flux relation", math.inf, tols["flux"], f"  ({exc})")
-
-    field_triples = [
-        (DiffOpId.U_B, DiffOpId.T_B, {DiffOpId.T_B: -2.0}),
-        (DiffOpId.S_B, DiffOpId.T_B, {DiffOpId.U_B: -1.0}),
-        (DiffOpId.U_B, DiffOpId.S_B, {DiffOpId.T_B: -4.0, DiffOpId.S_B: 2.0}),
-        (DiffOpId.U_check, DiffOpId.T_check, {DiffOpId.T_check: -2.0}),
-        (DiffOpId.S_check, DiffOpId.T_check, {DiffOpId.U_check: -1.0}),
-        (DiffOpId.U_check, DiffOpId.S_check, {DiffOpId.T_check: -4.0, DiffOpId.S_check: 2.0}),
-    ]
-    algebra_points = _random_points(rng, 5)
-    algebra = max(
-        commutator_residual(op1, op2, expected, z, B)
-        for op1, op2, expected in field_triples
-        for z in algebra_points
-    )
-    report.add("operator commutators", algebra, tols["algebra"])
-
-    lemma = max(
-        hamiltonian_commutation_residual(op, z, B)
-        for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
-        for z in algebra_points
-    )
-    report.add("hamiltonian symmetry", lemma, tols["hamiltonian"])
-    forms = max(hamiltonian_forms_residual(z, B) for z in algebra_points)
-    report.add("hamiltonian forms", forms, tols["forms"])
-
     # Lattice checks are genus-2 structures; a bare-real B has no flux pair,
     # so they fall back to a representative rational.
     pair = FluxParam.from_field(flux) if isinstance(flux, Fraction) else FluxParam(1, 3)
-    momenta = [BlochMomentum(*rng.uniform(0.0, _TWO_PI, size=4)) for _ in range(2)]
-    hermiticity = 0.0
-    sector = 0.0
-    for k in momenta:
-        matrices = [
-            assemble_reduced(pair.p, pair.q, k, 0),
-            assemble_reduced(pair.p, pair.q, k, 5),
-            assemble_block(BlockAnisotropic(), pair.p, pair.q, k),
-            assemble_block(BlockIsotropic(), pair.p, pair.q, k),
-        ]
-        for h in matrices:
-            entries = np.asarray(h.entries)
-            hermiticity = max(hermiticity, float(np.abs(entries - entries.conj().T).max()))
-        union = np.sort(
-            np.concatenate(
-                [eigenvalues(assemble_reduced(pair.p, pair.q, k, m)) for m in range(8)]
-            )
-        )
-        block = np.asarray(eigenvalues(assemble_block(BlockAnisotropic(), pair.p, pair.q, k)))
-        sector = max(sector, float(np.abs(union - block).max()))
-    report.add("lattice hermiticity", hermiticity, tols["hermiticity"], f"  (p={pair.p}, q={pair.q})")
-    report.add("rotation sectors", sector, tols["sector"], f"  (p={pair.p}, q={pair.q})")
+    rng = np.random.default_rng(seed)
+    flux_points = checks.random_points(rng, 5)
+    points = checks.random_points(rng, 5)
+    momenta = checks.random_momenta(rng, 2)
 
-    for line in report.lines:
+    def flux_line() -> tuple[float, str]:
+        defect, phase = checks.flux_relation(genus, B, flux_points)
+        return defect, f"  phase {phase.real:.6g}{phase.imag:+.6g}j"
+
+    covering = [(q, HPoint(1.0, 1.0)) for q in range(1, 9)]
+    lattice = f"  (p={pair.p}, q={pair.q})"
+    failed = False
+    for name, tol, compute in (
+        ("fuchsian relation", "relation", lambda: (checks.fuchsian_relation([genus]), "")),
+        ("edge pairing", "pairing", lambda: (checks.edge_pairing([genus]), "")),
+        ("covering degree", "covering", lambda: (checks.covering_degree(covering), "")),
+        ("flux relation", "flux", flux_line),
+        ("operator commutators", "algebra", lambda: (checks.operator_commutators([B], points), "")),
+        ("hamiltonian symmetry", "hamiltonian", lambda: (checks.hamiltonian_symmetry([B], points), "")),
+        ("hamiltonian forms", "forms", lambda: (checks.hamiltonian_forms([B], points), "")),
+        ("lattice hermiticity", "hermiticity", lambda: (checks.lattice_hermiticity(pair, momenta), lattice)),
+        ("rotation sectors", "sector", lambda: (checks.rotation_sectors(pair, momenta), lattice)),
+    ):
+        ok, line = _check_line(name, tols[tol], compute)
         print(line)
-    return 1 if report.failed else 0
+        failed = failed or not ok
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------- tile

@@ -76,6 +76,8 @@ def s_phase(t: float, z0: HPoint, B: float) -> complex:
     is branch-tracked by stepping the rotation parameter finely enough that no
     step can sweep a full circle (step sweep <= 2(a+b) dr < 2 pi).
     """
+    if not math.isfinite(B):
+        raise ValueError("non-finite field strength")
     circ = rotation_orbit_circle(z0)
     a, b = circ.center_y, circ.radius
     if b < _DEGENERATE_ORBIT:
@@ -157,7 +159,7 @@ class MagneticAction:
     image: HPoint
 
     def __post_init__(self):
-        if abs(abs(self.phase) - 1.0) > 1e-12:
+        if not cmath.isfinite(self.phase) or abs(abs(self.phase) - 1.0) > 1e-12:
             raise ValueError(f"phase modulus {abs(self.phase)} not on the unit circle")
 
 
@@ -178,16 +180,13 @@ def act_magnetic(word: MagneticWord, z: HPoint, B: float) -> MagneticAction:
     return MagneticAction(phase, current)
 
 
-def magnetic_generators(params: TilingParams, B: float) -> list[MagneticWord]:
+def magnetic_generators(params: TilingParams) -> list[MagneticWord]:
     """Magnetic deformations of the 2g tiling generators.
 
     gamma_j^B = e^{-alpha_j S_B} e^{mu U_B} e^{alpha_j S_B} with
-    alpha_j = (j-1) pi/(4g).  The words themselves do not depend on B (the
-    field enters through the cocycle when they act); B is accepted to keep the
-    flux context explicit at call sites.
+    alpha_j = (j-1) pi/(4g).  The words do not depend on B: the field enters
+    through the cocycle when they act.
     """
-    if not math.isfinite(B):
-        raise ValueError("non-finite field strength")
     g = params.genus
     mu = scaling_parameter(g)
     words = []
@@ -200,7 +199,7 @@ def magnetic_generators(params: TilingParams, B: float) -> list[MagneticWord]:
     return words
 
 
-def flux_relation_word(params: TilingParams, B: float) -> MagneticWord:
+def flux_relation_word(params: TilingParams) -> MagneticWord:
     """Operator form of the defining relation.
 
     As operators the relation reads gamma_2g ... gamma_2 (gamma_1)^-1
@@ -208,7 +207,7 @@ def flux_relation_word(params: TilingParams, B: float) -> MagneticWord:
     the dots): exactly the letters of the matrix relation in reverse, which is
     why the point orbit still closes while the phase picks up the flux.
     """
-    gen_words = magnetic_generators(params, B)
+    gen_words = magnetic_generators(params)
     factors: list[MagneticFactor] = []
     for idx, exp in reversed(relation_word(params.genus).letters):
         w = gen_words[idx - 1]
@@ -218,7 +217,7 @@ def flux_relation_word(params: TilingParams, B: float) -> MagneticWord:
 
 def flux_relation_phase(params: TilingParams, B: float, z: HPoint) -> complex:
     """Phase of the relation word at z; the Gauss-Bonnet value is e^{i4(g-1)pi B}."""
-    action = act_magnetic(flux_relation_word(params, B), z, B)
+    action = act_magnetic(flux_relation_word(params), z, B)
     drift = hyperbolic_distance(action.image, z)
     if drift > _CLOSURE_ERROR:
         raise RuntimeError(
@@ -228,8 +227,8 @@ def flux_relation_phase(params: TilingParams, B: float, z: HPoint) -> complex:
     return action.phase
 
 
-def covering_degree_check(q: int) -> complex:
-    """Phase of the half-turn flow e^{pi S_B} at B = 1/q; contract: e^{i 2 pi/q}.
+def covering_degree_check(q: int, z: HPoint) -> complex:
+    """Phase of the half-turn flow e^{pi S_B} at B = 1/q from z; contract: e^{i 2 pi/q}.
 
     The point orbit closes (e^{pi S} = -1 acts trivially), so only after q
     half-turns does the phase return to 1: the plain group q-fold covers the
@@ -237,8 +236,7 @@ def covering_degree_check(q: int) -> complex:
     """
     if q < 1:
         raise ValueError(f"covering degree must be >= 1, got {q}")
-    probe = HPoint(1.0, 1.0)
-    return act_magnetic(MagneticWord((s_rotation(math.pi),)), probe, 1.0 / q).phase
+    return act_magnetic(MagneticWord((s_rotation(math.pi),)), z, 1.0 / q).phase
 
 
 def automorphic_factor(g: Sl2Element, z: HPoint) -> complex:

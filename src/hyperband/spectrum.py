@@ -142,6 +142,12 @@ def ring_matrix(B: float) -> np.ndarray:
     return ring
 
 
+def _require_dimension(n: int) -> None:
+    """Refuse a matrix over `_MAX_DIMENSION` before anything of that size is allocated."""
+    if n > _MAX_DIMENSION:
+        raise ValueError(f"dimension {n} exceeds the supported bound {_MAX_DIMENSION}")
+
+
 def harper_core(flux: FluxParam, k1: float, k2: float, scale: float = 1.0) -> np.ndarray:
     """The q x q Harper core at phi = 2 pi p/q, every term multiplied by `scale`.
 
@@ -152,6 +158,7 @@ def harper_core(flux: FluxParam, k1: float, k2: float, scale: float = 1.0) -> np
     keeps the entries bit-for-bit what per-entry accumulation gives.
     """
     q = flux.q
+    _require_dimension(q)
     phi = _TWO_PI * flux.p / q
     n = np.arange(q)
     h = np.zeros((q, q), dtype=complex)
@@ -201,6 +208,7 @@ def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) 
         raise ValueError(f"block assembly expects a block variant, got {variant!r}")
 
     n_dim = RING_SIZE * q
+    _require_dimension(n_dim)
     h = np.zeros((n_dim, n_dim), dtype=complex)
     for n in range(q):
         s = slice(RING_SIZE * n, RING_SIZE * (n + 1))
@@ -212,6 +220,7 @@ def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) 
 
 
 def model_dimension(model: HamiltonianModel, q: int) -> int:
+    """Number of eigenvalues `model_spectrum` returns at denominator q."""
     return q if isinstance(model, ReducedHarper) else RING_SIZE * q
 
 
@@ -223,8 +232,7 @@ def eigenvalues(h: HermitianMatrix) -> np.ndarray:
     satisfy ||Hv - lambda v|| <= 1e-8 (1 + ||H||_F).
     """
     n = h.dimension
-    if n > _MAX_DIMENSION:
-        raise ValueError(f"dimension {n} exceeds the supported bound {_MAX_DIMENSION}")
+    _require_dimension(n)
     try:
         vals, vecs = np.linalg.eigh(h.entries)
     except np.linalg.LinAlgError as exc:
@@ -304,7 +312,9 @@ def butterfly_sweep(model: HamiltonianModel, q_max: int, k_samples: int, seed: i
     if q_max > _MAX_SWEEP_Q:
         raise ValueError(f"q_max {q_max} exceeds the sweep bound {_MAX_SWEEP_Q}")
     pairs = coprime_flux_pairs(q_max)
-    workload = k_samples * sum(model_dimension(model, q) ** 3 for _, q in pairs)
+    # charged at the size model_spectrum solves: 8q x 8q for block-iso, q x q otherwise
+    solved = RING_SIZE if isinstance(model, BlockIsotropic) else 1
+    workload = k_samples * sum((solved * q) ** 3 for _, q in pairs)
     if workload > _MAX_SWEEP_WORKLOAD:
         raise ValueError(
             f"sweep workload {workload:.2e} (sum of dim^3) exceeds {_MAX_SWEEP_WORKLOAD:.2e}; "
@@ -320,20 +330,3 @@ def butterfly_sweep(model: HamiltonianModel, q_max: int, k_samples: int, seed: i
             out.append(SpectrumSample(phi, k, tuple(float(v) for v in vals)))
     return out
 
-
-def harper_oracle_compare(p: int, q: int, k1: float, k2: float) -> float:
-    """Spectral gap between the assembler's Harper core and a clock-and-shift oracle.
-
-    Route (a): `harper_core`, the core `assemble_reduced` scales and shifts.
-    Route (b): T + T^dagger + V + V^dagger with T = e^{i k1} roll(I), built
-    with no code shared with the assembler.  Contract: max |difference| < 1e-9.
-    """
-    if p < 1:
-        raise ValueError(f"oracle comparison needs p >= 1, got {p}")
-    vals_a = np.sort(np.linalg.eigvalsh(harper_core(FluxParam(p, q), k1, k2)).real)
-
-    t_shift = np.exp(1j * k1) * np.roll(np.eye(q, dtype=complex), 1, axis=0)
-    v_diag = np.diag(np.exp(1j * (k2 - np.arange(q) * _TWO_PI * p / q)))
-    oracle = t_shift + t_shift.conj().T + v_diag + v_diag.conj().T
-    vals_b = np.sort(np.linalg.eigvalsh(oracle).real)
-    return float(np.abs(vals_a - vals_b).max())

@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 
+from hyperband import checks
 from hyperband.cli import main
 from hyperband.halfplane import (
     CONSTRUCTION_TOL,
     GEOMETRIC_TOL,
-    HPoint,
     exp_s,
     exp_t,
     exp_u,
@@ -26,32 +26,9 @@ from hyperband.halfplane import (
     psl2_distance,
     rotation_orbit_circle,
 )
-from hyperband.magnetic import (
-    DiffOpId,
-    MagneticWord,
-    act_magnetic,
-    commutator_residual,
-    flux_relation_word,
-    hamiltonian_commutation_residual,
-    s_phase,
-    s_rotation,
-)
-from hyperband.spectrum import (
-    BlochMomentum,
-    BlockAnisotropic,
-    assemble_block,
-    assemble_reduced,
-    coprime_flux_pairs,
-    eigenvalues,
-    harper_oracle_compare,
-)
-from hyperband.tiling import (
-    TilingParams,
-    edge_pairing_defect,
-    make_fundamental_domain,
-    make_generators,
-    relation_defect,
-)
+from hyperband.magnetic import FluxParam, s_phase
+from hyperband.spectrum import coprime_flux_pairs
+from hyperband.tiling import TilingParams, make_fundamental_domain
 
 
 def _report(num: int, name: str, defect: float, tol: float, elapsed: float, limit: float) -> None:
@@ -64,45 +41,29 @@ def _report(num: int, name: str, defect: float, tol: float, elapsed: float, limi
     assert elapsed < limit
 
 
-def _random_points(rng, count):
-    return [HPoint(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.2, 3.0))) for _ in range(count)]
-
-
 def test_criterion_1_fuchsian_relation():
     start = time.perf_counter()
-    defect = max(relation_defect(make_generators(TilingParams(g))) for g in (2, 3, 4, 5))
+    defect = checks.fuchsian_relation((2, 3, 4, 5))
     _report(1, "fuchsian relation", defect, 1e-9, time.perf_counter() - start, 1.0)
 
 
 def test_criterion_2_covering_theorem():
     rng = np.random.default_rng(1002)
     start = time.perf_counter()
-    half_turn = MagneticWord((s_rotation(math.pi),))
-    defect = 0.0
-    for q in range(1, 9):
-        expected = cmath.exp(2j * math.pi / q)
-        for z in _random_points(rng, 5):
-            defect = max(defect, abs(act_magnetic(half_turn, z, 1.0 / q).phase - expected))
+    defect = checks.covering_degree((q, z) for q in range(1, 9) for z in checks.random_points(rng, 5))
     _report(2, "covering theorem", defect, 1e-8, time.perf_counter() - start, 1.0)
 
 
 def test_criterion_3_flux_relation():
     rng = np.random.default_rng(1003)
     start = time.perf_counter()
-    defect = 0.0
-    closure = 0.0
-    for g in (2, 3):
-        params = TilingParams(g)
-        for B in (0.0, 0.25, 1.0 / 3.0, 0.7):
-            word = flux_relation_word(params, B)
-            expected = cmath.exp(1j * 4.0 * (g - 1) * math.pi * B)
-            for z in _random_points(rng, 5):
-                action = act_magnetic(word, z, B)
-                defect = max(defect, abs(action.phase - expected))
-                closure = max(closure, hyperbolic_distance(action.image, z))
-    elapsed = time.perf_counter() - start
-    assert closure < 1e-6
-    _report(3, "flux relation", defect, 1e-7, elapsed, 5.0)
+    # each phase is taken only after its word's point orbit closed within 1e-6
+    defect = max(
+        checks.flux_relation(g, B, checks.random_points(rng, 5))[0]
+        for g in (2, 3)
+        for B in (0.0, 0.25, 1.0 / 3.0, 0.7)
+    )
+    _report(3, "flux relation", defect, 1e-7, time.perf_counter() - start, 5.0)
 
 
 def test_criterion_4_vertex_angle_identity():
@@ -120,37 +81,19 @@ def test_criterion_4_vertex_angle_identity():
 def test_criterion_5_operator_algebra():
     rng = np.random.default_rng(1005)
     start = time.perf_counter()
-    triples = [
-        (DiffOpId.U_B, DiffOpId.T_B, {DiffOpId.T_B: -2.0}),
-        (DiffOpId.S_B, DiffOpId.T_B, {DiffOpId.U_B: -1.0}),
-        (DiffOpId.U_B, DiffOpId.S_B, {DiffOpId.T_B: -4.0, DiffOpId.S_B: 2.0}),
-        (DiffOpId.U_check, DiffOpId.T_check, {DiffOpId.T_check: -2.0}),
-        (DiffOpId.S_check, DiffOpId.T_check, {DiffOpId.U_check: -1.0}),
-        (DiffOpId.U_check, DiffOpId.S_check, {DiffOpId.T_check: -4.0, DiffOpId.S_check: 2.0}),
-    ]
-    points = _random_points(rng, 20)
-    defect = 0.0
-    for B in (0.0, 1.0 / 3.0, 0.77):
-        for z in points:
-            for op1, op2, expected in triples:
-                defect = max(defect, commutator_residual(op1, op2, expected, z, B))
-            for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B):
-                defect = max(defect, hamiltonian_commutation_residual(op, z, B))
+    points = checks.random_points(rng, 20)
+    fields = (0.0, 1.0 / 3.0, 0.77)
+    defect = max(checks.operator_commutators(fields, points), checks.hamiltonian_symmetry(fields, points))
     _report(5, "operator algebra", defect, 1e-8, time.perf_counter() - start, 2.0)
 
 
 def test_criterion_6_rotation_sector_consistency():
     rng = np.random.default_rng(1006)
     start = time.perf_counter()
-    defect = 0.0
-    for p, q in ((1, 2), (1, 3), (2, 3), (1, 5)):
-        for _ in range(3):
-            k = BlochMomentum(*rng.uniform(0.0, 2.0 * math.pi, size=4))
-            union = np.sort(
-                np.concatenate([eigenvalues(assemble_reduced(p, q, k, m)) for m in range(8)])
-            )
-            block = np.asarray(eigenvalues(assemble_block(BlockAnisotropic(), p, q, k)))
-            defect = max(defect, float(np.abs(union - block).max()))
+    defect = max(
+        checks.rotation_sectors(FluxParam(p, q), checks.random_momenta(rng, 3))
+        for p, q in ((1, 2), (1, 3), (2, 3), (1, 5))
+    )
     _report(6, "rotation-sector consistency", defect, 1e-7, time.perf_counter() - start, 10.0)
 
 
@@ -164,7 +107,7 @@ def test_criterion_7_harper_oracle():
                 continue
             for _ in range(3):
                 k1, k2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-                defect = max(defect, harper_oracle_compare(p, q, k1, k2))
+                defect = max(defect, checks.harper_oracle_compare(p, q, k1, k2))
     _report(7, "harper oracle", defect, 1e-9, time.perf_counter() - start, 10.0)
 
 
@@ -195,7 +138,7 @@ def test_criterion_9_geometry_suite():
     start = time.perf_counter()
 
     orbit = 0.0
-    for z0 in _random_points(rng, 100):
+    for z0 in checks.random_points(rng, 100):
         circle = rotation_orbit_circle(z0)
         t = float(rng.uniform(0.0, math.pi))
         w = moebius_act(exp_s(t), z0)
@@ -211,7 +154,7 @@ def test_criterion_9_geometry_suite():
 
     metric = 0.0
     for _ in range(100):
-        z, w = _random_points(rng, 2)
+        z, w = checks.random_points(rng, 2)
         g = exp_s(float(rng.uniform(-3.0, 3.0))) @ exp_t(float(rng.uniform(-2.0, 2.0))) @ exp_u(
             float(rng.uniform(-1.0, 1.0))
         )
@@ -220,10 +163,7 @@ def test_criterion_9_geometry_suite():
             abs(hyperbolic_distance(moebius_act(g, z), moebius_act(g, w)) - hyperbolic_distance(z, w)),
         )
 
-    pairing = max(
-        edge_pairing_defect(make_generators(TilingParams(g)), make_fundamental_domain(TilingParams(g)))
-        for g in (2, 3, 4, 5)
-    )
+    pairing = checks.edge_pairing((2, 3, 4, 5))
 
     elapsed = time.perf_counter() - start
     assert iwasawa < CONSTRUCTION_TOL * 1e3  # round-trips sit at a few ulps

@@ -7,6 +7,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperband
@@ -64,6 +65,37 @@ def test_verify_tolerance_override_can_force_failure(capsys):
     code, out, _ = run(capsys, "verify", "--tol", "relation=1e-16")
     assert code == 1
     assert any(line.startswith("FAIL fuchsian relation") for line in out.splitlines())
+
+
+def test_verify_reports_library_errors_as_failures(capsys):
+    # q = 300: the 2400 x 2400 block matrices exceed the dimension bound
+    code, out, err = run(capsys, "verify", "--B", "1/600")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 9
+    assert all(line.startswith("PASS") for line in lines[:7])
+    for line, name in zip(lines[7:], ("lattice hermiticity", "rotation sectors")):
+        assert line.startswith(f"FAIL {name}")
+        assert "defect inf" in line and "exceeds the supported bound 2000" in line
+
+
+def test_verify_hermiticity_line_can_fail(monkeypatch, capsys):
+    import hyperband.spectrum as spectrum
+
+    real_ring = spectrum.ring_matrix
+
+    def skewed_ring(B):
+        ring = real_ring(B)
+        ring[0, 1] += 1e-9j  # [1, 0] left alone, so every block matrix is off by ~1e-9
+        return ring
+
+    monkeypatch.setattr(spectrum, "ring_matrix", skewed_ring)
+    code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4")
+    assert code == 1
+    line = next(line for line in out.splitlines() if "lattice hermiticity" in line)
+    assert line.startswith("FAIL") and "fails Hermiticity" in line
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 2  # the dense block spectrum behind "rotation sectors" is refused too
 
 
 def test_verify_rejects_unknown_tolerance(capsys):
@@ -157,6 +189,22 @@ def test_spectrum_block_dimension_and_order(capsys):
     values = [float(line) for line in out.split()]
     assert len(values) == 24
     assert values == sorted(values)
+
+
+@pytest.mark.parametrize("field, model, dim", [("1/4002", "reduced", 2001), ("1/502", "block-iso", 2008)])
+def test_spectrum_refuses_over_bound_dimension_before_allocating(monkeypatch, capsys, field, model, dim):
+    real_zeros = np.zeros
+    shapes = []
+
+    def recording_zeros(shape, *args, **kwargs):
+        shapes.append(shape)
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    code, _, err = run(capsys, "spectrum", "--B", field, "--model", model)
+    assert code == 2
+    assert f"dimension {dim} exceeds the supported bound 2000" in err
+    assert all(max(np.atleast_1d(shape), default=0) <= 2000 for shape in shapes)
 
 
 def test_spectrum_rejects_bad_flux_and_model(capsys):

@@ -174,11 +174,29 @@ def test_magnetic_action_validates_phase_modulus():
         MagneticFactor("Q", 1.0)
 
 
+def test_magnetic_action_rejects_non_finite_phase():
+    # |nan| - 1 > tol is False, so a modulus test alone lets NaN through
+    for phase in (complex(math.nan, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(ValueError, match="unit circle"):
+            MagneticAction(phase, HPoint(0.0, 1.0))
+
+
+@pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf])
+def test_non_finite_field_is_rejected(B):
+    word = MagneticWord((s_rotation(0.7), u_scaling(0.3)))
+    with pytest.raises(ValueError, match="field strength"):
+        act_magnetic(word, HPoint(0.2, 1.1), B)
+    with pytest.raises(ValueError, match="field strength"):
+        s_phase(0.7, HPoint(0.2, 1.1), B)
+    with pytest.raises(ValueError, match="field strength"):
+        flux_relation_phase(TilingParams(2), B, HPoint(0.2, 1.1))
+
+
 # ---------------------------------------------------------------- generators
 
 
 def test_magnetic_generator_words():
-    words = magnetic_generators(TilingParams(2), 0.3)
+    words = magnetic_generators(TilingParams(2))
     assert len(words) == 4
     assert len(words[0].factors) == 1 and words[0].factors[0].kind == "U"
     w3 = words[2]  # j=3: rotation angles -+ pi/4 around the scaling
@@ -190,7 +208,7 @@ def test_magnetic_generator_words():
 def test_magnetic_generator_moves_point_like_fuchsian_generator():
     params = TilingParams(2)
     gens = make_generators(params)
-    words = magnetic_generators(params, 0.45)
+    words = magnetic_generators(params)
     rng = np.random.default_rng(113)
     for _ in range(5):
         z = random_point(rng)
@@ -201,7 +219,7 @@ def test_magnetic_generator_moves_point_like_fuchsian_generator():
 
 
 def test_magnetic_generator_zero_field_phase_is_one():
-    words = magnetic_generators(TilingParams(2), 0.0)
+    words = magnetic_generators(TilingParams(2))
     rng = np.random.default_rng(127)
     for word in words:
         for _ in range(3):
@@ -247,7 +265,7 @@ def test_flux_relation_independent_of_base_point():
 def test_flux_relation_point_closure():
     rng = np.random.default_rng(139)
     for g in (2, 3):
-        word = flux_relation_word(TilingParams(g), 0.3)
+        word = flux_relation_word(TilingParams(g))
         for _ in range(10):
             z = random_point(rng)
             out = act_magnetic(word, z, 0.3)
@@ -260,7 +278,7 @@ def test_flux_relation_reports_non_closure(monkeypatch):
     # closure guard instead of returning a bogus phase
     import hyperband.magnetic as mag
 
-    monkeypatch.setattr(mag, "flux_relation_word", lambda p, B: MagneticWord((t_translation(1.0),)))
+    monkeypatch.setattr(mag, "flux_relation_word", lambda p: MagneticWord((t_translation(1.0),)))
     with pytest.raises(RuntimeError):
         mag.flux_relation_phase(TilingParams(2), 0.3, HPoint(0.2, 1.1))
 
@@ -270,12 +288,12 @@ def test_flux_relation_reports_non_closure(monkeypatch):
 
 def test_covering_degrees():
     for q in range(1, 9):
-        got = covering_degree_check(q)
+        got = covering_degree_check(q, HPoint(1.0, 1.0))
         assert abs(got - cmath.exp(2j * math.pi / q)) < 1e-8
 
 
 def test_covering_q3_frozen():
-    assert abs(covering_degree_check(3) - complex(-0.5, math.sqrt(3.0) / 2.0)) < 1e-10
+    assert abs(covering_degree_check(3, HPoint(1.0, 1.0)) - complex(-0.5, math.sqrt(3.0) / 2.0)) < 1e-10
 
 
 def test_covering_full_turns_close():
@@ -290,7 +308,7 @@ def test_covering_full_turns_close():
 
 def test_covering_rejects_bad_degree():
     with pytest.raises(ValueError):
-        covering_degree_check(0)
+        covering_degree_check(0, HPoint(1.0, 1.0))
 
 
 # ---------------------------------------------------------------- vertex angle

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
+from hyperband.checks import harper_oracle_compare
 from hyperband.magnetic import FluxParam
 from hyperband.spectrum import (
     MU,
@@ -23,7 +24,6 @@ from hyperband.spectrum import (
     coprime_flux_pairs,
     eigenvalues,
     harper_core,
-    harper_oracle_compare,
     model_dimension,
     model_spectrum,
     momentum_samples,
@@ -467,6 +467,19 @@ def test_butterfly_sweep_guards():
         butterfly_sweep(BlockIsotropic(), 60, 4, 0)  # workload over budget
     with pytest.raises(ValueError):
         butterfly_sweep(ReducedHarper(0), 501, 1, 0)
+
+
+def test_sweep_guard_charges_the_solved_dimension(monkeypatch):
+    # block-aniso solves one q x q matrix per flux and momentum, block-iso an
+    # 8q x 8q one; the guard is checked before model_spectrum is first called
+    import hyperband.spectrum as spectrum
+
+    butterfly_sweep(BlockAnisotropic(), 21, 4, 0)
+    monkeypatch.setattr(spectrum, "model_spectrum", lambda model, p, q, k: np.zeros(1))
+    for model, refused_from in ((BlockIsotropic(), 21), (ReducedHarper(0), 73), (BlockAnisotropic(), 73)):
+        butterfly_sweep(model, refused_from - 1, 4, 0)
+        with pytest.raises(ValueError, match="workload"):
+            butterfly_sweep(model, refused_from, 4, 0)
 
 
 # ---------------------------------------------------------------- harper oracle
