@@ -280,10 +280,7 @@ def cmd_tile(args: argparse.Namespace, config: dict[str, str]) -> int:
     if depth < 0:
         raise UsageError(f"depth must be >= 0, got {depth}")
     out = str(_resolve(args, config, "out", "tiling.svg"))
-    try:
-        svg = render_tiling_svg(TilingParams(genus), depth)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    svg = render_tiling_svg(TilingParams(genus), depth)
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
@@ -302,11 +299,7 @@ def cmd_spectrum(args: argparse.Namespace, config: dict[str, str]) -> int:
     model = parse_model(_resolve(args, config, "model", "reduced"), _resolve(args, config, "m", None))
     k = parse_momentum(_resolve(args, config, "k", "0,0,0,0"))
     pair = FluxParam.from_field(flux)
-    try:
-        vals = model_spectrum(model, pair.p, pair.q, k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    for value in vals:
+    for value in model_spectrum(model, pair.p, pair.q, k):
         print(f"{value:.12g}")
     return 0
 
@@ -322,10 +315,7 @@ def cmd_butterfly(args: argparse.Namespace, config: dict[str, str]) -> int:
     out = str(_resolve(args, config, "out", "butterfly.csv"))
 
     start = time.perf_counter()
-    try:
-        sweep = butterfly_sweep(model, q_max, k_samples, seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    sweep = butterfly_sweep(model, q_max, k_samples, seed)
     rows = sorted((s.phi, e) for s in sweep for e in s.eigenvalues)
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -397,10 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_config_file(args.config) if getattr(args, "config", None) else {}
         return _COMMANDS[args.command](args, config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

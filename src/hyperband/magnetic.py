@@ -8,11 +8,19 @@ while T_B = d/dx and U_B = 2x d/dx + 2y d/dy stay field-free.  The flow
 e^{t S_B} moves points exactly like e^{t S} but multiplies functions by the
 U(1) cocycle
 
-    j(e^{t S_B}, z) = exp(2iB integral_0^t y(t') dt') = exp(iB dtheta),
+    j(e^{t S_B}, z) = exp(2iB integral_0^t y(t') dt').
 
-where dtheta is the angle swept along the Euclidean orbit circle.  Products of
-such flows realize a magnetic deformation of the Fuchsian group: the defining
-relation no longer closes to 1 but to the flux phase e^{i 4(g-1) pi B}.
+The integral has a closed form.  The Cayley map w = (z - i)/(z + i) turns
+e^{t S} into the disk rotation w -> e^{2it} w, along which y is the Poisson
+kernel (1 - |w|^2)/|1 - w|^2 with antiderivative psi - 2 arg(1 - w) in the
+angle psi of w.  Since 1 - w = 2i/(z + i),
+
+    2 integral_0^t y = 2t + 2 (arg(z_t + i) - arg(z_0 + i)),
+
+and Im(z + i) > 1 keeps arg(z + i) in (0, pi), so principal values are the
+continuous branch.  Products of such flows realize a magnetic deformation of
+the Fuchsian group: the defining relation no longer closes to 1 but to the
+flux phase e^{i 4(g-1) pi B}.
 
 The second half of the module is an exact polynomial calculus used to verify
 the commutation relations, the generator form of the Landau Hamiltonian, and
@@ -27,11 +35,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .halfplane import HPoint, Sl2Element, exp_s, exp_t, exp_u, hyperbolic_distance, moebius_act, rotation_orbit_circle
+from .halfplane import HPoint, Sl2Element, exp_s, exp_t, exp_u, hyperbolic_distance, moebius_act
 from .tiling import TilingParams, relation_word, scaling_parameter
 
 _CLOSURE_ERROR = 1e-6
-_DEGENERATE_ORBIT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,39 +75,17 @@ class FluxParam:
 
 
 def s_phase(t: float, z0: HPoint, B: float) -> complex:
-    """Cocycle exp(iB dtheta) of the rotation flow e^{t S_B} starting at z0.
+    """Cocycle exp(2iB integral_0^t y) of the rotation flow e^{t S_B} from z0.
 
-    The orbit is the circle x = b cos(th), y = a + b sin(th); the flow sweeps
-    th monotonically (d th / dt = 2y > 0) and one period t = pi is exactly one
-    full turn.  The whole turns are therefore floor(t/pi); the fractional turn
-    is branch-tracked by stepping the rotation parameter finely enough that no
-    step can sweep a full circle (step sweep <= 2(a+b) dr < 2 pi).
+    Closed form exp(2iB (t + arg(z_t + i) - arg(z_0 + i))) with z_t = e^{t S} z0
+    (derivation in the module docstring).  Both args lie in (0, pi), so there
+    are no turns to count and no branch to track; at z0 = i it reduces to
+    exp(2iBt).
     """
     if not math.isfinite(B):
         raise ValueError("non-finite field strength")
-    circ = rotation_orbit_circle(z0)
-    a, b = circ.center_y, circ.radius
-    if b < _DEGENERATE_ORBIT:
-        return cmath.exp(2j * B * t)  # orbit pinned at i: y == 1 along the flow
-
-    turns = math.floor(t / math.pi)
-    r = t - turns * math.pi
-    if r < 0.0:  # rounding guards: keep the fractional parameter in [0, pi)
-        turns -= 1
-        r += math.pi
-    elif r >= math.pi:
-        turns += 1
-        r -= math.pi
-
-    steps = max(1, math.ceil(r / (math.pi / 8)), math.ceil(2.0 * (a + b) * r / math.pi))
-    theta_prev = math.atan2(z0.y - a, z0.x)
-    swept = 0.0
-    for k in range(1, steps + 1):
-        w = moebius_act(exp_s(r * k / steps), z0)
-        theta_k = math.atan2(w.y - a, w.x)
-        swept += (theta_k - theta_prev) % (2.0 * math.pi)
-        theta_prev = theta_k
-    return cmath.exp(1j * B * (2.0 * math.pi * turns + swept))
+    w = moebius_act(exp_s(t), z0)
+    return cmath.exp(2j * B * (t + math.atan2(w.y + 1.0, w.x) - math.atan2(z0.y + 1.0, z0.x)))
 
 
 # ---------------------------------------------------------------- magnetic words

@@ -60,7 +60,7 @@ def test_criterion_3_flux_relation():
     # each phase is taken only after its word's point orbit closed within 1e-6
     defect = max(
         checks.flux_relation(g, B, checks.random_points(rng, 5))[0]
-        for g in (2, 3)
+        for g in (2, 3, 5, 8)
         for B in (0.0, 0.25, 1.0 / 3.0, 0.7)
     )
     _report(3, "flux relation", defect, 1e-7, time.perf_counter() - start, 5.0)

@@ -246,6 +246,23 @@ def test_butterfly_rejects_small_q_max_and_bad_path(tmp_path, capsys):
     assert run(capsys, "butterfly", "--out", str(tmp_path / "no" / "x.csv"))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("butterfly", "--model", "block-iso", "--q-max", "21"),
+            "sweep workload 2.25e+09 (sum of dim^3) exceeds 2.00e+09; lower q_max or k_samples",
+        ),
+        (("spectrum", "--B", "1/4002"), "dimension 2001 exceeds the supported bound 2000"),
+    ],
+)
+def test_library_refusals_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    # a ValueError raised by the library reaches main unwrapped and exits 2
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- config file
 
 

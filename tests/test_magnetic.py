@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hyperband.halfplane import HPoint, exp_s, moebius_act
+from hyperband.halfplane import HPoint, exp_s, moebius_act, rotation_orbit_circle
 from hyperband.magnetic import (
     DiffOpId,
     FluxParam,
@@ -59,6 +61,41 @@ def phase_by_quadrature(t: float, z0: HPoint, B: float) -> complex:
         assert err < 1e-9
         total += val
     return cmath.exp(1j * total)
+
+
+def phase_by_stepping(t: float, z0: HPoint, B: float) -> complex:
+    """Independent oracle: track the angle swept along the Euclidean orbit circle.
+
+    The orbit is the circle x = b cos(th), y = a + b sin(th); the flow sweeps
+    th monotonically (d th / dt = 2y > 0) and one period t = pi is exactly one
+    full turn.  The whole turns are therefore floor(t/pi); the fractional turn
+    is branch-tracked by stepping the rotation parameter finely enough that no
+    step can sweep a full circle (step sweep <= 2(a+b) dr < 2 pi).  Near i the
+    subtraction w.y - a cancels, so the oracle loses about 5e-16/|z0 - i| there.
+    """
+    circ = rotation_orbit_circle(z0)
+    a, b = circ.center_y, circ.radius
+    if b < 1e-12:
+        return cmath.exp(2j * B * t)  # orbit pinned at i: y == 1 along the flow
+
+    turns = math.floor(t / math.pi)
+    r = t - turns * math.pi
+    if r < 0.0:  # rounding guards: keep the fractional parameter in [0, pi)
+        turns -= 1
+        r += math.pi
+    elif r >= math.pi:
+        turns += 1
+        r -= math.pi
+
+    steps = max(1, math.ceil(r / (math.pi / 8)), math.ceil(2.0 * (a + b) * r / math.pi))
+    theta_prev = math.atan2(z0.y - a, z0.x)
+    swept = 0.0
+    for k in range(1, steps + 1):
+        w = moebius_act(exp_s(r * k / steps), z0)
+        theta_k = math.atan2(w.y - a, w.x)
+        swept += (theta_k - theta_prev) % (2.0 * math.pi)
+        theta_prev = theta_k
+    return cmath.exp(1j * B * (2.0 * math.pi * turns + swept))
 
 
 # ---------------------------------------------------------------- s_phase
@@ -113,6 +150,60 @@ def test_s_phase_cocycle_composition():
 
 def test_s_phase_zero_field_is_exactly_one():
     assert s_phase(1.234, HPoint(0.4, 0.8), 0.0) == 1.0
+
+
+def test_s_phase_near_i_matches_quadrature():
+    # within ~1e-9 of i the orbit circle is tiny and an angle read off its
+    # center cancels; the closed form never forms that difference
+    points = [
+        HPoint(9.195e-10, 0.9999999992773),
+        HPoint(-4.0e-10, 1.0 + 8.0e-10),
+        HPoint(1.0e-9, 1.0 - 1.0e-9),
+        HPoint(-7.5e-10, 1.0 - 3.0e-10),
+    ]
+    for z0 in points:
+        for t in (2.104, 0.5, -3.3, 6.0):
+            for B in (0.3, 1.0, -0.77):
+                assert abs(s_phase(t, z0, B) - phase_by_quadrature(t, z0, B)) < 1e-12
+
+
+def test_s_phase_sign_of_arg_difference():
+    # z0 = 1 + i, t = pi/2: z_t = -1/z0 and arg(z_t + i) - arg(z0 + i) = pi/4,
+    # so the phase is e^{2i(pi/2 + pi/4)} = -i; subtracting the arg difference
+    # instead would give e^{2i(pi/2 - pi/4)} = +i
+    z0, t, B = HPoint(1.0, 1.0), math.pi / 2.0, 1.0
+    got = s_phase(t, z0, B)
+    assert abs(got - (-1j)) < 1e-12
+    assert abs(got - phase_by_quadrature(t, z0, B)) < 1e-12
+    assert abs(got - 1j) > 1.9
+
+
+_XS = st.floats(min_value=-3.0, max_value=3.0)
+_YS = st.floats(min_value=1e-3, max_value=5.0)
+_TS = st.floats(min_value=-7.0, max_value=7.0)
+_BS = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TS, _XS, _YS, _BS)
+@example(1e-15, 0.3, 0.2, 0.9)
+@example(math.pi - 1e-15, -2.0, 1e-3, 1.0)
+@example(2.0 * math.pi + 1e-15, 3.0, 1e-3, -1.0)
+def test_s_phase_matches_stepping_oracle(t, x, y, B):
+    z0 = HPoint(x, y)
+    # the stepping oracle cancels near i (about 5e-16/|z0 - i|); there the
+    # closed form is checked against quadrature instead
+    assume(math.hypot(x, y - 1.0) >= 1e-3)
+    assert abs(s_phase(t, z0, B) - phase_by_stepping(t, z0, B)) < 1e-11
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TS, _TS, _XS, _YS, _BS)
+def test_s_phase_cocycle_composition_property(t1, t2, x, y, B):
+    z = HPoint(x, y)
+    whole = s_phase(t1 + t2, z, B)
+    split = s_phase(t2, moebius_act(exp_s(t1), z), B) * s_phase(t1, z, B)
+    assert abs(whole - split) < 1e-12
 
 
 # ---------------------------------------------------------------- act_magnetic
