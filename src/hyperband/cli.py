@@ -316,16 +316,22 @@ def cmd_butterfly(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     start = time.perf_counter()
     sweep = butterfly_sweep(model, q_max, k_samples, seed)
-    rows = sorted((s.phi, e) for s in sweep for e in s.eigenvalues)
+    samples = rows = 0
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("phi,energy\n")
-            for phi, energy in rows:
-                fh.write(f"{phi:.10g},{energy:.12g}\n")
+            # phi ascends from flux to flux, so a stable sort within each flux
+            # writes the rows in (phi, energy) order
+            for phi, spectra in sweep:
+                energies = np.sort(spectra, axis=None, kind="stable").tolist()
+                prefix = f"{phi:.10g},"
+                fh.write("".join(f"{prefix}{energy:.12g}\n" for energy in energies))
+                samples += len(spectra)
+                rows += len(energies)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc}") from exc
     elapsed = time.perf_counter() - start
-    print(f"wrote {out}: {len(sweep)} samples, {len(rows)} rows, {elapsed:.2f} s")
+    print(f"wrote {out}: {samples} samples, {rows} rows, {elapsed:.2f} s")
     return 0
 
 

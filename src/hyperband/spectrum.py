@@ -12,7 +12,11 @@ with an 8-site ring matrix inside each A_n whose corner phases e^{+-i 2 pi B}
 carry the rotation sector structure.  Diagonalizing the commuting ring first
 reduces each sector m to a q x q Harper-type matrix: diagonal 2cos(k2 - n phi),
 unit hoppings e^{-+ i k1}, and the scalar sector shift (16/pi^2) 2cos(pi B/4 +
-m pi/4); `model_spectrum` computes the anisotropic block spectrum that way.
+m pi/4); `model_spectra` computes the anisotropic block spectrum that way.
+Those cyclic-tridiagonal matrices are solved in batches for eigenvalues
+only, each certified by inertia counts (`harper_eigvalsh`); `eigenvalues`,
+with its eigenpair residual, is the dense path for the isotropic block
+model and the oracle of the checks.
 Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +39,8 @@ _MAX_DIMENSION = 2000
 _MAX_SWEEP_WORKLOAD = 2_000_000_000  # sum of dim^3 over all diagonalizations
 _MAX_SWEEP_Q = 500
 _HALTON_BASES = (2, 3, 5, 7)
+_BATCH_BYTES = 1 << 20  # one assembled stack of complex matrices; bounds peak memory
+_NEG_SQRT_TINY = -math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -107,19 +113,6 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    """One butterfly row: flux, momentum, and the sorted eigenvalue list."""
-
-    phi: float
-    k: BlochMomentum
-    eigenvalues: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(b < a for a, b in zip(self.eigenvalues, self.eigenvalues[1:])):
-            raise ValueError("eigenvalues must be ascending")
-
-
 def rotation_sector_shift(B: float, m: int) -> float:
     """Eigenvalue 2cos(pi B/4 + m pi/4) of the ring term's sector m.
 
@@ -148,35 +141,52 @@ def _require_dimension(n: int) -> None:
         raise ValueError(f"dimension {n} exceeds the supported bound {_MAX_DIMENSION}")
 
 
-def harper_core(flux: FluxParam, k1: float, k2: float, scale: float = 1.0) -> np.ndarray:
-    """The q x q Harper core at phi = 2 pi p/q, every term multiplied by `scale`.
+def _harper_stack(q: int, phi: np.ndarray, k1: np.ndarray, k2: np.ndarray, scale: float) -> np.ndarray:
+    """Harper cores at (phi[i], k1[i], k2[i]) for equal-length 1-d arrays, stacked (n, q, q).
 
-    Diagonal 2cos(k2 - n phi), hopping e^{-i k1} above the diagonal and
+    Diagonal 2cos(k2 - j phi), hopping e^{-i k1} above the diagonal and
     e^{+i k1} below, cyclically wrapped, so the corners land at
     [0, q-1] = e^{+i k1} and [q-1, 0] = e^{-i k1}.  For q <= 2 the wrap adds
     onto an occupied entry; scaling each term before that sum, in this order,
     keeps the entries bit-for-bit what per-entry accumulation gives.
     """
-    q = flux.q
     _require_dimension(q)
-    phi = _TWO_PI * flux.p / q
     n = np.arange(q)
-    h = np.zeros((q, q), dtype=complex)
-    h[n, n] += scale * 2.0 * np.cos(k2 - n * phi)
-    h[n, (n + 1) % q] += scale * np.exp(-1j * k1)
-    h[(n + 1) % q, n] += scale * np.exp(1j * k1)
+    h = np.zeros((len(phi), q, q), dtype=complex)
+    h[:, n, n] += scale * 2.0 * np.cos(k2[:, None] - n * phi[:, None])
+    h[:, n, (n + 1) % q] += (scale * np.exp(-1j * k1))[:, None]
+    h[:, (n + 1) % q, n] += (scale * np.exp(1j * k1))[:, None]
+    return h
+
+
+def harper_core(flux: FluxParam, k1: float, k2: float, scale: float = 1.0) -> np.ndarray:
+    """The q x q Harper core at phi = 2 pi p/q, every term multiplied by `scale`."""
+    phi = _TWO_PI * flux.p / flux.q
+    return _harper_stack(flux.q, np.array([phi]), np.array([k1]), np.array([k2]), scale)[0]
+
+
+def _reduced_stack(q: int, items: Sequence[tuple[int, BlochMomentum]], m: int) -> np.ndarray:
+    """Sector-m matrices for each (p, k) in `items`, stacked (n, q, q).
+
+    Each is the Harper core times c = -1/(8 mu^2) plus the scalar
+    2c(cos k3 + cos k4) + (16/pi^2) 2cos(pi B/4 + m pi/4) on the diagonal.
+    """
+    _require_dimension(q)
+    c = -1.0 / (8.0 * MU * MU)
+    shift = [
+        2.0 * c * (math.cos(k.k3) + math.cos(k.k4))
+        + (16.0 / math.pi**2) * rotation_sector_shift(FluxParam(p, q).field, m)
+        for p, k in items
+    ]
+    phi = np.array([_TWO_PI * p / q for p, _ in items])
+    h = _harper_stack(q, phi, np.array([k.k1 for _, k in items]), np.array([k.k2 for _, k in items]), scale=c)
+    h += np.reshape(shift, (-1, 1, 1)) * np.eye(q)
     return h
 
 
 def assemble_reduced(p: int, q: int, k: BlochMomentum, m: int) -> HermitianMatrix:
     """Sector-m q x q matrix: Harper core times -1/(8 mu^2), momentum scalar, ring sector shift."""
-    flux = FluxParam(p, q)
-    B = flux.field
-    c = -1.0 / (8.0 * MU * MU)
-    h = harper_core(flux, k.k1, k.k2, scale=c)
-    shift = 2.0 * c * (math.cos(k.k3) + math.cos(k.k4)) + (16.0 / math.pi**2) * rotation_sector_shift(B, m)
-    h += shift * np.eye(q)
-    return HermitianMatrix(h)
+    return HermitianMatrix(_reduced_stack(q, [(p, k)], m)[0])
 
 
 def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> HermitianMatrix:
@@ -244,32 +254,166 @@ def eigenvalues(h: HermitianMatrix) -> np.ndarray:
     return vals
 
 
-def model_spectrum(model: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:
-    """Ascending spectrum of one model at flux B = p/(2q) and momentum k.
+def _cyclic_band(q: int) -> np.ndarray:
+    """Mask of the entries a cyclic-tridiagonal q x q matrix may occupy."""
+    offset = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q
+    return (offset == 0) | (offset == 1) | (offset == q - 1)
 
-    The ring term commutes with the Harper core, so sector m is the sector-0
-    matrix plus the scalar (16/pi^2)(2cos(pi B/4 + m pi/4) - 2cos(pi B/4)),
-    and the anisotropic 8q x 8q spectrum is the union of the sector-0
-    spectrum shifted into all eight sectors: one q x q solve.  The sector-0
-    matrix is solved, never the bare scaled core, on which LAPACK can fail to
-    converge (p/q = 101/52, k = 0).  The isotropic block model does not
-    factor and is solved densely.
+
+def inertia_counts(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """N(sigma): negative pivots of LDL^H(H - sigma I), per matrix of `h` and shift of `sigma`.
+
+    `h` is an (n, q, q) stack of Hermitian matrices that vanish outside the
+    cyclic band, `sigma` an (n, s) array of shifts.  By Sylvester's law of
+    inertia N(sigma) is the number of eigenvalues below sigma.  Rows 0..q-2
+    form a tridiagonal block, counted by the Sturm recurrence
+    d_j = a_j - sigma - |H[j, j-1]|^2 / d_{j-1}; the last pivot is its Schur
+    complement a_{q-1} - sigma - sum_j |y_j|^2 / d_j with y = L^{-1} H[:q-1, q-1].
+    That column holds only the corner H[0, q-1] and H[q-2, q-1], so up to
+    the last row y_j = phase_j rho_j with a per-matrix unit phase and a real
+    rho_j.  A zero pivot is replaced by -sqrt(tiny) (Kahan), so it counts as
+    negative and the next pivot stays finite.  Costs O(q) per shift.
     """
+    q = h.shape[-1]
+    j = np.arange(q)
+    shifted = h.real[:, j, j, None] - sigma[:, None, :]  # a_j - sigma, (n, q, s)
+
+    def pivot(x: np.ndarray) -> np.ndarray:
+        if not x.all():
+            x[x == 0.0] = _NEG_SQRT_TINY
+        return x
+
+    d = pivot(shifted[:, 0])
+    count = (d < 0.0).astype(np.intp)
+    if q == 1:
+        return count
+    abs_sub = np.abs(h[:, j[1:], j[:-1]])[:, :, None]  # |H[j+1, j]|
+    sub_sq = abs_sub * abs_sub
+    corner, last = h[:, 0, q - 1, None], h[:, q - 2, q - 1, None]
+    rho = np.broadcast_to(np.abs(corner), d.shape).copy()
+    schur = rho * rho / d
+    # unit phase of the part of y_{q-2} carried from the corner: arg H[0, q-1] + arg H[1, 0] + .. + arg H[q-2, q-3]
+    angle = np.angle(corner) + np.angle(h[:, j[1 : q - 1], j[: q - 2]]).sum(axis=1, keepdims=True)
+    phase = np.exp(1j * angle)
+    for row in range(1, q - 1):
+        inv = 1.0 / d
+        rho *= inv
+        rho *= -abs_sub[:, row - 1]
+        inv *= sub_sq[:, row - 1]
+        d = pivot(np.subtract(shifted[:, row], inv, out=inv))
+        count += d < 0.0
+        if row < q - 2:
+            schur += rho * rho / d
+        else:
+            y = last + phase * rho
+            schur += (y.real * y.real + y.imag * y.imag) / d
+    count += pivot(shifted[:, q - 1] - schur) < 0.0
+    return count
+
+
+def certify_spectra(h: np.ndarray, vals: np.ndarray) -> None:
+    """Prove |mu_i - lambda_i| <= delta for the i-th true eigenvalue mu_i of each matrix.
+
+    `h` is a stack as `inertia_counts` takes it, `vals` the (n, q) claimed
+    ascending spectra, and delta = 1e-8 (1 + ||H||_F).  The counts must
+    satisfy N(lambda_i - delta) <= i and N(lambda_i + delta) >= i + 1: at
+    most i eigenvalues lie below lambda_i - delta and at least i + 1 below
+    lambda_i + delta.  Unlike an eigenpair residual, which only places each
+    lambda near some eigenvalue, this pins the i-th one, so a duplicated or
+    missing eigenvalue fails.  Raises RuntimeError.
+    """
+    q = h.shape[-1]
+    if not np.all(np.isfinite(vals)):
+        raise RuntimeError(f"non-finite eigenvalue from a {q}x{q} matrix")
+    delta = 1e-8 * (1.0 + np.linalg.norm(h[:, _cyclic_band(q)], axis=1))[:, None]
+    counts = inertia_counts(h, np.concatenate([vals - delta, vals + delta], axis=1))
+    i = np.arange(q)
+    bad = (counts[:, :q] > i) | (counts[:, q:] < i + 1)
+    if bad.any():
+        mat, idx = np.argwhere(bad)[0]
+        raise RuntimeError(
+            f"inertia certificate failed for eigenvalue {idx} of a {q}x{q} matrix: "
+            f"N(lambda - delta) = {counts[mat, idx]}, N(lambda + delta) = {counts[mat, q + idx]}, "
+            f"delta {delta[mat, 0]:.3e}"
+        )
+
+
+def harper_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Certified ascending eigenvalues of an (n, q, q) stack of cyclic-tridiagonal Hermitian matrices.
+
+    The stack must be zero outside the cyclic band (the certificate reads
+    only the band), finite and Hermitian to 1e-12; one LAPACK call solves it
+    without eigenvectors, and `certify_spectra` checks every eigenvalue.
+    Any failure raises RuntimeError: these matrices are assembled here, so a
+    bad one is a fault of the library, not of its input.
+    """
+    q = h.shape[-1]
+    band = h[:, _cyclic_band(q)]
+    if np.count_nonzero(h) != np.count_nonzero(band):
+        raise RuntimeError(f"{q}x{q} matrix has entries outside the cyclic band")
+    if not np.all(np.isfinite(band)):
+        raise RuntimeError(f"non-finite entries in a stack of {q}x{q} matrices")
+    # outside the band H - H^dagger vanishes; inside, the diagonal and the lower cyclic band cover it
+    j = np.arange(q)
+    rows, cols = np.concatenate([j, (j + 1) % q]), np.concatenate([j, j])
+    drift = float(np.abs(h[:, rows, cols] - h[:, cols, rows].conj()).max(initial=0.0))
+    if drift > 1e-12:
+        raise RuntimeError(f"matrix fails Hermiticity by {drift:.3e}")
+    try:
+        vals = np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver did not converge on a stack of {q}x{q} matrices: {exc}") from exc
+    certify_spectra(h, vals)
+    return vals
+
+
+def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
+    """Ascending spectra at flux B = p/(2q) for every p in `ps` and every momentum.
+
+    Returns shape (len(ps), len(momenta), model_dimension(model, q)).  The
+    reduced and anisotropic models go through the batched Harper kernel:
+    the sector matrices are assembled as stacks of at most about
+    `_BATCH_BYTES` and solved by `harper_eigvalsh`.  The ring term commutes
+    with the Harper core, so sector m is the sector-0 matrix plus the scalar
+    (16/pi^2)(2cos(pi B/4 + m pi/4) - 2cos(pi B/4)), and the anisotropic
+    8q x 8q spectrum is the union of the sector-0 spectrum shifted into all
+    eight sectors: one q x q solve.  The sector-0 matrix is solved, never
+    the bare scaled core, on which LAPACK `eigh` can fail to converge
+    (p/q = 101/52, k = 0).  The isotropic block model does not factor and is
+    solved densely by `eigenvalues`.
+    """
+    if isinstance(model, BlockIsotropic):
+        return np.array([[eigenvalues(assemble_block(model, p, q, k)) for k in momenta] for p in ps])
+    m = model.m if isinstance(model, ReducedHarper) else 0
+    items = [(p, k) for p in ps for k in momenta]
+    per_batch = max(1, _BATCH_BYTES // (16 * q * q))
+    batches = (_reduced_stack(q, items[i : i + per_batch], m) for i in range(0, len(items), per_batch))
+    vals = np.concatenate([harper_eigvalsh(h) for h in batches]).reshape(len(ps), len(momenta), q)
     if isinstance(model, ReducedHarper):
-        return eigenvalues(assemble_reduced(p, q, k, model.m))
-    if isinstance(model, BlockAnisotropic):
-        vals = eigenvalues(assemble_reduced(p, q, k, 0))
+        return vals
+    shifts = []
+    for p in ps:
         B = FluxParam(p, q).field
         base = rotation_sector_shift(B, 0)
-        shifts = [(16.0 / math.pi**2) * (rotation_sector_shift(B, m) - base) for m in range(RING_SIZE)]
-        return np.sort(np.add.outer(shifts, vals), axis=None)
-    return eigenvalues(assemble_block(model, p, q, k))
+        shifts.append([(16.0 / math.pi**2) * (rotation_sector_shift(B, m) - base) for m in range(RING_SIZE)])
+    union = vals[:, :, None, :] + np.array(shifts)[:, None, :, None]
+    return np.sort(union.reshape(len(ps), len(momenta), RING_SIZE * q), axis=-1)
+
+
+def model_spectrum(model: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:
+    """Ascending spectrum of one model at flux B = p/(2q) and momentum k (see `model_spectra`)."""
+    return model_spectra(model, q, [p], [k])[0, 0]
 
 
 def coprime_flux_pairs(q_max: int) -> list[tuple[int, int]]:
-    """All (p, q) with q <= q_max, 1 <= p < 2q, gcd(p, q) = 1, sorted by p/q."""
+    """All (p, q) with q <= q_max, 1 <= p < 2q, gcd(p, q) = 1, sorted by p/q.
+
+    The float key orders exactly for q <= `_MAX_SWEEP_Q`: distinct pairs
+    differ by at least 1/q_max^2 = 4e-6, far above one ulp of p/q < 2, and
+    correctly rounded division is monotone.
+    """
     pairs = [(p, q) for q in range(1, q_max + 1) for p in range(1, 2 * q) if math.gcd(p, q) == 1]
-    pairs.sort(key=lambda pq: Fraction(pq[0], pq[1]))
+    pairs.sort(key=lambda pq: pq[0] / pq[1])
     return pairs
 
 
@@ -300,19 +444,23 @@ def momentum_samples(k_samples: int, seed: int) -> list[BlochMomentum]:
     return [BlochMomentum(*row) for row in pts * _TWO_PI]
 
 
-def butterfly_sweep(model: HamiltonianModel, q_max: int, k_samples: int, seed: int) -> list[SpectrumSample]:
+def butterfly_sweep(
+    model: HamiltonianModel, q_max: int, k_samples: int, seed: int
+) -> list[tuple[float, np.ndarray]]:
     """Spectra over all admitted flux values phi = 2 pi p/q in (0, 4 pi).
 
-    Output is ordered by (phi, sample index) and fully deterministic for fixed
-    inputs.  A workload guard bounds the total diagonalization cost before any
-    matrix is built.
+    Returns one (phi, spectra) pair per flux in ascending phi, where row i of
+    the (k_samples, dim) array `spectra` is the ascending spectrum at the i-th
+    momentum sample.  Each denominator is solved in one `model_spectra` call.
+    Output is fully deterministic for fixed inputs.  A workload guard bounds
+    the total diagonalization cost before any matrix is built.
     """
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")
     if q_max > _MAX_SWEEP_Q:
         raise ValueError(f"q_max {q_max} exceeds the sweep bound {_MAX_SWEEP_Q}")
     pairs = coprime_flux_pairs(q_max)
-    # charged at the size model_spectrum solves: 8q x 8q for block-iso, q x q otherwise
+    # charged at the size model_spectra solves: 8q x 8q for block-iso, q x q otherwise
     solved = RING_SIZE if isinstance(model, BlockIsotropic) else 1
     workload = k_samples * sum((solved * q) ** 3 for _, q in pairs)
     if workload > _MAX_SWEEP_WORKLOAD:
@@ -322,11 +470,10 @@ def butterfly_sweep(model: HamiltonianModel, q_max: int, k_samples: int, seed: i
         )
     momenta = momentum_samples(k_samples, seed)
 
-    out = []
+    numerators: dict[int, list[int]] = {}
     for p, q in pairs:
-        phi = _TWO_PI * p / q
-        for k in momenta:
-            vals = model_spectrum(model, p, q, k)
-            out.append(SpectrumSample(phi, k, tuple(float(v) for v in vals)))
-    return out
-
+        numerators.setdefault(q, []).append(p)
+    spectra = {}
+    for q, ps in numerators.items():
+        spectra.update(zip(((p, q) for p in ps), model_spectra(model, q, ps, momenta)))
+    return [(_TWO_PI * p / q, spectra[p, q]) for p, q in pairs]

@@ -124,9 +124,10 @@ def test_criterion_8_butterfly_pipeline(tmp_path, capsys):
     capsys.readouterr()
     first, second = (path.read_bytes() for path in paths)
     identical = first == second
-    # Hermiticity and the eigensolve residual are enforced by construction in
-    # the pipeline (HermitianMatrix and eigenvalues() both raise on violation),
-    # so completing with exit 0 certifies them.
+    # The sweep kernel (spectrum.harper_eigvalsh) raises on a non-finite,
+    # non-Hermitian or out-of-band matrix and on any eigenvalue failing the
+    # inertia certificate |mu_i - lambda_i| <= 1e-8 (1 + ||H||_F), so
+    # completing with exit 0 certifies every matrix solved.
     expected_rows = 4 * sum(q for _, q in coprime_flux_pairs(20))
     assert len(first.decode().splitlines()) == expected_rows + 1
     with capsys.disabled():

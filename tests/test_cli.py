@@ -241,6 +241,34 @@ def test_butterfly_is_byte_deterministic(tmp_path, capsys):
     assert b"\r" not in data
 
 
+def test_butterfly_streamed_rows_equal_a_global_sort(tmp_path, monkeypatch, capsys):
+    # per-flux spectra with ties across momenta and both signed zeros; the
+    # reference writer sorts every (phi, energy) row at once
+    sweep = [
+        (math.pi, np.array([[-1.5, 0.0, 2.0], [-0.0, 0.0, 2.0]])),
+        (2 * math.pi, np.array([[0.0, 0.25], [-0.0, 0.25], [-3.0, 1e-300]])),
+        (3 * math.pi, np.array([[-0.0, -0.0, 0.0, 7.125]])),
+    ]
+    monkeypatch.setattr("hyperband.cli.butterfly_sweep", lambda model, q_max, k_samples, seed: sweep)
+    out = tmp_path / "streamed.csv"
+    code, text, _ = run(capsys, "butterfly", "--out", str(out))
+    assert code == 0 and "6 samples, 16 rows" in text
+    rows = sorted((phi, float(e)) for phi, spectra in sweep for row in spectra for e in row)
+    reference = "phi,energy\n" + "".join(f"{phi:.10g},{energy:.12g}\n" for phi, energy in rows)
+    assert out.read_bytes() == reference.encode()
+    assert b"-0\n" in out.read_bytes()
+
+
+def test_butterfly_solver_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def no_convergence(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    code, _, err = run(capsys, "butterfly", "--q-max", "3", "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert err.startswith("verification failure: eigensolver did not converge")
+
+
 def test_butterfly_rejects_small_q_max_and_bad_path(tmp_path, capsys):
     assert run(capsys, "butterfly", "--q-max", "1")[0] == 2
     assert run(capsys, "butterfly", "--out", str(tmp_path / "no" / "x.csv"))[0] == 2

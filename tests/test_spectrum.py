@@ -21,9 +21,12 @@ from hyperband.spectrum import (
     assemble_block,
     assemble_reduced,
     butterfly_sweep,
+    certify_spectra,
     coprime_flux_pairs,
     eigenvalues,
     harper_core,
+    harper_eigvalsh,
+    inertia_counts,
     model_dimension,
     model_spectrum,
     momentum_samples,
@@ -195,6 +198,23 @@ def test_reduced_rejects_non_coprime():
         assemble_reduced(1, 3, BlochMomentum.zero(), 9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.data(),
+    st.lists(st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=7),
+)
+def test_batched_assembly_bitwise_equals_stacked_assemble_reduced(q, data, ks, m):
+    import hyperband.spectrum as spectrum
+
+    admitted = [p for p in range(1, 2 * q) if math.gcd(p, q) == 1]
+    ps = data.draw(st.lists(st.sampled_from(admitted), min_size=1, max_size=4))
+    items = [(p, BlochMomentum(*k)) for p in ps for k in ks]
+    stacked = np.stack([assemble_reduced(p, q, k, m).entries for p, k in items])
+    assert spectrum._reduced_stack(q, items, m).tobytes() == stacked.tobytes()
+
+
 # ---------------------------------------------------------------- block assembly
 
 
@@ -286,6 +306,107 @@ def test_eigenvalues_rejects_oversized():
         eigenvalues(HermitianMatrix(np.eye(2001, dtype=complex)))
 
 
+# ---------------------------------------------------------------- inertia certificate
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(coprime_flux_pairs(40)),
+    st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=7),
+    st.lists(st.floats(min_value=-0.1, max_value=1.1), min_size=1, max_size=20),
+)
+# q <= 2: the corners fold onto occupied entries
+@example((1, 1), [0.7, 1.9, 0.2, 5.1], 3, [0.5])
+@example((1, 2), [1.3, 0.4, 2.2, 0.0], 0, [0.2, 0.5, 0.9])
+@example((3, 2), [0.0, 0.0, 0.0, 0.0], 7, [0.5])
+def test_inertia_count_matches_dense_count(pq, ks, m, fractions):
+    p, q = pq
+    h = assemble_reduced(p, q, BlochMomentum(*ks), m).entries
+    vals = np.linalg.eigvalsh(h)
+    delta = 1e-8 * (1.0 + np.linalg.norm(h))
+    # random shifts over the spectrum, gap midpoints, and the certificate's own lambda -+ delta
+    sigma = np.concatenate([
+        vals[0] + (vals[-1] - vals[0] + 1.0) * np.array(fractions) - 0.5,
+        (vals[1:] + vals[:-1]) / 2.0,
+        vals - delta,
+        vals + delta,
+    ])
+    sigma = sigma[np.abs(sigma[:, None] - vals[None, :]).min(axis=1) > 1e-9]
+    want = (vals[None, :] < sigma[:, None]).sum(axis=1)
+    assert np.array_equal(inertia_counts(h[None], sigma[None])[0], want)
+
+
+def _reduced_stack_and_spectra():
+    rng = np.random.default_rng(257)
+    h = np.stack([assemble_reduced(p, 9, random_momentum(rng), m).entries for p, m in ((2, 0), (5, 3), (13, 6))])
+    return h, np.linalg.eigvalsh(h)
+
+
+def test_certificate_accepts_eigvalsh_spectra():
+    h, vals = _reduced_stack_and_spectra()
+    certify_spectra(h, vals)
+    assert np.array_equal(harper_eigvalsh(h), vals)
+
+
+@pytest.mark.parametrize("mutation", ["up 10 delta", "down 10 delta", "copy of neighbour", "nan"])
+def test_certificate_rejects_a_wrong_eigenvalue(mutation):
+    h, vals = _reduced_stack_and_spectra()
+    delta = 1e-8 * (1.0 + np.linalg.norm(h[1]))
+    if mutation == "up 10 delta":
+        vals[1, 4] += 10.0 * delta
+    elif mutation == "down 10 delta":
+        vals[1, 4] -= 10.0 * delta
+    elif mutation == "copy of neighbour":
+        # each value is still an eigenvalue, so an eigenpair residual would pass
+        vals[1, 4] = vals[1, 5]
+    else:
+        vals[2, 0] = math.nan
+    with pytest.raises(RuntimeError, match="inertia certificate|non-finite eigenvalue"):
+        certify_spectra(h, vals)
+
+
+def test_kernel_certifies_what_lapack_returns(monkeypatch):
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def duplicating(a, UPLO="L"):
+        vals = real_eigvalsh(a, UPLO)
+        vals[..., 2] = vals[..., 3]
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", duplicating)
+    for model in (ReducedHarper(0), BlockAnisotropic()):
+        with pytest.raises(RuntimeError, match="inertia certificate failed for eigenvalue 2 of a 7x7"):
+            model_spectrum(model, 3, 7, BlochMomentum(0.3, 1.1, 2.5, 4.0))
+
+
+def test_kernel_refuses_entries_outside_the_cyclic_band():
+    h, _ = _reduced_stack_and_spectra()
+    h[2, 0, 4] = h[2, 4, 0] = 1e-3  # still Hermitian
+    with pytest.raises(RuntimeError, match="outside the cyclic band"):
+        harper_eigvalsh(h)
+
+
+def test_kernel_refuses_non_hermitian_and_non_finite_stacks():
+    h, _ = _reduced_stack_and_spectra()
+    skewed = h.copy()
+    skewed[0, 1, 0] += 1e-9
+    with pytest.raises(RuntimeError, match="Hermiticity"):
+        harper_eigvalsh(skewed)
+    h[1, 3, 3] = math.inf
+    with pytest.raises(RuntimeError, match="non-finite"):
+        harper_eigvalsh(h)
+
+
+def test_kernel_reports_lapack_failure_as_runtime_error(monkeypatch):
+    def no_convergence(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(RuntimeError, match="did not converge on a stack of 7x7"):
+        model_spectrum(ReducedHarper(0), 3, 7, BlochMomentum.zero())
+
+
 # ---------------------------------------------------------------- spectral symmetries
 
 
@@ -375,7 +496,8 @@ def test_model_spectrum_where_bare_scaled_core_does_not_converge():
 def test_model_spectrum_dispatch():
     k = BlochMomentum(0.3, 1.1, 2.5, 4.0)
     got = model_spectrum(ReducedHarper(4), 3, 7, k)
-    assert np.array_equal(got, eigenvalues(assemble_reduced(3, 7, k, 4)))
+    # eigenvalues-only solve against the eigenvector solve: rounding differs
+    assert np.abs(got - eigenvalues(assemble_reduced(3, 7, k, 4))).max() < 1e-12
     got = model_spectrum(BlockIsotropic(), 3, 7, k)
     assert np.array_equal(got, eigenvalues(assemble_block(BlockIsotropic(), 3, 7, k)))
     with pytest.raises(ValueError):
@@ -383,6 +505,12 @@ def test_model_spectrum_dispatch():
 
 
 # ---------------------------------------------------------------- sweeps
+
+
+def test_coprime_flux_pairs_float_order_is_exact_up_to_the_sweep_bound():
+    pairs = coprime_flux_pairs(500)
+    assert len(pairs) == len(set(pairs))
+    assert pairs == sorted(pairs, key=lambda pq: Fraction(*pq))
 
 
 def test_coprime_flux_pairs_enumeration():
@@ -434,30 +562,38 @@ def test_momentum_samples_large_seed_is_cheap():
 
 def test_butterfly_sweep_small():
     sweep = butterfly_sweep(ReducedHarper(0), 2, 2, 0)
-    phis = sorted({round(s.phi, 12) for s in sweep})
-    assert phis == [round(math.pi, 12), round(TWO_PI, 12), round(3.0 * math.pi, 12)]
-    assert len(sweep) == 6  # 3 flux values x 2 momenta
-    # ordered by (phi, sample index): momenta repeat in sample order per flux
+    phis = [phi for phi, _ in sweep]
+    assert [round(phi, 12) for phi in phis] == [round(math.pi, 12), round(TWO_PI, 12), round(3.0 * math.pi, 12)]
+    assert phis == sorted(phis)
+    # one row per momentum sample, in sample order
     momenta = momentum_samples(2, 0)
-    for i, s in enumerate(sweep):
-        assert s.k == momenta[i % 2]
-        assert s.phi >= sweep[max(i - 1, 0)].phi
+    for (phi, spectra), (p, q) in zip(sweep, coprime_flux_pairs(2)):
+        assert spectra.shape == (2, q)
+        for row, k in zip(spectra, momenta):
+            assert np.array_equal(row, model_spectrum(ReducedHarper(0), p, q, k))
 
 
 def test_butterfly_eigenvalue_counts_match_dimension():
     for model in (ReducedHarper(3), BlockAnisotropic()):
         sweep = butterfly_sweep(model, 3, 1, 0)
-        by_phi = {}
-        for s in sweep:
-            by_phi.setdefault(round(s.phi, 12), len(s.eigenvalues))
-        for p, q in coprime_flux_pairs(3):
-            assert by_phi[round(TWO_PI * p / q, 12)] == model_dimension(model, q)
+        for (phi, spectra), (p, q) in zip(sweep, coprime_flux_pairs(3), strict=True):
+            assert phi == TWO_PI * p / q
+            assert spectra.shape == (1, model_dimension(model, q))
+
+
+def test_reduced_sweep_matches_dense_eigenvalues():
+    momenta = momentum_samples(3, 11)
+    for model in (ReducedHarper(0), ReducedHarper(5)):
+        sweep = butterfly_sweep(model, 12, 3, 11)
+        for (phi, spectra), (p, q) in zip(sweep, coprime_flux_pairs(12), strict=True):
+            for row, k in zip(spectra, momenta, strict=True):
+                assert np.abs(row - eigenvalues(assemble_reduced(p, q, k, model.m))).max() < 1e-12
 
 
 def test_butterfly_sweep_reproducible():
     a = butterfly_sweep(ReducedHarper(0), 4, 2, 7)
     b = butterfly_sweep(ReducedHarper(0), 4, 2, 7)
-    assert a == b
+    assert [(phi, e.tobytes()) for phi, e in a] == [(phi, e.tobytes()) for phi, e in b]
 
 
 def test_butterfly_sweep_guards():
@@ -471,15 +607,24 @@ def test_butterfly_sweep_guards():
 
 def test_sweep_guard_charges_the_solved_dimension(monkeypatch):
     # block-aniso solves one q x q matrix per flux and momentum, block-iso an
-    # 8q x 8q one; the guard is checked before model_spectrum is first called
+    # 8q x 8q one; the guard is checked before model_spectra is first called
     import hyperband.spectrum as spectrum
 
     butterfly_sweep(BlockAnisotropic(), 21, 4, 0)
-    monkeypatch.setattr(spectrum, "model_spectrum", lambda model, p, q, k: np.zeros(1))
+    solved = []
+
+    def stub(model, q, ps, momenta):
+        solved.append(q)
+        return np.zeros((len(ps), len(momenta), 1))
+
+    monkeypatch.setattr(spectrum, "model_spectra", stub)
     for model, refused_from in ((BlockIsotropic(), 21), (ReducedHarper(0), 73), (BlockAnisotropic(), 73)):
         butterfly_sweep(model, refused_from - 1, 4, 0)
+        assert solved
+        solved.clear()
         with pytest.raises(ValueError, match="workload"):
             butterfly_sweep(model, refused_from, 4, 0)
+        assert solved == []
 
 
 # ---------------------------------------------------------------- harper oracle
