@@ -268,11 +268,10 @@ def inertia_counts(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     inertia N(sigma) is the number of eigenvalues below sigma.  Rows 0..q-2
     form a tridiagonal block, counted by the Sturm recurrence
     d_j = a_j - sigma - |H[j, j-1]|^2 / d_{j-1}; the last pivot is its Schur
-    complement a_{q-1} - sigma - sum_j |y_j|^2 / d_j with y = L^{-1} H[:q-1, q-1].
-    That column holds only the corner H[0, q-1] and H[q-2, q-1], so up to
-    the last row y_j = phase_j rho_j with a per-matrix unit phase and a real
-    rho_j.  A zero pivot is replaced by -sqrt(tiny) (Kahan), so it counts as
-    negative and the next pivot stays finite.  Costs O(q) per shift.
+    complement a_{q-1} - sigma - sum_j |y_j|^2 / d_j with y = L^{-1} H[:q-1, q-1]:
+    y_0 = H[0, q-1], y_j = -H[j, j-1] y_{j-1} / d_{j-1}, plus H[q-2, q-1] in
+    the last row.  A zero pivot is replaced by -sqrt(tiny) (Kahan), so it
+    counts as negative and the next pivot stays finite.  Costs O(q) per shift.
     """
     q = h.shape[-1]
     j = np.arange(q)
@@ -287,26 +286,19 @@ def inertia_counts(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     count = (d < 0.0).astype(np.intp)
     if q == 1:
         return count
-    abs_sub = np.abs(h[:, j[1:], j[:-1]])[:, :, None]  # |H[j+1, j]|
-    sub_sq = abs_sub * abs_sub
-    corner, last = h[:, 0, q - 1, None], h[:, q - 2, q - 1, None]
-    rho = np.broadcast_to(np.abs(corner), d.shape).copy()
-    schur = rho * rho / d
-    # unit phase of the part of y_{q-2} carried from the corner: arg H[0, q-1] + arg H[1, 0] + .. + arg H[q-2, q-3]
-    angle = np.angle(corner) + np.angle(h[:, j[1 : q - 1], j[: q - 2]]).sum(axis=1, keepdims=True)
-    phase = np.exp(1j * angle)
+    sub = h[:, j[1:], j[:-1], None]  # H[j+1, j]
+    sub_sq = (sub * sub.conj()).real
+    y = np.broadcast_to(h[:, 0, q - 1, None], d.shape).copy()
+    schur = (y * y.conj()).real / d
     for row in range(1, q - 1):
         inv = 1.0 / d
-        rho *= inv
-        rho *= -abs_sub[:, row - 1]
+        y *= inv * -sub[:, row - 1]
+        if row == q - 2:
+            y += h[:, q - 2, q - 1, None]
         inv *= sub_sq[:, row - 1]
         d = pivot(np.subtract(shifted[:, row], inv, out=inv))
         count += d < 0.0
-        if row < q - 2:
-            schur += rho * rho / d
-        else:
-            y = last + phase * rho
-            schur += (y.real * y.real + y.imag * y.imag) / d
+        schur += (y * y.conj()).real / d
     count += pivot(shifted[:, q - 1] - schur) < 0.0
     return count
 
