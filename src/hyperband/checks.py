@@ -130,6 +130,15 @@ def rotation_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float
     return worst
 
 
+def iso_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
+    """Union of the four S^2 sector spectra (`model_spectra`) against the dense 8q x 8q block-iso spectrum."""
+    p, q = pair.p, pair.q
+    momenta = list(momenta)
+    dense = [spectrum.eigenvalues(spectrum.assemble_block(BlockIsotropic(), p, q, k)) for k in momenta]
+    sectors = spectrum.model_spectra(BlockIsotropic(), q, [p], momenta)[0]
+    return float(np.abs(sectors - np.array(dense)).max())
+
+
 def harper_oracle_compare(p: int, q: int, k1: float, k2: float) -> float:
     """Spectral gap between the assembler's Harper core and a clock-and-shift oracle.
 

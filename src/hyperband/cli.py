@@ -199,6 +199,7 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
         ("hamiltonian forms", "forms", lambda: (checks.hamiltonian_forms([B], points), "")),
         ("lattice hermiticity", "hermiticity", lambda: (checks.lattice_hermiticity(pair, momenta), lattice)),
         ("rotation sectors", "sector", lambda: (checks.rotation_sectors(pair, momenta), lattice)),
+        ("iso sectors", "sector", lambda: (checks.iso_sectors(pair, momenta), lattice)),
     ):
         ok, line = _check_line(name, tols[tol], compute)
         print(line)
@@ -324,8 +325,8 @@ def cmd_butterfly(args: argparse.Namespace, config: dict[str, str]) -> int:
             # writes the rows in (phi, energy) order
             for phi, spectra in sweep:
                 energies = np.sort(spectra, axis=None, kind="stable").tolist()
-                prefix = f"{phi:.10g},"
-                fh.write("".join(f"{prefix}{energy:.12g}\n" for energy in energies))
+                prefix = f"{phi:.10g},".replace("%", "%%")
+                fh.write((prefix + "%.12g\n") * len(energies) % tuple(energies))
                 samples += len(spectra)
                 rows += len(energies)
     except OSError as exc:

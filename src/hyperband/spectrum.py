@@ -13,10 +13,11 @@ carry the rotation sector structure.  Diagonalizing the commuting ring first
 reduces each sector m to a q x q Harper-type matrix: diagonal 2cos(k2 - n phi),
 unit hoppings e^{-+ i k1}, and the scalar sector shift (16/pi^2) 2cos(pi B/4 +
 m pi/4); `model_spectra` computes the anisotropic block spectrum that way.
-Those cyclic-tridiagonal matrices are solved in batches for eigenvalues
-only, each certified by inertia counts (`harper_eigvalsh`); `eigenvalues`,
-with its eigenpair residual, is the dense path for the isotropic block
-model and the oracle of the checks.
+The isotropic block model splits into four 2q x 2q sectors (`_iso_stack`).
+All three models are solved in batches for eigenvalues only, certified by
+inertia counts (`harper_eigvalsh`).  `eigenvalues`, `HermitianMatrix` and
+the dense assemblers are the oracle of `checks` and the tests; they stay
+here, beside the lattice definitions they share with the kernel.
 Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
@@ -184,6 +185,33 @@ def _reduced_stack(q: int, items: Sequence[tuple[int, BlochMomentum]], m: int) -
     return h
 
 
+def _iso_stack(q: int, items: Sequence[tuple[int, BlochMomentum]]) -> np.ndarray:
+    """Block-iso S^2 sectors j = 0..3 for each (p, k) in `items`, stacked (4n, 2q, 2q), j fastest.
+
+    S is the twisted ring shift, S + S^dagger = ring(B); S^2 commutes with
+    block-iso, whose diagonal and hopping diag(1, 0, ...) are 2-periodic on
+    the ring.  Sector j, ordered (e_0..e_{q-1}, o_0..o_{q-1}) over even and
+    odd ring sites, with s = -1/(4 mu^2) and lambda_j = e^{i pi B/2} i^j:
+    e-e is the Harper core at zero flux with k3 for k2, times s; o-o is
+    diag s(2cos(k2 - n phi) + 2cos k4); H[e_n, o_n] = (16/pi^2)(1 + lambda_j).
+    Each o_n couples only to e_n: a pendant site.
+    """
+    _require_dimension(2 * q)
+    s = -1.0 / (4.0 * MU * MU)
+    k1, k2, k3, k4 = np.array([[k.k1, k.k2, k.k3, k.k4] for _, k in items]).T
+    phi = np.array([_TWO_PI * p / q for p, _ in items])
+    B = np.array([FluxParam(p, q).field for p, _ in items])
+    link = (16.0 / math.pi**2) * (1.0 + np.exp(0.5j * math.pi * (B[:, None] + np.arange(4))))
+    n = np.arange(q)
+    h = np.zeros((len(items), 4, 2 * q, 2 * q), dtype=complex)
+    h[:, :, :q, :q] = _harper_stack(q, np.zeros(len(items)), k1, k3, scale=s)[:, None]
+    odd = s * 2.0 * np.cos(k2[:, None] - n * phi[:, None]) + s * 2.0 * np.cos(k4)[:, None]
+    h[:, :, q + n, q + n] = odd[:, None]
+    h[:, :, n, q + n] = link[:, :, None]
+    h[:, :, q + n, n] = link.conj()[:, :, None]
+    return h.reshape(-1, 2 * q, 2 * q)
+
+
 def assemble_reduced(p: int, q: int, k: BlochMomentum, m: int) -> HermitianMatrix:
     """Sector-m q x q matrix: Harper core times -1/(8 mu^2), momentum scalar, ring sector shift."""
     return HermitianMatrix(_reduced_stack(q, [(p, k)], m)[0])
@@ -229,11 +257,6 @@ def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) 
     return HermitianMatrix(h)
 
 
-def model_dimension(model: HamiltonianModel, q: int) -> int:
-    """Number of eigenvalues `model_spectrum` returns at denominator q."""
-    return q if isinstance(model, ReducedHarper) else RING_SIZE * q
-
-
 def eigenvalues(h: HermitianMatrix) -> np.ndarray:
     """Ascending real spectrum with an explicit residual certificate.
 
@@ -254,13 +277,20 @@ def eigenvalues(h: HermitianMatrix) -> np.ndarray:
     return vals
 
 
-def _cyclic_band(q: int) -> np.ndarray:
-    """Mask of the entries a cyclic-tridiagonal q x q matrix may occupy."""
-    offset = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q
-    return (offset == 0) | (offset == 1) | (offset == q - 1)
+def _cyclic_band(n: int, pendants: bool = False) -> np.ndarray:
+    """Mask of the entries an n x n kernel matrix may occupy: the cyclic band or, with
+    `pendants`, the [core | pendant] layout of `_iso_stack` (n = 2q)."""
+    q = n // 2 if pendants else n
+    j = np.arange(q)
+    offset = (j[None, :] - j[:, None]) % q
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:q, :q] = (offset == 0) | (offset == 1) | (offset == q - 1)
+    if pendants:
+        mask[q + j, q + j] = mask[q + j, j] = mask[j, q + j] = True
+    return mask
 
 
-def inertia_counts(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def inertia_counts(h: np.ndarray, sigma: np.ndarray, pendants: bool = False) -> np.ndarray:
     """N(sigma): negative pivots of LDL^H(H - sigma I), per matrix of `h` and shift of `sigma`.
 
     `h` is an (n, q, q) stack of Hermitian matrices that vanish outside the
@@ -272,8 +302,12 @@ def inertia_counts(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     y_0 = H[0, q-1], y_j = -H[j, j-1] y_{j-1} / d_{j-1}, plus H[q-2, q-1] in
     the last row.  A zero pivot is replaced by -sqrt(tiny) (Kahan), so it
     counts as negative and the next pivot stays finite.  Costs O(q) per shift.
+
+    With `pendants` (layout of `_cyclic_band`) each pendant q + j is
+    eliminated first: pivot b_j = H[q+j, q+j] - sigma, same zero rule, and
+    -|H[q+j, j]|^2 / b_j folds into a_j - sigma before the core recurrence.
     """
-    q = h.shape[-1]
+    q = h.shape[-1] // 2 if pendants else h.shape[-1]
     j = np.arange(q)
     shifted = h.real[:, j, j, None] - sigma[:, None, :]  # a_j - sigma, (n, q, s)
 
@@ -282,8 +316,14 @@ def inertia_counts(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
             x[x == 0.0] = _NEG_SQRT_TINY
         return x
 
+    count = np.zeros(sigma.shape, dtype=np.intp)
+    if pendants:
+        b = pivot(h.real[:, q + j, q + j, None] - sigma[:, None, :])
+        count += (b < 0.0).sum(axis=1)
+        link = h[:, q + j, j, None]
+        shifted -= (link * link.conj()).real / b
     d = pivot(shifted[:, 0])
-    count = (d < 0.0).astype(np.intp)
+    count += d < 0.0
     if q == 1:
         return count
     sub = h[:, j[1:], j[:-1], None]  # H[j+1, j]
@@ -303,10 +343,10 @@ def inertia_counts(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return count
 
 
-def certify_spectra(h: np.ndarray, vals: np.ndarray) -> None:
+def certify_spectra(h: np.ndarray, vals: np.ndarray, pendants: bool = False) -> None:
     """Prove |mu_i - lambda_i| <= delta for the i-th true eigenvalue mu_i of each matrix.
 
-    `h` is a stack as `inertia_counts` takes it, `vals` the (n, q) claimed
+    `h` is a stack as `inertia_counts` takes it, `vals` the (n, dim) claimed
     ascending spectra, and delta = 1e-8 (1 + ||H||_F).  The counts must
     satisfy N(lambda_i - delta) <= i and N(lambda_i + delta) >= i + 1: at
     most i eigenvalues lie below lambda_i - delta and at least i + 1 below
@@ -314,73 +354,77 @@ def certify_spectra(h: np.ndarray, vals: np.ndarray) -> None:
     lambda near some eigenvalue, this pins the i-th one, so a duplicated or
     missing eigenvalue fails.  Raises RuntimeError.
     """
-    q = h.shape[-1]
+    dim = h.shape[-1]
     if not np.all(np.isfinite(vals)):
-        raise RuntimeError(f"non-finite eigenvalue from a {q}x{q} matrix")
-    delta = 1e-8 * (1.0 + np.linalg.norm(h[:, _cyclic_band(q)], axis=1))[:, None]
-    counts = inertia_counts(h, np.concatenate([vals - delta, vals + delta], axis=1))
-    i = np.arange(q)
-    bad = (counts[:, :q] > i) | (counts[:, q:] < i + 1)
+        raise RuntimeError(f"non-finite eigenvalue from a {dim}x{dim} matrix")
+    delta = 1e-8 * (1.0 + np.linalg.norm(h[:, _cyclic_band(dim, pendants)], axis=1))[:, None]
+    counts = inertia_counts(h, np.concatenate([vals - delta, vals + delta], axis=1), pendants)
+    i = np.arange(dim)
+    bad = (counts[:, :dim] > i) | (counts[:, dim:] < i + 1)
     if bad.any():
         mat, idx = np.argwhere(bad)[0]
         raise RuntimeError(
-            f"inertia certificate failed for eigenvalue {idx} of a {q}x{q} matrix: "
-            f"N(lambda - delta) = {counts[mat, idx]}, N(lambda + delta) = {counts[mat, q + idx]}, "
+            f"inertia certificate failed for eigenvalue {idx} of a {dim}x{dim} matrix: "
+            f"N(lambda - delta) = {counts[mat, idx]}, N(lambda + delta) = {counts[mat, dim + idx]}, "
             f"delta {delta[mat, 0]:.3e}"
         )
 
 
-def harper_eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Certified ascending eigenvalues of an (n, q, q) stack of cyclic-tridiagonal Hermitian matrices.
+def harper_eigvalsh(h: np.ndarray, pendants: bool = False) -> np.ndarray:
+    """Certified ascending eigenvalues of an (n, dim, dim) stack of cyclic-tridiagonal Hermitian matrices.
 
-    The stack must be zero outside the cyclic band (the certificate reads
-    only the band), finite and Hermitian to 1e-12; one LAPACK call solves it
-    without eigenvectors, and `certify_spectra` checks every eigenvalue.
-    Any failure raises RuntimeError: these matrices are assembled here, so a
-    bad one is a fault of the library, not of its input.
+    `pendants` selects the layout of `_cyclic_band`.  The stack must be zero
+    outside the band (the certificate reads only the band), finite and
+    Hermitian to 1e-12; one LAPACK call solves it without eigenvectors, and
+    `certify_spectra` checks every eigenvalue.  Any failure raises
+    RuntimeError: these matrices are assembled here, so a bad one is a fault
+    of the library, not of its input.
     """
-    q = h.shape[-1]
-    band = h[:, _cyclic_band(q)]
+    dim = h.shape[-1]
+    mask = _cyclic_band(dim, pendants)
+    band = h[:, mask]
     if np.count_nonzero(h) != np.count_nonzero(band):
-        raise RuntimeError(f"{q}x{q} matrix has entries outside the cyclic band")
+        raise RuntimeError(f"{dim}x{dim} matrix has entries outside the cyclic band")
     if not np.all(np.isfinite(band)):
-        raise RuntimeError(f"non-finite entries in a stack of {q}x{q} matrices")
-    # outside the band H - H^dagger vanishes; inside, the diagonal and the lower cyclic band cover it
-    j = np.arange(q)
-    rows, cols = np.concatenate([j, (j + 1) % q]), np.concatenate([j, j])
+        raise RuntimeError(f"non-finite entries in a stack of {dim}x{dim} matrices")
+    # outside the band H - H^dagger vanishes; inside, the band's lower triangle covers every pair
+    rows, cols = np.nonzero(np.tril(mask))
     drift = float(np.abs(h[:, rows, cols] - h[:, cols, rows].conj()).max(initial=0.0))
     if drift > 1e-12:
         raise RuntimeError(f"matrix fails Hermiticity by {drift:.3e}")
     try:
         vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver did not converge on a stack of {q}x{q} matrices: {exc}") from exc
-    certify_spectra(h, vals)
+        raise RuntimeError(f"eigensolver did not converge on a stack of {dim}x{dim} matrices: {exc}") from exc
+    certify_spectra(h, vals, pendants)
     return vals
 
 
 def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
     """Ascending spectra at flux B = p/(2q) for every p in `ps` and every momentum.
 
-    Returns shape (len(ps), len(momenta), model_dimension(model, q)).  The
-    reduced and anisotropic models go through the batched Harper kernel:
-    the sector matrices are assembled as stacks of at most about
-    `_BATCH_BYTES` and solved by `harper_eigvalsh`.  The ring term commutes
+    Returns shape (len(ps), len(momenta), dim), dim = q for a rotation sector
+    and 8q for the block models.  The matrices are assembled as stacks of at
+    most about `_BATCH_BYTES` and solved by `harper_eigvalsh`.  The ring term commutes
     with the Harper core, so sector m is the sector-0 matrix plus the scalar
     (16/pi^2)(2cos(pi B/4 + m pi/4) - 2cos(pi B/4)), and the anisotropic
     8q x 8q spectrum is the union of the sector-0 spectrum shifted into all
     eight sectors: one q x q solve.  The sector-0 matrix is solved, never
     the bare scaled core, on which LAPACK `eigh` can fail to converge
-    (p/q = 101/52, k = 0).  The isotropic block model does not factor and is
-    solved densely by `eigenvalues`.
+    (p/q = 101/52, k = 0).  The isotropic spectrum is the union of its four
+    S^2 sectors.
     """
-    if isinstance(model, BlockIsotropic):
-        return np.array([[eigenvalues(assemble_block(model, p, q, k)) for k in momenta] for p in ps])
+    iso = isinstance(model, BlockIsotropic)
     m = model.m if isinstance(model, ReducedHarper) else 0
     items = [(p, k) for p in ps for k in momenta]
-    per_batch = max(1, _BATCH_BYTES // (16 * q * q))
-    batches = (_reduced_stack(q, items[i : i + per_batch], m) for i in range(0, len(items), per_batch))
-    vals = np.concatenate([harper_eigvalsh(h) for h in batches]).reshape(len(ps), len(momenta), q)
+    per_batch = max(1, _BATCH_BYTES // (16 * q * q * (16 if iso else 1)))  # iso: four 2q x 2q per (p, k)
+    batches = (
+        _iso_stack(q, chunk) if iso else _reduced_stack(q, chunk, m)
+        for chunk in (items[i : i + per_batch] for i in range(0, len(items), per_batch))
+    )
+    vals = np.concatenate([harper_eigvalsh(h, pendants=iso) for h in batches]).reshape(len(ps), len(momenta), -1)
+    if iso:
+        return np.sort(vals, axis=-1)
     if isinstance(model, ReducedHarper):
         return vals
     shifts = []
@@ -452,9 +496,9 @@ def butterfly_sweep(
     if q_max > _MAX_SWEEP_Q:
         raise ValueError(f"q_max {q_max} exceeds the sweep bound {_MAX_SWEEP_Q}")
     pairs = coprime_flux_pairs(q_max)
-    # charged at the size model_spectra solves: 8q x 8q for block-iso, q x q otherwise
-    solved = RING_SIZE if isinstance(model, BlockIsotropic) else 1
-    workload = k_samples * sum((solved * q) ** 3 for _, q in pairs)
+    # charged at what model_spectra solves: four 2q x 2q sectors for block-iso, one q x q matrix otherwise
+    solved = 4 * 2**3 if isinstance(model, BlockIsotropic) else 1
+    workload = k_samples * sum(solved * q**3 for _, q in pairs)
     if workload > _MAX_SWEEP_WORKLOAD:
         raise ValueError(
             f"sweep workload {workload:.2e} (sum of dim^3) exceeds {_MAX_SWEEP_WORKLOAD:.2e}; "

@@ -27,7 +27,7 @@ from hyperband.halfplane import (
     rotation_orbit_circle,
 )
 from hyperband.magnetic import FluxParam, s_phase
-from hyperband.spectrum import coprime_flux_pairs
+from hyperband.spectrum import BlochMomentum, coprime_flux_pairs
 from hyperband.tiling import TilingParams, make_fundamental_domain
 
 
@@ -90,10 +90,12 @@ def test_criterion_5_operator_algebra():
 def test_criterion_6_rotation_sector_consistency():
     rng = np.random.default_rng(1006)
     start = time.perf_counter()
-    defect = max(
-        checks.rotation_sectors(FluxParam(p, q), checks.random_momenta(rng, 3))
-        for p, q in ((1, 2), (1, 3), (2, 3), (1, 5))
-    )
+    defect = 0.0
+    for p, q in ((1, 2), (1, 3), (2, 3), (1, 5)):
+        pair, momenta = FluxParam(p, q), checks.random_momenta(rng, 3)
+        defect = max(defect, checks.rotation_sectors(pair, momenta), checks.iso_sectors(pair, momenta))
+    # LAPACK fails on the bare scaled Harper core here; the sectors must still match
+    defect = max(defect, checks.iso_sectors(FluxParam(101, 52), [BlochMomentum.zero()]))
     _report(6, "rotation-sector consistency", defect, 1e-7, time.perf_counter() - start, 10.0)
 
 

@@ -13,6 +13,7 @@ import pytest
 import hyperband
 from hyperband.cli import _cayley, _disk_edge_path, main, parse_config_file
 from hyperband.halfplane import HPoint
+from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, assemble_block, eigenvalues
 from hyperband.tiling import TilingParams, enumerate_tiles, make_generators
 
 
@@ -37,7 +38,7 @@ def test_verify_passes_at_quarter_flux(capsys):
     code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(line.startswith("PASS") for line in lines)
     flux_line = next(line for line in lines if "flux relation" in line)
     assert "phase -1" in flux_line
@@ -72,9 +73,9 @@ def test_verify_reports_library_errors_as_failures(capsys):
     code, out, err = run(capsys, "verify", "--B", "1/600")
     assert code == 1 and err == ""
     lines = out.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(line.startswith("PASS") for line in lines[:7])
-    for line, name in zip(lines[7:], ("lattice hermiticity", "rotation sectors")):
+    for line, name in zip(lines[7:], ("lattice hermiticity", "rotation sectors", "iso sectors"), strict=True):
         assert line.startswith(f"FAIL {name}")
         assert "defect inf" in line and "exceeds the supported bound 2000" in line
 
@@ -95,7 +96,7 @@ def test_verify_hermiticity_line_can_fail(monkeypatch, capsys):
     line = next(line for line in out.splitlines() if "lattice hermiticity" in line)
     assert line.startswith("FAIL") and "fails Hermiticity" in line
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(fails) == 2  # the dense block spectrum behind "rotation sectors" is refused too
+    assert len(fails) == 3  # the dense block spectra behind "rotation sectors" and "iso sectors" are refused too
 
 
 def test_verify_rejects_unknown_tolerance(capsys):
@@ -184,14 +185,18 @@ def test_spectrum_half_flux_single_eigenvalue(capsys):
 
 
 def test_spectrum_block_dimension_and_order(capsys):
-    code, out, _ = run(capsys, "spectrum", "--B", "1/6", "--model", "block-aniso")
-    assert code == 0
-    values = [float(line) for line in out.split()]
-    assert len(values) == 24
-    assert values == sorted(values)
+    for name, model in (("block-aniso", BlockAnisotropic()), ("block-iso", BlockIsotropic())):
+        code, out, _ = run(capsys, "spectrum", "--B", "1/6", "--model", name)
+        assert code == 0
+        values = [float(line) for line in out.split()]
+        assert len(values) == 24
+        assert values == sorted(values)
+        # the dense oracle, within 1e-12 beyond the 12-digit rounding of the print
+        dense = eigenvalues(assemble_block(model, 1, 3, BlochMomentum.zero()))
+        assert all(abs(v - d) <= 1e-12 + 5e-12 * abs(d) for v, d in zip(values, dense, strict=True))
 
 
-@pytest.mark.parametrize("field, model, dim", [("1/4002", "reduced", 2001), ("1/502", "block-iso", 2008)])
+@pytest.mark.parametrize("field, model, dim", [("1/4002", "reduced", 2001), ("1/2002", "block-iso", 2002)])
 def test_spectrum_refuses_over_bound_dimension_before_allocating(monkeypatch, capsys, field, model, dim):
     real_zeros = np.zeros
     shapes = []
@@ -234,11 +239,15 @@ def test_butterfly_csv_contract(tmp_path, capsys):
 
 def test_butterfly_is_byte_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(capsys, "butterfly", "--q-max", "3", "--k-samples", "2", "--seed", "5", "--out", str(a))
-    run(capsys, "butterfly", "--q-max", "3", "--k-samples", "2", "--seed", "5", "--out", str(b))
-    data = a.read_bytes()
-    assert data == b.read_bytes()
-    assert b"\r" not in data
+    for argv in (
+        ("--q-max", "3", "--k-samples", "2", "--seed", "5"),
+        ("--model", "block-iso", "--q-max", "8", "--k-samples", "2"),
+    ):
+        assert run(capsys, "butterfly", *argv, "--out", str(a))[0] == 0
+        assert run(capsys, "butterfly", *argv, "--out", str(b))[0] == 0
+        data = a.read_bytes()
+        assert data == b.read_bytes()
+        assert b"\r" not in data
 
 
 def test_butterfly_streamed_rows_equal_a_global_sort(tmp_path, monkeypatch, capsys):
@@ -278,7 +287,9 @@ def test_butterfly_rejects_small_q_max_and_bad_path(tmp_path, capsys):
     "argv, message",
     [
         (
-            ("butterfly", "--model", "block-iso", "--q-max", "21"),
+            # block-iso is charged 4 (2q)^3 per momentum, so 64 momenta at q_max 21
+            # cost what 4 momenta of 8q x 8q matrices did
+            ("butterfly", "--model", "block-iso", "--q-max", "21", "--k-samples", "64"),
             "sweep workload 2.25e+09 (sum of dim^3) exceeds 2.00e+09; lower q_max or k_samples",
         ),
         (("spectrum", "--B", "1/4002"), "dimension 2001 exceeds the supported bound 2000"),

@@ -27,7 +27,6 @@ from hyperband.spectrum import (
     harper_core,
     harper_eigvalsh,
     inertia_counts,
-    model_dimension,
     model_spectrum,
     momentum_samples,
     ring_matrix,
@@ -271,7 +270,7 @@ def test_assembled_matrices_hermitian_everywhere():
             h = assemble_reduced(p, q, k, model.m)  # HermitianMatrix enforces the invariant
         else:
             h = assemble_block(model, p, q, k)
-        assert h.dimension == model_dimension(model, q)
+        assert h.dimension == (q if isinstance(model, ReducedHarper) else 8 * q)
 
 
 # ---------------------------------------------------------------- eigensolver
@@ -314,15 +313,23 @@ def test_eigenvalues_rejects_oversized():
     st.sampled_from(coprime_flux_pairs(40)),
     st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4),
     st.integers(min_value=0, max_value=7),
+    st.booleans(),
     st.lists(st.floats(min_value=-0.1, max_value=1.1), min_size=1, max_size=20),
 )
 # q <= 2: the corners fold onto occupied entries
-@example((1, 1), [0.7, 1.9, 0.2, 5.1], 3, [0.5])
-@example((1, 2), [1.3, 0.4, 2.2, 0.0], 0, [0.2, 0.5, 0.9])
-@example((3, 2), [0.0, 0.0, 0.0, 0.0], 7, [0.5])
-def test_inertia_count_matches_dense_count(pq, ks, m, fractions):
+@example((1, 1), [0.7, 1.9, 0.2, 5.1], 3, False, [0.5])
+@example((1, 2), [1.3, 0.4, 2.2, 0.0], 0, False, [0.2, 0.5, 0.9])
+@example((3, 2), [0.0, 0.0, 0.0, 0.0], 7, False, [0.5])
+@example((1, 1), [0.7, 1.9, 0.2, 5.1], 3, True, [0.5])
+@example((1, 2), [1.3, 0.4, 2.2, 0.0], 0, True, [0.2, 0.5, 0.9])
+@example((3, 2), [0.0, 0.0, 0.0, 0.0], 6, True, [0.5])
+def test_inertia_count_matches_dense_count(pq, ks, m, iso, fractions):
+    # iso: block-iso S^2 sector m mod 4, whose pendant sites are eliminated first
+    import hyperband.spectrum as spectrum
+
     p, q = pq
-    h = assemble_reduced(p, q, BlochMomentum(*ks), m).entries
+    k = BlochMomentum(*ks)
+    h = spectrum._iso_stack(q, [(p, k)])[m % 4] if iso else assemble_reduced(p, q, k, m).entries
     vals = np.linalg.eigvalsh(h)
     delta = 1e-8 * (1.0 + np.linalg.norm(h))
     # random shifts over the spectrum, gap midpoints, and the certificate's own lambda -+ delta
@@ -334,7 +341,7 @@ def test_inertia_count_matches_dense_count(pq, ks, m, fractions):
     ])
     sigma = sigma[np.abs(sigma[:, None] - vals[None, :]).min(axis=1) > 1e-9]
     want = (vals[None, :] < sigma[:, None]).sum(axis=1)
-    assert np.array_equal(inertia_counts(h[None], sigma[None])[0], want)
+    assert np.array_equal(inertia_counts(h[None], sigma[None], pendants=iso)[0], want)
 
 
 def _reduced_stack_and_spectra():
@@ -375,16 +382,24 @@ def test_kernel_certifies_what_lapack_returns(monkeypatch):
         return vals
 
     monkeypatch.setattr(np.linalg, "eigvalsh", duplicating)
-    for model in (ReducedHarper(0), BlockAnisotropic()):
-        with pytest.raises(RuntimeError, match="inertia certificate failed for eigenvalue 2 of a 7x7"):
+    for model, dim in ((ReducedHarper(0), 7), (BlockAnisotropic(), 7), (BlockIsotropic(), 14)):
+        with pytest.raises(RuntimeError, match=f"inertia certificate failed for eigenvalue 2 of a {dim}x{dim}"):
             model_spectrum(model, 3, 7, BlochMomentum(0.3, 1.1, 2.5, 4.0))
 
 
 def test_kernel_refuses_entries_outside_the_cyclic_band():
+    import hyperband.spectrum as spectrum
+
     h, _ = _reduced_stack_and_spectra()
     h[2, 0, 4] = h[2, 4, 0] = 1e-3  # still Hermitian
     with pytest.raises(RuntimeError, match="outside the cyclic band"):
         harper_eigvalsh(h)
+    # a pendant linked to a second core site is no pendant
+    iso = spectrum._iso_stack(5, [(3, BlochMomentum(0.3, 1.1, 2.5, 4.0))])
+    harper_eigvalsh(iso.copy(), pendants=True)
+    iso[1, 0, 6] = iso[1, 6, 0] = 1e-3
+    with pytest.raises(RuntimeError, match="outside the cyclic band"):
+        harper_eigvalsh(iso, pendants=True)
 
 
 def test_kernel_refuses_non_hermitian_and_non_finite_stacks():
@@ -494,14 +509,18 @@ def test_model_spectrum_where_bare_scaled_core_does_not_converge():
 
 
 def test_model_spectrum_dispatch():
+    import hyperband.spectrum as spectrum
+
     k = BlochMomentum(0.3, 1.1, 2.5, 4.0)
     got = model_spectrum(ReducedHarper(4), 3, 7, k)
     dense = assemble_reduced(3, 7, k, 4)
     assert np.array_equal(got, np.linalg.eigvalsh(dense.entries))
     # against the eigenvector solve of the oracle path only rounding differs
     assert np.abs(got - eigenvalues(dense)).max() < 1e-12
+    # block-iso: the union of its four S^2 sector spectra, bit for bit
     got = model_spectrum(BlockIsotropic(), 3, 7, k)
-    assert np.array_equal(got, eigenvalues(assemble_block(BlockIsotropic(), 3, 7, k)))
+    sectors = spectrum._iso_stack(7, [(3, k)])
+    assert np.array_equal(got, np.sort(np.linalg.eigvalsh(sectors), axis=None))
     with pytest.raises(ValueError):
         model_spectrum(BlockAnisotropic(), 2, 4, k)
 
@@ -576,11 +595,11 @@ def test_butterfly_sweep_small():
 
 
 def test_butterfly_eigenvalue_counts_match_dimension():
-    for model in (ReducedHarper(3), BlockAnisotropic()):
+    for model, per_q in ((ReducedHarper(3), 1), (BlockAnisotropic(), 8), (BlockIsotropic(), 8)):
         sweep = butterfly_sweep(model, 3, 1, 0)
         for (phi, spectra), (p, q) in zip(sweep, coprime_flux_pairs(3), strict=True):
             assert phi == TWO_PI * p / q
-            assert spectra.shape == (1, model_dimension(model, q))
+            assert spectra.shape == (1, per_q * q)
 
 
 def test_reduced_sweep_matches_dense_eigenvalues():
@@ -608,8 +627,8 @@ def test_butterfly_sweep_guards():
 
 
 def test_sweep_guard_charges_the_solved_dimension(monkeypatch):
-    # block-aniso solves one q x q matrix per flux and momentum, block-iso an
-    # 8q x 8q one; the guard is checked before model_spectra is first called
+    # block-aniso solves one q x q matrix per flux and momentum, block-iso four
+    # 2q x 2q S^2 sectors; the guard is checked before model_spectra is first called
     import hyperband.spectrum as spectrum
 
     butterfly_sweep(BlockAnisotropic(), 21, 4, 0)
@@ -620,7 +639,7 @@ def test_sweep_guard_charges_the_solved_dimension(monkeypatch):
         return np.zeros((len(ps), len(momenta), 1))
 
     monkeypatch.setattr(spectrum, "model_spectra", stub)
-    for model, refused_from in ((BlockIsotropic(), 21), (ReducedHarper(0), 73), (BlockAnisotropic(), 73)):
+    for model, refused_from in ((BlockIsotropic(), 37), (ReducedHarper(0), 73), (BlockAnisotropic(), 73)):
         butterfly_sweep(model, refused_from - 1, 4, 0)
         assert solved
         solved.clear()

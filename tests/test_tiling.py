@@ -262,6 +262,31 @@ def test_enumerate_counts_follow_word_growth():
         assert len(enumerate_tiles(gens, depth)) == count
 
 
+def _surface_group_ball(genus: int, depth: int) -> int:
+    """Words of length <= depth in the genus-g surface group (Cannon's growth series).
+
+    Sphere sizes s_d satisfy den(x) * sum s_d x^d = num(x), with
+    num = 1 + 2x + ... + 2x^{2g-1} + x^{2g} and
+    den = 1 - (4g-2)(x + ... + x^{2g-1}) + x^{2g}.
+    """
+    n = 2 * genus
+    num = [1] + [2] * (n - 1) + [1]
+    den = [1] + [-(4 * genus - 2)] * (n - 1) + [1]
+    spheres = []
+    for d in range(depth + 1):
+        s = num[d] if d <= n else 0
+        spheres.append(s - sum(den[j] * spheres[d - j] for j in range(1, min(d, n) + 1)))
+    return sum(spheres)
+
+
+@pytest.mark.parametrize("genus, depth", [(2, 4), (2, 5), (3, 3), (3, 4)])
+def test_enumerate_counts_follow_surface_group_growth(genus, depth):
+    # from depth 2g (half the relator) on, distinct words can name one element,
+    # which the float dedup must merge; the growth series counts elements
+    gens = make_generators(TilingParams(genus))
+    assert len(enumerate_tiles(gens, depth)) == _surface_group_ball(genus, depth)
+
+
 def test_enumerate_genus_three():
     gens = make_generators(TilingParams(3))
     tiles = enumerate_tiles(gens, 2)
