@@ -3,7 +3,8 @@
 Every check takes its sample inputs (genera, fields, points, momenta, flux
 pairs) and returns the worst defect over them.  `TOLERANCES` holds the
 `verify` bounds that `--tol NAME=VALUE` overrides; the acceptance criteria
-keep their own.  Errors the library raises reach the caller unchanged.
+that have a matching check read these defaults.  Errors the library raises
+reach the caller unchanged.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def lattice_hermiticity(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> fl
             spectrum.assemble_block(BlockAnisotropic(), p, q, k),
             spectrum.assemble_block(BlockIsotropic(), p, q, k),
         ):
-            drift = max(drift, float(np.abs(h.entries - h.entries.conj().T).max()))
+            drift = max(drift, float(np.abs(h - h.conj().T).max()))
     return drift
 
 

@@ -15,9 +15,9 @@ unit hoppings e^{-+ i k1}, and the scalar sector shift (16/pi^2) 2cos(pi B/4 +
 m pi/4); `model_spectra` computes the anisotropic block spectrum that way.
 The isotropic block model splits into four 2q x 2q sectors (`_iso_stack`).
 All three models are solved in batches for eigenvalues only, certified by
-inertia counts (`harper_eigvalsh`).  `eigenvalues`, `HermitianMatrix` and
-the dense assemblers are the oracle of `checks` and the tests; they stay
-here, beside the lattice definitions they share with the kernel.
+inertia counts (`harper_eigvalsh`).  `eigenvalues` and the dense assemblers
+are the oracle of `checks` and the tests; they stay here, beside the lattice
+definitions they share with the kernel.  Both solvers pass `_require_solvable`.
 Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
@@ -42,6 +42,8 @@ _MAX_SWEEP_Q = 500
 _HALTON_BASES = (2, 3, 5, 7)
 _BATCH_BYTES = 1 << 20  # one assembled stack of complex matrices; bounds peak memory
 _NEG_SQRT_TINY = -math.sqrt(np.finfo(float).tiny)
+_HERMITIAN_TOL = 1e-12  # largest |H - H^dagger| either solver accepts
+RING_WEIGHT = 16.0 / math.pi**2  # weight of the ring term against the Harper core
 
 
 @dataclass(frozen=True)
@@ -92,33 +94,11 @@ class BlockIsotropic:
 HamiltonianModel = ReducedHarper | BlockAnisotropic | BlockIsotropic
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianMatrix:
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("non-finite matrix entries")
-        drift = np.abs(arr - arr.conj().T).max()
-        if drift > 1e-12:
-            raise ValueError(f"matrix fails Hermiticity by {drift:.3e}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-
 def rotation_sector_shift(B: float, m: int) -> float:
     """Eigenvalue 2cos(pi B/4 + m pi/4) of the ring term's sector m.
 
-    Returned bare; the lattice Hamiltonian scales it by 16/pi^2 where it
-    enters the reduced matrix.
+    Returned bare; the lattice Hamiltonian scales it by `RING_WEIGHT` where
+    it enters the reduced matrix.
     """
     if m not in range(RING_SIZE):
         raise ValueError(f"sector index must be 0..{RING_SIZE - 1}, got {m}")
@@ -172,11 +152,10 @@ def _reduced_stack(q: int, items: Sequence[tuple[int, BlochMomentum]], m: int) -
     Each is the Harper core times c = -1/(8 mu^2) plus the scalar
     2c(cos k3 + cos k4) + (16/pi^2) 2cos(pi B/4 + m pi/4) on the diagonal.
     """
-    _require_dimension(q)
     c = -1.0 / (8.0 * MU * MU)
     shift = [
         2.0 * c * (math.cos(k.k3) + math.cos(k.k4))
-        + (16.0 / math.pi**2) * rotation_sector_shift(FluxParam(p, q).field, m)
+        + RING_WEIGHT * rotation_sector_shift(FluxParam(p, q).field, m)
         for p, k in items
     ]
     phi = np.array([_TWO_PI * p / q for p, _ in items])
@@ -201,7 +180,7 @@ def _iso_stack(q: int, items: Sequence[tuple[int, BlochMomentum]]) -> np.ndarray
     k1, k2, k3, k4 = np.array([[k.k1, k.k2, k.k3, k.k4] for _, k in items]).T
     phi = np.array([_TWO_PI * p / q for p, _ in items])
     B = np.array([FluxParam(p, q).field for p, _ in items])
-    link = (16.0 / math.pi**2) * (1.0 + np.exp(0.5j * math.pi * (B[:, None] + np.arange(4))))
+    link = RING_WEIGHT * (1.0 + np.exp(0.5j * math.pi * (B[:, None] + np.arange(4))))
     n = np.arange(q)
     h = np.zeros((len(items), 4, 2 * q, 2 * q), dtype=complex)
     h[:, :, :q, :q] = _harper_stack(q, np.zeros(len(items)), k1, k3, scale=s)[:, None]
@@ -212,12 +191,12 @@ def _iso_stack(q: int, items: Sequence[tuple[int, BlochMomentum]]) -> np.ndarray
     return h.reshape(-1, 2 * q, 2 * q)
 
 
-def assemble_reduced(p: int, q: int, k: BlochMomentum, m: int) -> HermitianMatrix:
+def assemble_reduced(p: int, q: int, k: BlochMomentum, m: int) -> np.ndarray:
     """Sector-m q x q matrix: Harper core times -1/(8 mu^2), momentum scalar, ring sector shift."""
-    return HermitianMatrix(_reduced_stack(q, [(p, k)], m)[0])
+    return _reduced_stack(q, [(p, k)], m)[0]
 
 
-def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> HermitianMatrix:
+def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:
     """Full 8q x 8q cycle of blocks, wired exactly as the sector analysis needs.
 
     The hopping block sits below the diagonal (and at the [0, q-1] corner);
@@ -226,7 +205,7 @@ def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) 
     flux = FluxParam(p, q)
     B = flux.field
     phi = _TWO_PI * p / q
-    ring = (16.0 / math.pi**2) * ring_matrix(B)
+    ring = RING_WEIGHT * ring_matrix(B)
     eye8 = np.eye(RING_SIZE)
 
     if isinstance(variant, BlockAnisotropic):
@@ -254,24 +233,45 @@ def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) 
         t = slice(RING_SIZE * ((n + 1) % q), RING_SIZE * ((n + 1) % q) + RING_SIZE)
         h[t, s] += hop
         h[s, t] += hop.conj().T
-    return HermitianMatrix(h)
+    return h
 
 
-def eigenvalues(h: HermitianMatrix) -> np.ndarray:
-    """Ascending real spectrum with an explicit residual certificate.
+def _require_solvable(h: np.ndarray, mask: np.ndarray) -> None:
+    """RuntimeError unless every matrix of an (n, dim, dim) stack is zero outside the symmetric
+    `mask`, finite and Hermitian to `_HERMITIAN_TOL`: the matrices are assembled here, so a
+    bad one is a fault of the library, not of its input."""
+    dim = h.shape[-1]
+    band = h[:, mask]
+    if np.count_nonzero(h) != np.count_nonzero(band):
+        raise RuntimeError(f"{dim}x{dim} matrix has entries outside the cyclic band")
+    if not np.all(np.isfinite(band)):
+        raise RuntimeError(f"non-finite entries in a stack of {dim}x{dim} matrices")
+    # outside the mask H - H^dagger vanishes; inside, the mask's lower triangle covers every pair
+    rows, cols = np.nonzero(np.tril(mask))
+    drift = float(np.abs(h[:, rows, cols] - h[:, cols, rows].conj()).max(initial=0.0))
+    if drift > _HERMITIAN_TOL:
+        raise RuntimeError(f"matrix fails Hermiticity by {drift:.3e}")
 
-    Raises instead of returning a partial or low-quality spectrum: LAPACK
-    non-convergence is re-raised with context, and every (lambda, v) pair must
-    satisfy ||Hv - lambda v|| <= 1e-8 (1 + ||H||_F).
+
+def eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending real spectrum of one square matrix with an explicit residual certificate.
+
+    Raises instead of returning a partial or low-quality spectrum: a
+    non-square matrix or one over `_MAX_DIMENSION` is a ValueError, a matrix
+    `_require_solvable` refuses or LAPACK non-convergence a RuntimeError, and
+    every (lambda, v) pair must satisfy ||Hv - lambda v|| <= 1e-8 (1 + ||H||_F).
     """
-    n = h.dimension
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    n = h.shape[0]
     _require_dimension(n)
+    _require_solvable(h[None], np.ones((n, n), dtype=bool))
     try:
-        vals, vecs = np.linalg.eigh(h.entries)
+        vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver did not converge on a {n}x{n} matrix: {exc}") from exc
-    residual = np.linalg.norm(h.entries @ vecs - vecs * vals, axis=0).max()
-    bound = 1e-8 * (1.0 + np.linalg.norm(h.entries, "fro"))
+    residual = np.linalg.norm(h @ vecs - vecs * vals, axis=0).max()
+    bound = 1e-8 * (1.0 + np.linalg.norm(h, "fro"))
     if residual > bound:
         raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds contract bound {bound:.3e}")
     return vals
@@ -373,31 +373,25 @@ def certify_spectra(h: np.ndarray, vals: np.ndarray, pendants: bool = False) -> 
 def harper_eigvalsh(h: np.ndarray, pendants: bool = False) -> np.ndarray:
     """Certified ascending eigenvalues of an (n, dim, dim) stack of cyclic-tridiagonal Hermitian matrices.
 
-    `pendants` selects the layout of `_cyclic_band`.  The stack must be zero
-    outside the band (the certificate reads only the band), finite and
-    Hermitian to 1e-12; one LAPACK call solves it without eigenvectors, and
+    `pendants` selects the layout of `_cyclic_band`.  `_require_solvable`
+    refuses a stack that is nonzero outside the band (the certificate reads
+    only the band); one LAPACK call solves it without eigenvectors, and
     `certify_spectra` checks every eigenvalue.  Any failure raises
-    RuntimeError: these matrices are assembled here, so a bad one is a fault
-    of the library, not of its input.
+    RuntimeError.
     """
     dim = h.shape[-1]
-    mask = _cyclic_band(dim, pendants)
-    band = h[:, mask]
-    if np.count_nonzero(h) != np.count_nonzero(band):
-        raise RuntimeError(f"{dim}x{dim} matrix has entries outside the cyclic band")
-    if not np.all(np.isfinite(band)):
-        raise RuntimeError(f"non-finite entries in a stack of {dim}x{dim} matrices")
-    # outside the band H - H^dagger vanishes; inside, the band's lower triangle covers every pair
-    rows, cols = np.nonzero(np.tril(mask))
-    drift = float(np.abs(h[:, rows, cols] - h[:, cols, rows].conj()).max(initial=0.0))
-    if drift > 1e-12:
-        raise RuntimeError(f"matrix fails Hermiticity by {drift:.3e}")
+    _require_solvable(h, _cyclic_band(dim, pendants))
     try:
         vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver did not converge on a stack of {dim}x{dim} matrices: {exc}") from exc
     certify_spectra(h, vals, pendants)
     return vals
+
+
+def _sector_layout(model: HamiltonianModel, q: int) -> tuple[int, int]:
+    """(matrices solved per (p, k), their dimension): four 2q x 2q S^2 sectors for block-iso, one q x q otherwise."""
+    return (4, 2 * q) if isinstance(model, BlockIsotropic) else (1, q)
 
 
 def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
@@ -417,7 +411,8 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     iso = isinstance(model, BlockIsotropic)
     m = model.m if isinstance(model, ReducedHarper) else 0
     items = [(p, k) for p in ps for k in momenta]
-    per_batch = max(1, _BATCH_BYTES // (16 * q * q * (16 if iso else 1)))  # iso: four 2q x 2q per (p, k)
+    count, dim = _sector_layout(model, q)
+    per_batch = max(1, _BATCH_BYTES // (16 * count * dim * dim))
     batches = (
         _iso_stack(q, chunk) if iso else _reduced_stack(q, chunk, m)
         for chunk in (items[i : i + per_batch] for i in range(0, len(items), per_batch))
@@ -431,7 +426,7 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     for p in ps:
         B = FluxParam(p, q).field
         base = rotation_sector_shift(B, 0)
-        shifts.append([(16.0 / math.pi**2) * (rotation_sector_shift(B, m) - base) for m in range(RING_SIZE)])
+        shifts.append([RING_WEIGHT * (rotation_sector_shift(B, m) - base) for m in range(RING_SIZE)])
     union = vals[:, :, None, :] + np.array(shifts)[:, None, :, None]
     return np.sort(union.reshape(len(ps), len(momenta), RING_SIZE * q), axis=-1)
 
@@ -496,9 +491,8 @@ def butterfly_sweep(
     if q_max > _MAX_SWEEP_Q:
         raise ValueError(f"q_max {q_max} exceeds the sweep bound {_MAX_SWEEP_Q}")
     pairs = coprime_flux_pairs(q_max)
-    # charged at what model_spectra solves: four 2q x 2q sectors for block-iso, one q x q matrix otherwise
-    solved = 4 * 2**3 if isinstance(model, BlockIsotropic) else 1
-    workload = k_samples * sum(solved * q**3 for _, q in pairs)
+    # charged at what model_spectra solves
+    workload = k_samples * sum(count * dim**3 for count, dim in (_sector_layout(model, q) for _, q in pairs))
     if workload > _MAX_SWEEP_WORKLOAD:
         raise ValueError(
             f"sweep workload {workload:.2e} (sum of dim^3) exceeds {_MAX_SWEEP_WORKLOAD:.2e}; "

@@ -44,14 +44,14 @@ def _report(num: int, name: str, defect: float, tol: float, elapsed: float, limi
 def test_criterion_1_fuchsian_relation():
     start = time.perf_counter()
     defect = checks.fuchsian_relation((2, 3, 4, 5))
-    _report(1, "fuchsian relation", defect, 1e-9, time.perf_counter() - start, 1.0)
+    _report(1, "fuchsian relation", defect, checks.TOLERANCES["relation"], time.perf_counter() - start, 1.0)
 
 
 def test_criterion_2_covering_theorem():
     rng = np.random.default_rng(1002)
     start = time.perf_counter()
     defect = checks.covering_degree((q, z) for q in range(1, 9) for z in checks.random_points(rng, 5))
-    _report(2, "covering theorem", defect, 1e-8, time.perf_counter() - start, 1.0)
+    _report(2, "covering theorem", defect, checks.TOLERANCES["covering"], time.perf_counter() - start, 1.0)
 
 
 def test_criterion_3_flux_relation():
@@ -63,7 +63,7 @@ def test_criterion_3_flux_relation():
         for g in (2, 3, 5, 8)
         for B in (0.0, 0.25, 1.0 / 3.0, 0.7)
     )
-    _report(3, "flux relation", defect, 1e-7, time.perf_counter() - start, 5.0)
+    _report(3, "flux relation", defect, checks.TOLERANCES["flux"], time.perf_counter() - start, 5.0)
 
 
 def test_criterion_4_vertex_angle_identity():
@@ -84,7 +84,8 @@ def test_criterion_5_operator_algebra():
     points = checks.random_points(rng, 20)
     fields = (0.0, 1.0 / 3.0, 0.77)
     defect = max(checks.operator_commutators(fields, points), checks.hamiltonian_symmetry(fields, points))
-    _report(5, "operator algebra", defect, 1e-8, time.perf_counter() - start, 2.0)
+    tol = min(checks.TOLERANCES["algebra"], checks.TOLERANCES["hamiltonian"])
+    _report(5, "operator algebra", defect, tol, time.perf_counter() - start, 2.0)
 
 
 def test_criterion_6_rotation_sector_consistency():
@@ -96,7 +97,7 @@ def test_criterion_6_rotation_sector_consistency():
         defect = max(defect, checks.rotation_sectors(pair, momenta), checks.iso_sectors(pair, momenta))
     # LAPACK fails on the bare scaled Harper core here; the sectors must still match
     defect = max(defect, checks.iso_sectors(FluxParam(101, 52), [BlochMomentum.zero()]))
-    _report(6, "rotation-sector consistency", defect, 1e-7, time.perf_counter() - start, 10.0)
+    _report(6, "rotation-sector consistency", defect, checks.TOLERANCES["sector"], time.perf_counter() - start, 10.0)
 
 
 def test_criterion_7_harper_oracle():

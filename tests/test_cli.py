@@ -91,12 +91,16 @@ def test_verify_hermiticity_line_can_fail(monkeypatch, capsys):
         return ring
 
     monkeypatch.setattr(spectrum, "ring_matrix", skewed_ring)
-    code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4")
-    assert code == 1
-    line = next(line for line in out.splitlines() if "lattice hermiticity" in line)
-    assert line.startswith("FAIL") and "fails Hermiticity" in line
-    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(fails) == 3  # the dense block spectra behind "rotation sectors" and "iso sectors" are refused too
+    for tol, verdict in (((), "FAIL"), (("--tol", "hermiticity=1e-6"), "PASS")):
+        code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4", *tol)
+        assert code == 1
+        line = next(line for line in out.splitlines() if "lattice hermiticity" in line)
+        # the measured defect, judged by the hermiticity bound alone
+        assert line.startswith(f"{verdict} lattice hermiticity      defect 1.621e-09")
+        fails = [line.split("  ")[0] for line in out.splitlines() if line.startswith("FAIL")]
+        # the dense oracle behind both sector lines still refuses the skewed block matrices
+        assert fails[-2:] == ["FAIL rotation sectors", "FAIL iso sectors"]
+        assert len(fails) == (3 if verdict == "FAIL" else 2)
 
 
 def test_verify_rejects_unknown_tolerance(capsys):

@@ -16,7 +16,6 @@ from hyperband.spectrum import (
     BlochMomentum,
     BlockAnisotropic,
     BlockIsotropic,
-    HermitianMatrix,
     ReducedHarper,
     assemble_block,
     assemble_reduced,
@@ -73,19 +72,19 @@ def test_reduced_model_sector_range():
 
 
 def test_hermitian_matrix_validation():
-    HermitianMatrix(np.array([[0.0, 1j], [-1j, 2.0]]))
-    with pytest.raises(ValueError):
-        HermitianMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(ValueError):
-        HermitianMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        HermitianMatrix(np.array([[math.inf, 0.0], [0.0, 1.0]]))
-
-
-def test_hermitian_matrix_is_read_only():
-    h = HermitianMatrix(np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
-        h.entries[0, 0] = 5.0
+    # the dense oracle passes the kernel's gate: a shape error is the caller's, a bad matrix the library's
+    got = eigenvalues(np.array([[0.0, 1j], [-1j, 2.0]]))
+    assert np.abs(got - np.array([1.0 - math.sqrt(2.0), 1.0 + math.sqrt(2.0)])).max() < 1e-14
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.zeros((2, 3)))
+    with pytest.raises(RuntimeError, match="fails Hermiticity by 1.000e\\+00"):
+        eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(RuntimeError, match="fails Hermiticity by 2.000e-12"):
+        eigenvalues(np.array([[0.0, 1.0], [1.0 + 2e-12j, 0.0]]))
+    with pytest.raises(RuntimeError, match="non-finite entries"):
+        eigenvalues(np.array([[math.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(RuntimeError, match="non-finite entries"):
+        eigenvalues(np.array([[0.0, complex(0.0, math.nan)], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------- sector shift
@@ -124,7 +123,7 @@ def test_reduced_harper_diagonal_frozen():
     h = assemble_reduced(1, 3, BlochMomentum.zero(), 0)
     c = -1.0 / (8.0 * MU * MU)
     shift = 2.0 * c * 2.0 + (16.0 / math.pi**2) * rotation_sector_shift(1.0 / 6.0, 0)
-    diag = (np.diag(h.entries) - shift).real / c
+    diag = (np.diag(h) - shift).real / c
     assert np.abs(diag - np.array([2.0, -1.0, -1.0])).max() < 1e-12
 
 
@@ -132,19 +131,19 @@ def test_reduced_off_diagonal_and_corner_orientation():
     k = BlochMomentum(0.7, 0.0, 0.0, 0.0)
     h = assemble_reduced(1, 3, k, 0)
     c = -1.0 / (8.0 * MU * MU)
-    assert abs(h.entries[0, 1] - c * np.exp(-0.7j)) < 1e-14  # above diagonal
-    assert abs(h.entries[1, 0] - c * np.exp(+0.7j)) < 1e-14  # below diagonal
-    assert abs(h.entries[0, 2] - c * np.exp(+0.7j)) < 1e-14  # top-right corner
-    assert abs(h.entries[2, 0] - c * np.exp(-0.7j)) < 1e-14  # bottom-left corner
+    assert abs(h[0, 1] - c * np.exp(-0.7j)) < 1e-14  # above diagonal
+    assert abs(h[1, 0] - c * np.exp(+0.7j)) < 1e-14  # below diagonal
+    assert abs(h[0, 2] - c * np.exp(+0.7j)) < 1e-14  # top-right corner
+    assert abs(h[2, 0] - c * np.exp(-0.7j)) < 1e-14  # bottom-left corner
 
 
 def test_reduced_q2_corner_merges_with_hopping():
     h = assemble_reduced(1, 2, BlochMomentum.zero(), 0)
     want = -2.0 * math.cos(0.0) / (8.0 * MU * MU)
-    assert abs(h.entries[0, 1] - want) < 1e-14
+    assert abs(h[0, 1] - want) < 1e-14
     k = BlochMomentum(1.3, 0.0, 0.0, 0.0)
     h = assemble_reduced(1, 2, k, 0)
-    assert abs(h.entries[0, 1] - (-2.0 * math.cos(1.3) / (8.0 * MU * MU))) < 1e-14
+    assert abs(h[0, 1] - (-2.0 * math.cos(1.3) / (8.0 * MU * MU))) < 1e-14
 
 
 def test_reduced_q1_single_site():
@@ -155,7 +154,7 @@ def test_reduced_q1_single_site():
         - 2.0 * 2.0 / (8.0 * MU * MU)
         + (16.0 / math.pi**2) * rotation_sector_shift(0.5, 0)
     )
-    assert abs(h.entries[0, 0] - want) < 1e-12
+    assert abs(h[0, 0] - want) < 1e-12
     assert eigenvalues(h).shape == (1,)
 
 
@@ -185,7 +184,7 @@ def _reduced_by_entry_loop(p, q, k, m):
 def test_reduced_assembly_bitwise_equals_entry_loop(pq, ks, m):
     p, q = pq
     k = BlochMomentum(*ks)
-    assert assemble_reduced(p, q, k, m).entries.tobytes() == _reduced_by_entry_loop(p, q, k, m).tobytes()
+    assert assemble_reduced(p, q, k, m).tobytes() == _reduced_by_entry_loop(p, q, k, m).tobytes()
 
 
 def test_reduced_rejects_non_coprime():
@@ -210,7 +209,7 @@ def test_batched_assembly_bitwise_equals_stacked_assemble_reduced(q, data, ks, m
     admitted = [p for p in range(1, 2 * q) if math.gcd(p, q) == 1]
     ps = data.draw(st.lists(st.sampled_from(admitted), min_size=1, max_size=4))
     items = [(p, BlochMomentum(*k)) for p in ps for k in ks]
-    stacked = np.stack([assemble_reduced(p, q, k, m).entries for p, k in items])
+    stacked = np.stack([assemble_reduced(p, q, k, m) for p, k in items])
     assert spectrum._reduced_stack(q, items, m).tobytes() == stacked.tobytes()
 
 
@@ -231,7 +230,7 @@ def test_block_q1_is_shifted_single_block():
 
 def test_block_hopping_sits_below_diagonal():
     k = BlochMomentum(0.9, 0.0, 0.0, 0.0)
-    h = assemble_block(BlockAnisotropic(), 1, 3, k).entries
+    h = assemble_block(BlockAnisotropic(), 1, 3, k)
     hop = -np.exp(0.9j) / (8.0 * MU * MU)
     assert abs(h[8, 0] - hop) < 1e-14  # block (1,0)
     assert abs(h[0, 8] - np.conj(hop)) < 1e-14
@@ -241,7 +240,7 @@ def test_block_hopping_sits_below_diagonal():
 
 def test_block_isotropic_structure():
     k = BlochMomentum(0.9, 0.7, 1.3, 0.2)
-    h = assemble_block(BlockIsotropic(), 1, 3, k).entries
+    h = assemble_block(BlockIsotropic(), 1, 3, k)
     w = -2.0 / (4.0 * MU * MU)
     assert abs(h[0, 0] - w * math.cos(k.k3)) < 1e-14
     assert abs(h[1, 1] - w * (math.cos(k.k2) + math.cos(k.k4))) < 1e-14
@@ -267,27 +266,29 @@ def test_assembled_matrices_hermitian_everywhere():
         p, q = random_flux_pair(rng)
         k = random_momentum(rng)
         if isinstance(model, ReducedHarper):
-            h = assemble_reduced(p, q, k, model.m)  # HermitianMatrix enforces the invariant
+            h = assemble_reduced(p, q, k, model.m)
         else:
             h = assemble_block(model, p, q, k)
-        assert h.dimension == (q if isinstance(model, ReducedHarper) else 8 * q)
+        dim = q if isinstance(model, ReducedHarper) else 8 * q
+        assert h.shape == (dim, dim)
+        assert np.all(np.isfinite(h))
+        assert np.abs(h - h.conj().T).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- eigensolver
 
 
 def test_eigenvalues_trivial_cases():
-    got = eigenvalues(HermitianMatrix(np.diag([3.0, 1.0, 2.0]).astype(complex)))
+    got = eigenvalues(np.diag([3.0, 1.0, 2.0]).astype(complex))
     assert np.abs(got - np.array([1.0, 2.0, 3.0])).max() < 1e-14
-    got = eigenvalues(HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)))
+    got = eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     assert np.abs(got - np.array([-1.0, 1.0])).max() < 1e-14
 
 
 def test_eigenvalues_match_characteristic_polynomial_oracle():
     # Faddeev-LeVerrier coefficients + companion-matrix roots: a route that
     # never calls the Hermitian eigensolver
-    h = assemble_reduced(1, 5, BlochMomentum.zero(), 0)
-    a = np.asarray(h.entries)
+    a = assemble_reduced(1, 5, BlochMomentum.zero(), 0)
     n = a.shape[0]
     coeffs = [1.0 + 0j]
     mk = np.zeros_like(a)
@@ -297,12 +298,12 @@ def test_eigenvalues_match_characteristic_polynomial_oracle():
         c = -(a @ mk).trace() / k
         coeffs.append(c)
     roots = np.sort(np.roots(coeffs).real)
-    assert np.abs(np.asarray(eigenvalues(h)) - roots).max() < 1e-8
+    assert np.abs(np.asarray(eigenvalues(a)) - roots).max() < 1e-8
 
 
 def test_eigenvalues_rejects_oversized():
     with pytest.raises(ValueError):
-        eigenvalues(HermitianMatrix(np.eye(2001, dtype=complex)))
+        eigenvalues(np.eye(2001, dtype=complex))
 
 
 # ---------------------------------------------------------------- inertia certificate
@@ -329,7 +330,7 @@ def test_inertia_count_matches_dense_count(pq, ks, m, iso, fractions):
 
     p, q = pq
     k = BlochMomentum(*ks)
-    h = spectrum._iso_stack(q, [(p, k)])[m % 4] if iso else assemble_reduced(p, q, k, m).entries
+    h = spectrum._iso_stack(q, [(p, k)])[m % 4] if iso else assemble_reduced(p, q, k, m)
     vals = np.linalg.eigvalsh(h)
     delta = 1e-8 * (1.0 + np.linalg.norm(h))
     # random shifts over the spectrum, gap midpoints, and the certificate's own lambda -+ delta
@@ -346,7 +347,7 @@ def test_inertia_count_matches_dense_count(pq, ks, m, iso, fractions):
 
 def _reduced_stack_and_spectra():
     rng = np.random.default_rng(257)
-    h = np.stack([assemble_reduced(p, 9, random_momentum(rng), m).entries for p, m in ((2, 0), (5, 3), (13, 6))])
+    h = np.stack([assemble_reduced(p, 9, random_momentum(rng), m) for p, m in ((2, 0), (5, 3), (13, 6))])
     return h, np.linalg.eigvalsh(h)
 
 
@@ -442,8 +443,8 @@ def test_block_spectrum_has_4pi_flux_period():
     # p -> p + 2q shifts B by 1: the ring corners e^{+-i 2 pi B} and every
     # cosine are untouched, so the full block matrix is identical
     k = BlochMomentum(0.3, 1.7, 0.4, 2.2)
-    h1 = assemble_block(BlockAnisotropic(), 1, 3, k).entries
-    h2 = assemble_block(BlockAnisotropic(), 7, 3, k).entries
+    h1 = assemble_block(BlockAnisotropic(), 1, 3, k)
+    h2 = assemble_block(BlockAnisotropic(), 7, 3, k)
     assert np.abs(np.asarray(h1) - np.asarray(h2)).max() < 1e-12
 
 
@@ -514,7 +515,7 @@ def test_model_spectrum_dispatch():
     k = BlochMomentum(0.3, 1.1, 2.5, 4.0)
     got = model_spectrum(ReducedHarper(4), 3, 7, k)
     dense = assemble_reduced(3, 7, k, 4)
-    assert np.array_equal(got, np.linalg.eigvalsh(dense.entries))
+    assert np.array_equal(got, np.linalg.eigvalsh(dense))
     # against the eigenvector solve of the oracle path only rounding differs
     assert np.abs(got - eigenvalues(dense)).max() < 1e-12
     # block-iso: the union of its four S^2 sector spectra, bit for bit
