@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import checks
-from .halfplane import HPoint, moebius_act
+from .halfplane import HPoint
 from .magnetic import FluxParam
 from .spectrum import (
     BlochMomentum,
@@ -210,67 +210,123 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
 # ---------------------------------------------------------------- tile
 
 
-def _cayley(z: HPoint) -> complex:
-    w = (z.as_complex() - 1j) / (z.as_complex() + 1j)
-    return w
+_SVG_HEAD = (
+    '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+    'viewBox="-1.05 -1.05 2.1 2.1" width="720" height="720">\n'
+    '<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.004"/>\n'
+)
+_PATH_TAIL = ' Z" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>\n'
+# SVG segment per edge state: straight, arc with sweep flag 0, arc with sweep flag 1
+_SEGMENTS = ("L %.6f %.6f", "A %.6f %.6f 0 0 0 %.6f %.6f", "A %.6f %.6f 0 0 1 %.6f %.6f")
+_SVG_BLOCK = 1024  # tiles per block of corner arrays and formatted paths
 
 
-def _disk_edge_path(w1: complex, w2: complex) -> str:
-    """SVG segment from w1 to w2 along the geodesic circle orthogonal to |w|=1.
+def _disk_corners(tiles, dom: FundamentalDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Poincare-disk coordinates (u, v) of every tile corner, shaped (tiles, vertices).
 
-    The center c of that circle satisfies 2 Re(w) cx + 2 Im(w) cy = |w|^2 + 1
-    at both endpoints; a vanishing determinant means the geodesic is a
-    diameter, drawn straight.
+    Each corner is the float that the scalar `(z - 1j) / (z + 1j)` of
+    `z = moebius_act(tile, vertex)` gives: the array arithmetic repeats the
+    scalar operations in order.  Refuses, as `moebius_act` and `HPoint` do,
+    with ValueError on a degenerate denominator, a non-finite point or y <= 0.
     """
-    a11, a12, b1 = 2.0 * w1.real, 2.0 * w1.imag, abs(w1) ** 2 + 1.0
-    a21, a22, b2 = 2.0 * w2.real, 2.0 * w2.imag, abs(w2) ** 2 + 1.0
+    a, b, c, d = np.array([m.entries() for m in tiles]).T[:, :, None]
+    x = np.array([p.x for p in dom.vertices])
+    y = np.array([p.y for p in dom.vertices])
+    with np.errstate(all="ignore"):  # overflow and underflow are refused below
+        cx = c * x + d
+        cy = c * y
+        den = cx * cx + cy * cy
+        if (den < 1e-300).any():
+            raise ValueError("degenerate Moebius denominator |cz + d| ~ 0")
+        x, y = ((a * x + b) * cx + (a * y) * cy) / den, y / den
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("non-finite half-plane point")
+        if (y <= 0.0).any():
+            raise ValueError("half-plane point needs y > 0")
+        # Cayley map w = (z - 1j) / (z + 1j), divided by Smith's method as
+        # CPython's complex division does; numpy's complex `/` rounds differently
+        ar, ai, br, bi = x, y - 1.0, x + 0.0, y + 1.0
+        big = np.abs(br) >= np.abs(bi)
+        ratio = np.where(big, bi, br) / np.where(big, br, bi)
+        denom = np.where(big, br + bi * ratio, br * ratio + bi)
+        u = np.where(big, ar + ai * ratio, ar * ratio + ai) / denom
+        v = np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
+    return u, v
+
+
+def _edge_states(u: np.ndarray, v: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Index into `_SEGMENTS` and arc radius of every edge, shaped (tiles, edges).
+
+    An edge from w1 to w2 runs along the geodesic circle orthogonal to |w|=1.
+    Its center c satisfies 2 Re(w) cx + 2 Im(w) cy = |w|^2 + 1 at both
+    endpoints; a vanishing determinant means a diameter, drawn straight, as
+    are circles too large to draw.  `atan2` only picks the sweep flag.
+    """
+    i, j = np.array(edges).T
+    # abs(w) ** 2 of the scalar code: `**` is libm pow, which float_power
+    # calls; numpy's `** 2` squares and can differ in the last bit
+    rhs = np.float_power(np.hypot(u, v), 2) + 1.0
+    u1, v1, b1 = u[:, i], v[:, i], rhs[:, i]
+    u2, v2, b2 = u[:, j], v[:, j], rhs[:, j]
+    a11, a12, a21, a22 = 2.0 * u1, 2.0 * v1, 2.0 * u2, 2.0 * v2
     det = a11 * a22 - a12 * a21
-    line = f"L {w2.real:.6f} {w2.imag:.6f}"
-    if abs(det) < 1e-9:
-        return line
+    arc = np.abs(det) >= 1e-9
+    det = np.where(arc, det, 1.0)
     cx = (b1 * a22 - b2 * a12) / det
     cy = (a11 * b2 - a21 * b1) / det
     r_sq = cx * cx + cy * cy - 1.0
-    if r_sq <= 0.0:
-        return line
-    radius = math.sqrt(r_sq)
-    if radius > _ARC_RADIUS_LIMIT:
-        return line
-    theta1 = math.atan2(w1.imag - cy, w1.real - cx)
-    theta2 = math.atan2(w2.imag - cy, w2.real - cx)
-    delta = (theta2 - theta1) % _TWO_PI
-    if delta > math.pi:
-        delta -= _TWO_PI
-    sweep = 1 if delta > 0.0 else 0
-    return f"A {radius:.6f} {radius:.6f} 0 0 {sweep} {w2.real:.6f} {w2.imag:.6f}"
+    arc &= r_sq > 0.0
+    radius = np.sqrt(np.where(arc, r_sq, 0.0))
+    arc &= radius <= _ARC_RADIUS_LIMIT
+    delta = (np.arctan2(v2 - cy, u2 - cx) - np.arctan2(v1 - cy, u1 - cx)) % _TWO_PI
+    delta = np.where(delta > math.pi, delta - _TWO_PI, delta)
+    return np.where(arc, np.where(delta > 0.0, 2, 1), 0).astype(np.uint8), radius
 
 
-def _tile_path(dom: FundamentalDomain, tile) -> str:
-    corners = [_cayley(moebius_act(tile, v)) for v in dom.vertices]
-    start = corners[dom.edges[0][0]]
-    parts = [f"M {start.real:.6f} {start.imag:.6f}"]
-    for i, j in dom.edges:
-        parts.append(_disk_edge_path(corners[i], corners[j]))
-    parts.append("Z")
-    return " ".join(parts)
+def _svg_paths(u: np.ndarray, v: np.ndarray, edges, formats: dict[bytes, str]) -> str:
+    """One `<path>` line per tile for corners (u, v) shaped (tiles, vertices).
+
+    Tiles with the same sequence of edge states share one format string,
+    cached in `formats`; the whole block is then a single `%` operation.
+    """
+    state, radius = _edge_states(u, v, edges)
+    n, k = state.shape
+    start, ends = edges[0][0], [j for _, j in edges]
+    # four slots per tile and edge, (radius, radius, u, v), after a first
+    # (-, -, u, v) for the M command; a straight edge drops its radii
+    fields = np.empty((n, k + 1, 4))
+    fields[:, 0, 2], fields[:, 0, 3] = u[:, start], v[:, start]
+    fields[:, 1:] = np.stack([radius, radius, u[:, ends], v[:, ends]], axis=2)
+    keep = np.ones(fields.shape, dtype=bool)
+    keep[:, 0, :2] = False
+    keep[:, 1:, :2] = (state > 0)[:, :, None]
+    pieces = []
+    for key in map(bytes, state):
+        fmt = formats.get(key)
+        if fmt is None:
+            fmt = formats[key] = '<path d="M %.6f %.6f ' + " ".join(_SEGMENTS[s] for s in key) + _PATH_TAIL
+        pieces.append(fmt)
+    return "".join(pieces) % tuple(fields[keep].tolist())
 
 
-def render_tiling_svg(params: TilingParams, depth: int) -> str:
-    gens = make_generators(params)
+def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
+    """Write the Poincare-disk SVG of the tiles up to `depth` to `out`; return the tile count.
+
+    Every refusal (the enumeration guard, degenerate corner geometry) comes
+    before `out` is opened; the paths are then formatted and written a block
+    of `_SVG_BLOCK` tiles at a time.
+    """
     dom = make_fundamental_domain(params)
-    tiles = enumerate_tiles(gens, depth)
-    pieces = [
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        'viewBox="-1.05 -1.05 2.1 2.1" width="720" height="720">',
-        '<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.004"/>',
-    ]
-    for tile in tiles:
-        pieces.append(
-            f'<path d="{_tile_path(dom, tile)}" fill="none" '
-            'stroke="#1f3a5f" stroke-width="0.0025"/>'
-        )
-    pieces.append("</svg>")
-    return "\n".join(pieces) + "\n"
+    tiles = enumerate_tiles(make_generators(params), depth)
+    # corners block by block, so the array temporaries stay block-sized
+    blocks = [_disk_corners(tiles[lo : lo + _SVG_BLOCK], dom) for lo in range(0, len(tiles), _SVG_BLOCK)]
+    formats: dict[bytes, str] = {}
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_SVG_HEAD)
+        for u, v in blocks:
+            fh.write(_svg_paths(u, v, dom.edges, formats))
+        fh.write("</svg>\n")
+    return len(tiles)
 
 
 def cmd_tile(args: argparse.Namespace, config: dict[str, str]) -> int:
@@ -281,13 +337,10 @@ def cmd_tile(args: argparse.Namespace, config: dict[str, str]) -> int:
     if depth < 0:
         raise UsageError(f"depth must be >= 0, got {depth}")
     out = str(_resolve(args, config, "out", "tiling.svg"))
-    svg = render_tiling_svg(TilingParams(genus), depth)
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
+        tiles = render_tiling_svg(TilingParams(genus), depth, out)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc}") from exc
-    tiles = svg.count("<path")
     print(f"wrote {out}: {tiles} tiles (genus {genus}, depth {depth})")
     return 0
 

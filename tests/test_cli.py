@@ -1,5 +1,6 @@
 """Exit codes, report text, SVG and CSV artifacts of the command-line front end."""
 
+import functools
 import math
 import os
 import subprocess
@@ -9,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyperband
-from hyperband.cli import _cayley, _disk_edge_path, main, parse_config_file
-from hyperband.halfplane import HPoint
+from hyperband import cli
+from hyperband.cli import _ARC_RADIUS_LIMIT, _TWO_PI, main, parse_config_file
+from hyperband.halfplane import HPoint, Sl2Element, moebius_act
 from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, assemble_block, eigenvalues
-from hyperband.tiling import TilingParams, enumerate_tiles, make_generators
+from hyperband.tiling import FundamentalDomain, TilingParams, enumerate_tiles, make_fundamental_domain, make_generators
 
 
 def run(capsys, *argv):
@@ -118,14 +122,88 @@ def test_missing_subcommand_is_usage_error(capsys):
 # ---------------------------------------------------------------- tile
 
 
+# Scalar oracle of the tile renderer: one complex number per corner, one
+# geodesic at a time.  The CLI computes the same floats on arrays.
+
+
+def _cayley(z: HPoint) -> complex:
+    w = (z.as_complex() - 1j) / (z.as_complex() + 1j)
+    return w
+
+
+def _edge_geometry(w1: complex, w2: complex) -> tuple[int, float]:
+    """Geodesic from w1 to w2 along the circle orthogonal to |w|=1: (0, 0.0) for a
+    straight segment, else (1 + SVG sweep flag, arc radius).
+
+    The center c of that circle satisfies 2 Re(w) cx + 2 Im(w) cy = |w|^2 + 1
+    at both endpoints; a vanishing determinant means the geodesic is a
+    diameter, drawn straight.
+    """
+    a11, a12, b1 = 2.0 * w1.real, 2.0 * w1.imag, abs(w1) ** 2 + 1.0
+    a21, a22, b2 = 2.0 * w2.real, 2.0 * w2.imag, abs(w2) ** 2 + 1.0
+    det = a11 * a22 - a12 * a21
+    if abs(det) < 1e-9:
+        return 0, 0.0
+    cx = (b1 * a22 - b2 * a12) / det
+    cy = (a11 * b2 - a21 * b1) / det
+    r_sq = cx * cx + cy * cy - 1.0
+    if r_sq <= 0.0:
+        return 0, 0.0
+    radius = math.sqrt(r_sq)
+    if radius > _ARC_RADIUS_LIMIT:
+        return 0, 0.0
+    theta1 = math.atan2(w1.imag - cy, w1.real - cx)
+    theta2 = math.atan2(w2.imag - cy, w2.real - cx)
+    delta = (theta2 - theta1) % _TWO_PI
+    if delta > math.pi:
+        delta -= _TWO_PI
+    sweep = 1 if delta > 0.0 else 0
+    return 1 + sweep, radius
+
+
+def _disk_edge_path(w1: complex, w2: complex) -> str:
+    """SVG segment from w1 to w2."""
+    state, radius = _edge_geometry(w1, w2)
+    if state == 0:
+        return f"L {w2.real:.6f} {w2.imag:.6f}"
+    return f"A {radius:.6f} {radius:.6f} 0 0 {state - 1} {w2.real:.6f} {w2.imag:.6f}"
+
+
+def _tile_path(dom: FundamentalDomain, tile) -> str:
+    corners = [_cayley(moebius_act(tile, v)) for v in dom.vertices]
+    start = corners[dom.edges[0][0]]
+    parts = [f"M {start.real:.6f} {start.imag:.6f}"]
+    for i, j in dom.edges:
+        parts.append(_disk_edge_path(corners[i], corners[j]))
+    parts.append("Z")
+    return " ".join(parts)
+
+
+def _vector_paths(pairs) -> list[str]:
+    """`d` attributes the CLI formats for one-edge paths w1 -> w2, in one batch."""
+    u = np.array([[w1.real, w2.real] for w1, w2 in pairs])
+    v = np.array([[w1.imag, w2.imag] for w1, w2 in pairs])
+    text = cli._svg_paths(u, v, ((0, 1),), {})
+    return [line.split('"')[1] for line in text.splitlines()]
+
+
+def _oracle_path(w1: complex, w2: complex) -> str:
+    return f"M {w1.real:.6f} {w1.imag:.6f} {_disk_edge_path(w1, w2)} Z"
+
+
 def test_cayley_sends_domain_center_to_origin():
     assert abs(_cayley(HPoint(0.0, 1.0))) < 1e-15
+    dom = FundamentalDomain((HPoint(0.0, 1.0),) * 4, ((3, 0), (0, 1), (1, 2), (2, 3)))
+    u, v = cli._disk_corners([Sl2Element.identity()], dom)
+    assert np.abs(u).max() < 1e-15 and np.abs(v).max() < 1e-15
 
 
 def test_diameter_edges_fall_back_to_lines():
     w = 0.3 + 0.4j
-    assert _disk_edge_path(w, -w).startswith("L ")
-    assert _disk_edge_path(0.5 + 0j, -0.2 + 0j).startswith("L ")
+    pairs = [(w, -w), (0.5 + 0j, -0.2 + 0j)]
+    for (w1, w2), d in zip(pairs, _vector_paths(pairs)):
+        assert _disk_edge_path(w1, w2).startswith("L ")
+        assert d == _oracle_path(w1, w2)
 
 
 def test_generic_edge_is_an_arc():
@@ -134,6 +212,117 @@ def test_generic_edge_is_an_arc():
     radius = float(seg.split()[1])
     # circle through (.5,0) and (0,.5) orthogonal to the unit circle: c=(1.25,1.25)
     assert abs(radius - math.sqrt(2 * 1.25**2 - 1.0)) < 1e-6
+    assert _vector_paths([(0.5 + 0j, 0.0 + 0.5j)]) == [f"M 0.500000 0.000000 {seg} Z"]
+
+
+_UNIT = st.floats(-1.0, 1.0)
+_ANGLE = st.floats(-math.pi, math.pi)
+_DISK = st.builds(lambda r, t: complex(r * math.cos(t), r * math.sin(t)), st.floats(0.0, 0.999999), _ANGLE)
+
+
+def _near_limit_pair(phi: float, s: float, t1: float, t2: float) -> tuple[complex, complex]:
+    # two points near the origin on the orthogonal circle of radius ~ the limit
+    r = _ARC_RADIUS_LIMIT * (1.0 + 1e-3 * s)
+    c = math.sqrt(1.0 + r * r) * complex(math.cos(phi), math.sin(phi))
+    return tuple(c - r * complex(math.cos(phi + 5e-5 * t), math.sin(phi + 5e-5 * t)) for t in (t1, t2))
+
+
+def _small_det_pair(w: complex, t: float, s: float) -> tuple[complex, complex]:
+    # w2 off the line through 0 and w by just enough for det = 4 Im(conj(w1) w2) ~ s * 1e-9
+    w = w if abs(w) > 1e-3 else 0.5 + 0j
+    return w, t * w + 1j * w / abs(w) * (s * 1e-9 / (4.0 * abs(w)))
+
+
+_PAIRS = st.one_of(
+    st.tuples(_DISK, _DISK),
+    _DISK.map(lambda w: (w, -w)),
+    st.builds(lambda w, t: (w, t * w), _DISK, _UNIT),
+    _DISK.map(lambda w: (0j, w)),
+    _DISK.map(lambda w: (w, 0j)),
+    st.builds(_near_limit_pair, _ANGLE, _UNIT, _UNIT, _UNIT),
+    st.builds(_small_det_pair, _DISK, _UNIT, st.floats(-3.0, 3.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_PAIRS, min_size=1, max_size=16))
+@example([(0.3 + 0.4j, -0.3 - 0.4j), (0.5 + 0j, 0.25 + 0j), (0j, 0.2 - 0.7j), (0.6 + 0.1j, 0j)])
+@example([_near_limit_pair(0.7, s, -1.0, 1.0) for s in (-1.0, -1e-3, 0.0, 1e-3, 1.0)])
+@example([_small_det_pair(0.5 + 0.2j, -0.5, s) for s in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5)])
+@example([(0.9183524836262199 + 0j, 0.1 + 0.5j)])  # abs(w) ** 2 != w.real * w.real: libm pow
+def test_vectorized_segments_equal_scalar_oracle(pairs):
+    assert _vector_paths(pairs) == [_oracle_path(w1, w2) for w1, w2 in pairs]
+    # the same floats, not just the same six decimals
+    u = np.array([[w1.real, w2.real] for w1, w2 in pairs])
+    v = np.array([[w1.imag, w2.imag] for w1, w2 in pairs])
+    state, radius = cli._edge_states(u, v, ((0, 1),))
+    got = [(s, r if s else 0.0) for s, r in zip(state[:, 0].tolist(), radius[:, 0].tolist())]
+    assert got == [_edge_geometry(w1, w2) for w1, w2 in pairs]
+
+
+def test_disk_corners_are_the_scalar_floats():
+    dom = make_fundamental_domain(TilingParams(2))
+    tiles = enumerate_tiles(make_generators(TilingParams(2)), 3)
+    u, v = cli._disk_corners(tiles, dom)
+    want = [[_cayley(moebius_act(tile, vertex)) for vertex in dom.vertices] for tile in tiles]
+    assert (u + 1j * v).tolist() == want
+
+
+# tiles whose corners the scalar code refuses, and the refusal each one hits
+_DEGENERATE_TILES = [
+    (Sl2Element(1e200, 0.0, 0.0, 1e-200), "degenerate"),  # |cz + d|^2 underflows
+    (Sl2Element(0.0, -1e-160, 1e160, 0.0), "y > 0"),  # |cz + d|^2 overflows, y = 0
+    (Sl2Element(1e160, 0.0, 1e160, 1e-160), "non-finite"),  # inf / inf
+]
+
+
+@pytest.mark.parametrize("tile, message", _DEGENERATE_TILES)
+def test_corner_arrays_refuse_what_the_scalar_path_refuses(tile, message):
+    dom = make_fundamental_domain(TilingParams(2))
+    with pytest.raises(ValueError, match=message):
+        for vertex in dom.vertices:
+            moebius_act(tile, vertex)
+    with pytest.raises(ValueError, match=message):
+        cli._disk_corners([Sl2Element.identity(), tile], dom)
+
+
+def test_refused_tile_runs_leave_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "tile", "--depth", "9")  # enumeration guard
+    assert code == 2 and "depth" in err
+    assert not (tmp_path / "tiling.svg").exists()
+    tile, message = _DEGENERATE_TILES[0]
+    monkeypatch.setattr(cli, "enumerate_tiles", lambda gens, depth: [Sl2Element.identity(), tile])
+    code, _, err = run(capsys, "tile", "--depth", "1")
+    assert code == 2 and message in err
+    assert not (tmp_path / "tiling.svg").exists()
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_svg_lines(genus: int, depth: int) -> tuple[str, ...]:
+    dom = make_fundamental_domain(TilingParams(genus))
+    tiles = enumerate_tiles(make_generators(TilingParams(genus)), depth)
+    return tuple(
+        f'<path d="{_tile_path(dom, tile)}" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>'
+        for tile in tiles
+    )
+
+
+@pytest.mark.parametrize("genus, depth", [(2, d) for d in range(5)] + [(3, d) for d in range(4)])
+def test_tile_svg_is_byte_identical_to_scalar_rendering(genus, depth, tmp_path, capsys):
+    out = tmp_path / "patch.svg"
+    code, _, _ = run(capsys, "tile", "--g", str(genus), "--depth", str(depth), "--out", str(out))
+    assert code == 0
+    # breadth-first enumeration: the tiles up to any depth open the deepest list
+    count = len(enumerate_tiles(make_generators(TilingParams(genus)), depth))
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'viewBox="-1.05 -1.05 2.1 2.1" width="720" height="720">',
+        '<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.004"/>',
+        *_oracle_svg_lines(genus, {2: 4, 3: 3}[genus])[:count],
+        "</svg>",
+    ]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_tile_depth_zero_single_octagon(tmp_path, capsys):
