@@ -221,15 +221,15 @@ _SEGMENTS = ("L %.6f %.6f", "A %.6f %.6f 0 0 0 %.6f %.6f", "A %.6f %.6f 0 0 1 %.
 _SVG_BLOCK = 1024  # tiles per block of corner arrays and formatted paths
 
 
-def _disk_corners(tiles, dom: FundamentalDomain) -> tuple[np.ndarray, np.ndarray]:
-    """Poincare-disk coordinates (u, v) of every tile corner, shaped (tiles, vertices).
+def _disk_corners(tiles: np.ndarray, dom: FundamentalDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Disk coordinates (u, v) of every corner of tile rows (a, b, c, d), shaped (tiles, vertices).
 
     Each corner is the float that the scalar `(z - 1j) / (z + 1j)` of
     `z = moebius_act(tile, vertex)` gives: the array arithmetic repeats the
     scalar operations in order.  Refuses, as `moebius_act` and `HPoint` do,
     with ValueError on a degenerate denominator, a non-finite point or y <= 0.
     """
-    a, b, c, d = np.array([m.entries() for m in tiles]).T[:, :, None]
+    a, b, c, d = tiles.T[:, :, None]
     x = np.array([p.x for p in dom.vertices])
     y = np.array([p.y for p in dom.vertices])
     with np.errstate(all="ignore"):  # overflow and underflow are refused below

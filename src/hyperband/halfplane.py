@@ -47,6 +47,23 @@ def _det2(a: float, b: float, c: float, d: float) -> float:
     return (p1 - p2) + (e1 - e2)
 
 
+def det_gate(a, b, c, d):
+    """Determinant of [[a, b], [c, d]] and whether `Sl2Element` admits it.
+
+    The admitted |det - 1| is 1e-9 widened by the float64 noise floor of
+    a*d - b*c, 32 eps (|a*d| + |b*c|): entries that each carry a few
+    roundings move the determinant by that much, so products of deep tiling
+    words are not rejected for pure rounding drift, while a large entry
+    alone widens nothing (diag(1e20, 1) is refused).  The bound never exceeds
+    the 64 eps max_entry^2 used before.  A NaN determinant or an overflowing
+    product is refused.  Takes floats or numpy arrays alike, so the tiling
+    enumeration applies the same rule to whole levels.
+    """
+    det = _det2(a, b, c, d)
+    tol = 1e-9 + 32.0 * _EPS * (abs(a * d) + abs(b * c))
+    return det, (det > 0.0) & (abs(det - 1.0) <= tol) & (tol < math.inf)
+
+
 @dataclass(frozen=True)
 class HPoint:
     """A point x + iy of the upper half-plane, y > 0 strictly."""
@@ -73,10 +90,7 @@ class Sl2Element:
     """Real 2x2 matrix [[a, b], [c, d]] with det = 1.
 
     Construction renormalizes by 1/sqrt(det) and rejects input whose
-    determinant is not within tolerance of 1.  The tolerance is widened by the
-    float64 noise floor ~eps * max_entry^2: the determinant of a stored matrix
-    of norm M is only defined to that resolution, so products of deep tiling
-    words would otherwise be rejected for pure rounding drift.
+    determinant is not within tolerance of 1 (`det_gate`).
     """
 
     a: float
@@ -88,10 +102,8 @@ class Sl2Element:
         a, b, c, d = self.a, self.b, self.c, self.d
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
             raise ValueError("non-finite matrix entry")
-        det = _det2(a, b, c, d)
-        scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
-        tol = 1e-9 + 64.0 * _EPS * scale * scale
-        if det <= 0.0 or abs(det - 1.0) > tol:
+        det, admitted = det_gate(a, b, c, d)
+        if not admitted:
             raise ValueError(f"matrix determinant {det} too far from 1")
         if abs(det - 1.0) > 1e-15:
             s = math.sqrt(det)

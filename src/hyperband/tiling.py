@@ -17,9 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .halfplane import (
     HPoint,
     Sl2Element,
+    det_gate,
     exp_s,
     exp_u,
     hyperbolic_distance,
@@ -170,47 +173,82 @@ def edge_pairing_defect(gens: FuchsianGenerators, dom: FundamentalDomain) -> flo
     return worst
 
 
-class _TileIndex:
-    """Hash on the image w = x + iy of i, confirming hits by matrix distance.
+_H = 0.05  # side of the dedup cells
 
-    The key is the cell of (x / y, log y) on an h-grid.  In that chart the
-    hyperbolic metric reads ds^2 = (du + u dv)^2 + dv^2 with u = x / y,
-    v = log y: the dilations z -> lambda z, which are isometries, shift v and
+
+def _gated_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate products `raw` as `Sl2Element` builds them, and their dedup cells.
+
+    The rows pass the determinant gate and renormalization of `Sl2Element`;
+    the cell is that of `moebius_act(m, i)`, with its refusals.  The array
+    arithmetic repeats the scalar operations in order, so every float is the
+    scalar one.  On a refusal the first refused candidate is replayed through
+    the scalar path, which raises its ValueError.
+
+    The cell of the image w = x + iy of i is the complex number
+    round(x / (y h)) + i round(log(y) / h): numpy orders complex numbers
+    lexicographically, so sorted cells run column by column.  In the chart
+    u = x / y, v = log y the hyperbolic metric reads
+    ds^2 = (du + u dv)^2 + dv^2: the dilations z -> lambda z, which are isometries, shift v and
     fix u, so a cell has the same hyperbolic size at every height.  Deep tiles
     crowd towards the real axis, where a Euclidean grid lumps many of them
     into one cell; here they keep to cells of their own, and a probe rarely
     meets a matrix to compare.
+    """
+    a, b, c, d = raw.T
+    with np.errstate(all="ignore"):  # refused rows are replayed below
+        det, ok = det_gate(a, b, c, d)
+        ok &= np.isfinite(raw).all(axis=1)
+        rows = np.where((np.abs(det - 1.0) > 1e-15)[:, None], raw / np.sqrt(det)[:, None], raw)
+        a, b, c, d = rows.T
+        # moebius_act at z = 0 + 1i
+        cx = c * 0.0 + d
+        cy = c * 1.0
+        den = cx * cx + cy * cy
+        ax = a * 0.0 + b
+        ay = a * 1.0
+        x, y = (ax * cx + ay * cy) / den, 1.0 / den
+        ok &= (den >= 1e-300) & np.isfinite(x) & np.isfinite(y) & (y > 0.0)
+        keys = np.rint(x / (y * _H)) + 1j * np.rint(np.log(y) / _H)
+    if not ok.all():
+        moebius_act(Sl2Element(*raw[np.argmin(ok)].tolist()), HPoint(0.0, 1.0))
+        raise ValueError("tile candidate refused")  # the scalar replay raises first
+    return rows, keys
 
-    The probe only has to catch floating-point copies of one element, whose
-    keys differ by far less than h (at g = 2, depth 6: at most 2.3e-7 in
+
+def _psl2_close(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """psl2_distance(p[i], q[i]) < _DEDUP_TOL for each pair of rows."""
+    return (np.abs(p - q).max(axis=1) < _DEDUP_TOL) | (np.abs(p + q).max(axis=1) < _DEDUP_TOL)
+
+
+def _neighbour_pairs(keys, order, base_keys, base_order) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (order[s], base_order[t]) with base_keys[t] in the 3 x 3 cells around keys[s].
+
+    Both key arrays are sorted; sorted queries keep the binary searches
+    local.  The probe only has to catch floating-point copies of one element,
+    whose keys differ by far less than h (at g = 2, depth 6: at most 2.3e-7 in
     x / y and 1e-11 in log y); rounding can put two copies on either side of
     a cell boundary, never two cells apart, so the 3 x 3 neighbouring cells
-    hold every copy.
+    hold every copy.  The three cells of one column are one run of sorted keys.
     """
-
-    _H = 0.05
-
-    def __init__(self):
-        self._buckets: dict[tuple[int, int], list[Sl2Element]] = {}
-
-    def probe_or_add(self, m: Sl2Element, w: HPoint) -> bool:
-        """True if an equivalent element was already present."""
-        kx = round(w.x / (w.y * self._H))
-        ky = round(math.log(w.y) / self._H)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for seen in self._buckets.get((kx + dx, ky + dy), ()):
-                    if psl2_distance(m, seen) < _DEDUP_TOL:
-                        return True
-        self._buckets.setdefault((kx, ky), []).append(m)
-        return False
+    firsts, seconds = [], []
+    for dx in (-1.0, 0.0, 1.0):
+        lo = np.searchsorted(base_keys, keys + (dx - 1j), "left")
+        n = np.searchsorted(base_keys, keys + (dx + 1j), "right") - lo
+        firsts.append(np.repeat(order, n))
+        seconds.append(base_order[np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)])
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
-def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> list[Sl2Element]:
-    """Deduplicated group elements of word length <= depth, identity first.
+def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> np.ndarray:
+    """Deduplicated group elements of word length <= depth as rows (a, b, c, d), identity first.
 
     Breadth-first over freely reduced words; order within a level follows
-    gamma_1, gamma_1^-1, gamma_2, ... applied on the right.
+    gamma_1, gamma_1^-1, gamma_2, ... applied on the right.  A candidate is
+    dropped when an element kept before it, at an earlier level or earlier in
+    its own level, lies within `_DEDUP_TOL` of it in PSL(2,R).  Each level is
+    one array pass: products, gate, cells, a sorted-key probe of the stored
+    elements, and the few close pairs within the level resolved in order.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -223,27 +261,37 @@ def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> list[Sl2Element]:
                 f"depth {depth} spans > {_MAX_CANDIDATE_WORDS} candidate words for genus {gens.genus}"
             )
 
-    center = HPoint(0.0, 1.0)
-    identity = Sl2Element.identity()
-    index = _TileIndex()
-    index.probe_or_add(identity, center)
-    out = [identity]
-    letters = []
-    for j in range(1, 2 * gens.genus + 1):
-        gamma = gens.gammas[j - 1]
-        letters.append(((j, 1), gamma))
-        letters.append(((j, -1), gamma.inverse()))
-
-    frontier: list[tuple[tuple[int, int] | None, Sl2Element]] = [(None, identity)]
+    # letter 2j is gamma_{j+1}, letter 2j + 1 its inverse: letter k ^ 1 undoes letter k
+    letters = np.array([m.entries() for gamma in gens.gammas for m in (gamma, gamma.inverse())])
+    frontier, stored_keys = _gated_rows(np.array([Sl2Element.identity().entries()]))
+    last = np.array([-1])
+    stored = frontier
     for _ in range(depth):
-        grown: list[tuple[tuple[int, int] | None, Sl2Element]] = []
-        for last, mat in frontier:
-            for letter, gamma in letters:
-                if last is not None and last == (letter[0], -letter[1]):
-                    continue  # free reduction: skip immediate backtracking
-                m = mat @ gamma
-                if not index.probe_or_add(m, moebius_act(m, center)):
-                    out.append(m)
-                    grown.append((letter, m))
-        frontier = grown
-    return out
+        parent = np.repeat(np.arange(len(frontier)), n_letters)
+        letter = np.tile(np.arange(n_letters), len(frontier))
+        reduced = letter != last[parent] ^ 1  # free reduction: skip immediate backtracking
+        parent, letter = parent[reduced], letter[reduced]
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = frontier[parent].T, letters[letter].T
+        rows, keys = _gated_rows(
+            np.stack([a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2], axis=1)
+        )
+
+        order = np.argsort(keys, kind="stable")
+        cells = (keys[order], order)
+        stored_order = np.argsort(stored_keys, kind="stable")
+        new, old = _neighbour_pairs(*cells, stored_keys[stored_order], stored_order)
+        kept = np.ones(len(rows), dtype=bool)
+        kept[new[_psl2_close(rows[new], stored[old])]] = False
+        later, earlier = _neighbour_pairs(*cells, *cells)
+        pair = (earlier < later) & kept[later] & kept[earlier]
+        later, earlier = later[pair], earlier[pair]
+        close = _psl2_close(rows[later], rows[earlier])
+        # first come wins: a candidate goes when an earlier kept one is close
+        for i, j in sorted(zip(later[close].tolist(), earlier[close].tolist())):
+            if kept[j]:
+                kept[i] = False
+
+        frontier, last = rows[kept], letter[kept]
+        stored = np.concatenate([stored, frontier])
+        stored_keys = np.concatenate([stored_keys, keys[kept]])
+    return stored

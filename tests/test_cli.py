@@ -169,7 +169,19 @@ def _disk_edge_path(w1: complex, w2: complex) -> str:
     return f"A {radius:.6f} {radius:.6f} 0 0 {state - 1} {w2.real:.6f} {w2.imag:.6f}"
 
 
-def _tile_path(dom: FundamentalDomain, tile) -> str:
+def _as_element(row) -> Sl2Element:
+    """A tile row (a, b, c, d) as an Sl2Element holding exactly its floats.
+
+    `Sl2Element(*row)` would renormalize by the determinant recomputed from
+    the stored floats once more, which moves the last bits of deep tiles.
+    """
+    m = Sl2Element.identity()
+    for name, value in zip("abcd", np.asarray(row).tolist()):
+        object.__setattr__(m, name, value)
+    return m
+
+
+def _tile_path(dom: FundamentalDomain, tile: Sl2Element) -> str:
     corners = [_cayley(moebius_act(tile, v)) for v in dom.vertices]
     start = corners[dom.edges[0][0]]
     parts = [f"M {start.real:.6f} {start.imag:.6f}"]
@@ -194,7 +206,7 @@ def _oracle_path(w1: complex, w2: complex) -> str:
 def test_cayley_sends_domain_center_to_origin():
     assert abs(_cayley(HPoint(0.0, 1.0))) < 1e-15
     dom = FundamentalDomain((HPoint(0.0, 1.0),) * 4, ((3, 0), (0, 1), (1, 2), (2, 3)))
-    u, v = cli._disk_corners([Sl2Element.identity()], dom)
+    u, v = cli._disk_corners(np.array([Sl2Element.identity().entries()]), dom)
     assert np.abs(u).max() < 1e-15 and np.abs(v).max() < 1e-15
 
 
@@ -264,7 +276,7 @@ def test_disk_corners_are_the_scalar_floats():
     dom = make_fundamental_domain(TilingParams(2))
     tiles = enumerate_tiles(make_generators(TilingParams(2)), 3)
     u, v = cli._disk_corners(tiles, dom)
-    want = [[_cayley(moebius_act(tile, vertex)) for vertex in dom.vertices] for tile in tiles]
+    want = [[_cayley(moebius_act(_as_element(row), vertex)) for vertex in dom.vertices] for row in tiles]
     assert (u + 1j * v).tolist() == want
 
 
@@ -283,7 +295,7 @@ def test_corner_arrays_refuse_what_the_scalar_path_refuses(tile, message):
         for vertex in dom.vertices:
             moebius_act(tile, vertex)
     with pytest.raises(ValueError, match=message):
-        cli._disk_corners([Sl2Element.identity(), tile], dom)
+        cli._disk_corners(np.array([Sl2Element.identity().entries(), tile.entries()]), dom)
 
 
 def test_refused_tile_runs_leave_no_file(tmp_path, monkeypatch, capsys):
@@ -292,7 +304,8 @@ def test_refused_tile_runs_leave_no_file(tmp_path, monkeypatch, capsys):
     assert code == 2 and "depth" in err
     assert not (tmp_path / "tiling.svg").exists()
     tile, message = _DEGENERATE_TILES[0]
-    monkeypatch.setattr(cli, "enumerate_tiles", lambda gens, depth: [Sl2Element.identity(), tile])
+    rows = np.array([Sl2Element.identity().entries(), tile.entries()])
+    monkeypatch.setattr(cli, "enumerate_tiles", lambda gens, depth: rows)
     code, _, err = run(capsys, "tile", "--depth", "1")
     assert code == 2 and message in err
     assert not (tmp_path / "tiling.svg").exists()
@@ -303,8 +316,8 @@ def _oracle_svg_lines(genus: int, depth: int) -> tuple[str, ...]:
     dom = make_fundamental_domain(TilingParams(genus))
     tiles = enumerate_tiles(make_generators(TilingParams(genus)), depth)
     return tuple(
-        f'<path d="{_tile_path(dom, tile)}" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>'
-        for tile in tiles
+        f'<path d="{_tile_path(dom, _as_element(row))}" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>'
+        for row in tiles
     )
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from hyperband.halfplane import (
@@ -13,6 +15,7 @@ from hyperband.halfplane import (
     HPoint,
     IwasawaFactors,
     Sl2Element,
+    det_gate,
     exp_s,
     exp_t,
     exp_u,
@@ -58,6 +61,54 @@ def test_sl2_rejects_bad_determinant():
         Sl2Element(0.0, 1.0, 1.0, 0.0)  # det = -1
     with pytest.raises(ValueError):
         Sl2Element(1.0, math.inf, 0.0, 1.0)
+    # one large entry widens nothing: these determinants are 1e20 and 1e200
+    with pytest.raises(ValueError, match="too far from 1"):
+        Sl2Element(1e20, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="too far from 1"):
+        Sl2Element(1e200, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="too far from 1"):
+        Sl2Element(1e200, 0.0, 0.0, 1e200)  # a*d overflows: no determinant to judge
+
+
+def test_sl2_admits_exact_unit_determinants_with_large_entries():
+    assert exp_t(1e8).entries() == (1.0, 1e8, 0.0, 1.0)
+    assert abs(exp_u(30.0).a - math.exp(30.0)) < 1e-3
+    for entries in ((1e200, 0.0, 0.0, 1e-200), (0.0, -1e-160, 1e160, 0.0), (1e160, 0.0, 1e160, 1e-160)):
+        assert Sl2Element(*entries).entries() == entries
+
+
+_ENTRY = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1.0, -1.0, 1e20, 1e-20, 1e200, 1e-200]),
+)
+
+
+def _near_unit(a: float, b: float, c: float, drift: float) -> tuple[float, float, float, float]:
+    # d so that det - 1 is drift times about the gate's bound: both verdicts, near the edge
+    a = a if abs(a) > 1e-3 else 1.0
+    bound = 32.0 * 2.220446049250313e-16 * (1.0 + 2.0 * abs(b * c))
+    return a, b, c, (1.0 + b * c + drift * (1e-9 + bound)) / a
+
+
+_MATRIX = st.one_of(
+    st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY),
+    st.builds(_near_unit, *[st.floats(-1e6, 1e6)] * 3, st.floats(-3.0, 3.0)),
+)
+
+
+@given(_MATRIX)
+@example((1e20, 0.0, 0.0, 1.0))
+@example((1.0 + 3e-10, 0.0, 0.0, 1.0 + 3e-10))
+def test_det_gate_gives_arrays_the_scalar_verdict(entries):
+    try:
+        Sl2Element(*entries)
+        admitted = True
+    except ValueError:
+        admitted = False
+    with np.errstate(all="ignore"):
+        _, ok = det_gate(*np.array([entries]).T)
+    assert bool(ok[0] & np.isfinite(entries).all()) == admitted
 
 
 def test_sl2_renormalizes_small_drift():

@@ -10,6 +10,7 @@ from hyperband.halfplane import (
     HPoint,
     Sl2Element,
     exp_s,
+    exp_t,
     exp_u,
     hyperbolic_distance,
     moebius_act,
@@ -197,12 +198,121 @@ def test_edge_pairing_defect_checks_genus_match():
 # ---------------------------------------------------------------- enumeration
 
 
+class _TileIndex:
+    """Scalar oracle of the dedup: a hash on the image w = x + iy of i, confirming hits by matrix distance.
+
+    The key is the cell of (x / y, log y) on an h-grid; the 3 x 3 neighbouring
+    cells hold every floating-point copy of an element.
+    """
+
+    _H = 0.05
+
+    def __init__(self):
+        self._buckets: dict[tuple[int, int], list[Sl2Element]] = {}
+
+    def probe_or_add(self, m: Sl2Element, w: HPoint) -> bool:
+        """True if an equivalent element was already present."""
+        kx = round(w.x / (w.y * self._H))
+        ky = round(math.log(w.y) / self._H)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for seen in self._buckets.get((kx + dx, ky + dy), ()):
+                    if psl2_distance(m, seen) < tiling._DEDUP_TOL:
+                        return True
+        self._buckets.setdefault((kx, ky), []).append(m)
+        return False
+
+
+def _scalar_enumerate_tiles(gens: FuchsianGenerators, depth: int) -> list[Sl2Element]:
+    """Scalar oracle of `enumerate_tiles`: one checked Sl2Element and one probe per candidate."""
+    center = HPoint(0.0, 1.0)
+    identity = Sl2Element.identity()
+    index = _TileIndex()
+    index.probe_or_add(identity, center)
+    out = [identity]
+    letters = []
+    for j in range(1, 2 * gens.genus + 1):
+        gamma = gens.gammas[j - 1]
+        letters.append(((j, 1), gamma))
+        letters.append(((j, -1), gamma.inverse()))
+
+    frontier: list[tuple[tuple[int, int] | None, Sl2Element]] = [(None, identity)]
+    for _ in range(depth):
+        grown: list[tuple[tuple[int, int] | None, Sl2Element]] = []
+        for last, mat in frontier:
+            for letter, gamma in letters:
+                if last is not None and last == (letter[0], -letter[1]):
+                    continue  # free reduction: skip immediate backtracking
+                m = mat @ gamma
+                if not index.probe_or_add(m, moebius_act(m, center)):
+                    out.append(m)
+                    grown.append((letter, m))
+        frontier = grown
+    return out
+
+
+def _bits(rows) -> np.ndarray:
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 4).view(np.int64)
+
+
+@pytest.mark.parametrize("genus, depth", [(2, d) for d in range(6)] + [(3, d) for d in range(5)])
+def test_enumeration_is_bit_identical_to_scalar_oracle(genus, depth):
+    gens = make_generators(TilingParams(genus))
+    rows = enumerate_tiles(gens, depth)
+    assert rows.dtype == np.float64 and rows.shape[1:] == (4,)
+    oracle = _scalar_enumerate_tiles(gens, depth)
+    assert np.array_equal(_bits(rows), _bits([m.entries() for m in oracle]))
+
+
+def test_first_copy_wins_where_merges_start():
+    # depth 4 = 2g is where two words of half the relator length name one
+    # element; the one met first breadth-first stays, at its own position
+    gens = make_generators(TilingParams(2))
+    rows = enumerate_tiles(gens, 4)
+    letters = [(j, e) for j in range(1, 5) for e in (1, -1)]
+    words = [()]
+    level = [()]
+    for _ in range(4):
+        level = [w + (x,) for w in level for x in letters if not w or w[-1] != (x[0], -x[1])]
+        words += level
+    assert len(words) == 3201 and len(rows) == 3193  # eight words repeat an element
+    # brute force over all word matrices: keep each word unless an earlier kept one is close
+    kept: list[np.ndarray] = []
+    for word in words:
+        m = np.array(GroupWord(word).matrix(gens).entries())
+        seen = np.array(kept).reshape(-1, 4)
+        if not (np.minimum(np.abs(seen - m).max(axis=1), np.abs(seen + m).max(axis=1)) < 1e-6).any():
+            kept.append(m)
+    assert len(kept) == len(rows)
+    assert np.abs(np.array(kept) - rows).max() < 1e-9
+    assert np.array_equal(_bits(rows), _bits([m.entries() for m in _scalar_enumerate_tiles(gens, 4)]))
+
+
+_SHEAR = (exp_t(1e10), Sl2Element(1.0, 0.0, 1e10, 1.0))
+
+
+@pytest.mark.parametrize(
+    "gammas, message",
+    [
+        (_SHEAR * 2, "determinant 0.0"),  # gamma_1 gamma_2 = [[1 + 1e20, 1e10], [1e10, 1]] rounds to det 0
+        ((exp_u(200.0),) * 4, "degenerate"),  # gamma_1 gamma_1 sends i to e^800 i: |cz + d|^2 underflows
+    ],
+)
+def test_enumeration_refuses_what_the_scalar_oracle_refuses(gammas, message):
+    gens = FuchsianGenerators(gammas, scaling_parameter(2))
+    with pytest.raises(ValueError, match=message) as scalar:
+        _scalar_enumerate_tiles(gens, 2)
+    with pytest.raises(ValueError) as array:
+        enumerate_tiles(gens, 2)
+    assert str(array.value) == str(scalar.value)
+    assert len(enumerate_tiles(gens, 1)) == len(_scalar_enumerate_tiles(gens, 1))
+
+
 def test_enumerate_depth_zero_and_one():
     gens = make_generators(TilingParams(2))
     tiles0 = enumerate_tiles(gens, 0)
-    assert len(tiles0) == 1
-    assert psl2_distance(tiles0[0], Sl2Element.identity()) == 0.0
-    tiles1 = enumerate_tiles(gens, 1)
+    assert tiles0.tolist() == [[1.0, 0.0, 0.0, 1.0]]
+    tiles1 = [Sl2Element(*row) for row in enumerate_tiles(gens, 1)]
     assert len(tiles1) == 9
     for i in range(9):
         for j in range(i + 1, 9):
@@ -231,7 +341,7 @@ def test_enumerate_images_of_center_well_separated():
     gens = make_generators(TilingParams(2))
     tiles = enumerate_tiles(gens, 2)
     center = HPoint(0.0, 1.0)
-    pts = [moebius_act(m, center) for m in tiles]
+    pts = [moebius_act(Sl2Element(*row), center) for row in tiles]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert hyperbolic_distance(pts[i], pts[j]) > 1e-3
@@ -241,9 +351,7 @@ def test_enumerate_deterministic_order():
     gens = make_generators(TilingParams(2))
     a = enumerate_tiles(gens, 3)
     b = enumerate_tiles(gens, 3)
-    assert len(a) == len(b)
-    for m1, m2 in zip(a, b):
-        assert m1.entries() == m2.entries()
+    assert np.array_equal(_bits(a), _bits(b))
 
 
 def test_enumerate_refuses_explosive_depth():
@@ -284,20 +392,21 @@ def _surface_group_ball(genus: int, depth: int) -> int:
 def test_enumerate_counts_follow_surface_group_growth(genus, depth, monkeypatch):
     # from depth 2g (half the relator) on, distinct words can name one element,
     # which the float dedup must merge; the growth series counts elements
-    calls = 0
+    compared = 0
+    close = tiling._psl2_close
 
-    def counted(g, h):
-        nonlocal calls
-        calls += 1
-        return psl2_distance(g, h)
+    def counted(p, q):
+        nonlocal compared
+        compared += len(p)
+        return close(p, q)
 
-    monkeypatch.setattr(tiling, "psl2_distance", counted)
+    monkeypatch.setattr(tiling, "_psl2_close", counted)
     gens = make_generators(TilingParams(genus))
     tiles = len(enumerate_tiles(gens, depth))
     assert tiles == _surface_group_ball(genus, depth)
     # the hyperbolic chart keeps deep tiles in cells of their own: a probe
-    # rarely meets a matrix to compare (about 0.06 per tile)
-    assert calls < 0.1 * tiles
+    # rarely meets a matrix to compare (about 0.06 pairs per tile)
+    assert 0 < compared < 0.1 * tiles
 
 
 def test_enumerate_genus_three():
@@ -309,8 +418,8 @@ def test_enumerate_genus_three():
 def test_tile_membership_is_group_closed():
     # every depth-1 product of depth-1 elements must appear in the depth-2 list
     gens = make_generators(TilingParams(2))
-    tiles1 = enumerate_tiles(gens, 1)
-    tiles2 = enumerate_tiles(gens, 2)
+    tiles1 = [Sl2Element(*row) for row in enumerate_tiles(gens, 1)]
+    tiles2 = [Sl2Element(*row) for row in enumerate_tiles(gens, 2)]
     rng = np.random.default_rng(71)
     idx = rng.integers(0, len(tiles1), size=(12, 2))
     for i, j in idx:
