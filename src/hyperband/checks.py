@@ -1,9 +1,9 @@
 """The paper's identities, each written once, for `verify` and the acceptance suite.
 
 Every check takes its sample inputs (genera, fields, points, momenta, flux
-pairs) and returns the worst defect over them.  `TOLERANCES` holds the
-`verify` bounds that `--tol NAME=VALUE` overrides; the acceptance criteria
-that have a matching check read these defaults.  Errors the library raises
+pairs) and returns the worst defect over them, NaN when any defect is NaN.
+`TOLERANCES` holds the `verify` bounds that `--tol NAME=VALUE` overrides;
+the acceptance criteria that have a matching check read these defaults.  Errors the library raises
 reach the caller unchanged.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import magnetic, spectrum, tiling
 from .halfplane import HPoint
-from .magnetic import DiffOpId, FluxParam
+from .magnetic import DiffOpId, FluxParam, max_or_nan
 from .spectrum import RING_SIZE, BlochMomentum, BlockAnisotropic, BlockIsotropic
 
 _TWO_PI = 2.0 * math.pi
@@ -55,19 +55,19 @@ def random_momenta(rng: np.random.Generator, count: int) -> list[BlochMomentum]:
 
 
 def fuchsian_relation(genera: Iterable[int]) -> float:
-    return max(tiling.relation_defect(tiling.make_generators(tiling.TilingParams(g))) for g in genera)
+    return max_or_nan(tiling.relation_defect(tiling.make_generators(tiling.TilingParams(g))) for g in genera)
 
 
 def edge_pairing(genera: Iterable[int]) -> float:
     params = [tiling.TilingParams(g) for g in genera]
-    return max(
+    return max_or_nan(
         tiling.edge_pairing_defect(tiling.make_generators(p), tiling.make_fundamental_domain(p)) for p in params
     )
 
 
 def covering_degree(samples: Iterable[tuple[int, HPoint]]) -> float:
     """Half-turn phase at B = 1/q from z against e^{i 2 pi/q}, over (q, z) samples."""
-    return max(abs(magnetic.covering_degree_check(q, z) - cmath.exp(2j * math.pi / q)) for q, z in samples)
+    return max_or_nan(abs(magnetic.covering_degree_check(q, z) - cmath.exp(2j * math.pi / q)) for q, z in samples)
 
 
 def flux_relation(genus: int, B: float, points: list[HPoint]) -> tuple[float, complex]:
@@ -78,11 +78,11 @@ def flux_relation(genus: int, B: float, points: list[HPoint]) -> tuple[float, co
     """
     expected = cmath.exp(1j * 4.0 * (genus - 1) * math.pi * B)
     phases = [magnetic.flux_relation_phase(tiling.TilingParams(genus), B, z) for z in points]
-    return max(abs(phase - expected) for phase in phases), phases[-1]
+    return max_or_nan(abs(phase - expected) for phase in phases), phases[-1]
 
 
 def operator_commutators(fields: Iterable[float], points: list[HPoint]) -> float:
-    return max(
+    return max_or_nan(
         magnetic.commutator_residual(op1, op2, expected, z, B)
         for B in fields
         for z in points
@@ -92,7 +92,7 @@ def operator_commutators(fields: Iterable[float], points: list[HPoint]) -> float
 
 def hamiltonian_symmetry(fields: Iterable[float], points: list[HPoint]) -> float:
     """[H, X] for each field generator X."""
-    return max(
+    return max_or_nan(
         magnetic.hamiltonian_commutation_residual(op, z, B)
         for B in fields
         for z in points
@@ -102,33 +102,34 @@ def hamiltonian_symmetry(fields: Iterable[float], points: list[HPoint]) -> float
 
 def hamiltonian_forms(fields: Iterable[float], points: list[HPoint]) -> float:
     """Generator form of the Landau Hamiltonian against its continuum form."""
-    return max(magnetic.hamiltonian_forms_residual(z, B) for B in fields for z in points)
+    return max_or_nan(magnetic.hamiltonian_forms_residual(z, B) for B in fields for z in points)
 
 
 def lattice_hermiticity(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
     """Largest |H - H^dagger| over sectors 0 and 5 and both block models."""
     p, q = pair.p, pair.q
-    drift = 0.0
-    for k in momenta:
+    return max_or_nan(
+        float(np.abs(h - h.conj().T).max())
+        for k in momenta
         for h in (
             spectrum.assemble_reduced(p, q, k, 0),
             spectrum.assemble_reduced(p, q, k, 5),
             spectrum.assemble_block(BlockAnisotropic(), p, q, k),
             spectrum.assemble_block(BlockIsotropic(), p, q, k),
-        ):
-            drift = max(drift, float(np.abs(h - h.conj().T).max()))
-    return drift
+        )
+    )
 
 
 def rotation_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
     """Union of the eight sector spectra against the dense 8q x 8q block-aniso spectrum."""
     p, q = pair.p, pair.q
-    worst = 0.0
-    for k in momenta:
+
+    def gap(k: BlochMomentum) -> float:
         sectors = [spectrum.eigenvalues(spectrum.assemble_reduced(p, q, k, m)) for m in range(RING_SIZE)]
         block = spectrum.eigenvalues(spectrum.assemble_block(BlockAnisotropic(), p, q, k))
-        worst = max(worst, float(np.abs(np.sort(np.concatenate(sectors)) - block).max()))
-    return worst
+        return float(np.abs(np.sort(np.concatenate(sectors)) - block).max())
+
+    return max_or_nan(gap(k) for k in momenta)
 
 
 def iso_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import checks
-from .halfplane import HPoint
+from .halfplane import HPoint, moebius_rows
 from .magnetic import FluxParam
 from .spectrum import (
     BlochMomentum,
@@ -157,7 +157,7 @@ def _check_line(name: str, tol: float, compute: Callable[[], tuple[float, str]])
     except (ValueError, RuntimeError) as exc:
         defect, note = math.inf, f"  ({exc})"
     ok = defect < tol
-    return ok, f"{'PASS' if ok else 'FAIL'} {name:<24s} defect {defect:.3e}  tol {tol:.0e}{note}"
+    return ok, f"{'PASS' if ok else 'FAIL'} {name:<24s} defect {defect:.3e}  tol {tol:g}{note}"
 
 
 # ---------------------------------------------------------------- verify
@@ -215,9 +215,18 @@ _SVG_HEAD = (
     'viewBox="-1.05 -1.05 2.1 2.1" width="720" height="720">\n'
     '<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.004"/>\n'
 )
-_PATH_TAIL = ' Z" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>\n'
-# SVG segment per edge state: straight, arc with sweep flag 0, arc with sweep flag 1
-_SEGMENTS = ("L %.6f %.6f", "A %.6f %.6f 0 0 0 %.6f %.6f", "A %.6f %.6f 0 0 1 %.6f %.6f")
+# pieces of a path's `%` format: the M command; the segment of edge state 0, 1, 2
+# (straight, arc with sweep flag 0, arc with sweep flag 1); the tail
+_PATH_PIECES = np.array(
+    [
+        '<path d="M %.6f %.6f',
+        " L %.6f %.6f",
+        " A %.6f %.6f 0 0 0 %.6f %.6f",
+        " A %.6f %.6f 0 0 1 %.6f %.6f",
+        ' Z" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>\n',
+    ],
+    dtype=object,
+)
 _SVG_BLOCK = 1024  # tiles per block of corner arrays and formatted paths
 
 
@@ -225,37 +234,23 @@ def _disk_corners(tiles: np.ndarray, dom: FundamentalDomain) -> tuple[np.ndarray
     """Disk coordinates (u, v) of every corner of tile rows (a, b, c, d), shaped (tiles, vertices).
 
     Each corner is the float that the scalar `(z - 1j) / (z + 1j)` of
-    `z = moebius_act(tile, vertex)` gives: the array arithmetic repeats the
-    scalar operations in order.  Refuses, as `moebius_act` and `HPoint` do,
-    with ValueError on a degenerate denominator, a non-finite point or y <= 0.
+    `z = moebius_act(tile, vertex)` gives; `moebius_rows` refuses as
+    `moebius_act` does.
     """
-    a, b, c, d = tiles.T[:, :, None]
-    x = np.array([p.x for p in dom.vertices])
-    y = np.array([p.y for p in dom.vertices])
-    with np.errstate(all="ignore"):  # overflow and underflow are refused below
-        cx = c * x + d
-        cy = c * y
-        den = cx * cx + cy * cy
-        if (den < 1e-300).any():
-            raise ValueError("degenerate Moebius denominator |cz + d| ~ 0")
-        x, y = ((a * x + b) * cx + (a * y) * cy) / den, y / den
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("non-finite half-plane point")
-        if (y <= 0.0).any():
-            raise ValueError("half-plane point needs y > 0")
-        # Cayley map w = (z - 1j) / (z + 1j), divided by Smith's method as
-        # CPython's complex division does; numpy's complex `/` rounds differently
-        ar, ai, br, bi = x, y - 1.0, x + 0.0, y + 1.0
-        big = np.abs(br) >= np.abs(bi)
-        ratio = np.where(big, bi, br) / np.where(big, br, bi)
-        denom = np.where(big, br + bi * ratio, br * ratio + bi)
-        u = np.where(big, ar + ai * ratio, ar * ratio + ai) / denom
-        v = np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
+    x, y = moebius_rows(tiles, np.array([p.x for p in dom.vertices]), np.array([p.y for p in dom.vertices]))
+    # Cayley map w = (z - 1j) / (z + 1j), divided by Smith's method as
+    # CPython's complex division does; numpy's complex `/` rounds differently
+    ar, ai, br, bi = x, y - 1.0, x + 0.0, y + 1.0
+    big = np.abs(br) >= np.abs(bi)
+    ratio = np.where(big, bi, br) / np.where(big, br, bi)
+    denom = np.where(big, br + bi * ratio, br * ratio + bi)
+    u = np.where(big, ar + ai * ratio, ar * ratio + ai) / denom
+    v = np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
     return u, v
 
 
 def _edge_states(u: np.ndarray, v: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Index into `_SEGMENTS` and arc radius of every edge, shaped (tiles, edges).
+    """State (0 straight, 1 or 2 arc with sweep flag 0 or 1) and arc radius of every edge, shaped (tiles, edges).
 
     An edge from w1 to w2 runs along the geodesic circle orthogonal to |w|=1.
     Its center c satisfies 2 Re(w) cx + 2 Im(w) cy = |w|^2 + 1 at both
@@ -283,11 +278,12 @@ def _edge_states(u: np.ndarray, v: np.ndarray, edges) -> tuple[np.ndarray, np.nd
     return np.where(arc, np.where(delta > 0.0, 2, 1), 0).astype(np.uint8), radius
 
 
-def _svg_paths(u: np.ndarray, v: np.ndarray, edges, formats: dict[bytes, str]) -> str:
+def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> str:
     """One `<path>` line per tile for corners (u, v) shaped (tiles, vertices).
 
-    Tiles with the same sequence of edge states share one format string,
-    cached in `formats`; the whole block is then a single `%` operation.
+    The block's format string is the `_PATH_PIECES` of each tile's start,
+    edge states and tail, joined; the whole block is then a single `%`
+    operation.
     """
     state, radius = _edge_states(u, v, edges)
     n, k = state.shape
@@ -300,13 +296,9 @@ def _svg_paths(u: np.ndarray, v: np.ndarray, edges, formats: dict[bytes, str]) -
     keep = np.ones(fields.shape, dtype=bool)
     keep[:, 0, :2] = False
     keep[:, 1:, :2] = (state > 0)[:, :, None]
-    pieces = []
-    for key in map(bytes, state):
-        fmt = formats.get(key)
-        if fmt is None:
-            fmt = formats[key] = '<path d="M %.6f %.6f ' + " ".join(_SEGMENTS[s] for s in key) + _PATH_TAIL
-        pieces.append(fmt)
-    return "".join(pieces) % tuple(fields[keep].tolist())
+    pieces = np.empty((n, k + 2), dtype=np.uint8)
+    pieces[:, 0], pieces[:, 1:-1], pieces[:, -1] = 0, state + 1, 4
+    return "".join(_PATH_PIECES[pieces].ravel().tolist()) % tuple(fields[keep].tolist())
 
 
 def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
@@ -320,11 +312,10 @@ def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
     tiles = enumerate_tiles(make_generators(params), depth)
     # corners block by block, so the array temporaries stay block-sized
     blocks = [_disk_corners(tiles[lo : lo + _SVG_BLOCK], dom) for lo in range(0, len(tiles), _SVG_BLOCK)]
-    formats: dict[bytes, str] = {}
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_SVG_HEAD)
         for u, v in blocks:
-            fh.write(_svg_paths(u, v, dom.edges, formats))
+            fh.write(_svg_paths(u, v, dom.edges))
         fh.write("</svg>\n")
     return len(tiles)
 

@@ -17,11 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Tolerance ladder: two orders of headroom between successive layers of
 # composed arithmetic.
 CONSTRUCTION_TOL = 1e-12
 COMPARISON_TOL = 1e-10
 GEOMETRIC_TOL = 1e-9
+
+_DEGENERATE_DENOMINATOR = "degenerate Moebius denominator |cz + d| ~ 0"
 
 _EPS = 2.220446049250313e-16
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split constant
@@ -56,8 +60,8 @@ def det_gate(a, b, c, d):
     words are not rejected for pure rounding drift, while a large entry
     alone widens nothing (diag(1e20, 1) is refused).  The bound never exceeds
     the 64 eps max_entry^2 used before.  A NaN determinant or an overflowing
-    product is refused.  Takes floats or numpy arrays alike, so the tiling
-    enumeration applies the same rule to whole levels.
+    product is refused.  Takes floats or numpy arrays alike, so `sl2_rows`
+    applies the same rule to whole arrays.
     """
     det = _det2(a, b, c, d)
     tol = 1e-9 + 32.0 * _EPS * (abs(a * d) + abs(b * c))
@@ -172,10 +176,55 @@ def moebius_act(g: Sl2Element, z: HPoint) -> HPoint:
     cy = g.c * z.y
     den = cx * cx + cy * cy
     if den < 1e-300:
-        raise ValueError("degenerate Moebius denominator |cz + d| ~ 0")
+        raise ValueError(_DEGENERATE_DENOMINATOR)
     ax = g.a * z.x + g.b
     ay = g.a * z.y
     return HPoint((ax * cx + ay * cy) / den, z.y / den)
+
+
+# Array twins of `Sl2Element` and `moebius_act`: the same operations in the
+# same order on whole arrays, so every float and every refusal message is
+# the scalar one.  The scalar forms stay the reference and the fast path for
+# single elements.
+
+
+def sl2_rows(raw: np.ndarray) -> np.ndarray:
+    """`Sl2Element(*row).entries()` for every row (a, b, c, d) of an (n, 4) array.
+
+    Refuses at the first refused row with `Sl2Element`'s ValueError.
+    """
+    a, b, c, d = raw.T
+    with np.errstate(all="ignore"):  # refused rows raise below
+        det, ok = det_gate(a, b, c, d)
+        ok &= np.isfinite(raw).all(axis=1)
+        if not ok.all():
+            Sl2Element(*raw[np.argmin(ok)].tolist())  # the same checks on the same floats: raises
+        return np.where((np.abs(det - 1.0) > 1e-15)[:, None], raw / np.sqrt(det)[:, None], raw)
+
+
+def moebius_rows(rows: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """`moebius_act` of every row (a, b, c, d) at every point (x, y), shaped (rows, points).
+
+    `x` and `y` are the points' coordinates, 1-D arrays or the floats of one
+    point; the rows are used as they are, not renormalized.  Refuses at
+    the first refused (row, point) in row-major order with the scalar
+    ValueError: the degenerate denominator, or what `HPoint` raises.
+    """
+    a, b, c, d = rows.T[:, :, None]
+    with np.errstate(all="ignore"):  # overflow and underflow are refused below
+        cx = c * x + d
+        cy = c * y
+        den = cx * cx + cy * cy
+        ax = a * x + b
+        ay = a * y
+        wx, wy = (ax * cx + ay * cy) / den, y / den
+        ok = ~(den < 1e-300) & np.isfinite(wx) & np.isfinite(wy) & (wy > 0.0)
+    if not ok.all():
+        first = np.unravel_index(np.argmin(ok), ok.shape)
+        if den[first] < 1e-300:
+            raise ValueError(_DEGENERATE_DENOMINATOR)
+        HPoint(float(wx[first]), float(wy[first]))  # the point `moebius_act` would build: raises
+    return wx, wy
 
 
 @dataclass(frozen=True)

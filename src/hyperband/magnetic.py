@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .halfplane import HPoint, Sl2Element, exp_s, exp_t, exp_u, hyperbolic_distance, moebius_act
 from .tiling import TilingParams, relation_word, scaling_parameter
@@ -350,6 +351,21 @@ def apply_diff_operator(op: DiffOpId, f: Poly2, z: HPoint, B: float) -> complex:
     return _apply(op, f, B)(z.x, z.y)
 
 
+def max_or_nan(values: Iterable[float]) -> float:
+    """The largest value, or NaN when any value is NaN.
+
+    The builtin `max` keeps a NaN only when it comes first: max(0.0, nan) is
+    0.0, which would let an overflowed residual read as a perfect pass.
+    """
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
+def _basis_residual(residual: Callable[[Poly2], Poly2], z: HPoint) -> float:
+    """Max over the cubic basis of |residual(f)(z)|, NaN if any is NaN."""
+    return max_or_nan(abs(residual(f)(z.x, z.y)) for f in POLY_BASIS)
+
+
 def commutator_residual(
     op1: DiffOpId,
     op2: DiffOpId,
@@ -358,25 +374,27 @@ def commutator_residual(
     B: float,
 ) -> float:
     """Max over the cubic basis of |([op1, op2] - sum c_i op_i) f(z)|."""
-    worst = 0.0
-    for f in POLY_BASIS:
+
+    def residual(f: Poly2) -> Poly2:
         comm = _apply(op1, _apply(op2, f, B), B) - _apply(op2, _apply(op1, f, B), B)
         for op, coeff in expected.items():
             comm = comm - coeff * _apply(op, f, B)
-        worst = max(worst, abs(comm(z.x, z.y)))
-    return worst
+        return comm
+
+    return _basis_residual(residual, z)
 
 
 def hamiltonian_commutation_residual(op: DiffOpId, z: HPoint, B: float) -> float:
     """Max over the basis of |[H, op] f(z)| with H in generator form."""
     if op not in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B):
         raise ValueError(f"Hamiltonian symmetry check expects a field generator, got {op!r}")
-    worst = 0.0
-    for f in POLY_BASIS:
-        left = _apply_hamiltonian_generator_form(_apply(op, f, B), B)
-        right = _apply(op, _apply_hamiltonian_generator_form(f, B), B)
-        worst = max(worst, abs((left - right)(z.x, z.y)))
-    return worst
+
+    def residual(f: Poly2) -> Poly2:
+        return _apply_hamiltonian_generator_form(_apply(op, f, B), B) - _apply(
+            op, _apply_hamiltonian_generator_form(f, B), B
+        )
+
+    return _basis_residual(residual, z)
 
 
 def hamiltonian_forms_residual(z: HPoint, B: float) -> float:
@@ -385,11 +403,9 @@ def hamiltonian_forms_residual(z: HPoint, B: float) -> float:
     The generator form 1/2 (T_B(S_B - T_B) - U_B^2/4 - U_B/2 + B^2) and the
     Landau form (-y^2 Laplacian + 2iBy d/dx + B^2)/2 are the same operator.
     """
-    worst = 0.0
-    for f in POLY_BASIS:
-        diff = _apply_hamiltonian_generator_form(f, B) - _apply(DiffOpId.H_continuum, f, B)
-        worst = max(worst, abs(diff(z.x, z.y)))
-    return worst
+    return _basis_residual(
+        lambda f: _apply_hamiltonian_generator_form(f, B) - _apply(DiffOpId.H_continuum, f, B), z
+    )
 
 
 def check_weighted_action(mu_or_t: float, kind: DiffOpId, f: Poly2, z: HPoint, B: float) -> tuple[complex, complex]:

@@ -22,12 +22,13 @@ import numpy as np
 from .halfplane import (
     HPoint,
     Sl2Element,
-    det_gate,
     exp_s,
     exp_u,
     hyperbolic_distance,
     moebius_act,
+    moebius_rows,
     psl2_distance,
+    sl2_rows,
 )
 
 _DEDUP_TOL = 1e-6
@@ -179,40 +180,22 @@ _H = 0.05  # side of the dedup cells
 def _gated_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Candidate products `raw` as `Sl2Element` builds them, and their dedup cells.
 
-    The rows pass the determinant gate and renormalization of `Sl2Element`;
-    the cell is that of `moebius_act(m, i)`, with its refusals.  The array
-    arithmetic repeats the scalar operations in order, so every float is the
-    scalar one.  On a refusal the first refused candidate is replayed through
-    the scalar path, which raises its ValueError.
-
-    The cell of the image w = x + iy of i is the complex number
-    round(x / (y h)) + i round(log(y) / h): numpy orders complex numbers
-    lexicographically, so sorted cells run column by column.  In the chart
-    u = x / y, v = log y the hyperbolic metric reads
-    ds^2 = (du + u dv)^2 + dv^2: the dilations z -> lambda z, which are isometries, shift v and
-    fix u, so a cell has the same hyperbolic size at every height.  Deep tiles
+    The rows are `sl2_rows(raw)`, and w = x + iy is the image of i under
+    `moebius_rows`, so a refused candidate raises the scalar error.  The cell
+    of w is the complex number round(x / (y h)) + i round(log(y) / h): numpy
+    orders complex numbers lexicographically, so sorted cells run column by
+    column.  In the chart u = x / y, v = log y the hyperbolic metric reads
+    ds^2 = (du + u dv)^2 + dv^2: the dilations z -> lambda z, which are
+    isometries, shift v and fix u, so a cell has the same hyperbolic size at
+    every height.  Deep tiles
     crowd towards the real axis, where a Euclidean grid lumps many of them
     into one cell; here they keep to cells of their own, and a probe rarely
     meets a matrix to compare.
     """
-    a, b, c, d = raw.T
-    with np.errstate(all="ignore"):  # refused rows are replayed below
-        det, ok = det_gate(a, b, c, d)
-        ok &= np.isfinite(raw).all(axis=1)
-        rows = np.where((np.abs(det - 1.0) > 1e-15)[:, None], raw / np.sqrt(det)[:, None], raw)
-        a, b, c, d = rows.T
-        # moebius_act at z = 0 + 1i
-        cx = c * 0.0 + d
-        cy = c * 1.0
-        den = cx * cx + cy * cy
-        ax = a * 0.0 + b
-        ay = a * 1.0
-        x, y = (ax * cx + ay * cy) / den, 1.0 / den
-        ok &= (den >= 1e-300) & np.isfinite(x) & np.isfinite(y) & (y > 0.0)
-        keys = np.rint(x / (y * _H)) + 1j * np.rint(np.log(y) / _H)
-    if not ok.all():
-        moebius_act(Sl2Element(*raw[np.argmin(ok)].tolist()), HPoint(0.0, 1.0))
-        raise ValueError("tile candidate refused")  # the scalar replay raises first
+    rows = sl2_rows(raw)
+    x, y = moebius_rows(rows, 0.0, 1.0)
+    with np.errstate(all="ignore"):  # x / (y h) may overflow for images near the real axis
+        keys = np.rint(x[:, 0] / (y[:, 0] * _H)) + 1j * np.rint(np.log(y[:, 0]) / _H)
     return rows, keys
 
 

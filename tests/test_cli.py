@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hyperband
 from hyperband import cli
 from hyperband.cli import _ARC_RADIUS_LIMIT, _TWO_PI, main, parse_config_file
-from hyperband.halfplane import HPoint, Sl2Element, moebius_act
+from hyperband.halfplane import HPoint, Sl2Element, moebius_act, moebius_rows
 from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, assemble_block, eigenvalues
 from hyperband.tiling import FundamentalDomain, TilingParams, enumerate_tiles, make_fundamental_domain, make_generators
 
@@ -70,6 +70,22 @@ def test_verify_tolerance_override_can_force_failure(capsys):
     code, out, _ = run(capsys, "verify", "--tol", "relation=1e-16")
     assert code == 1
     assert any(line.startswith("FAIL fuchsian relation") for line in out.splitlines())
+
+
+def test_verify_prints_the_bound_it_applies(capsys):
+    code, out, _ = run(capsys, "verify", "--tol", "flux=1.5e-7")
+    assert code == 0
+    flux_line = next(line for line in out.splitlines() if "flux relation" in line)
+    assert "  tol 1.5e-07  phase" in flux_line
+
+
+@pytest.mark.parametrize("field", ["1e200", "1e160"])
+def test_verify_fails_overflowed_hamiltonian_residuals(field, capsys):
+    code, out, _ = run(capsys, "verify", "--B", field)
+    assert code == 1
+    for name in ("hamiltonian symmetry", "hamiltonian forms"):
+        line = next(line for line in out.splitlines() if name in line)
+        assert line.startswith(f"FAIL {name}") and "defect nan" in line
 
 
 def test_verify_reports_library_errors_as_failures(capsys):
@@ -195,7 +211,7 @@ def _vector_paths(pairs) -> list[str]:
     """`d` attributes the CLI formats for one-edge paths w1 -> w2, in one batch."""
     u = np.array([[w1.real, w2.real] for w1, w2 in pairs])
     v = np.array([[w1.imag, w2.imag] for w1, w2 in pairs])
-    text = cli._svg_paths(u, v, ((0, 1),), {})
+    text = cli._svg_paths(u, v, ((0, 1),))
     return [line.split('"')[1] for line in text.splitlines()]
 
 
@@ -288,14 +304,51 @@ _DEGENERATE_TILES = [
 ]
 
 
+def _scalar_images(rows, points):
+    """`moebius_act` for every row and point, row-major; the first refusal's message if one refuses."""
+    try:
+        return [[moebius_act(_as_element(row), z) for z in points] for row in rows]
+    except ValueError as exc:
+        return str(exc)
+
+
+_ROW_ENTRY = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1.0, -1.0, 1e160, -1e160, 1e-160, 1e200, 1e-200]),
+)
+_ROW = st.one_of(st.tuples(*[_ROW_ENTRY] * 4), st.sampled_from([t.entries() for t, _ in _DEGENERATE_TILES]))
+_POINT = st.builds(HPoint, st.floats(-1e300, 1e300), st.floats(1e-300, 1e300))
+_OCTAGON = make_fundamental_domain(TilingParams(2)).vertices
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ROW, min_size=1, max_size=4), st.one_of(st.lists(_POINT, min_size=1, max_size=3), st.just(_OCTAGON)))
+@example([t.entries() for t, _ in _DEGENERATE_TILES], _OCTAGON)
+# an earlier non-finite corner is reported before a later degenerate tile
+@example([(1.0, 0.0, 0.0, 1.0), _DEGENERATE_TILES[2][0].entries(), _DEGENERATE_TILES[0][0].entries()], _OCTAGON)
+def test_moebius_rows_is_moebius_act_bit_for_bit(rows, points):
+    want = _scalar_images(rows, points)
+    x, y = np.array([z.x for z in points]), np.array([z.y for z in points])
+    try:
+        wx, wy = moebius_rows(np.array(rows, dtype=float), x, y)
+    except ValueError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str)
+    assert wx.view(np.int64).tolist() == np.array([[w.x for w in line] for line in want]).view(np.int64).tolist()
+    assert wy.view(np.int64).tolist() == np.array([[w.y for w in line] for line in want]).view(np.int64).tolist()
+
+
 @pytest.mark.parametrize("tile, message", _DEGENERATE_TILES)
 def test_corner_arrays_refuse_what_the_scalar_path_refuses(tile, message):
     dom = make_fundamental_domain(TilingParams(2))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as scalar:
         for vertex in dom.vertices:
             moebius_act(tile, vertex)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as array:
         cli._disk_corners(np.array([Sl2Element.identity().entries(), tile.entries()]), dom)
+    assert str(array.value) == str(scalar.value)
 
 
 def test_refused_tile_runs_leave_no_file(tmp_path, monkeypatch, capsys):

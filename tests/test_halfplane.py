@@ -25,6 +25,7 @@ from hyperband.halfplane import (
     moebius_act,
     psl2_distance,
     rotation_orbit_circle,
+    sl2_rows,
 )
 
 
@@ -101,14 +102,24 @@ _MATRIX = st.one_of(
 @example((1e20, 0.0, 0.0, 1.0))
 @example((1.0 + 3e-10, 0.0, 0.0, 1.0 + 3e-10))
 def test_det_gate_gives_arrays_the_scalar_verdict(entries):
-    try:
-        Sl2Element(*entries)
-        admitted = True
-    except ValueError:
-        admitted = False
+    def built(rows):
+        """`Sl2Element(*row)` of each row as int64 bit patterns, or the first refusal's message."""
+        try:
+            return np.array([Sl2Element(*row).entries() for row in rows]).view(np.int64).tolist()
+        except ValueError as exc:
+            return str(exc)
+
+    want = built([entries])
     with np.errstate(all="ignore"):
         _, ok = det_gate(*np.array([entries]).T)
-    assert bool(ok[0] & np.isfinite(entries).all()) == admitted
+    assert bool(ok[0] & np.isfinite(entries).all()) == (not isinstance(want, str))
+    # sl2_rows: the same floats, or the same refusal at the first refused row
+    for rows in ([entries], [(1.0, 0.0, 0.0, 1.0), entries, (1.0, 0.0, 0.0, 2.0)]):
+        try:
+            got = sl2_rows(np.array(rows)).view(np.int64).tolist()
+        except ValueError as exc:
+            got = str(exc)
+        assert got == built(rows)
 
 
 def test_sl2_renormalizes_small_drift():

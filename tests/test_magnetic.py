@@ -30,6 +30,7 @@ from hyperband.magnetic import (
     hamiltonian_commutation_residual,
     hamiltonian_forms_residual,
     magnetic_generators,
+    max_or_nan,
     s_phase,
     s_rotation,
     t_translation,
@@ -537,6 +538,16 @@ def test_hamiltonian_generator_form_equals_landau_form():
     for B in (0.0, 1.0 / 3.0, 0.5, 0.77):
         for _ in range(10):
             assert hamiltonian_forms_residual(random_point(rng), B) < 1e-12
+
+
+def test_overflowed_residuals_are_nan_not_zero():
+    # B^2 overflows, so every basis residual is inf - inf; the builtin max(0.0, nan) would read 0.0
+    z = HPoint(0.5, 1.0)
+    assert math.isnan(hamiltonian_forms_residual(z, 1e200))
+    assert math.isnan(hamiltonian_commutation_residual(DiffOpId.S_B, z, 1e200))
+    expected = {DiffOpId.T_check: -4.0, DiffOpId.S_check: 2.0}
+    assert math.isnan(commutator_residual(DiffOpId.U_check, DiffOpId.S_check, expected, z, 1e200))
+    assert math.isnan(max_or_nan([0.0, math.nan, 1.0])) and max_or_nan([0.0, 2.0, 1.0]) == 2.0
 
 
 # ---------------------------------------------------------------- weighted actions
