@@ -18,7 +18,7 @@ import numpy as np
 from . import magnetic, spectrum, tiling
 from .halfplane import HPoint
 from .magnetic import DiffOpId, FluxParam, max_or_nan
-from .spectrum import RING_SIZE, BlochMomentum, BlockAnisotropic, BlockIsotropic
+from .spectrum import RING_SIZE, BlochMomentum, BlockAnisotropic, BlockIsotropic, HamiltonianModel, ReducedHarper
 
 _TWO_PI = 2.0 * math.pi
 
@@ -139,6 +139,28 @@ def iso_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
     dense = [spectrum.eigenvalues(spectrum.assemble_block(BlockIsotropic(), p, q, k)) for k in momenta]
     sectors = spectrum.model_spectra(BlockIsotropic(), q, [p], momenta)[0]
     return float(np.abs(sectors - np.array(dense)).max())
+
+
+def flux_orbits(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> float:
+    """Orbit-derived spectra (`model_spectra`) against each orbit member's own certified solve.
+
+    For reduced sector 0 and block-iso, at the members p, p + q, q - p and
+    2q - p (mod 2q) of each pair's flux orbit: `model_spectra` solves one
+    flux per orbit and derives the others (block-iso splits the orbit into
+    {p, 2q - p} and {p + q, q - p}), while the direct route assembles and
+    certifies every member's own matrices, in one batched stack per model
+    and pair.
+    """
+    momenta = list(momenta)
+
+    def gap(model: HamiltonianModel, pair: FluxParam) -> float:
+        p, q = pair.p, pair.q
+        ps = sorted({x % (2 * q) for x in (p, p + q, q - p, 2 * q - p)} - {0})
+        derived = spectrum.model_spectra(model, q, ps, momenta).reshape(len(ps) * len(momenta), -1)
+        direct = spectrum._certified_spectra(model, q, [(member, k) for member in ps for k in momenta])
+        return float(np.abs(derived - np.sort(direct, axis=-1)).max())
+
+    return max_or_nan(gap(model, pair) for pair in pairs for model in (ReducedHarper(0), BlockIsotropic()))
 
 
 def harper_oracle_compare(p: int, q: int, k1: float, k2: float) -> float:

@@ -188,6 +188,9 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     covering = [(q, HPoint(1.0, 1.0)) for q in range(1, 9)]
     lattice = f"  (p={pair.p}, q={pair.q})"
+    # at q = 5 the four members p, p+q, q-p, 2q-p of an orbit are distinct
+    orbit_pair = FluxParam(1, 5)
+    orbits = f"  (orbits of p={pair.p}, q={pair.q} and p=1, q=5)"
     failed = False
     for name, tol, compute in (
         ("fuchsian relation", "relation", lambda: (checks.fuchsian_relation([genus]), "")),
@@ -200,6 +203,7 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
         ("lattice hermiticity", "hermiticity", lambda: (checks.lattice_hermiticity(pair, momenta), lattice)),
         ("rotation sectors", "sector", lambda: (checks.rotation_sectors(pair, momenta), lattice)),
         ("iso sectors", "sector", lambda: (checks.iso_sectors(pair, momenta), lattice)),
+        ("flux orbits", "sector", lambda: (checks.flux_orbits([pair, orbit_pair], momenta), orbits)),
     ):
         ok, line = _check_line(name, tols[tol], compute)
         print(line)

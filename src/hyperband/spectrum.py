@@ -15,9 +15,12 @@ unit hoppings e^{-+ i k1}, and the scalar sector shift (16/pi^2) 2cos(pi B/4 +
 m pi/4); `model_spectra` computes the anisotropic block spectrum that way.
 The isotropic block model splits into four 2q x 2q sectors (`_iso_stack`).
 All three models are solved in batches for eigenvalues only, certified by
-inertia counts (`harper_eigvalsh`).  `eigenvalues` and the dense assemblers
-are the oracle of `checks` and the tests; they stay here, beside the lattice
-definitions they share with the kernel.  Both solvers pass `_require_solvable`.
+inertia counts (`harper_eigvalsh`), one flux per orbit {p, p+q, q-p, 2q-p}
+({p, 2q-p} for block-iso, `_flux_representative`); the other fluxes of an
+orbit reuse its spectrum, shifted by a scalar.  `eigenvalues` and the dense
+assemblers are the oracle of `checks` and the tests; they stay here, beside
+the lattice definitions they share with the kernel.  Both solvers pass
+`_require_solvable`.
 Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
@@ -394,32 +397,71 @@ def _sector_layout(model: HamiltonianModel, q: int) -> tuple[int, int]:
     return (4, 2 * q) if isinstance(model, BlockIsotropic) else (1, q)
 
 
-def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
-    """Ascending spectra at flux B = p/(2q) for every p in `ps` and every momentum.
+def _flux_representative(model: HamiltonianModel, p: int, q: int) -> int:
+    """The member of p's flux orbit whose matrices `model_spectra` solves for flux p/(2q).
 
-    Returns shape (len(ps), len(momenta), dim), dim = q for a rotation sector
-    and 8q for the block models.  The matrices are assembled as stacks of at
-    most about `_BATCH_BYTES` and solved by `harper_eigvalsh`.  The ring term commutes
-    with the Harper core, so sector m is the sector-0 matrix plus the scalar
-    (16/pi^2)(2cos(pi B/4 + m pi/4) - 2cos(pi B/4)), and the anisotropic
-    8q x 8q spectrum is the union of the sector-0 spectrum shifted into all
-    eight sectors: one q x q solve.  The sector-0 matrix is solved, never
-    the bare scaled core, on which LAPACK `eigh` can fail to converge
-    (p/q = 101/52, k = 0).  The isotropic spectrum is the union of its four
-    S^2 sectors.
+    The Harper core sees phi = 2 pi p/q only modulo 2 pi and up to its sign
+    (reversing the sites and conjugating maps phi to -phi), so for a
+    rotation sector and block-aniso it is min(p mod q, q - p mod q), and 1
+    at q = 1.  Block-iso's pendant links break the p + q symmetry, but its
+    full spectrum is 4 pi periodic and equal at p and 2q - p, so there it is
+    min(p', 2q - p') with p' = p mod 2q.
+    """
+    if isinstance(model, BlockIsotropic):
+        p %= 2 * q
+        return min(p, 2 * q - p)
+    return 1 if q == 1 else min(p % q, q - p % q)
+
+
+def _certified_spectra(model: HamiltonianModel, q: int, items: Sequence[tuple[int, BlochMomentum]]) -> np.ndarray:
+    """Certified spectra of the matrices solved for `model` at each (p, k) of `items`, shape (len(items), count * dim).
+
+    The matrices are the sector-m matrix (sector 0 for block-aniso) or
+    block-iso's four S^2 sectors, whose spectra follow one another unmerged;
+    they are assembled as stacks of at most about `_BATCH_BYTES` and solved
+    by `harper_eigvalsh`.
     """
     iso = isinstance(model, BlockIsotropic)
     m = model.m if isinstance(model, ReducedHarper) else 0
-    items = [(p, k) for p in ps for k in momenta]
     count, dim = _sector_layout(model, q)
     per_batch = max(1, _BATCH_BYTES // (16 * count * dim * dim))
     batches = (
         _iso_stack(q, chunk) if iso else _reduced_stack(q, chunk, m)
         for chunk in (items[i : i + per_batch] for i in range(0, len(items), per_batch))
     )
-    vals = np.concatenate([harper_eigvalsh(h, pendants=iso) for h in batches]).reshape(len(ps), len(momenta), -1)
-    if iso:
-        return np.sort(vals, axis=-1)
+    return np.concatenate([harper_eigvalsh(h, pendants=iso) for h in batches]).reshape(len(items), count * dim)
+
+
+def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
+    """Ascending spectra at flux B = p/(2q) for every p in `ps` and every momentum.
+
+    Returns shape (len(ps), len(momenta), dim), dim = q for a rotation sector
+    and 8q for the block models.  One matrix set is solved per flux orbit:
+    only the representative r = `_flux_representative(model, p, q)` of each
+    p is assembled and solved (`_certified_spectra`: batched stacks,
+    `harper_eigvalsh`, every eigenvalue certified).  A rotation sector
+    m is the Harper core times a constant plus a scalar, and the core's
+    spectrum is the same at p and r, so the spectrum at p is the solved
+    sector-m spectrum at r plus (16/pi^2)(2cos(pi B_p/4 + m pi/4) -
+    2cos(pi B_r/4 + m pi/4)).  The ring term commutes with the core, so the
+    anisotropic 8q x 8q spectrum is the union of the sector-0 spectrum at p
+    shifted into all eight sectors: one q x q solve per orbit.  The
+    sector-0 matrix is solved, never the bare scaled core, on which LAPACK
+    `eigh` can fail to converge (p/q = 101/52, k = 0).  The isotropic
+    spectrum is the union of its four S^2 sectors at r, the same at p.
+    """
+    reps = [_flux_representative(model, p, q) for p in ps]
+    solved = sorted(set(reps))
+    vals = _certified_spectra(model, q, [(r, k) for r in solved for k in momenta]).reshape(len(solved), len(momenta), -1)
+    row = np.searchsorted(solved, reps)  # the solved row of each p
+    if isinstance(model, BlockIsotropic):
+        return np.sort(vals, axis=-1)[row]
+    m = model.m if isinstance(model, ReducedHarper) else 0
+    shift = [
+        RING_WEIGHT * (rotation_sector_shift(FluxParam(p, q).field, m) - rotation_sector_shift(FluxParam(r, q).field, m))
+        for p, r in zip(ps, reps)
+    ]
+    vals = vals[row] + np.reshape(shift, (-1, 1, 1))
     if isinstance(model, ReducedHarper):
         return vals
     shifts = []
@@ -484,15 +526,22 @@ def butterfly_sweep(
     the (k_samples, dim) array `spectra` is the ascending spectrum at the i-th
     momentum sample.  Each denominator is solved in one `model_spectra` call.
     Output is fully deterministic for fixed inputs.  A workload guard bounds
-    the total diagonalization cost before any matrix is built.
+    the total diagonalization cost before any matrix is built; it charges
+    what `model_spectra` solves, one matrix set per flux orbit and momentum.
     """
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")
     if q_max > _MAX_SWEEP_Q:
         raise ValueError(f"q_max {q_max} exceeds the sweep bound {_MAX_SWEEP_Q}")
     pairs = coprime_flux_pairs(q_max)
-    # charged at what model_spectra solves
-    workload = k_samples * sum(count * dim**3 for count, dim in (_sector_layout(model, q) for _, q in pairs))
+    numerators: dict[int, list[int]] = {}
+    for p, q in pairs:
+        numerators.setdefault(q, []).append(p)
+    workload = k_samples * sum(
+        len({_flux_representative(model, p, q) for p in ps}) * count * dim**3
+        for q, ps in numerators.items()
+        for count, dim in [_sector_layout(model, q)]
+    )
     if workload > _MAX_SWEEP_WORKLOAD:
         raise ValueError(
             f"sweep workload {workload:.2e} (sum of dim^3) exceeds {_MAX_SWEEP_WORKLOAD:.2e}; "
@@ -500,9 +549,6 @@ def butterfly_sweep(
         )
     momenta = momentum_samples(k_samples, seed)
 
-    numerators: dict[int, list[int]] = {}
-    for p, q in pairs:
-        numerators.setdefault(q, []).append(p)
     spectra = {}
     for q, ps in numerators.items():
         spectra.update(zip(((p, q) for p in ps), model_spectra(model, q, ps, momenta)))

@@ -94,9 +94,16 @@ def test_criterion_6_rotation_sector_consistency():
     defect = 0.0
     for p, q in ((1, 2), (1, 3), (2, 3), (1, 5)):
         pair, momenta = FluxParam(p, q), checks.random_momenta(rng, 3)
-        defect = max(defect, checks.rotation_sectors(pair, momenta), checks.iso_sectors(pair, momenta))
-    # LAPACK fails on the bare scaled Harper core here; the sectors must still match
-    defect = max(defect, checks.iso_sectors(FluxParam(101, 52), [BlochMomentum.zero()]))
+        defect = max(
+            defect,
+            checks.rotation_sectors(pair, momenta),
+            checks.iso_sectors(pair, momenta),
+            checks.flux_orbits([pair], momenta),
+        )
+    # LAPACK fails on the bare scaled Harper core here; the sectors must still
+    # match, and so must the spectra derived across its flux orbit {3, 49, 55, 101}
+    hard, origin = FluxParam(101, 52), [BlochMomentum.zero()]
+    defect = max(defect, checks.iso_sectors(hard, origin), checks.flux_orbits([hard], origin))
     _report(6, "rotation-sector consistency", defect, checks.TOLERANCES["sector"], time.perf_counter() - start, 10.0)
 
 

@@ -42,7 +42,7 @@ def test_verify_passes_at_quarter_flux(capsys):
     code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.startswith("PASS") for line in lines)
     flux_line = next(line for line in lines if "flux relation" in line)
     assert "phase -1" in flux_line
@@ -89,15 +89,17 @@ def test_verify_fails_overflowed_hamiltonian_residuals(field, capsys):
 
 
 def test_verify_reports_library_errors_as_failures(capsys):
-    # q = 300: the 2400 x 2400 block matrices exceed the dimension bound
+    # q = 300: the 2400 x 2400 block matrices exceed the dimension bound; the
+    # flux orbits line solves only q x q and 2q x 2q sector matrices
     code, out, err = run(capsys, "verify", "--B", "1/600")
     assert code == 1 and err == ""
     lines = out.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.startswith("PASS") for line in lines[:7])
-    for line, name in zip(lines[7:], ("lattice hermiticity", "rotation sectors", "iso sectors"), strict=True):
+    for line, name in zip(lines[7:10], ("lattice hermiticity", "rotation sectors", "iso sectors"), strict=True):
         assert line.startswith(f"FAIL {name}")
         assert "defect inf" in line and "exceeds the supported bound 2000" in line
+    assert lines[10].startswith("PASS flux orbits")
 
 
 def test_verify_hermiticity_line_can_fail(monkeypatch, capsys):
@@ -537,6 +539,25 @@ def test_butterfly_solver_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert err.startswith("verification failure: eigensolver did not converge")
 
 
+def test_butterfly_failed_certificate_on_a_representative_exits_1(tmp_path, monkeypatch, capsys):
+    # at q = 5 the sweep solves only the orbit representatives p = 1 and 2 and
+    # derives the other six fluxes; a wrong eigenvalue of theirs is a verification failure
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def duplicating(a, UPLO="L"):
+        vals = real_eigvalsh(a, UPLO)
+        if vals.shape[-1] == 5:
+            vals[..., 2] = vals[..., 3]
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", duplicating)
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "butterfly", "--q-max", "6", "--out", str(out))
+    assert code == 1
+    assert err.startswith("verification failure: inertia certificate failed for eigenvalue 2 of a 5x5 matrix")
+    assert not out.exists()
+
+
 def test_butterfly_rejects_small_q_max_and_bad_path(tmp_path, capsys):
     assert run(capsys, "butterfly", "--q-max", "1")[0] == 2
     assert run(capsys, "butterfly", "--out", str(tmp_path / "no" / "x.csv"))[0] == 2
@@ -546,9 +567,9 @@ def test_butterfly_rejects_small_q_max_and_bad_path(tmp_path, capsys):
     "argv, message",
     [
         (
-            # block-iso is charged 4 (2q)^3 per momentum, so 64 momenta at q_max 21
-            # cost what 4 momenta of 8q x 8q matrices did
-            ("butterfly", "--model", "block-iso", "--q-max", "21", "--k-samples", "64"),
+            # block-iso is charged 4 (2q)^3 per orbit {p, 2q-p} and momentum, so 128
+            # momenta at q_max 21 cost what 4 momenta of 8q x 8q matrices per flux did
+            ("butterfly", "--model", "block-iso", "--q-max", "21", "--k-samples", "128"),
             "sweep workload 2.25e+09 (sum of dim^3) exceeds 2.00e+09; lower q_max or k_samples",
         ),
         (("spectrum", "--B", "1/4002"), "dimension 2001 exceeds the supported bound 2000"),

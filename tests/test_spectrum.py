@@ -26,6 +26,7 @@ from hyperband.spectrum import (
     harper_core,
     harper_eigvalsh,
     inertia_counts,
+    model_spectra,
     model_spectrum,
     momentum_samples,
     ring_matrix,
@@ -526,6 +527,50 @@ def test_model_spectrum_dispatch():
         model_spectrum(BlockAnisotropic(), 2, 4, k)
 
 
+# ---------------------------------------------------------------- flux orbits
+
+_BELOW_Q = [(p, q) for q in range(2, 41) for p in range(1, q) if math.gcd(p, q) == 1]
+
+
+def _orbit(p: int, q: int) -> list[int]:
+    return [p, p + q, q - p, 2 * q - p]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_BELOW_Q),
+    st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=7),
+)
+@example((1, 1), [0.7, 1.9, 0.2, 5.1], 3)  # q = 1: members 1, 2, 0, 1
+@example((1, 2), [0.0, 0.0, 0.0, 0.0], 0)
+def test_orbit_members_match_their_own_sector_matrices(pq, ks, m):
+    # model_spectra solves one member per orbit and shifts its spectrum to the others
+    p, q = pq
+    k = BlochMomentum(*ks)
+    members = _orbit(p, q)
+    derived = model_spectra(ReducedHarper(m), q, members, [k])[:, 0]
+    for vals, member in zip(derived, members, strict=True):
+        assert np.abs(vals - eigenvalues(assemble_reduced(member, q, k, m))).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([pq for pq in _BELOW_Q if pq[1] <= 16]),
+    st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4),
+)
+@example((1, 1), [0.7, 1.9, 0.2, 5.1])
+def test_block_spectra_across_an_orbit_match_the_dense_matrices(pq, ks):
+    # block-iso derives only 2q - p from p; p + q and q - p form its second orbit
+    p, q = pq
+    k = BlochMomentum(*ks)
+    members = _orbit(p, q)
+    for model in (BlockAnisotropic(), BlockIsotropic()):
+        derived = model_spectra(model, q, members, [k])[:, 0]
+        for vals, member in zip(derived, members, strict=True):
+            assert np.abs(vals - eigenvalues(assemble_block(model, member, q, k))).max() < 1e-10
+
+
 # ---------------------------------------------------------------- sweeps
 
 
@@ -612,6 +657,31 @@ def test_reduced_sweep_matches_dense_eigenvalues():
                 assert np.abs(row - eigenvalues(assemble_reduced(p, q, k, model.m))).max() < 1e-12
 
 
+def test_sweep_certifies_one_matrix_set_per_orbit_and_momentum(monkeypatch):
+    import hyperband.spectrum as spectrum
+
+    certified = []
+    real_certify = spectrum.certify_spectra
+
+    def counting(h, vals, pendants=False):
+        certified.append(len(h))
+        real_certify(h, vals, pendants)
+
+    monkeypatch.setattr(spectrum, "certify_spectra", counting)
+    q_max, k_samples = 12, 3
+    pairs = coprime_flux_pairs(q_max)
+    for model, sectors in ((ReducedHarper(6), 1), (BlockAnisotropic(), 1), (BlockIsotropic(), 4)):
+        if isinstance(model, BlockIsotropic):
+            orbits = {(q, frozenset({p, 2 * q - p})) for p, q in pairs}
+        else:
+            orbits = {(q, frozenset(x % (2 * q) for x in _orbit(p, q))) for p, q in pairs}
+        certified.clear()
+        butterfly_sweep(model, q_max, k_samples, 0)
+        assert sum(certified) == sectors * k_samples * len(orbits)
+    # reduced and block-aniso solve 24 orbits for the 91 fluxes
+    assert len({(q, frozenset(x % (2 * q) for x in _orbit(p, q))) for p, q in pairs}) == 24 < len(pairs) == 91
+
+
 def test_butterfly_sweep_reproducible():
     a = butterfly_sweep(ReducedHarper(0), 4, 2, 7)
     b = butterfly_sweep(ReducedHarper(0), 4, 2, 7)
@@ -628,8 +698,9 @@ def test_butterfly_sweep_guards():
 
 
 def test_sweep_guard_charges_the_solved_dimension(monkeypatch):
-    # block-aniso solves one q x q matrix per flux and momentum, block-iso four
-    # 2q x 2q S^2 sectors; the guard is checked before model_spectra is first called
+    # block-aniso solves one q x q matrix per flux orbit {p, p+q, q-p, 2q-p} and
+    # momentum, block-iso four 2q x 2q S^2 sectors per orbit {p, 2q-p}; the guard
+    # is checked before model_spectra is first called
     import hyperband.spectrum as spectrum
 
     butterfly_sweep(BlockAnisotropic(), 21, 4, 0)
@@ -640,7 +711,7 @@ def test_sweep_guard_charges_the_solved_dimension(monkeypatch):
         return np.zeros((len(ps), len(momenta), 1))
 
     monkeypatch.setattr(spectrum, "model_spectra", stub)
-    for model, refused_from in ((BlockIsotropic(), 37), (ReducedHarper(0), 73), (BlockAnisotropic(), 73)):
+    for model, refused_from in ((BlockIsotropic(), 42), (ReducedHarper(0), 97), (BlockAnisotropic(), 97)):
         butterfly_sweep(model, refused_from - 1, 4, 0)
         assert solved
         solved.clear()
