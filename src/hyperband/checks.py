@@ -3,15 +3,17 @@
 Every check takes its sample inputs (genera, fields, points, momenta, flux
 pairs) and returns the worst defect over them, NaN when any defect is NaN.
 `TOLERANCES` holds the `verify` bounds that `--tol NAME=VALUE` overrides;
-the acceptance criteria that have a matching check read these defaults.  Errors the library raises
-reach the caller unchanged.
+the acceptance criteria that have a matching check read these defaults.
+`run_suite` runs the `verify` table `SUITE`; only there does a library error
+inside a check become a record (defect inf), elsewhere it reaches the caller.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable
+from fractions import Fraction
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,6 +35,81 @@ TOLERANCES = {
     "hermiticity": 1e-12,
     "sector": 1e-7,
 }
+
+
+class SuiteSamples(NamedTuple):
+    """Inputs of one `verify` run: genus, field B, the lattice flux pair, and the random samples."""
+
+    genus: int
+    B: float
+    pair: FluxParam
+    flux_points: list[HPoint]
+    points: list[HPoint]
+    momenta: list[BlochMomentum]
+
+
+class CheckRecord(NamedTuple):
+    """One `verify` line: the check's worst defect, its bound, defect < tol (false for NaN), a note."""
+
+    name: str
+    defect: float
+    tol: float
+    passed: bool
+    note: str
+
+
+def _pair_note(s: SuiteSamples) -> str:
+    return f"(p={s.pair.p}, q={s.pair.q})"
+
+
+def _flux_line(s: SuiteSamples) -> tuple[float, str]:
+    defect, phase = flux_relation(s.genus, s.B, s.flux_points)
+    return defect, f"phase {phase.real:.6g}{phase.imag:+.6g}j"
+
+
+def _orbits_line(s: SuiteSamples) -> tuple[float, str]:
+    # at q = 5 the four members p, p+q, q-p, 2q-p of an orbit are distinct
+    defect = flux_orbits([s.pair, FluxParam(1, 5)], s.momenta)
+    return defect, f"(orbits of p={s.pair.p}, q={s.pair.q} and p=1, q=5)"
+
+
+# (line name, key of TOLERANCES, compute(samples) -> (defect, note)), in print order
+SUITE: tuple[tuple[str, str, Callable[[SuiteSamples], tuple[float, str]]], ...] = (
+    ("fuchsian relation", "relation", lambda s: (fuchsian_relation([s.genus]), "")),
+    ("edge pairing", "pairing", lambda s: (edge_pairing([s.genus]), "")),
+    ("covering degree", "covering", lambda s: (covering_degree([(q, HPoint(1.0, 1.0)) for q in range(1, 9)]), "")),
+    ("flux relation", "flux", _flux_line),
+    ("operator commutators", "algebra", lambda s: (operator_commutators([s.B], s.points), "")),
+    ("hamiltonian symmetry", "hamiltonian", lambda s: (hamiltonian_symmetry([s.B], s.points), "")),
+    ("hamiltonian forms", "forms", lambda s: (hamiltonian_forms([s.B], s.points), "")),
+    ("lattice hermiticity", "hermiticity", lambda s: (lattice_hermiticity(s.pair, s.momenta), _pair_note(s))),
+    ("rotation sectors", "sector", lambda s: (rotation_sectors(s.pair, s.momenta), _pair_note(s))),
+    ("iso sectors", "sector", lambda s: (iso_sectors(s.pair, s.momenta), _pair_note(s))),
+    ("flux orbits", "sector", _orbits_line),
+)
+
+
+def run_suite(genus: int, flux: Fraction | float, seed: int, tols: dict[str, float]) -> Iterator[CheckRecord]:
+    """The records of `SUITE` in order, each judged by `tols[key]`, yielded as each check ends.
+
+    Samples come from `default_rng(seed)`: five flux-relation points, five
+    algebra points, two momenta.  The lattice checks are genus-2 structures
+    at the pair of a `Fraction` flux; a bare real B has none, so they take
+    p/q = 1/3.  A `ValueError` or `RuntimeError` inside a check gives
+    defect inf with the message as note.
+    """
+    B = float(flux)
+    pair = FluxParam.from_field(flux) if isinstance(flux, Fraction) else FluxParam(1, 3)
+    rng = np.random.default_rng(seed)
+    flux_points = random_points(rng, 5)
+    samples = SuiteSamples(genus, B, pair, flux_points, random_points(rng, 5), random_momenta(rng, 2))
+    for name, key, compute in SUITE:
+        try:
+            defect, note = compute(samples)
+        except (ValueError, RuntimeError) as exc:
+            defect, note = math.inf, f"({exc})"
+        yield CheckRecord(name, defect, tols[key], defect < tols[key], note)
+
 
 # [op1, op2] = sum c_i op_i for the field generators and their weighted forms
 COMMUTATORS = (

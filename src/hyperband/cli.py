@@ -1,11 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: argument handling, dispatch and the output writers.
 
-Subcommands: `verify` runs the numerical identity suite, `tile` renders a
-Poincare-disk patch of the {4g,4g} tiling to SVG, `spectrum` prints the
+Subcommands: `verify` prints a PASS/FAIL line per record of `checks.run_suite`
+(a library error inside a check is its FAIL line), `tile` writes a
+Poincare-disk patch of the {4g,4g} tiling as SVG, `spectrum` prints the
 eigenvalues of one lattice Hamiltonian, `butterfly` sweeps rational flux and
-writes a phi/energy CSV. Exit codes: 0 success, 1 verification failure,
-2 usage or configuration error; `verify` reports a library error inside a
-check as that check's FAIL line.
+writes a phi/energy CSV.  Exit codes: 0 success, 1 verification failure,
+2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -15,41 +15,22 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import checks
-from .halfplane import HPoint, moebius_rows
 from .magnetic import FluxParam
-from .spectrum import (
-    BlochMomentum,
-    BlockAnisotropic,
-    BlockIsotropic,
-    HamiltonianModel,
-    ReducedHarper,
-    butterfly_sweep,
-    model_spectrum,
-)
-from .tiling import (
-    FundamentalDomain,
-    TilingParams,
-    enumerate_tiles,
-    make_fundamental_domain,
-    make_generators,
-)
-
-_TWO_PI = 2.0 * math.pi
-
-# straight-segment fallback for near-diameter geodesics
-_ARC_RADIUS_LIMIT = 1e4
+from .spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, HamiltonianModel, ReducedHarper
+from .spectrum import butterfly_sweep, model_spectrum
+from .tiling import TilingParams, disk_corners, edge_states, enumerate_tiles, make_fundamental_domain, make_generators
 
 
 class UsageError(Exception):
     """Bad flags, config file, or preconditions; maps to exit code 2."""
 
 
-# ---------------------------------------------------------------- config plumbing
+# ---------------------------------------------------------------- arguments and config
 
 _CONFIG_KEYS = {"g", "B", "model", "m", "k", "depth", "q_max", "k_samples", "seed", "out"}
 
@@ -78,11 +59,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 def _resolve(args: argparse.Namespace, config: dict[str, str], key: str, default):
     """Flag beats config beats default; config values arrive as text."""
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+    return flag if flag is not None else config.get(key, default)
 
 
 def _as_int(value, what: str) -> int:
@@ -90,6 +67,13 @@ def _as_int(value, what: str) -> int:
         return int(str(value), 10)
     except ValueError as exc:
         raise UsageError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _at_least(value, what: str, low: int) -> int:
+    n = _as_int(value, what)
+    if n < low:
+        raise UsageError(f"{what} must be >= {low}, got {n}")
+    return n
 
 
 def parse_flux(text: str, allow_real: bool) -> Union[Fraction, float]:
@@ -150,68 +134,22 @@ def _tolerances(overrides: Optional[Sequence[str]]) -> dict[str, float]:
     return tols
 
 
-def _check_line(name: str, tol: float, compute: Callable[[], tuple[float, str]]) -> tuple[bool, str]:
-    """Pass flag and report line from `compute() -> (defect, note)`; a library error in it fails."""
-    try:
-        defect, note = compute()
-    except (ValueError, RuntimeError) as exc:
-        defect, note = math.inf, f"  ({exc})"
-    ok = defect < tol
-    return ok, f"{'PASS' if ok else 'FAIL'} {name:<24s} defect {defect:.3e}  tol {tol:g}{note}"
-
-
-# ---------------------------------------------------------------- verify
+# ---------------------------------------------------------------- commands and their writers
 
 
 def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    genus = _as_int(_resolve(args, config, "g", 2), "genus")
-    if genus < 2:
-        raise UsageError(f"genus must be >= 2, got {genus}")
+    genus = _at_least(_resolve(args, config, "g", 2), "genus", 2)
     flux = parse_flux(_resolve(args, config, "B", "1/4"), allow_real=True)
-    seed = _as_int(_resolve(args, config, "seed", 0), "seed")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    seed = _at_least(_resolve(args, config, "seed", 0), "seed", 0)
     tols = _tolerances(getattr(args, "tol", None))
 
-    B = float(flux)
-    # Lattice checks are genus-2 structures; a bare-real B has no flux pair,
-    # so they fall back to a representative rational.
-    pair = FluxParam.from_field(flux) if isinstance(flux, Fraction) else FluxParam(1, 3)
-    rng = np.random.default_rng(seed)
-    flux_points = checks.random_points(rng, 5)
-    points = checks.random_points(rng, 5)
-    momenta = checks.random_momenta(rng, 2)
-
-    def flux_line() -> tuple[float, str]:
-        defect, phase = checks.flux_relation(genus, B, flux_points)
-        return defect, f"  phase {phase.real:.6g}{phase.imag:+.6g}j"
-
-    covering = [(q, HPoint(1.0, 1.0)) for q in range(1, 9)]
-    lattice = f"  (p={pair.p}, q={pair.q})"
-    # at q = 5 the four members p, p+q, q-p, 2q-p of an orbit are distinct
-    orbit_pair = FluxParam(1, 5)
-    orbits = f"  (orbits of p={pair.p}, q={pair.q} and p=1, q=5)"
     failed = False
-    for name, tol, compute in (
-        ("fuchsian relation", "relation", lambda: (checks.fuchsian_relation([genus]), "")),
-        ("edge pairing", "pairing", lambda: (checks.edge_pairing([genus]), "")),
-        ("covering degree", "covering", lambda: (checks.covering_degree(covering), "")),
-        ("flux relation", "flux", flux_line),
-        ("operator commutators", "algebra", lambda: (checks.operator_commutators([B], points), "")),
-        ("hamiltonian symmetry", "hamiltonian", lambda: (checks.hamiltonian_symmetry([B], points), "")),
-        ("hamiltonian forms", "forms", lambda: (checks.hamiltonian_forms([B], points), "")),
-        ("lattice hermiticity", "hermiticity", lambda: (checks.lattice_hermiticity(pair, momenta), lattice)),
-        ("rotation sectors", "sector", lambda: (checks.rotation_sectors(pair, momenta), lattice)),
-        ("iso sectors", "sector", lambda: (checks.iso_sectors(pair, momenta), lattice)),
-        ("flux orbits", "sector", lambda: (checks.flux_orbits([pair, orbit_pair], momenta), orbits)),
-    ):
-        ok, line = _check_line(name, tols[tol], compute)
-        print(line)
-        failed = failed or not ok
+    for record in checks.run_suite(genus, flux, seed, tols):
+        note = f"  {record.note}" if record.note else ""
+        verdict = "PASS" if record.passed else "FAIL"
+        print(f"{verdict} {record.name:<24s} defect {record.defect:.3e}  tol {record.tol:g}{note}")
+        failed = failed or not record.passed
     return 1 if failed else 0
-
-
-# ---------------------------------------------------------------- tile
 
 
 _SVG_HEAD = (
@@ -234,54 +172,6 @@ _PATH_PIECES = np.array(
 _SVG_BLOCK = 1024  # tiles per block of corner arrays and formatted paths
 
 
-def _disk_corners(tiles: np.ndarray, dom: FundamentalDomain) -> tuple[np.ndarray, np.ndarray]:
-    """Disk coordinates (u, v) of every corner of tile rows (a, b, c, d), shaped (tiles, vertices).
-
-    Each corner is the float that the scalar `(z - 1j) / (z + 1j)` of
-    `z = moebius_act(tile, vertex)` gives; `moebius_rows` refuses as
-    `moebius_act` does.
-    """
-    x, y = moebius_rows(tiles, np.array([p.x for p in dom.vertices]), np.array([p.y for p in dom.vertices]))
-    # Cayley map w = (z - 1j) / (z + 1j), divided by Smith's method as
-    # CPython's complex division does; numpy's complex `/` rounds differently
-    ar, ai, br, bi = x, y - 1.0, x + 0.0, y + 1.0
-    big = np.abs(br) >= np.abs(bi)
-    ratio = np.where(big, bi, br) / np.where(big, br, bi)
-    denom = np.where(big, br + bi * ratio, br * ratio + bi)
-    u = np.where(big, ar + ai * ratio, ar * ratio + ai) / denom
-    v = np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
-    return u, v
-
-
-def _edge_states(u: np.ndarray, v: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
-    """State (0 straight, 1 or 2 arc with sweep flag 0 or 1) and arc radius of every edge, shaped (tiles, edges).
-
-    An edge from w1 to w2 runs along the geodesic circle orthogonal to |w|=1.
-    Its center c satisfies 2 Re(w) cx + 2 Im(w) cy = |w|^2 + 1 at both
-    endpoints; a vanishing determinant means a diameter, drawn straight, as
-    are circles too large to draw.  `atan2` only picks the sweep flag.
-    """
-    i, j = np.array(edges).T
-    # abs(w) ** 2 of the scalar code: `**` is libm pow, which float_power
-    # calls; numpy's `** 2` squares and can differ in the last bit
-    rhs = np.float_power(np.hypot(u, v), 2) + 1.0
-    u1, v1, b1 = u[:, i], v[:, i], rhs[:, i]
-    u2, v2, b2 = u[:, j], v[:, j], rhs[:, j]
-    a11, a12, a21, a22 = 2.0 * u1, 2.0 * v1, 2.0 * u2, 2.0 * v2
-    det = a11 * a22 - a12 * a21
-    arc = np.abs(det) >= 1e-9
-    det = np.where(arc, det, 1.0)
-    cx = (b1 * a22 - b2 * a12) / det
-    cy = (a11 * b2 - a21 * b1) / det
-    r_sq = cx * cx + cy * cy - 1.0
-    arc &= r_sq > 0.0
-    radius = np.sqrt(np.where(arc, r_sq, 0.0))
-    arc &= radius <= _ARC_RADIUS_LIMIT
-    delta = (np.arctan2(v2 - cy, u2 - cx) - np.arctan2(v1 - cy, u1 - cx)) % _TWO_PI
-    delta = np.where(delta > math.pi, delta - _TWO_PI, delta)
-    return np.where(arc, np.where(delta > 0.0, 2, 1), 0).astype(np.uint8), radius
-
-
 def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> str:
     """One `<path>` line per tile for corners (u, v) shaped (tiles, vertices).
 
@@ -289,7 +179,7 @@ def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> str:
     edge states and tail, joined; the whole block is then a single `%`
     operation.
     """
-    state, radius = _edge_states(u, v, edges)
+    state, radius = edge_states(u, v, edges)
     n, k = state.shape
     start, ends = edges[0][0], [j for _, j in edges]
     # four slots per tile and edge, (radius, radius, u, v), after a first
@@ -315,7 +205,7 @@ def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
     dom = make_fundamental_domain(params)
     tiles = enumerate_tiles(make_generators(params), depth)
     # corners block by block, so the array temporaries stay block-sized
-    blocks = [_disk_corners(tiles[lo : lo + _SVG_BLOCK], dom) for lo in range(0, len(tiles), _SVG_BLOCK)]
+    blocks = [disk_corners(tiles[lo : lo + _SVG_BLOCK], dom) for lo in range(0, len(tiles), _SVG_BLOCK)]
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_SVG_HEAD)
         for u, v in blocks:
@@ -325,12 +215,8 @@ def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
 
 
 def cmd_tile(args: argparse.Namespace, config: dict[str, str]) -> int:
-    genus = _as_int(_resolve(args, config, "g", 2), "genus")
-    if genus < 2:
-        raise UsageError(f"genus must be >= 2, got {genus}")
-    depth = _as_int(_resolve(args, config, "depth", 2), "depth")
-    if depth < 0:
-        raise UsageError(f"depth must be >= 0, got {depth}")
+    genus = _at_least(_resolve(args, config, "g", 2), "genus", 2)
+    depth = _at_least(_resolve(args, config, "depth", 2), "depth", 0)
     out = str(_resolve(args, config, "out", "tiling.svg"))
     try:
         tiles = render_tiling_svg(TilingParams(genus), depth, out)
@@ -338,9 +224,6 @@ def cmd_tile(args: argparse.Namespace, config: dict[str, str]) -> int:
         raise UsageError(f"cannot write {out}: {exc}") from exc
     print(f"wrote {out}: {tiles} tiles (genus {genus}, depth {depth})")
     return 0
-
-
-# ---------------------------------------------------------------- spectrum
 
 
 def cmd_spectrum(args: argparse.Namespace, config: dict[str, str]) -> int:
@@ -351,9 +234,6 @@ def cmd_spectrum(args: argparse.Namespace, config: dict[str, str]) -> int:
     for value in model_spectrum(model, pair.p, pair.q, k):
         print(f"{value:.12g}")
     return 0
-
-
-# ---------------------------------------------------------------- butterfly
 
 
 def cmd_butterfly(args: argparse.Namespace, config: dict[str, str]) -> int:
@@ -398,23 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--g", type=int, help="genus (default 2)")
     verify.add_argument("--B", help="magnetic field, rational like 1/4 or a bare real")
     verify.add_argument("--seed", type=int, help="seed for random sample points (default 0)")
-    verify.add_argument(
-        "--tol", action="append", metavar="NAME=VALUE", help="override one check tolerance"
-    )
-    verify.add_argument("--config", help="key=value config file; flags override")
+    verify.add_argument("--tol", action="append", metavar="NAME=VALUE", help="override one check tolerance")
 
     tile = sub.add_parser("tile", help="render a Poincare-disk tiling patch to SVG")
     tile.add_argument("--g", type=int, help="genus (default 2)")
     tile.add_argument("--depth", type=int, help="word length of tile orbit (default 2)")
     tile.add_argument("--out", help="output SVG path (default tiling.svg)")
-    tile.add_argument("--config", help="key=value config file; flags override")
 
     spectrum = sub.add_parser("spectrum", help="print eigenvalues of one lattice Hamiltonian")
     spectrum.add_argument("--B", help="rational magnetic field p/(2q), e.g. 1/6")
     spectrum.add_argument("--model", help="reduced | block-aniso | block-iso (default reduced)")
     spectrum.add_argument("--m", type=int, help="rotation sector for the reduced model (default 0)")
     spectrum.add_argument("--k", help="Bloch momentum as four comma-separated reals (default 0,0,0,0)")
-    spectrum.add_argument("--config", help="key=value config file; flags override")
 
     butterfly = sub.add_parser("butterfly", help="sweep rational flux and write phi,energy CSV")
     butterfly.add_argument("--model", help="reduced | block-aniso | block-iso (default reduced)")
@@ -423,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     butterfly.add_argument("--k-samples", dest="k_samples", type=int, help="momenta per flux (default 4)")
     butterfly.add_argument("--seed", type=int, help="momentum sequence offset (default 0)")
     butterfly.add_argument("--out", help="output CSV path (default butterfly.csv)")
-    butterfly.add_argument("--config", help="key=value config file; flags override")
 
+    for command in (verify, tile, spectrum, butterfly):
+        command.add_argument("--config", help="key=value config file; flags override")
     return parser
 
 

@@ -81,10 +81,6 @@ class HPoint:
         if self.y <= 0.0:
             raise ValueError(f"half-plane point needs y > 0, got y = {self.y}")
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "HPoint":
-        return cls(z.real, z.imag)
-
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
 

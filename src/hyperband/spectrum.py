@@ -143,10 +143,10 @@ def _harper_stack(q: int, phi: np.ndarray, k1: np.ndarray, k2: np.ndarray, scale
     return h
 
 
-def harper_core(flux: FluxParam, k1: float, k2: float, scale: float = 1.0) -> np.ndarray:
-    """The q x q Harper core at phi = 2 pi p/q, every term multiplied by `scale`."""
+def harper_core(flux: FluxParam, k1: float, k2: float) -> np.ndarray:
+    """The q x q Harper core at phi = 2 pi p/q."""
     phi = _TWO_PI * flux.p / flux.q
-    return _harper_stack(flux.q, np.array([phi]), np.array([k1]), np.array([k2]), scale)[0]
+    return _harper_stack(flux.q, np.array([phi]), np.array([k1]), np.array([k2]), 1.0)[0]
 
 
 def _reduced_stack(q: int, items: Sequence[tuple[int, BlochMomentum]], m: int) -> np.ndarray:
@@ -441,14 +441,17 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     p is assembled and solved (`_certified_spectra`: batched stacks,
     `harper_eigvalsh`, every eigenvalue certified).  A rotation sector
     m is the Harper core times a constant plus a scalar, and the core's
-    spectrum is the same at p and r, so the spectrum at p is the solved
-    sector-m spectrum at r plus (16/pi^2)(2cos(pi B_p/4 + m pi/4) -
-    2cos(pi B_r/4 + m pi/4)).  The ring term commutes with the core, so the
-    anisotropic 8q x 8q spectrum is the union of the sector-0 spectrum at p
-    shifted into all eight sectors: one q x q solve per orbit.  The
-    sector-0 matrix is solved, never the bare scaled core, on which LAPACK
-    `eigh` can fail to converge (p/q = 101/52, k = 0).  The isotropic
-    spectrum is the union of its four S^2 sectors at r, the same at p.
+    spectrum is the same at p and r; the ring term commutes with the core,
+    so the anisotropic 8q x 8q spectrum is the union of the sector-0
+    spectra shifted into all eight sectors.  With s(B, t) =
+    2cos(pi B/4 + t pi/4) and m the solved sector (0 for block-aniso), both
+    are the solved spectrum at r, plus the orbit shift (16/pi^2)(s(B_p, m) -
+    s(B_r, m)), plus the sector shifts (16/pi^2)(s(B_p, t) - s(B_p, m)) for t
+    in the model's sectors, (m,) or 0..7, sorted when there are eight: one
+    q x q solve per orbit.  The sector-0 matrix is solved, never the bare
+    scaled core, on which LAPACK `eigh` can fail to converge
+    (p/q = 101/52, k = 0).  The isotropic spectrum is the union of its four
+    S^2 sectors at r, the same at p.
     """
     reps = [_flux_representative(model, p, q) for p in ps]
     solved = sorted(set(reps))
@@ -456,21 +459,16 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     row = np.searchsorted(solved, reps)  # the solved row of each p
     if isinstance(model, BlockIsotropic):
         return np.sort(vals, axis=-1)[row]
-    m = model.m if isinstance(model, ReducedHarper) else 0
-    shift = [
-        RING_WEIGHT * (rotation_sector_shift(FluxParam(p, q).field, m) - rotation_sector_shift(FluxParam(r, q).field, m))
-        for p, r in zip(ps, reps)
+    m, sectors = (model.m, [model.m]) if isinstance(model, ReducedHarper) else (0, range(RING_SIZE))
+    fields = [(FluxParam(p, q).field, FluxParam(r, q).field) for p, r in zip(ps, reps)]
+    orbit = [RING_WEIGHT * (rotation_sector_shift(b_p, m) - rotation_sector_shift(b_r, m)) for b_p, b_r in fields]
+    sector = [
+        [RING_WEIGHT * (rotation_sector_shift(b_p, t) - rotation_sector_shift(b_p, m)) for t in sectors]
+        for b_p, _ in fields
     ]
-    vals = vals[row] + np.reshape(shift, (-1, 1, 1))
-    if isinstance(model, ReducedHarper):
-        return vals
-    shifts = []
-    for p in ps:
-        B = FluxParam(p, q).field
-        base = rotation_sector_shift(B, 0)
-        shifts.append([RING_WEIGHT * (rotation_sector_shift(B, m) - base) for m in range(RING_SIZE)])
-    union = vals[:, :, None, :] + np.array(shifts)[:, None, :, None]
-    return np.sort(union.reshape(len(ps), len(momenta), RING_SIZE * q), axis=-1)
+    union = (vals[row] + np.reshape(orbit, (-1, 1, 1)))[:, :, None, :] + np.reshape(sector, (len(ps), 1, -1, 1))
+    union = union.reshape(len(ps), len(momenta), -1)
+    return np.sort(union, axis=-1) if len(sectors) > 1 else union
 
 
 def model_spectrum(model: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:

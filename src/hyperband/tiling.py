@@ -9,7 +9,8 @@ the single surface-group relation
 
     gamma_1 gamma_2^-1 ... gamma_{2g}^-1 gamma_1^-1 gamma_2 ... gamma_{2g} = 1
 
-and pair opposite edges of a regular 4g-gon centered at i.
+and pair opposite edges of a regular 4g-gon centered at i.  `disk_corners`
+and `edge_states` draw tiles on the Poincare disk.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .halfplane import (
 
 _DEDUP_TOL = 1e-6
 _MAX_CANDIDATE_WORDS = 10**6
+_TWO_PI = 2.0 * math.pi
+_ARC_RADIUS_LIMIT = 1e4  # straight-segment fallback for near-diameter geodesics
 
 
 @dataclass(frozen=True)
@@ -278,3 +281,51 @@ def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> np.ndarray:
         stored = np.concatenate([stored, frontier])
         stored_keys = np.concatenate([stored_keys, keys[kept]])
     return stored
+
+
+def disk_corners(tiles: np.ndarray, dom: FundamentalDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Disk coordinates (u, v) of every corner of tile rows (a, b, c, d), shaped (tiles, vertices).
+
+    Each corner is the float that the scalar `(z - 1j) / (z + 1j)` of
+    `z = moebius_act(tile, vertex)` gives; `moebius_rows` refuses as
+    `moebius_act` does.
+    """
+    x, y = moebius_rows(tiles, np.array([p.x for p in dom.vertices]), np.array([p.y for p in dom.vertices]))
+    # Cayley map w = (z - 1j) / (z + 1j), divided by Smith's method as
+    # CPython's complex division does; numpy's complex `/` rounds differently
+    ar, ai, br, bi = x, y - 1.0, x + 0.0, y + 1.0
+    big = np.abs(br) >= np.abs(bi)
+    ratio = np.where(big, bi, br) / np.where(big, br, bi)
+    denom = np.where(big, br + bi * ratio, br * ratio + bi)
+    u = np.where(big, ar + ai * ratio, ar * ratio + ai) / denom
+    v = np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
+    return u, v
+
+
+def edge_states(u: np.ndarray, v: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
+    """State (0 straight, 1 or 2 arc with sweep flag 0 or 1) and arc radius of every edge, shaped (tiles, edges).
+
+    An edge from w1 to w2 runs along the geodesic circle orthogonal to |w|=1.
+    Its center c satisfies 2 Re(w) cx + 2 Im(w) cy = |w|^2 + 1 at both
+    endpoints; a vanishing determinant means a diameter, drawn straight, as
+    are circles too large to draw.  `atan2` only picks the sweep flag.
+    """
+    i, j = np.array(edges).T
+    # abs(w) ** 2 of the scalar code: `**` is libm pow, which float_power
+    # calls; numpy's `** 2` squares and can differ in the last bit
+    rhs = np.float_power(np.hypot(u, v), 2) + 1.0
+    u1, v1, b1 = u[:, i], v[:, i], rhs[:, i]
+    u2, v2, b2 = u[:, j], v[:, j], rhs[:, j]
+    a11, a12, a21, a22 = 2.0 * u1, 2.0 * v1, 2.0 * u2, 2.0 * v2
+    det = a11 * a22 - a12 * a21
+    arc = np.abs(det) >= 1e-9
+    det = np.where(arc, det, 1.0)
+    cx = (b1 * a22 - b2 * a12) / det
+    cy = (a11 * b2 - a21 * b1) / det
+    r_sq = cx * cx + cy * cy - 1.0
+    arc &= r_sq > 0.0
+    radius = np.sqrt(np.where(arc, r_sq, 0.0))
+    arc &= radius <= _ARC_RADIUS_LIMIT
+    delta = (np.arctan2(v2 - cy, u2 - cx) - np.arctan2(v1 - cy, u1 - cx)) % _TWO_PI
+    delta = np.where(delta > math.pi, delta - _TWO_PI, delta)
+    return np.where(arc, np.where(delta > 0.0, 2, 1), 0).astype(np.uint8), radius

@@ -14,11 +14,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperband
-from hyperband import cli
-from hyperband.cli import _ARC_RADIUS_LIMIT, _TWO_PI, main, parse_config_file
+from hyperband import checks, cli
+from hyperband.cli import main, parse_config_file
 from hyperband.halfplane import HPoint, Sl2Element, moebius_act, moebius_rows
 from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, assemble_block, eigenvalues
-from hyperband.tiling import FundamentalDomain, TilingParams, enumerate_tiles, make_fundamental_domain, make_generators
+from hyperband.tiling import (
+    _ARC_RADIUS_LIMIT,
+    _TWO_PI,
+    FundamentalDomain,
+    TilingParams,
+    disk_corners,
+    edge_states,
+    enumerate_tiles,
+    make_fundamental_domain,
+    make_generators,
+)
 
 
 def run(capsys, *argv):
@@ -125,6 +135,13 @@ def test_verify_hermiticity_line_can_fail(monkeypatch, capsys):
         assert len(fails) == (3 if verdict == "FAIL" else 2)
 
 
+def test_verify_suite_names_are_unique_and_use_every_tolerance():
+    names = [name for name, _, _ in checks.SUITE]
+    assert len(names) == len(set(names))
+    # every `--tol NAME` bounds some line, and every line's bound can be overridden
+    assert {key for _, key, _ in checks.SUITE} == set(checks.TOLERANCES)
+
+
 def test_verify_rejects_unknown_tolerance(capsys):
     code, _, err = run(capsys, "verify", "--tol", "nonsense=1")
     assert code == 2
@@ -141,7 +158,7 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 # Scalar oracle of the tile renderer: one complex number per corner, one
-# geodesic at a time.  The CLI computes the same floats on arrays.
+# geodesic at a time.  `tiling` and the CLI compute the same floats on arrays.
 
 
 def _cayley(z: HPoint) -> complex:
@@ -224,7 +241,7 @@ def _oracle_path(w1: complex, w2: complex) -> str:
 def test_cayley_sends_domain_center_to_origin():
     assert abs(_cayley(HPoint(0.0, 1.0))) < 1e-15
     dom = FundamentalDomain((HPoint(0.0, 1.0),) * 4, ((3, 0), (0, 1), (1, 2), (2, 3)))
-    u, v = cli._disk_corners(np.array([Sl2Element.identity().entries()]), dom)
+    u, v = disk_corners(np.array([Sl2Element.identity().entries()]), dom)
     assert np.abs(u).max() < 1e-15 and np.abs(v).max() < 1e-15
 
 
@@ -285,7 +302,7 @@ def test_vectorized_segments_equal_scalar_oracle(pairs):
     # the same floats, not just the same six decimals
     u = np.array([[w1.real, w2.real] for w1, w2 in pairs])
     v = np.array([[w1.imag, w2.imag] for w1, w2 in pairs])
-    state, radius = cli._edge_states(u, v, ((0, 1),))
+    state, radius = edge_states(u, v, ((0, 1),))
     got = [(s, r if s else 0.0) for s, r in zip(state[:, 0].tolist(), radius[:, 0].tolist())]
     assert got == [_edge_geometry(w1, w2) for w1, w2 in pairs]
 
@@ -293,7 +310,7 @@ def test_vectorized_segments_equal_scalar_oracle(pairs):
 def test_disk_corners_are_the_scalar_floats():
     dom = make_fundamental_domain(TilingParams(2))
     tiles = enumerate_tiles(make_generators(TilingParams(2)), 3)
-    u, v = cli._disk_corners(tiles, dom)
+    u, v = disk_corners(tiles, dom)
     want = [[_cayley(moebius_act(_as_element(row), vertex)) for vertex in dom.vertices] for row in tiles]
     assert (u + 1j * v).tolist() == want
 
@@ -349,7 +366,7 @@ def test_corner_arrays_refuse_what_the_scalar_path_refuses(tile, message):
         for vertex in dom.vertices:
             moebius_act(tile, vertex)
     with pytest.raises(ValueError) as array:
-        cli._disk_corners(np.array([Sl2Element.identity().entries(), tile.entries()]), dom)
+        disk_corners(np.array([Sl2Element.identity().entries(), tile.entries()]), dom)
     assert str(array.value) == str(scalar.value)
 
 
