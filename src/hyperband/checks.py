@@ -73,6 +73,10 @@ def _orbits_line(s: SuiteSamples) -> tuple[float, str]:
     return defect, f"(orbits of p={s.pair.p}, q={s.pair.q} and p=1, q=5)"
 
 
+def _chambers_line(s: SuiteSamples) -> tuple[float, str]:
+    return chambers([s.pair, FluxParam(1, 5)], s.momenta), f"(p={s.pair.p}, q={s.pair.q} and p=1, q=5)"
+
+
 # (line name, key of TOLERANCES, compute(samples) -> (defect, note)), in print order
 SUITE: tuple[tuple[str, str, Callable[[SuiteSamples], tuple[float, str]]], ...] = (
     ("fuchsian relation", "relation", lambda s: (fuchsian_relation([s.genus]), "")),
@@ -86,6 +90,7 @@ SUITE: tuple[tuple[str, str, Callable[[SuiteSamples], tuple[float, str]]], ...] 
     ("rotation sectors", "sector", lambda s: (rotation_sectors(s.pair, s.momenta), _pair_note(s))),
     ("iso sectors", "sector", lambda s: (iso_sectors(s.pair, s.momenta), _pair_note(s))),
     ("flux orbits", "sector", _orbits_line),
+    ("chambers", "sector", _chambers_line),
 )
 
 
@@ -95,8 +100,9 @@ def run_suite(genus: int, flux: Fraction | float, seed: int, tols: dict[str, flo
     Samples come from `default_rng(seed)`: five flux-relation points, five
     algebra points, two momenta.  The lattice checks are genus-2 structures
     at the pair of a `Fraction` flux; a bare real B has none, so they take
-    p/q = 1/3.  A `ValueError` or `RuntimeError` inside a check gives
-    defect inf with the message as note.
+    p/q = 1/3.  A `ValueError`, `RuntimeError` or `OverflowError` (a flux
+    pair too large for a float) inside a check gives defect inf with the
+    message as note.
     """
     B = float(flux)
     pair = FluxParam.from_field(flux) if isinstance(flux, Fraction) else FluxParam(1, 3)
@@ -106,7 +112,7 @@ def run_suite(genus: int, flux: Fraction | float, seed: int, tols: dict[str, flo
     for name, key, compute in SUITE:
         try:
             defect, note = compute(samples)
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, OverflowError) as exc:
             defect, note = math.inf, f"({exc})"
         yield CheckRecord(name, defect, tols[key], defect < tols[key], note)
 
@@ -226,7 +232,8 @@ def flux_orbits(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) ->
     flux per orbit and derives the others (block-iso splits the orbit into
     {p, 2q - p} and {p + q, q - p}), while the direct route assembles and
     certifies every member's own matrices, in one batched stack per model
-    and pair.
+    and pair.  Both routes of sector 0 solve its real Chambers twin; the
+    `chambers` check compares that twin with the dense complex matrix.
     """
     momenta = list(momenta)
 
@@ -238,6 +245,29 @@ def flux_orbits(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) ->
         return float(np.abs(derived - np.sort(direct, axis=-1)).max())
 
     return max_or_nan(gap(model, pair) for pair in pairs for model in (ReducedHarper(0), BlockIsotropic()))
+
+
+def chambers(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> float:
+    """Real Chambers-route spectra (`_certified_spectra`) against the dense complex sector-0 spectrum.
+
+    The sweep solves reduced and block-aniso as real symmetric matrices at
+    a moved momentum (k1' in {0, pi/q}, `_chambers_momenta`); the dense
+    route solves `assemble_reduced` at the original momentum with
+    eigenvectors.  Each pair's flux is solved as given, not through its orbit
+    representative.  Besides `momenta`, each pair also runs one fixed momentum
+    on each branch: k1 = 0 gives s = cos(q k1) + cos(q k2) >= 0, k1 = pi/q
+    gives s < 0.
+    """
+    momenta = list(momenta)
+
+    def gap(pair: FluxParam) -> float:
+        p, q = pair.p, pair.q
+        ks = momenta + [BlochMomentum(0.0, 0.4, 1.0, 2.0), BlochMomentum(math.pi / q, 0.4, 1.0, 2.0)]
+        real = spectrum._certified_spectra(ReducedHarper(0), q, [(p, k) for k in ks])
+        dense = [spectrum.eigenvalues(spectrum.assemble_reduced(p, q, k, 0)) for k in ks]
+        return float(np.abs(real - np.array(dense)).max())
+
+    return max_or_nan(gap(pair) for pair in pairs)
 
 
 def harper_oracle_compare(p: int, q: int, k1: float, k2: float) -> float:

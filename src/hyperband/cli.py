@@ -81,9 +81,14 @@ def parse_flux(text: str, allow_real: bool) -> Union[Fraction, float]:
     text = str(text).strip()
     if "/" in text:
         try:
-            return Fraction(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad rational flux {text!r}: {exc}") from exc
+        try:
+            float(value)
+        except OverflowError as exc:
+            raise UsageError(f"flux must be finite as a float, got {text!r}") from exc
+        return value
     try:
         value = float(text)
     except ValueError as exc:

@@ -13,14 +13,17 @@ carry the rotation sector structure.  Diagonalizing the commuting ring first
 reduces each sector m to a q x q Harper-type matrix: diagonal 2cos(k2 - n phi),
 unit hoppings e^{-+ i k1}, and the scalar sector shift (16/pi^2) 2cos(pi B/4 +
 m pi/4); `model_spectra` computes the anisotropic block spectrum that way.
-The isotropic block model splits into four 2q x 2q sectors (`_iso_stack`).
-All three models are solved in batches for eigenvalues only, certified by
-inertia counts (`harper_eigvalsh`), one flux per orbit {p, p+q, q-p, 2q-p}
-({p, 2q-p} for block-iso, `_flux_representative`); the other fluxes of an
-orbit reuse its spectrum, shifted by a scalar.  `eigenvalues` and the dense
-assemblers are the oracle of `checks` and the tests; they stay here, beside
-the lattice definitions they share with the kernel.  Both solvers pass
-`_require_solvable`.
+By Chambers' relation that core has the same spectrum at a momentum with
+k1 in {0, pi/q}, where a gauge makes it real symmetric (`_chambers_stack`),
+so rotation sectors and block-aniso are solved as real matrices.  The
+isotropic block model splits into four complex 2q x 2q sectors
+(`_iso_stack`).  All three models are solved in batches for eigenvalues
+only, certified by inertia counts (`harper_eigvalsh`), one flux per orbit
+{p, p+q, q-p, 2q-p} ({p, 2q-p} for block-iso, `_flux_representative`); the
+other fluxes of an orbit reuse its spectrum, shifted by a scalar.
+`eigenvalues` and the dense complex assemblers are the oracle of `checks`
+and the tests; they stay here, beside the lattice definitions they share
+with the kernel.  Both solvers pass `_require_solvable`.
 Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
@@ -43,7 +46,7 @@ _MAX_DIMENSION = 2000
 _MAX_SWEEP_WORKLOAD = 2_000_000_000  # sum of dim^3 over all diagonalizations
 _MAX_SWEEP_Q = 500
 _HALTON_BASES = (2, 3, 5, 7)
-_BATCH_BYTES = 1 << 20  # one assembled stack of complex matrices; bounds peak memory
+_BATCH_BYTES = 1 << 20  # one assembled stack of matrices, at its itemsize; bounds peak memory
 _NEG_SQRT_TINY = -math.sqrt(np.finfo(float).tiny)
 _HERMITIAN_TOL = 1e-12  # largest |H - H^dagger| either solver accepts
 RING_WEIGHT = 16.0 / math.pi**2  # weight of the ring term against the Harper core
@@ -97,15 +100,17 @@ class BlockIsotropic:
 HamiltonianModel = ReducedHarper | BlockAnisotropic | BlockIsotropic
 
 
-def rotation_sector_shift(B: float, m: int) -> float:
+def rotation_sector_shift(B: float | np.ndarray, m: int | np.ndarray) -> float | np.ndarray:
     """Eigenvalue 2cos(pi B/4 + m pi/4) of the ring term's sector m.
 
-    Returned bare; the lattice Hamiltonian scales it by `RING_WEIGHT` where
-    it enters the reduced matrix.
+    B and m may be arrays; they broadcast together, and every element of m
+    must be a sector index.  Returned bare; the lattice Hamiltonian scales it
+    by `RING_WEIGHT` where it enters the reduced matrix.
     """
-    if m not in range(RING_SIZE):
+    index = np.asarray(m)
+    if not np.all((index >= 0) & (index < RING_SIZE) & (index % 1 == 0)):
         raise ValueError(f"sector index must be 0..{RING_SIZE - 1}, got {m}")
-    return 2.0 * math.cos(math.pi * B / 4.0 + m * math.pi / 4.0)
+    return 2.0 * np.cos(np.pi * B / 4.0 + m * np.pi / 4.0)
 
 
 def ring_matrix(B: float) -> np.ndarray:
@@ -164,6 +169,57 @@ def _reduced_stack(q: int, items: Sequence[tuple[int, BlochMomentum]], m: int) -
     phi = np.array([_TWO_PI * p / q for p, _ in items])
     h = _harper_stack(q, phi, np.array([k.k1 for _, k in items]), np.array([k.k2 for _, k in items]), scale=c)
     h += np.reshape(shift, (-1, 1, 1)) * np.eye(q)
+    return h
+
+
+def _chambers_momenta(q: int, k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k1', k2') with k1' in {0, pi/q} and cos(q k1') + cos(q k2') = s = cos(q k1) + cos(q k2).
+
+    By Chambers' relation the characteristic polynomial of the Harper core
+    at phi = 2 pi p/q, p coprime to q, depends on (k1, k2) only through s,
+    so the core has the same spectrum at (k1', k2').  For s >= 0, k1' = 0 and
+    cos(q k2') = s - 1; for s < 0, k1' = pi/q and cos(q k2') = s + 1.
+    Bands can touch at s = +-2, where an eigenvalue moves like sqrt(2 -+ s),
+    so s itself would lose the digits that matter (at q = 4, k2 = 1e-7 an
+    eigenvalue moved by 3e-12).  The map therefore keeps the half-angle forms
+    u = 1 - s/2 = sin^2(q k1/2) + sin^2(q k2/2) and v = 1 + s/2 =
+    cos^2(q k1/2) + cos^2(q k2/2), each accurate to rounding where it is
+    small: sin(q k2'/2) = sqrt(u) for s >= 0 (u <= 1), cos(q k2'/2) = sqrt(v)
+    for s < 0.
+    """
+    a, b = 0.5 * q * k1, 0.5 * q * k2
+    u = np.sin(a) ** 2 + np.sin(b) ** 2
+    v = np.cos(a) ** 2 + np.cos(b) ** 2
+    upper = u <= 1.0
+    # each branch clips the other's argument, whose root is discarded, to keep it in range
+    half = np.where(upper, np.arcsin(np.sqrt(np.minimum(u, 1.0))), np.arccos(np.sqrt(np.minimum(v, 1.0))))
+    return np.where(upper, 0.0, math.pi / q), 2.0 * half / q
+
+
+def _chambers_stack(q: int, items: Sequence[tuple[int, BlochMomentum]], m: int) -> np.ndarray:
+    """Real symmetric matrices with the spectra of `_reduced_stack(q, items, m)`, stacked (n, q, q).
+
+    Each momentum moves by `_chambers_momenta` to (k1', k2'), where the
+    gauge e^{i j k1'} on site j makes the sector-m matrix real: diagonal
+    c 2cos(k2' - j phi) plus the scalar shift of `_reduced_stack`, hoppings
+    c and corners c sigma, sigma = cos(q k1') = +1 at k1' = 0 and -1 at
+    k1' = pi/q.  The corners add onto occupied entries for q <= 2: the
+    diagonal becomes c 2(cos k2' + sigma) at q = 1, the hopping c(1 + sigma)
+    at q = 2.  The caller has checked that each p is coprime to q.
+    """
+    _require_dimension(q)
+    c = -1.0 / (8.0 * MU * MU)
+    p = np.array([p for p, _ in items], dtype=float)
+    k1, k2, k3, k4 = np.array([[k.k1, k.k2, k.k3, k.k4] for _, k in items]).T
+    k1r, k2r = _chambers_momenta(q, k1, k2)
+    j = np.arange(q)
+    h = np.zeros((len(items), q, q))
+    h[:, j, j] = c * 2.0 * np.cos(k2r[:, None] - j * (_TWO_PI * p / q)[:, None])
+    h[:, j[:-1], j[1:]] = h[:, j[1:], j[:-1]] = c
+    corner = c * np.where(k1r == 0.0, 1.0, -1.0)
+    h[:, 0, q - 1] += corner
+    h[:, q - 1, 0] += corner
+    h[:, j, j] += (2.0 * c * (np.cos(k3) + np.cos(k4)) + RING_WEIGHT * rotation_sector_shift(p / (2.0 * q), m))[:, None]
     return h
 
 
@@ -296,15 +352,17 @@ def _cyclic_band(n: int, pendants: bool = False) -> np.ndarray:
 def inertia_counts(h: np.ndarray, sigma: np.ndarray, pendants: bool = False) -> np.ndarray:
     """N(sigma): negative pivots of LDL^H(H - sigma I), per matrix of `h` and shift of `sigma`.
 
-    `h` is an (n, q, q) stack of Hermitian matrices that vanish outside the
-    cyclic band, `sigma` an (n, s) array of shifts.  By Sylvester's law of
-    inertia N(sigma) is the number of eigenvalues below sigma.  Rows 0..q-2
-    form a tridiagonal block, counted by the Sturm recurrence
-    d_j = a_j - sigma - |H[j, j-1]|^2 / d_{j-1}; the last pivot is its Schur
-    complement a_{q-1} - sigma - sum_j |y_j|^2 / d_j with y = L^{-1} H[:q-1, q-1]:
-    y_0 = H[0, q-1], y_j = -H[j, j-1] y_{j-1} / d_{j-1}, plus H[q-2, q-1] in
-    the last row.  A zero pivot is replaced by -sqrt(tiny) (Kahan), so it
-    counts as negative and the next pivot stays finite.  Costs O(q) per shift.
+    `h` is an (n, q, q) stack of Hermitian or real symmetric matrices that
+    vanish outside the cyclic band, `sigma` an (n, s) array of shifts.  By
+    Sylvester's law of inertia N(sigma) is the number of eigenvalues below
+    sigma.  Rows 0..q-2 form a tridiagonal block, counted by the Sturm
+    recurrence d_j = a_j - sigma - |H[j, j-1]|^2 / d_{j-1}; the last pivot is
+    its Schur complement a_{q-1} - sigma - sum_j |y_j|^2 / d_j with
+    y = L^{-1} H[:q-1, q-1]: y_0 = H[0, q-1], y_j = -H[j, j-1] y_{j-1} / d_{j-1},
+    plus H[q-2, q-1] in the last row.  A zero pivot is replaced by
+    -sqrt(tiny) (Kahan), so it counts as negative and the next pivot stays
+    finite.  Costs O(q) per shift; the rows are formed one at a time, so no
+    temporary exceeds (n, s).
 
     With `pendants` (layout of `_cyclic_band`) each pendant q + j is
     eliminated first: pivot b_j = H[q+j, q+j] - sigma, same zero rule, and
@@ -312,20 +370,29 @@ def inertia_counts(h: np.ndarray, sigma: np.ndarray, pendants: bool = False) -> 
     """
     q = h.shape[-1] // 2 if pendants else h.shape[-1]
     j = np.arange(q)
-    shifted = h.real[:, j, j, None] - sigma[:, None, :]  # a_j - sigma, (n, q, s)
+    diag = h.real[:, j, j, None]  # a_j, (n, q, 1)
+    if pendants:
+        pendant = h.real[:, q + j, q + j, None]
+        link = h[:, q + j, j, None]
+        link_sq = (link * link.conj()).real
+    count = np.zeros(sigma.shape, dtype=np.intp)
 
     def pivot(x: np.ndarray) -> np.ndarray:
         if not x.all():
             x[x == 0.0] = _NEG_SQRT_TINY
         return x
 
-    count = np.zeros(sigma.shape, dtype=np.intp)
-    if pendants:
-        b = pivot(h.real[:, q + j, q + j, None] - sigma[:, None, :])
-        count += (b < 0.0).sum(axis=1)
-        link = h[:, q + j, j, None]
-        shifted -= (link * link.conj()).real / b
-    d = pivot(shifted[:, 0])
+    def shifted(row: int) -> np.ndarray:
+        # a_row - sigma, less its eliminated pendant
+        nonlocal count
+        x = diag[:, row] - sigma
+        if pendants:
+            b = pivot(pendant[:, row] - sigma)
+            count += b < 0.0
+            x -= link_sq[:, row] / b
+        return x
+
+    d = pivot(shifted(0))
     count += d < 0.0
     if q == 1:
         return count
@@ -339,10 +406,10 @@ def inertia_counts(h: np.ndarray, sigma: np.ndarray, pendants: bool = False) -> 
         if row == q - 2:
             y += h[:, q - 2, q - 1, None]
         inv *= sub_sq[:, row - 1]
-        d = pivot(np.subtract(shifted[:, row], inv, out=inv))
+        d = pivot(np.subtract(shifted(row), inv, out=inv))
         count += d < 0.0
         schur += (y * y.conj()).real / d
-    count += pivot(shifted[:, q - 1] - schur) < 0.0
+    count += pivot(shifted(q - 1) - schur) < 0.0
     return count
 
 
@@ -374,13 +441,13 @@ def certify_spectra(h: np.ndarray, vals: np.ndarray, pendants: bool = False) -> 
 
 
 def harper_eigvalsh(h: np.ndarray, pendants: bool = False) -> np.ndarray:
-    """Certified ascending eigenvalues of an (n, dim, dim) stack of cyclic-tridiagonal Hermitian matrices.
+    """Certified ascending eigenvalues of an (n, dim, dim) stack of cyclic-tridiagonal matrices.
 
-    `pendants` selects the layout of `_cyclic_band`.  `_require_solvable`
-    refuses a stack that is nonzero outside the band (the certificate reads
-    only the band); one LAPACK call solves it without eigenvectors, and
-    `certify_spectra` checks every eigenvalue.  Any failure raises
-    RuntimeError.
+    The matrices are Hermitian or real symmetric; `pendants` selects the
+    layout of `_cyclic_band`.  `_require_solvable` refuses a stack that is
+    nonzero outside the band (the certificate reads only the band); one
+    LAPACK call solves it without eigenvectors, and `certify_spectra` checks
+    every eigenvalue.  Any failure raises RuntimeError.
     """
     dim = h.shape[-1]
     _require_solvable(h, _cyclic_band(dim, pendants))
@@ -416,17 +483,23 @@ def _flux_representative(model: HamiltonianModel, p: int, q: int) -> int:
 def _certified_spectra(model: HamiltonianModel, q: int, items: Sequence[tuple[int, BlochMomentum]]) -> np.ndarray:
     """Certified spectra of the matrices solved for `model` at each (p, k) of `items`, shape (len(items), count * dim).
 
-    The matrices are the sector-m matrix (sector 0 for block-aniso) or
-    block-iso's four S^2 sectors, whose spectra follow one another unmerged;
-    they are assembled as stacks of at most about `_BATCH_BYTES` and solved
-    by `harper_eigvalsh`.
+    The matrices are the real symmetric Chambers twin of the sector-m matrix
+    (`_chambers_stack`, sector 0 for block-aniso) or block-iso's four complex
+    S^2 sectors, whose spectra follow one another unmerged.  A p not coprime
+    to q is a ValueError.  The matrices are assembled as stacks of at most
+    about `_BATCH_BYTES`, counted at 8 B per real and 16 B per complex entry,
+    and solved by `harper_eigvalsh`, which certifies every eigenvalue against
+    the matrix it solved.
     """
+    for p in dict.fromkeys(p for p, _ in items):
+        FluxParam(p, q)
     iso = isinstance(model, BlockIsotropic)
     m = model.m if isinstance(model, ReducedHarper) else 0
     count, dim = _sector_layout(model, q)
-    per_batch = max(1, _BATCH_BYTES // (16 * count * dim * dim))
+    itemsize = 16 if iso else 8
+    per_batch = max(1, _BATCH_BYTES // (itemsize * count * dim * dim))
     batches = (
-        _iso_stack(q, chunk) if iso else _reduced_stack(q, chunk, m)
+        _iso_stack(q, chunk) if iso else _chambers_stack(q, chunk, m)
         for chunk in (items[i : i + per_batch] for i in range(0, len(items), per_batch))
     )
     return np.concatenate([harper_eigvalsh(h, pendants=iso) for h in batches]).reshape(len(items), count * dim)
@@ -448,10 +521,12 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     are the solved spectrum at r, plus the orbit shift (16/pi^2)(s(B_p, m) -
     s(B_r, m)), plus the sector shifts (16/pi^2)(s(B_p, t) - s(B_p, m)) for t
     in the model's sectors, (m,) or 0..7, sorted when there are eight: one
-    q x q solve per orbit.  The sector-0 matrix is solved, never the bare
-    scaled core, on which LAPACK `eigh` can fail to converge
-    (p/q = 101/52, k = 0).  The isotropic spectrum is the union of its four
-    S^2 sectors at r, the same at p.
+    q x q solve per orbit, and both shifts are computed as arrays.  That
+    q x q matrix is solved as its real symmetric Chambers twin at a moved
+    momentum (`_chambers_stack`); block-iso's sectors stay Hermitian.  The
+    sector-0 matrix is solved, never the bare scaled core, on which LAPACK
+    `eigh` can fail to converge (p/q = 101/52, k = 0).  The isotropic
+    spectrum is the union of its four S^2 sectors at r, the same at p.
     """
     reps = [_flux_representative(model, p, q) for p in ps]
     solved = sorted(set(reps))
@@ -459,14 +534,11 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     row = np.searchsorted(solved, reps)  # the solved row of each p
     if isinstance(model, BlockIsotropic):
         return np.sort(vals, axis=-1)[row]
-    m, sectors = (model.m, [model.m]) if isinstance(model, ReducedHarper) else (0, range(RING_SIZE))
-    fields = [(FluxParam(p, q).field, FluxParam(r, q).field) for p, r in zip(ps, reps)]
-    orbit = [RING_WEIGHT * (rotation_sector_shift(b_p, m) - rotation_sector_shift(b_r, m)) for b_p, b_r in fields]
-    sector = [
-        [RING_WEIGHT * (rotation_sector_shift(b_p, t) - rotation_sector_shift(b_p, m)) for t in sectors]
-        for b_p, _ in fields
-    ]
-    union = (vals[row] + np.reshape(orbit, (-1, 1, 1)))[:, :, None, :] + np.reshape(sector, (len(ps), 1, -1, 1))
+    m, sectors = (model.m, np.array([model.m])) if isinstance(model, ReducedHarper) else (0, np.arange(RING_SIZE))
+    b_p, b_r = np.array(ps) / (2.0 * q), np.array(reps) / (2.0 * q)
+    orbit = RING_WEIGHT * (rotation_sector_shift(b_p, m) - rotation_sector_shift(b_r, m))
+    sector = RING_WEIGHT * (rotation_sector_shift(b_p[:, None], sectors) - rotation_sector_shift(b_p, m)[:, None])
+    union = (vals[row] + orbit[:, None, None])[:, :, None, :] + sector[:, None, :, None]
     union = union.reshape(len(ps), len(momenta), -1)
     return np.sort(union, axis=-1) if len(sectors) > 1 else union
 

@@ -99,11 +99,15 @@ def test_criterion_6_rotation_sector_consistency():
             checks.rotation_sectors(pair, momenta),
             checks.iso_sectors(pair, momenta),
             checks.flux_orbits([pair], momenta),
+            checks.chambers([pair], momenta),
         )
     # LAPACK fails on the bare scaled Harper core here; the sectors must still
     # match, and so must the spectra derived across its flux orbit {3, 49, 55, 101}
+    # and the real Chambers twin
     hard, origin = FluxParam(101, 52), [BlochMomentum.zero()]
-    defect = max(defect, checks.iso_sectors(hard, origin), checks.flux_orbits([hard], origin))
+    defect = max(
+        defect, checks.iso_sectors(hard, origin), checks.flux_orbits([hard], origin), checks.chambers([hard], origin)
+    )
     _report(6, "rotation-sector consistency", defect, checks.TOLERANCES["sector"], time.perf_counter() - start, 10.0)
 
 

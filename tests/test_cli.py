@@ -52,7 +52,7 @@ def test_verify_passes_at_quarter_flux(capsys):
     code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines)
     flux_line = next(line for line in lines if "flux relation" in line)
     assert "phase -1" in flux_line
@@ -104,12 +104,29 @@ def test_verify_reports_library_errors_as_failures(capsys):
     code, out, err = run(capsys, "verify", "--B", "1/600")
     assert code == 1 and err == ""
     lines = out.splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines[:7])
     for line, name in zip(lines[7:10], ("lattice hermiticity", "rotation sectors", "iso sectors"), strict=True):
         assert line.startswith(f"FAIL {name}")
         assert "defect inf" in line and "exceeds the supported bound 2000" in line
     assert lines[10].startswith("PASS flux orbits")
+    assert lines[11].startswith("PASS chambers")
+
+
+def test_verify_refuses_a_rational_flux_too_large_for_a_float(capsys):
+    code, out, err = run(capsys, "verify", "--B", "1" + "0" * 400 + "/3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: flux must be finite as a float")
+
+
+def test_verify_fails_the_lattice_lines_of_a_denominator_too_large_for_a_float(capsys):
+    # B = 1/10^400 is 0.0 as a float, a usable field; its pair (1, 5 10^399) is not
+    code, out, err = run(capsys, "verify", "--B", "1/1" + "0" * 400)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 12
+    assert all(line.startswith("PASS") for line in lines[:7])
+    assert all(line.startswith("FAIL") and "defect inf" in line for line in lines[7:])
 
 
 def test_verify_hermiticity_line_can_fail(monkeypatch, capsys):
@@ -133,6 +150,23 @@ def test_verify_hermiticity_line_can_fail(monkeypatch, capsys):
         # the dense oracle behind both sector lines still refuses the skewed block matrices
         assert fails[-2:] == ["FAIL rotation sectors", "FAIL iso sectors"]
         assert len(fails) == (3 if verdict == "FAIL" else 2)
+
+
+def test_verify_chambers_line_alone_catches_a_wrong_real_twin(monkeypatch, capsys):
+    # with sigma flipped the sweep and the flux-orbit line's direct route share
+    # the wrong real matrices, so only the comparison with the dense matrix fails
+    import hyperband.spectrum as spectrum
+
+    real_momenta = spectrum._chambers_momenta
+
+    def flipped_sigma(q, k1, k2):
+        k1r, k2r = real_momenta(q, k1, k2)
+        return math.pi / q - k1r, k2r
+
+    monkeypatch.setattr(spectrum, "_chambers_momenta", flipped_sigma)
+    code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4")
+    assert code == 1
+    assert [line.split("  ")[0] for line in out.splitlines() if line.startswith("FAIL")] == ["FAIL chambers"]
 
 
 def test_verify_suite_names_are_unique_and_use_every_tolerance():
@@ -496,6 +530,12 @@ def test_spectrum_rejects_bad_flux_and_model(capsys):
     assert run(capsys, "spectrum", "--B", "1/6", "--model", "nonsense")[0] == 2
     assert run(capsys, "spectrum", "--B", "1/6", "--model", "block-iso", "--m", "2")[0] == 2
     assert run(capsys, "spectrum", "--k", "1,2,3")[0] == 2
+
+
+def test_spectrum_refuses_a_rational_flux_too_large_for_a_float(capsys):
+    code, out, err = run(capsys, "spectrum", "--B", "1" + "0" * 400 + "/3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: flux must be finite as a float")
 
 
 # ---------------------------------------------------------------- butterfly

@@ -100,6 +100,29 @@ def test_rotation_sector_shift_values():
         rotation_sector_shift(0.3, 8)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-8.0, max_value=8.0), min_size=1, max_size=12),
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8),
+)
+def test_rotation_sector_shift_on_arrays_equals_the_scalar_values(fields, sectors):
+    B, m = np.array(fields), np.array(sectors)
+    got = rotation_sector_shift(B[:, None], m[None, :])
+    assert got.shape == (len(fields), len(sectors))
+    for i, b in enumerate(fields):
+        for j, t in enumerate(sectors):
+            assert got[i, j] == rotation_sector_shift(b, t)
+            assert abs(got[i, j] - 2.0 * math.cos(math.pi * b / 4.0 + t * math.pi / 4.0)) <= 1e-15
+    # one array argument with a scalar sector, the way model_spectra calls it
+    assert np.array_equal(rotation_sector_shift(B, sectors[0]), got[:, 0])
+
+
+@pytest.mark.parametrize("m", [8, -1, 2.5, math.nan, [0, 8]])
+def test_rotation_sector_shift_refuses_any_bad_sector(m):
+    with pytest.raises(ValueError, match="sector index must be 0..7"):
+        rotation_sector_shift(np.array([0.1, 0.3]), m)
+
+
 def test_ring_matrix_zero_field_is_cycle_graph():
     # B=0: plain 8-cycle adjacency; circulant eigenvalues 2cos(2 pi m/8)
     ring = ring_matrix(0.0)
@@ -516,7 +539,10 @@ def test_model_spectrum_dispatch():
     k = BlochMomentum(0.3, 1.1, 2.5, 4.0)
     got = model_spectrum(ReducedHarper(4), 3, 7, k)
     dense = assemble_reduced(3, 7, k, 4)
-    assert np.array_equal(got, np.linalg.eigvalsh(dense))
+    # reduced: the spectrum of its real Chambers twin, bit for bit
+    real = spectrum._chambers_stack(7, [(3, k)], 4)
+    assert real.dtype == np.float64
+    assert np.array_equal(got, np.linalg.eigvalsh(real)[0])
     # against the eigenvector solve of the oracle path only rounding differs
     assert np.abs(got - eigenvalues(dense)).max() < 1e-12
     # block-iso: the union of its four S^2 sector spectra, bit for bit
@@ -569,6 +595,135 @@ def test_block_spectra_across_an_orbit_match_the_dense_matrices(pq, ks):
         derived = model_spectra(model, q, members, [k])[:, 0]
         for vals, member in zip(derived, members, strict=True):
             assert np.abs(vals - eigenvalues(assemble_block(model, member, q, k))).max() < 1e-10
+
+
+# ---------------------------------------------------------------- Chambers reduction
+
+
+def _edge_momenta(q: int) -> list[tuple[float, float]]:
+    # (k1, k2) with s = cos(q k1) + cos(q k2) exactly 2, -2, 0 (upper branch), 0 (from k1 = pi/q)
+    return [(0.0, 0.0), (math.pi / q, math.pi / q), (0.0, math.pi / q), (math.pi / q, 0.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=500),
+    st.floats(min_value=0.0, max_value=TWO_PI),
+    st.floats(min_value=0.0, max_value=TWO_PI),
+)
+@example(7, 0.0, 0.0)
+@example(7, math.pi / 7, math.pi / 7)
+@example(7, 0.0, math.pi / 7)
+@example(1, math.pi, 0.0)
+@example(4, 0.0, 1e-7)
+@example(4, math.pi / 4, math.pi / 4 + 1e-7)
+def test_chambers_momenta_keep_the_invariant(q, k1, k2):
+    import hyperband.spectrum as spectrum
+
+    k1r, k2r = spectrum._chambers_momenta(q, np.array([k1]), np.array([k2]))
+    k1r, k2r = float(k1r[0]), float(k2r[0])
+    s = math.cos(q * k1) + math.cos(q * k2)
+    assert k1r in (0.0, math.pi / q)
+    if abs(s) > 1e-12:  # the branch is s >= 0 -> k1' = 0, up to rounding at s = 0
+        assert k1r == (0.0 if s > 0.0 else math.pi / q)
+    assert 0.0 <= k2r <= math.pi / q
+    assert abs(math.cos(q * k1r) + math.cos(q * k2r) - s) <= 1e-14
+    # near s = +-2 the distance 2 -+ s is kept to its own relative precision
+    u = math.sin(q * k1 / 2) ** 2 + math.sin(q * k2 / 2) ** 2
+    v = math.cos(q * k1 / 2) ** 2 + math.cos(q * k2 / 2) ** 2
+    if k1r == 0.0:
+        assert abs(math.sin(q * k2r / 2) ** 2 - u) <= 1e-14 * u + 1e-300
+    else:
+        assert abs(math.cos(q * k2r / 2) ** 2 - v) <= 4e-15 * math.sqrt(v) + 1e-30
+
+
+def test_chambers_momenta_at_the_edges_of_the_invariant():
+    import hyperband.spectrum as spectrum
+
+    for q in range(1, 41):
+        k1, k2 = np.array(_edge_momenta(q)).T
+        k1r, k2r = spectrum._chambers_momenta(q, k1, k2)
+        assert np.array_equal(k1r, [0.0, math.pi / q, 0.0, 0.0])
+        assert np.array_equal(np.cos(q * k1r) + np.cos(q * k2r), [2.0, -2.0, 0.0, 0.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(coprime_flux_pairs(40)),
+    st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=7),
+)
+# q <= 2 on both branches: the corners fold onto the diagonal (q = 1) or the hopping (q = 2)
+@example((1, 1), [0.7, 1.9, 0.2, 5.1], 3)
+@example((1, 1), [2.5, 2.0, 0.2, 5.1], 6)
+@example((1, 2), [1.3, 0.4, 2.2, 0.0], 0)
+@example((3, 2), [0.2, 0.3, 4.0, 1.0], 7)
+# s exactly 2, -2 and 0
+@example((3, 5), [0.0, 0.0, 0.3, 0.9], 2)
+@example((3, 5), [math.pi / 5, math.pi / 5, 0.3, 0.9], 2)
+@example((3, 5), [0.0, math.pi / 5, 0.3, 0.9], 2)
+# s 8e-14 from 2 and from -2, where the two central bands of q = 4 touch
+@example((7, 4), [0.0, 1e-07, 0.0, 0.0], 0)
+@example((7, 4), [math.pi / 4, math.pi / 4 + 1e-07, 0.0, 0.0], 0)
+def test_chambers_stack_has_the_dense_sector_spectrum(pq, ks, m):
+    import hyperband.spectrum as spectrum
+
+    p, q = pq
+    k = BlochMomentum(*ks)
+    got = spectrum._certified_spectra(ReducedHarper(m), q, [(p, k)])[0]
+    assert np.abs(got - eigenvalues(assemble_reduced(p, q, k, m))).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 7, 40])
+def test_chambers_stack_at_the_edges_of_the_invariant(q):
+    import hyperband.spectrum as spectrum
+
+    items = [(p, BlochMomentum(k1, k2, 0.3, 0.9)) for p in range(1, 2 * q) if math.gcd(p, q) == 1
+             for k1, k2 in _edge_momenta(q)]
+    for m in range(8):
+        got = spectrum._certified_spectra(ReducedHarper(m), q, items)
+        dense = np.linalg.eigvalsh(spectrum._reduced_stack(q, items, m))
+        assert np.abs(got - dense).max() < 1e-12
+
+
+def test_chambers_sign_convention_sigma_is_minus_one_at_k1_pi_over_q():
+    # q k2 = 2.25 lies in [0, pi], so each momentum maps to itself; the gauge
+    # e^{i j k1} on site j turns the complex sector matrix into the real one
+    import hyperband.spectrum as spectrum
+
+    q, p, m = 5, 2, 3
+    c = -1.0 / (8.0 * MU * MU)
+    for k1, sigma in ((math.pi / q, -1.0), (0.0, 1.0)):
+        k = BlochMomentum(k1, 0.45, 1.0, 2.0)
+        real = spectrum._chambers_stack(q, [(p, k)], m)[0]
+        gauge = np.exp(1j * np.arange(q) * k1)
+        gauged = gauge.conj()[:, None] * assemble_reduced(p, q, k, m) * gauge[None, :]
+        assert np.abs(gauged - real).max() < 1e-15
+        assert real[0, q - 1] == real[q - 1, 0] == c * sigma
+        assert real[0, 1] == real[1, 0] == c
+
+
+def test_batches_count_eight_bytes_per_real_and_sixteen_per_complex_entry(monkeypatch):
+    import hyperband.spectrum as spectrum
+
+    stacks = []
+    real_kernel = spectrum.harper_eigvalsh
+
+    def recording(h, pendants=False):
+        stacks.append((len(h), h.dtype))
+        return real_kernel(h, pendants)
+
+    monkeypatch.setattr(spectrum, "harper_eigvalsh", recording)
+    monkeypatch.setattr(spectrum, "_BATCH_BYTES", 16 * 5 * 5 * 3)  # three complex 5 x 5 matrices
+    items = [(1, BlochMomentum(0.4 * i, 0.2, 0.3, 0.4)) for i in range(13)]
+    for model in (ReducedHarper(2), BlockAnisotropic()):
+        stacks.clear()
+        spectrum._certified_spectra(model, 5, items)
+        assert stacks == [(6, np.float64), (6, np.float64), (1, np.float64)]
+    # block-iso at q = 1: four complex 2 x 2 sectors, 256 B per item
+    stacks.clear()
+    spectrum._certified_spectra(BlockIsotropic(), 1, items)
+    assert stacks == [(16, np.complex128)] * 3 + [(4, np.complex128)]
 
 
 # ---------------------------------------------------------------- sweeps
