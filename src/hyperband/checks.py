@@ -240,8 +240,8 @@ def flux_orbits(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) ->
     def gap(model: HamiltonianModel, pair: FluxParam) -> float:
         p, q = pair.p, pair.q
         ps = sorted({x % (2 * q) for x in (p, p + q, q - p, 2 * q - p)} - {0})
-        derived = spectrum.model_spectra(model, q, ps, momenta).reshape(len(ps) * len(momenta), -1)
-        direct = spectrum._certified_spectra(model, q, [(member, k) for member in ps for k in momenta])
+        derived = spectrum.model_spectra(model, q, ps, momenta)
+        direct = spectrum._certified_spectra(model, q, ps, momenta)
         return float(np.abs(derived - np.sort(direct, axis=-1)).max())
 
     return max_or_nan(gap(model, pair) for pair in pairs for model in (ReducedHarper(0), BlockIsotropic()))
@@ -263,7 +263,7 @@ def chambers(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> fl
     def gap(pair: FluxParam) -> float:
         p, q = pair.p, pair.q
         ks = momenta + [BlochMomentum(0.0, 0.4, 1.0, 2.0), BlochMomentum(math.pi / q, 0.4, 1.0, 2.0)]
-        real = spectrum._certified_spectra(ReducedHarper(0), q, [(p, k) for k in ks])
+        real = spectrum._certified_spectra(ReducedHarper(0), q, [p], ks)[0]
         dense = [spectrum.eigenvalues(spectrum.assemble_reduced(p, q, k, 0)) for k in ks]
         return float(np.abs(real - np.array(dense)).max())
 

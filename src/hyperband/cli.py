@@ -6,6 +6,10 @@ Poincare-disk patch of the {4g,4g} tiling as SVG, `spectrum` prints the
 eigenvalues of one lattice Hamiltonian, `butterfly` sweeps rational flux and
 writes a phi/energy CSV.  Exit codes: 0 success, 1 verification failure,
 2 usage or configuration error.
+
+The SVG paths are rows of 8-byte words: each `%.6f` number is looked up in
+digit tables (`_number_words`) instead of being formatted one at a time, and
+a block of rows becomes text in one `bytes.translate`.
 """
 
 from __future__ import annotations
@@ -162,42 +166,118 @@ _SVG_HEAD = (
     'viewBox="-1.05 -1.05 2.1 2.1" width="720" height="720">\n'
     '<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.004"/>\n'
 )
-# pieces of a path's `%` format: the M command; the segment of edge state 0, 1, 2
-# (straight, arc with sweep flag 0, arc with sweep flag 1); the tail
-_PATH_PIECES = np.array(
-    [
-        '<path d="M %.6f %.6f',
-        " L %.6f %.6f",
-        " A %.6f %.6f 0 0 0 %.6f %.6f",
-        " A %.6f %.6f 0 0 1 %.6f %.6f",
-        ' Z" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>\n',
-    ],
-    dtype=object,
-)
-_SVG_BLOCK = 1024  # tiles per block of corner arrays and formatted paths
+_SVG_BLOCK = 512  # tiles per block of corner arrays and path rows
+
+# Path text is built as little-endian uint64 words of up to eight ASCII bytes,
+# padded with NUL bytes that `bytes.translate` deletes.  A number is two
+# words: its integer part with the sign, right-aligned, and its fraction.
+
+
+def _words(text: str) -> np.ndarray:
+    """`text` as NUL-padded little-endian uint64 words."""
+    data = text.encode("ascii")
+    return np.frombuffer(data.ljust(-(-len(data) // 8) * 8, b"\0"), dtype="<u8")
+
+
+def _digit_words(first_byte: int) -> np.ndarray:
+    """Words of 0..999, three digits with leading zeros, from byte `first_byte` on."""
+    digits = np.indices((10, 10, 10), dtype=np.uint64).reshape(3, -1) + np.uint64(ord("0"))
+    shifts = np.arange(8 * first_byte, 8 * first_byte + 24, 8, dtype=np.uint64)
+    return np.bitwise_or.reduce(digits << shifts[:, None], axis=0)
+
+
+def _integer_words() -> np.ndarray:
+    """Words of the integer parts 0..9999, right-aligned; entry 10^4 + i is -i."""
+    thousands = (np.arange(10, dtype=np.uint64) + np.uint64(ord("0"))) << np.uint64(32)
+    digits = (thousands[:, None] | _digit_words(5)).ravel()
+    width = np.repeat(np.arange(1, 5, dtype=np.uint64), [10, 90, 900, 9000])
+    digits &= np.uint64(2**64 - 1) << np.uint64(8) * (np.uint64(8) - width)  # no leading zeros
+    return np.concatenate([digits, digits | np.uint64(ord("-")) << np.uint64(8) * (np.uint64(7) - width)])
+
+
+_INT_WORDS = _integer_words()
+_FRAC_HIGH = _digit_words(1) | np.uint64(ord("."))  # '.' and the first three decimals
+_FRAC_LOW = _digit_words(4)  # the last three decimals
+
+
+def _slots(*separators: str) -> np.ndarray:
+    """Slots of a path row: each separator's word, then two empty number words."""
+    return np.array([[_words(text)[0], 0, 0] for text in separators], dtype=np.uint64).ravel()
+
+
+# the words of a path row (see `_svg_paths`); an edge's third separator is
+# `_END_SEPARATORS[state]` for edge state 0, 1, 2 (straight, arc with sweep
+# flag 0 or 1)
+_PATH_START = np.concatenate([_words("<path d="), _slots('"M ', " ")])
+_EDGE_SLOTS = _slots(" A ", " ", " L ", " ")
+_END_SEPARATORS = np.concatenate([_words(" L "), _words(" 0 0 0 "), _words(" 0 0 1 ")])
+_PATH_TAIL = _words(' Z" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>\n')
+
+
+def _number_words(x: np.ndarray, out: np.ndarray) -> int:
+    """Write `'%.6f' % value` of every entry of `x` as two words into `out` (shape x.shape + (2,)).
+
+    With y = |x| 10^6 and n = rint(y), `_INT_WORDS` gives the integer part
+    n // 10^6 from the half with the '-' when the sign bit is set (so -0.0
+    and negatives that round to zero print -0.000000, as `%` does), and
+    `_FRAC_HIGH` | `_FRAC_LOW` give the six decimals.  The float product y
+    is within 2^-53 y of the exact |x| 10^6, so n is the correctly rounded
+    value unless |y - n| >= 0.5 - 2.3e-16 y.  Those entries (among them the
+    exact ties, which `%` rounds half to even), integer parts of 10^4 or more
+    and non-finite values are formatted by `%` one at a time; the count of
+    them is returned.  A `%` text longer than the two words' 16 bytes (from
+    |x| = 10^8 when negative, 10^9 when positive) is a ValueError; tile
+    corners lie in the unit disk and arc radii are at most
+    `_ARC_RADIUS_LIMIT`, so `_svg_paths` never meets one.
+    """
+    y = np.abs(x) * 1e6
+    n = np.rint(y)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        scalar = ~((np.abs(y - n) < 0.5 - 2.3e-16 * y) & (n < 1e10))
+    n[scalar] = 0.0
+    # n = 10^6 whole + 10^3 high + low; each floor of a quotient is exact below 10^10
+    whole = np.floor(n / 1e6)
+    n -= whole * 1e6
+    high = np.floor(n / 1e3)
+    n -= high * 1e3
+    out[..., 0] = _INT_WORDS[(whole + 1e4 * np.signbit(x)).astype(np.intp)]
+    out[..., 1] = _FRAC_HIGH[high.astype(np.intp)] | _FRAC_LOW[n.astype(np.intp)]
+    at = np.nonzero(scalar)
+    for index, value in zip(zip(*at), x[at].tolist()):
+        text = ("%.6f" % value).encode("ascii")
+        if len(text) > 16:
+            raise ValueError(f"cannot write {text.decode()} into a path: wider than 16 characters")
+        out[index] = np.frombuffer(text.ljust(16, b"\0"), dtype="<u8")
+    return len(at[0])
 
 
 def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> str:
     """One `<path>` line per tile for corners (u, v) shaped (tiles, vertices).
 
-    The block's format string is the `_PATH_PIECES` of each tile's start,
-    edge states and tail, joined; the whole block is then a single `%`
-    operation.
+    Each tile is one row of words: `_PATH_START`, an `_EDGE_SLOTS` per edge
+    and `_PATH_TAIL`.  A slot is three words, a separator and the two words
+    that `_number_words` writes for one number: the start's u and v, then
+    each edge's radius, radius, u and v.  The slots that a straight edge does
+    not use are zeroed, and the whole block becomes text in one `translate`
+    that deletes the NUL bytes.
     """
     state, radius = edge_states(u, v, edges)
     n, k = state.shape
     start, ends = edges[0][0], [j for _, j in edges]
-    # four slots per tile and edge, (radius, radius, u, v), after a first
-    # (-, -, u, v) for the M command; a straight edge drops its radii
-    fields = np.empty((n, k + 1, 4))
-    fields[:, 0, 2], fields[:, 0, 3] = u[:, start], v[:, start]
-    fields[:, 1:] = np.stack([radius, radius, u[:, ends], v[:, ends]], axis=2)
-    keep = np.ones(fields.shape, dtype=bool)
-    keep[:, 0, :2] = False
-    keep[:, 1:, :2] = (state > 0)[:, :, None]
-    pieces = np.empty((n, k + 2), dtype=np.uint8)
-    pieces[:, 0], pieces[:, 1:-1], pieces[:, -1] = 0, state + 1, 4
-    return "".join(_PATH_PIECES[pieces].ravel().tolist()) % tuple(fields[keep].tolist())
+    rows = np.empty((n, len(_PATH_START) + k * len(_EDGE_SLOTS) + len(_PATH_TAIL)), dtype="<u8")
+    rows[:] = np.concatenate([_PATH_START, np.tile(_EDGE_SLOTS, k), _PATH_TAIL])
+    slots = rows[:, 1 : -len(_PATH_TAIL)].reshape(n, 2 + 4 * k, 3)  # a view: the last axis is contiguous
+    values = np.empty((n, 2 + 4 * k))
+    values[:, 0], values[:, 1] = u[:, start], v[:, start]
+    edge_values = values[:, 2:].reshape(n, k, 4)
+    # a straight edge's radius may be huge; its slots are emptied below
+    edge_values[..., 0] = edge_values[..., 1] = np.where(state > 0, radius, 0.0)
+    edge_values[..., 2], edge_values[..., 3] = u[:, ends], v[:, ends]
+    _number_words(values, slots[..., 1:])
+    edge_slots = slots[:, 2:].reshape(n, k, 4, 3)
+    edge_slots[..., 2, 0] = _END_SEPARATORS[state]
+    edge_slots[state == 0, :2] = 0
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:

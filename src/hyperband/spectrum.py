@@ -480,29 +480,30 @@ def _flux_representative(model: HamiltonianModel, p: int, q: int) -> int:
     return 1 if q == 1 else min(p % q, q - p % q)
 
 
-def _certified_spectra(model: HamiltonianModel, q: int, items: Sequence[tuple[int, BlochMomentum]]) -> np.ndarray:
-    """Certified spectra of the matrices solved for `model` at each (p, k) of `items`, shape (len(items), count * dim).
+def _certified_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
+    """Certified spectra of the matrices solved for `model` at every p of `ps` and momentum, shape (len(ps), len(momenta), count * dim).
 
     The matrices are the real symmetric Chambers twin of the sector-m matrix
     (`_chambers_stack`, sector 0 for block-aniso) or block-iso's four complex
     S^2 sectors, whose spectra follow one another unmerged.  A p not coprime
-    to q is a ValueError.  The matrices are assembled as stacks of at most
-    about `_BATCH_BYTES`, counted at 8 B per real and 16 B per complex entry,
-    and solved by `harper_eigvalsh`, which certifies every eigenvalue against
-    the matrix it solved.
+    to q is a ValueError, also when there is no momentum.  The matrices are
+    assembled as stacks of at most about `_BATCH_BYTES`, counted at 8 B per
+    real and 16 B per complex entry, and solved by `harper_eigvalsh`, which
+    certifies every eigenvalue against the matrix it solved.
     """
-    for p in dict.fromkeys(p for p, _ in items):
+    for p in dict.fromkeys(ps):
         FluxParam(p, q)
     iso = isinstance(model, BlockIsotropic)
     m = model.m if isinstance(model, ReducedHarper) else 0
     count, dim = _sector_layout(model, q)
+    items = [(p, k) for p in ps for k in momenta]
     itemsize = 16 if iso else 8
     per_batch = max(1, _BATCH_BYTES // (itemsize * count * dim * dim))
-    batches = (
-        _iso_stack(q, chunk) if iso else _chambers_stack(q, chunk, m)
+    spectra = [
+        harper_eigvalsh(_iso_stack(q, chunk) if iso else _chambers_stack(q, chunk, m), pendants=iso)
         for chunk in (items[i : i + per_batch] for i in range(0, len(items), per_batch))
-    )
-    return np.concatenate([harper_eigvalsh(h, pendants=iso) for h in batches]).reshape(len(items), count * dim)
+    ]
+    return np.concatenate(spectra or [np.empty(0)]).reshape(len(ps), len(momenta), count * dim)
 
 
 def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
@@ -530,7 +531,7 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     """
     reps = [_flux_representative(model, p, q) for p in ps]
     solved = sorted(set(reps))
-    vals = _certified_spectra(model, q, [(r, k) for r in solved for k in momenta]).reshape(len(solved), len(momenta), -1)
+    vals = _certified_spectra(model, q, solved, momenta)
     row = np.searchsorted(solved, reps)  # the solved row of each p
     if isinstance(model, BlockIsotropic):
         return np.sort(vals, axis=-1)[row]
@@ -539,7 +540,7 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     orbit = RING_WEIGHT * (rotation_sector_shift(b_p, m) - rotation_sector_shift(b_r, m))
     sector = RING_WEIGHT * (rotation_sector_shift(b_p[:, None], sectors) - rotation_sector_shift(b_p, m)[:, None])
     union = (vals[row] + orbit[:, None, None])[:, :, None, :] + sector[:, None, :, None]
-    union = union.reshape(len(ps), len(momenta), -1)
+    union = union.reshape(len(ps), len(momenta), len(sectors) * vals.shape[-1])
     return np.sort(union, axis=-1) if len(sectors) > 1 else union
 
 

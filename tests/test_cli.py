@@ -341,6 +341,56 @@ def test_vectorized_segments_equal_scalar_oracle(pairs):
     assert got == [_edge_geometry(w1, w2) for w1, w2 in pairs]
 
 
+def _number_texts(values) -> tuple[list[str], int]:
+    """What `cli._number_words` writes for each value, and how many it handed to `%`."""
+    x = np.array(values, dtype=float)
+    out = np.zeros(x.shape + (2,), dtype="<u8")
+    scalar = cli._number_words(x, out)
+    return [words.tobytes().translate(None, b"\0").decode("ascii") for words in out], scalar
+
+
+def _must_take_percent(x: float) -> bool:
+    # non-finite, integer part >= 10^4, or an exact tie (odd multiples of 1/128 are the only float ones)
+    return not math.isfinite(x) or abs(x) >= 1e4 or abs(x) * 128 % 2 == 1
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+_PATH_NUMBER = st.one_of(
+    st.floats(-2e4, 2e4),  # subnormals included
+    # decimal ties n + 1/2 at the sixth place: the float sits just off the tie
+    st.builds(lambda n, s: s * (n + 0.5) / 1e6, st.integers(0, 2 * 10**10), _SIGN),
+    # dyadic values, exact products; odd k / 128 are exact ties
+    st.builds(lambda k, e: k / 2.0**e, st.integers(-(2**21), 2**21), st.sampled_from([7, 20])),
+    st.sampled_from([0.0, -0.0, -1e-9, 5e-324, -5e-324, 1e4, -1e4, math.nan, math.inf, -math.inf]),
+)
+_TIES = [k / 128 for k in (1, 3, -3, 5, 127, 129, 1279999, -1279999)] + [k / 2.0**20 for k in (1, 3, 8191, 8193, -24575)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PATH_NUMBER, min_size=1, max_size=24))
+@example([-0.0, -1e-9, -4e-7, 0.0, 5e-324])
+@example(_TIES)
+@example([2.5e-06, 1.25e-05, -2.05e-05, 0.0234375, 9999.9999995, 1e4, -1e4, 9999.999999, -9999.999999])
+@example([math.nan, math.inf, -math.inf, 1.0, -1.0])
+def test_number_words_are_percent_six_f(values):
+    text, scalar = _number_texts(values)
+    assert text == ["%.6f" % x for x in values]
+    assert scalar >= sum(map(_must_take_percent, values))
+
+
+def test_number_words_hand_ties_and_non_finite_values_to_percent():
+    assert _number_texts([-0.0, -1e-9])[0] == ["-0.000000", "-0.000000"]
+    assert _number_texts(_TIES) == (["%.6f" % x for x in _TIES], 8)  # the eight k / 128
+    assert _number_texts([math.nan, math.inf, -math.inf, 1e4, 9999.9999995]) == (
+        ["nan", "inf", "-inf", "10000.000000", "%.6f" % 9999.9999995],
+        5,
+    )
+    assert _number_texts([0.5, 0.25, -0.125, 9999.0])[1] == 0
+    assert _number_texts([99999999.0, -9999999.0])[0] == ["99999999.000000", "-9999999.000000"]
+    with pytest.raises(ValueError, match="wider than 16"):
+        _number_texts([1.0, -1e8])  # -100000000.000000
+
+
 def test_disk_corners_are_the_scalar_floats():
     dom = make_fundamental_domain(TilingParams(2))
     tiles = enumerate_tiles(make_generators(TilingParams(2)), 3)
@@ -427,7 +477,7 @@ def _oracle_svg_lines(genus: int, depth: int) -> tuple[str, ...]:
     )
 
 
-@pytest.mark.parametrize("genus, depth", [(2, d) for d in range(5)] + [(3, d) for d in range(4)])
+@pytest.mark.parametrize("genus, depth", [(2, d) for d in range(5)] + [(3, d) for d in range(4)] + [(4, d) for d in range(3)])
 def test_tile_svg_is_byte_identical_to_scalar_rendering(genus, depth, tmp_path, capsys):
     out = tmp_path / "patch.svg"
     code, _, _ = run(capsys, "tile", "--g", str(genus), "--depth", str(depth), "--out", str(out))
@@ -438,7 +488,7 @@ def test_tile_svg_is_byte_identical_to_scalar_rendering(genus, depth, tmp_path, 
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.05 -1.05 2.1 2.1" width="720" height="720">',
         '<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.004"/>',
-        *_oracle_svg_lines(genus, {2: 4, 3: 3}[genus])[:count],
+        *_oracle_svg_lines(genus, {2: 4, 3: 3, 4: 2}[genus])[:count],
         "</svg>",
     ]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")

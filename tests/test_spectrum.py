@@ -597,6 +597,16 @@ def test_block_spectra_across_an_orbit_match_the_dense_matrices(pq, ks):
             assert np.abs(vals - eigenvalues(assemble_block(model, member, q, k))).max() < 1e-10
 
 
+@pytest.mark.parametrize("model, dim", [(ReducedHarper(0), 5), (ReducedHarper(5), 5), (BlockAnisotropic(), 40), (BlockIsotropic(), 40)])
+def test_model_spectra_of_no_flux_or_no_momentum_are_empty(model, dim):
+    k = BlochMomentum.zero()
+    assert model_spectra(model, 5, [], [k]).shape == (0, 1, dim)
+    assert model_spectra(model, 5, [1, 3], []).shape == (2, 0, dim)
+    assert model_spectra(model, 5, [], []).shape == (0, 0, dim)
+    with pytest.raises(ValueError, match="not coprime"):
+        model_spectra(model, 5, [1, 5], [])  # nothing to solve, but p = 5 is still refused
+
+
 # ---------------------------------------------------------------- Chambers reduction
 
 
@@ -670,7 +680,7 @@ def test_chambers_stack_has_the_dense_sector_spectrum(pq, ks, m):
 
     p, q = pq
     k = BlochMomentum(*ks)
-    got = spectrum._certified_spectra(ReducedHarper(m), q, [(p, k)])[0]
+    got = spectrum._certified_spectra(ReducedHarper(m), q, [p], [k])[0, 0]
     assert np.abs(got - eigenvalues(assemble_reduced(p, q, k, m))).max() < 1e-12
 
 
@@ -678,10 +688,11 @@ def test_chambers_stack_has_the_dense_sector_spectrum(pq, ks, m):
 def test_chambers_stack_at_the_edges_of_the_invariant(q):
     import hyperband.spectrum as spectrum
 
-    items = [(p, BlochMomentum(k1, k2, 0.3, 0.9)) for p in range(1, 2 * q) if math.gcd(p, q) == 1
-             for k1, k2 in _edge_momenta(q)]
+    ps = [p for p in range(1, 2 * q) if math.gcd(p, q) == 1]
+    momenta = [BlochMomentum(k1, k2, 0.3, 0.9) for k1, k2 in _edge_momenta(q)]
+    items = [(p, k) for p in ps for k in momenta]
     for m in range(8):
-        got = spectrum._certified_spectra(ReducedHarper(m), q, items)
+        got = spectrum._certified_spectra(ReducedHarper(m), q, ps, momenta).reshape(len(items), q)
         dense = np.linalg.eigvalsh(spectrum._reduced_stack(q, items, m))
         assert np.abs(got - dense).max() < 1e-12
 
@@ -715,14 +726,14 @@ def test_batches_count_eight_bytes_per_real_and_sixteen_per_complex_entry(monkey
 
     monkeypatch.setattr(spectrum, "harper_eigvalsh", recording)
     monkeypatch.setattr(spectrum, "_BATCH_BYTES", 16 * 5 * 5 * 3)  # three complex 5 x 5 matrices
-    items = [(1, BlochMomentum(0.4 * i, 0.2, 0.3, 0.4)) for i in range(13)]
+    momenta = [BlochMomentum(0.4 * i, 0.2, 0.3, 0.4) for i in range(13)]
     for model in (ReducedHarper(2), BlockAnisotropic()):
         stacks.clear()
-        spectrum._certified_spectra(model, 5, items)
+        spectrum._certified_spectra(model, 5, [1], momenta)
         assert stacks == [(6, np.float64), (6, np.float64), (1, np.float64)]
     # block-iso at q = 1: four complex 2 x 2 sectors, 256 B per item
     stacks.clear()
-    spectrum._certified_spectra(BlockIsotropic(), 1, items)
+    spectrum._certified_spectra(BlockIsotropic(), 1, [1], momenta)
     assert stacks == [(16, np.complex128)] * 3 + [(4, np.complex128)]
 
 
