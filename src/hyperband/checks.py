@@ -2,6 +2,8 @@
 
 Every check takes its sample inputs (genera, fields, points, momenta, flux
 pairs) and returns the worst defect over them, NaN when any defect is NaN.
+The operator-algebra checks build their residual polynomials once per field
+and check (commutator or generator), then evaluate them at each sample point.
 `TOLERANCES` holds the `verify` bounds that `--tol NAME=VALUE` overrides;
 the acceptance criteria that have a matching check read these defaults.
 `run_suite` runs the `verify` table `SUITE`; only there does a library error
@@ -166,9 +168,8 @@ def flux_relation(genus: int, B: float, points: list[HPoint]) -> tuple[float, co
 
 def operator_commutators(fields: Iterable[float], points: list[HPoint]) -> float:
     return max_or_nan(
-        magnetic.commutator_residual(op1, op2, expected, z, B)
+        magnetic.commutator_residual(op1, op2, expected, points, B)
         for B in fields
-        for z in points
         for op1, op2, expected in COMMUTATORS
     )
 
@@ -176,16 +177,15 @@ def operator_commutators(fields: Iterable[float], points: list[HPoint]) -> float
 def hamiltonian_symmetry(fields: Iterable[float], points: list[HPoint]) -> float:
     """[H, X] for each field generator X."""
     return max_or_nan(
-        magnetic.hamiltonian_commutation_residual(op, z, B)
+        magnetic.hamiltonian_commutation_residual(op, points, B)
         for B in fields
-        for z in points
         for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
     )
 
 
 def hamiltonian_forms(fields: Iterable[float], points: list[HPoint]) -> float:
     """Generator form of the Landau Hamiltonian against its continuum form."""
-    return max_or_nan(magnetic.hamiltonian_forms_residual(z, B) for B in fields for z in points)
+    return max_or_nan(magnetic.hamiltonian_forms_residual(points, B) for B in fields)
 
 
 def lattice_hermiticity(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:

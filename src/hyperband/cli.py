@@ -137,9 +137,12 @@ def _tolerances(overrides: Optional[Sequence[str]]) -> dict[str, float]:
         if name not in tols:
             raise UsageError(f"unknown tolerance {name!r}; known: {', '.join(sorted(tols))}")
         try:
-            tols[name] = float(value)
+            tol = float(value)
         except ValueError as exc:
             raise UsageError(f"bad tolerance value {value!r}") from exc
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise UsageError(f"tolerance {name} must be a finite positive number, got {value!r}")
+        tols[name] = tol
     return tols
 
 

@@ -361,19 +361,27 @@ def max_or_nan(values: Iterable[float]) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def _basis_residual(residual: Callable[[Poly2], Poly2], z: HPoint) -> float:
-    """Max over the cubic basis of |residual(f)(z)|, NaN if any is NaN."""
-    return max_or_nan(abs(residual(f)(z.x, z.y)) for f in POLY_BASIS)
+def _basis_residual(residual: Callable[[Poly2], Poly2], points: Iterable[HPoint]) -> float:
+    """Max over the cubic basis and the points of |residual(f)(z)|, NaN if any is NaN.
+
+    The residual polynomials do not depend on z: each is built once, then
+    evaluated at every point.
+    """
+    points = tuple(points)
+    if not points:
+        raise ValueError("algebra residual needs at least one sample point, got an empty point list")
+    polys = [residual(f) for f in POLY_BASIS]
+    return max_or_nan(abs(r(z.x, z.y)) for r in polys for z in points)
 
 
 def commutator_residual(
     op1: DiffOpId,
     op2: DiffOpId,
     expected: dict[DiffOpId, complex],
-    z: HPoint,
+    points: Iterable[HPoint],
     B: float,
 ) -> float:
-    """Max over the cubic basis of |([op1, op2] - sum c_i op_i) f(z)|."""
+    """Max over the cubic basis and the points of |([op1, op2] - sum c_i op_i) f(z)|."""
 
     def residual(f: Poly2) -> Poly2:
         comm = _apply(op1, _apply(op2, f, B), B) - _apply(op2, _apply(op1, f, B), B)
@@ -381,11 +389,11 @@ def commutator_residual(
             comm = comm - coeff * _apply(op, f, B)
         return comm
 
-    return _basis_residual(residual, z)
+    return _basis_residual(residual, points)
 
 
-def hamiltonian_commutation_residual(op: DiffOpId, z: HPoint, B: float) -> float:
-    """Max over the basis of |[H, op] f(z)| with H in generator form."""
+def hamiltonian_commutation_residual(op: DiffOpId, points: Iterable[HPoint], B: float) -> float:
+    """Max over the basis and the points of |[H, op] f(z)| with H in generator form."""
     if op not in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B):
         raise ValueError(f"Hamiltonian symmetry check expects a field generator, got {op!r}")
 
@@ -394,17 +402,17 @@ def hamiltonian_commutation_residual(op: DiffOpId, z: HPoint, B: float) -> float
             op, _apply_hamiltonian_generator_form(f, B), B
         )
 
-    return _basis_residual(residual, z)
+    return _basis_residual(residual, points)
 
 
-def hamiltonian_forms_residual(z: HPoint, B: float) -> float:
-    """Max over the basis of |(H_generator - H_continuum) f(z)|.
+def hamiltonian_forms_residual(points: Iterable[HPoint], B: float) -> float:
+    """Max over the basis and the points of |(H_generator - H_continuum) f(z)|.
 
     The generator form 1/2 (T_B(S_B - T_B) - U_B^2/4 - U_B/2 + B^2) and the
     Landau form (-y^2 Laplacian + 2iBy d/dx + B^2)/2 are the same operator.
     """
     return _basis_residual(
-        lambda f: _apply_hamiltonian_generator_form(f, B) - _apply(DiffOpId.H_continuum, f, B), z
+        lambda f: _apply_hamiltonian_generator_form(f, B) - _apply(DiffOpId.H_continuum, f, B), points
     )
 
 

@@ -182,6 +182,14 @@ def test_verify_rejects_unknown_tolerance(capsys):
     assert "nonsense" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_verify_refuses_a_tolerance_that_is_not_finite_and_positive(value, capsys):
+    code, out, err = run(capsys, "verify", "--tol", f"algebra={value}")
+    assert code == 2
+    assert out == ""
+    assert "finite positive" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hyperband.checks import COMMUTATORS
 from hyperband.halfplane import HPoint, exp_s, moebius_act, rotation_orbit_circle
 from hyperband.magnetic import (
     DiffOpId,
@@ -19,6 +20,8 @@ from hyperband.magnetic import (
     MagneticWord,
     POLY_BASIS,
     Poly2,
+    _apply,
+    _apply_hamiltonian_generator_form as _generator_form,
     act_magnetic,
     apply_diff_operator,
     automorphic_factor,
@@ -491,10 +494,10 @@ def test_commutator_relations_field_family():
     for B in (0.0, 1.0 / 3.0, 0.77):
         for _ in range(20):
             z = random_point(rng)
-            assert commutator_residual(DiffOpId.U_B, DiffOpId.T_B, {DiffOpId.T_B: -2.0}, z, B) < 1e-9
-            assert commutator_residual(DiffOpId.S_B, DiffOpId.T_B, {DiffOpId.U_B: -1.0}, z, B) < 1e-9
+            assert commutator_residual(DiffOpId.U_B, DiffOpId.T_B, {DiffOpId.T_B: -2.0}, [z], B) < 1e-9
+            assert commutator_residual(DiffOpId.S_B, DiffOpId.T_B, {DiffOpId.U_B: -1.0}, [z], B) < 1e-9
             assert (
-                commutator_residual(DiffOpId.U_B, DiffOpId.S_B, {DiffOpId.T_B: -4.0, DiffOpId.S_B: 2.0}, z, B) < 1e-9
+                commutator_residual(DiffOpId.U_B, DiffOpId.S_B, {DiffOpId.T_B: -4.0, DiffOpId.S_B: 2.0}, [z], B) < 1e-9
             )
 
 
@@ -503,51 +506,106 @@ def test_commutator_relations_checked_family():
     for B in (0.0, 0.5, 1.0):
         for _ in range(10):
             z = random_point(rng)
-            assert commutator_residual(DiffOpId.U_check, DiffOpId.T_check, {DiffOpId.T_check: -2.0}, z, B) < 1e-9
-            assert commutator_residual(DiffOpId.S_check, DiffOpId.T_check, {DiffOpId.U_check: -1.0}, z, B) < 1e-9
+            assert commutator_residual(DiffOpId.U_check, DiffOpId.T_check, {DiffOpId.T_check: -2.0}, [z], B) < 1e-9
+            assert commutator_residual(DiffOpId.S_check, DiffOpId.T_check, {DiffOpId.U_check: -1.0}, [z], B) < 1e-9
             assert (
                 commutator_residual(
-                    DiffOpId.U_check, DiffOpId.S_check, {DiffOpId.T_check: -4.0, DiffOpId.S_check: 2.0}, z, B
+                    DiffOpId.U_check, DiffOpId.S_check, {DiffOpId.T_check: -4.0, DiffOpId.S_check: 2.0}, [z], B
                 )
                 < 1e-9
             )
 
 
 def test_commutator_of_operator_with_itself_vanishes():
-    assert commutator_residual(DiffOpId.T_B, DiffOpId.T_B, {}, HPoint(0.4, 1.1), 0.6) == 0.0
+    assert commutator_residual(DiffOpId.T_B, DiffOpId.T_B, {}, [HPoint(0.4, 1.1)], 0.6) == 0.0
 
 
 def test_commutator_detects_wrong_expectation():
     z = HPoint(0.3, 1.7)
-    assert commutator_residual(DiffOpId.U_B, DiffOpId.T_B, {DiffOpId.T_B: +2.0}, z, 0.4) > 1.0
+    assert commutator_residual(DiffOpId.U_B, DiffOpId.T_B, {DiffOpId.T_B: +2.0}, [z], 0.4) > 1.0
 
 
 def test_hamiltonian_commutes_with_generators():
     rng = np.random.default_rng(163)
-    assert hamiltonian_commutation_residual(DiffOpId.T_B, HPoint(0.0, 1.0), 0.5) < 1e-9
+    assert hamiltonian_commutation_residual(DiffOpId.T_B, [HPoint(0.0, 1.0)], 0.5) < 1e-9
     for _ in range(20):
         z = random_point(rng)
-        assert hamiltonian_commutation_residual(DiffOpId.S_B, z, 0.3) < 1e-8
-    assert hamiltonian_commutation_residual(DiffOpId.U_B, HPoint(0.7, 2.2), 0.0) < 1e-10
+        assert hamiltonian_commutation_residual(DiffOpId.S_B, [z], 0.3) < 1e-8
+    assert hamiltonian_commutation_residual(DiffOpId.U_B, [HPoint(0.7, 2.2)], 0.0) < 1e-10
     with pytest.raises(ValueError):
-        hamiltonian_commutation_residual(DiffOpId.S_check, HPoint(0.0, 1.0), 0.3)
+        hamiltonian_commutation_residual(DiffOpId.S_check, [HPoint(0.0, 1.0)], 0.3)
 
 
 def test_hamiltonian_generator_form_equals_landau_form():
     rng = np.random.default_rng(167)
     for B in (0.0, 1.0 / 3.0, 0.5, 0.77):
         for _ in range(10):
-            assert hamiltonian_forms_residual(random_point(rng), B) < 1e-12
+            assert hamiltonian_forms_residual([random_point(rng)], B) < 1e-12
 
 
 def test_overflowed_residuals_are_nan_not_zero():
     # B^2 overflows, so every basis residual is inf - inf; the builtin max(0.0, nan) would read 0.0
-    z = HPoint(0.5, 1.0)
-    assert math.isnan(hamiltonian_forms_residual(z, 1e200))
-    assert math.isnan(hamiltonian_commutation_residual(DiffOpId.S_B, z, 1e200))
+    points = [HPoint(0.5, 1.0), HPoint(-1.2, 0.4), HPoint(2.0, 2.5)]
+    assert math.isnan(hamiltonian_forms_residual(points, 1e200))
+    assert math.isnan(hamiltonian_commutation_residual(DiffOpId.S_B, points, 1e200))
     expected = {DiffOpId.T_check: -4.0, DiffOpId.S_check: 2.0}
-    assert math.isnan(commutator_residual(DiffOpId.U_check, DiffOpId.S_check, expected, z, 1e200))
+    assert math.isnan(commutator_residual(DiffOpId.U_check, DiffOpId.S_check, expected, points, 1e200))
     assert math.isnan(max_or_nan([0.0, math.nan, 1.0])) and max_or_nan([0.0, 2.0, 1.0]) == 2.0
+
+
+def per_point_residual(residual, points) -> float:
+    """Oracle: rebuild every basis residual polynomial at each point, then take the max over points."""
+    return max_or_nan(max_or_nan(abs(residual(f)(z.x, z.y)) for f in POLY_BASIS) for z in points)
+
+
+def oracle_commutator(op1, op2, expected, B):
+    def residual(f):
+        comm = _apply(op1, _apply(op2, f, B), B) - _apply(op2, _apply(op1, f, B), B)
+        for op, coeff in expected.items():
+            comm = comm - coeff * _apply(op, f, B)
+        return comm
+
+    return residual
+
+
+def oracle_hamiltonian_commutation(op, B):
+    return lambda f: _generator_form(_apply(op, f, B), B) - _apply(op, _generator_form(f, B), B)
+
+
+def oracle_forms(B):
+    return lambda f: _generator_form(f, B) - _apply(DiffOpId.H_continuum, f, B)
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+_POINT = st.builds(HPoint, st.floats(-3.0, 3.0), st.floats(0.05, 20.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    B=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e200, 1e200)),
+    points=st.lists(_POINT, min_size=1, max_size=5),
+)
+def test_multi_point_residuals_equal_the_per_point_construction(B, points):
+    for op1, op2, expected in COMMUTATORS:
+        got = commutator_residual(op1, op2, expected, points, B)
+        assert same_float(got, per_point_residual(oracle_commutator(op1, op2, expected, B), points))
+    for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B):
+        got = hamiltonian_commutation_residual(op, points, B)
+        assert same_float(got, per_point_residual(oracle_hamiltonian_commutation(op, B), points))
+    assert same_float(hamiltonian_forms_residual(points, B), per_point_residual(oracle_forms(B), points))
+
+
+def test_residuals_refuse_an_empty_point_list():
+    expected = {DiffOpId.T_B: -2.0}
+    with pytest.raises(ValueError, match="empty point list"):
+        commutator_residual(DiffOpId.U_B, DiffOpId.T_B, expected, [], 0.3)
+    with pytest.raises(ValueError, match="empty point list"):
+        hamiltonian_commutation_residual(DiffOpId.S_B, [], 0.3)
+    with pytest.raises(ValueError, match="empty point list"):
+        hamiltonian_forms_residual([], 0.3)
 
 
 # ---------------------------------------------------------------- weighted actions
