@@ -8,6 +8,15 @@ and check (commutator or generator), then evaluate them at each sample point.
 the acceptance criteria that have a matching check read these defaults.
 `run_suite` runs the `verify` table `SUITE`; only there does a library error
 inside a check become a record (defect inf), elsewhere it reaches the caller.
+
+The lattice checks hold the sweep's kernel in `spectrum` against a dense
+oracle kept here: `ring_matrix`, `harper_core`, `assemble_reduced` and
+`assemble_block` build the complex matrices from the model's definition, and
+`eigenvalues` solves one with eigenvectors and a residual certificate.  It
+shares only `_harper_stack` (checked by `harper_oracle_compare`) and the gates
+`_require_dimension` and `_require_solvable` with the kernel, and never calls
+the sweep's route: `_chambers_stack`, `_chambers_momenta`, `harper_eigvalsh`,
+`_certified_spectra` or `model_spectra`.
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ import numpy as np
 from . import magnetic, spectrum, tiling
 from .halfplane import HPoint
 from .magnetic import DiffOpId, FluxParam, max_or_nan
-from .spectrum import RING_SIZE, BlochMomentum, BlockAnisotropic, BlockIsotropic, HamiltonianModel, ReducedHarper
+from .spectrum import MU, RING_SIZE, RING_WEIGHT, BlochMomentum, BlockAnisotropic, BlockIsotropic
+from .spectrum import HamiltonianModel, ReducedHarper
 
 _TWO_PI = 2.0 * math.pi
 
@@ -188,6 +198,96 @@ def hamiltonian_forms(fields: Iterable[float], points: list[HPoint]) -> float:
     return max_or_nan(magnetic.hamiltonian_forms_residual(points, B) for B in fields)
 
 
+def ring_matrix(B: float) -> np.ndarray:
+    """8-site nearest-neighbor ring with corner phases e^{+-i 2 pi B}."""
+    ring = np.zeros((RING_SIZE, RING_SIZE), dtype=complex)
+    for i in range(RING_SIZE - 1):
+        ring[i, i + 1] = 1.0
+        ring[i + 1, i] = 1.0
+    ring[0, RING_SIZE - 1] = np.exp(2j * math.pi * B)
+    ring[RING_SIZE - 1, 0] = np.exp(-2j * math.pi * B)
+    return ring
+
+
+def harper_core(flux: FluxParam, k1: float, k2: float) -> np.ndarray:
+    """The q x q Harper core at phi = 2 pi p/q."""
+    phi = _TWO_PI * flux.p / flux.q
+    return spectrum._harper_stack(flux.q, np.array([phi]), np.array([k1]), np.array([k2]), 1.0)[0]
+
+
+def assemble_reduced(p: int, q: int, k: BlochMomentum, m: int) -> np.ndarray:
+    """Sector-m q x q matrix: the Harper core times c = -1/(8 mu^2), plus the scalar
+    2c(cos k3 + cos k4) + (16/pi^2) 2cos(pi B/4 + m pi/4) on the diagonal."""
+    c = -1.0 / (8.0 * MU * MU)
+    sector = RING_WEIGHT * spectrum.rotation_sector_shift(FluxParam(p, q).field, m)
+    h = spectrum._harper_stack(q, np.array([_TWO_PI * p / q]), np.array([k.k1]), np.array([k.k2]), scale=c)[0]
+    h += (2.0 * c * (math.cos(k.k3) + math.cos(k.k4)) + sector) * np.eye(q)
+    return h
+
+
+def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:
+    """Full 8q x 8q cycle of blocks, wired exactly as the sector analysis needs.
+
+    The hopping block sits below the diagonal (and at the [0, q-1] corner);
+    its conjugate transpose sits above (and at [q-1, 0]).
+    """
+    B = FluxParam(p, q).field
+    phi = _TWO_PI * p / q
+    ring = RING_WEIGHT * ring_matrix(B)
+    eye8 = np.eye(RING_SIZE)
+
+    if isinstance(variant, BlockAnisotropic):
+        def a_block(n: int) -> np.ndarray:
+            w = -2.0 / (8.0 * MU * MU) * (math.cos(k.k2 - n * phi) + math.cos(k.k3) + math.cos(k.k4))
+            return w * eye8 + ring
+
+        hop = -np.exp(1j * k.k1) / (8.0 * MU * MU) * eye8
+    elif isinstance(variant, BlockIsotropic):
+        def a_block(n: int) -> np.ndarray:
+            pair = [math.cos(k.k3), math.cos(k.k2 - n * phi) + math.cos(k.k4)]
+            diag = np.array([pair[s % 2] for s in range(RING_SIZE)])
+            return -2.0 / (4.0 * MU * MU) * np.diag(diag) + ring
+
+        hop = -np.exp(1j * k.k1) / (4.0 * MU * MU) * np.diag([1.0, 0.0] * (RING_SIZE // 2))
+    else:
+        raise ValueError(f"block assembly expects a block variant, got {variant!r}")
+
+    n_dim = RING_SIZE * q
+    spectrum._require_dimension(n_dim)
+    h = np.zeros((n_dim, n_dim), dtype=complex)
+    for n in range(q):
+        s = slice(RING_SIZE * n, RING_SIZE * (n + 1))
+        h[s, s] += a_block(n)
+        t = slice(RING_SIZE * ((n + 1) % q), RING_SIZE * ((n + 1) % q) + RING_SIZE)
+        h[t, s] += hop
+        h[s, t] += hop.conj().T
+    return h
+
+
+def eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending real spectrum of one square matrix with an explicit residual certificate.
+
+    Raises instead of returning a partial or low-quality spectrum: a
+    non-square matrix or one over `_MAX_DIMENSION` is a ValueError, a matrix
+    `_require_solvable` refuses or LAPACK non-convergence a RuntimeError, and
+    every (lambda, v) pair must satisfy ||Hv - lambda v|| <= 1e-8 (1 + ||H||_F).
+    """
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    n = h.shape[0]
+    spectrum._require_dimension(n)
+    spectrum._require_solvable(h[None], np.ones((n, n), dtype=bool))
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver did not converge on a {n}x{n} matrix: {exc}") from exc
+    residual = np.linalg.norm(h @ vecs - vecs * vals, axis=0).max()
+    bound = 1e-8 * (1.0 + np.linalg.norm(h, "fro"))
+    if residual > bound:
+        raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds contract bound {bound:.3e}")
+    return vals
+
+
 def lattice_hermiticity(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
     """Largest |H - H^dagger| over sectors 0 and 5 and both block models."""
     p, q = pair.p, pair.q
@@ -195,10 +295,10 @@ def lattice_hermiticity(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> fl
         float(np.abs(h - h.conj().T).max())
         for k in momenta
         for h in (
-            spectrum.assemble_reduced(p, q, k, 0),
-            spectrum.assemble_reduced(p, q, k, 5),
-            spectrum.assemble_block(BlockAnisotropic(), p, q, k),
-            spectrum.assemble_block(BlockIsotropic(), p, q, k),
+            assemble_reduced(p, q, k, 0),
+            assemble_reduced(p, q, k, 5),
+            assemble_block(BlockAnisotropic(), p, q, k),
+            assemble_block(BlockIsotropic(), p, q, k),
         )
     )
 
@@ -208,8 +308,8 @@ def rotation_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float
     p, q = pair.p, pair.q
 
     def gap(k: BlochMomentum) -> float:
-        sectors = [spectrum.eigenvalues(spectrum.assemble_reduced(p, q, k, m)) for m in range(RING_SIZE)]
-        block = spectrum.eigenvalues(spectrum.assemble_block(BlockAnisotropic(), p, q, k))
+        sectors = [eigenvalues(assemble_reduced(p, q, k, m)) for m in range(RING_SIZE)]
+        block = eigenvalues(assemble_block(BlockAnisotropic(), p, q, k))
         return float(np.abs(np.sort(np.concatenate(sectors)) - block).max())
 
     return max_or_nan(gap(k) for k in momenta)
@@ -219,7 +319,7 @@ def iso_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
     """Union of the four S^2 sector spectra (`model_spectra`) against the dense 8q x 8q block-iso spectrum."""
     p, q = pair.p, pair.q
     momenta = list(momenta)
-    dense = [spectrum.eigenvalues(spectrum.assemble_block(BlockIsotropic(), p, q, k)) for k in momenta]
+    dense = [eigenvalues(assemble_block(BlockIsotropic(), p, q, k)) for k in momenta]
     sectors = spectrum.model_spectra(BlockIsotropic(), q, [p], momenta)[0]
     return float(np.abs(sectors - np.array(dense)).max())
 
@@ -264,7 +364,7 @@ def chambers(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> fl
         p, q = pair.p, pair.q
         ks = momenta + [BlochMomentum(0.0, 0.4, 1.0, 2.0), BlochMomentum(math.pi / q, 0.4, 1.0, 2.0)]
         real = spectrum._certified_spectra(ReducedHarper(0), q, [p], ks)[0]
-        dense = [spectrum.eigenvalues(spectrum.assemble_reduced(p, q, k, 0)) for k in ks]
+        dense = [eigenvalues(assemble_reduced(p, q, k, 0)) for k in ks]
         return float(np.abs(real - np.array(dense)).max())
 
     return max_or_nan(gap(pair) for pair in pairs)
@@ -279,7 +379,7 @@ def harper_oracle_compare(p: int, q: int, k1: float, k2: float) -> float:
     """
     if p < 1:
         raise ValueError(f"oracle comparison needs p >= 1, got {p}")
-    vals_a = np.sort(np.linalg.eigvalsh(spectrum.harper_core(FluxParam(p, q), k1, k2)).real)
+    vals_a = np.sort(np.linalg.eigvalsh(harper_core(FluxParam(p, q), k1, k2)).real)
 
     t_shift = np.exp(1j * k1) * np.roll(np.eye(q, dtype=complex), 1, axis=0)
     v_diag = np.diag(np.exp(1j * (k2 - np.arange(q) * _TWO_PI * p / q)))

@@ -5,7 +5,9 @@ Subcommands: `verify` prints a PASS/FAIL line per record of `checks.run_suite`
 Poincare-disk patch of the {4g,4g} tiling as SVG, `spectrum` prints the
 eigenvalues of one lattice Hamiltonian, `butterfly` sweeps rational flux and
 writes a phi/energy CSV.  Exit codes: 0 success, 1 verification failure,
-2 usage or configuration error.
+2 usage or configuration error, 141 (128 + SIGPIPE) when the reader closes
+stdout before all output is written (`| head -1`): no traceback, and the
+rest of the output is dropped.
 
 The SVG paths are rows of 8-byte words: each `%.6f` number is looked up in
 digit tables (`_number_words`) instead of being formatted one at a time, and
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -405,13 +408,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = parse_config_file(args.config) if getattr(args, "config", None) else {}
-        return _COMMANDS[args.command](args, config)
+        code = _COMMANDS[args.command](args, config)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
+        return code
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull so the exit flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
 
 
 if __name__ == "__main__":

@@ -21,9 +21,6 @@ isotropic block model splits into four complex 2q x 2q sectors
 only, certified by inertia counts (`harper_eigvalsh`), one flux per orbit
 {p, p+q, q-p, 2q-p} ({p, 2q-p} for block-iso, `_flux_representative`); the
 other fluxes of an orbit reuse its spectrum, shifted by a scalar.
-`eigenvalues` and the dense complex assemblers are the oracle of `checks`
-and the tests; they stay here, beside the lattice definitions they share
-with the kernel.  Both solvers pass `_require_solvable`.
 Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
@@ -113,17 +110,6 @@ def rotation_sector_shift(B: float | np.ndarray, m: int | np.ndarray) -> float |
     return 2.0 * np.cos(np.pi * B / 4.0 + m * np.pi / 4.0)
 
 
-def ring_matrix(B: float) -> np.ndarray:
-    """8-site nearest-neighbor ring with corner phases e^{+-i 2 pi B}."""
-    ring = np.zeros((RING_SIZE, RING_SIZE), dtype=complex)
-    for i in range(RING_SIZE - 1):
-        ring[i, i + 1] = 1.0
-        ring[i + 1, i] = 1.0
-    ring[0, RING_SIZE - 1] = np.exp(2j * math.pi * B)
-    ring[RING_SIZE - 1, 0] = np.exp(-2j * math.pi * B)
-    return ring
-
-
 def _require_dimension(n: int) -> None:
     """Refuse a matrix over `_MAX_DIMENSION` before anything of that size is allocated."""
     if n > _MAX_DIMENSION:
@@ -138,6 +124,9 @@ def _harper_stack(q: int, phi: np.ndarray, k1: np.ndarray, k2: np.ndarray, scale
     [0, q-1] = e^{+i k1} and [q-1, 0] = e^{-i k1}.  For q <= 2 the wrap adds
     onto an occupied entry; scaling each term before that sum, in this order,
     keeps the entries bit-for-bit what per-entry accumulation gives.
+    `_iso_stack` and the dense oracle (`checks.harper_core`, `assemble_reduced`)
+    share this one core; `checks.harper_oracle_compare` tests it against a
+    clock-and-shift build that shares no code with it.
     """
     _require_dimension(q)
     n = np.arange(q)
@@ -145,30 +134,6 @@ def _harper_stack(q: int, phi: np.ndarray, k1: np.ndarray, k2: np.ndarray, scale
     h[:, n, n] += scale * 2.0 * np.cos(k2[:, None] - n * phi[:, None])
     h[:, n, (n + 1) % q] += (scale * np.exp(-1j * k1))[:, None]
     h[:, (n + 1) % q, n] += (scale * np.exp(1j * k1))[:, None]
-    return h
-
-
-def harper_core(flux: FluxParam, k1: float, k2: float) -> np.ndarray:
-    """The q x q Harper core at phi = 2 pi p/q."""
-    phi = _TWO_PI * flux.p / flux.q
-    return _harper_stack(flux.q, np.array([phi]), np.array([k1]), np.array([k2]), 1.0)[0]
-
-
-def _reduced_stack(q: int, items: Sequence[tuple[int, BlochMomentum]], m: int) -> np.ndarray:
-    """Sector-m matrices for each (p, k) in `items`, stacked (n, q, q).
-
-    Each is the Harper core times c = -1/(8 mu^2) plus the scalar
-    2c(cos k3 + cos k4) + (16/pi^2) 2cos(pi B/4 + m pi/4) on the diagonal.
-    """
-    c = -1.0 / (8.0 * MU * MU)
-    shift = [
-        2.0 * c * (math.cos(k.k3) + math.cos(k.k4))
-        + RING_WEIGHT * rotation_sector_shift(FluxParam(p, q).field, m)
-        for p, k in items
-    ]
-    phi = np.array([_TWO_PI * p / q for p, _ in items])
-    h = _harper_stack(q, phi, np.array([k.k1 for _, k in items]), np.array([k.k2 for _, k in items]), scale=c)
-    h += np.reshape(shift, (-1, 1, 1)) * np.eye(q)
     return h
 
 
@@ -197,11 +162,12 @@ def _chambers_momenta(q: int, k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarra
 
 
 def _chambers_stack(q: int, items: Sequence[tuple[int, BlochMomentum]], m: int) -> np.ndarray:
-    """Real symmetric matrices with the spectra of `_reduced_stack(q, items, m)`, stacked (n, q, q).
+    """Real symmetric twins of the sector-m matrices `checks.assemble_reduced` builds, stacked (n, q, q).
 
     Each momentum moves by `_chambers_momenta` to (k1', k2'), where the
     gauge e^{i j k1'} on site j makes the sector-m matrix real: diagonal
-    c 2cos(k2' - j phi) plus the scalar shift of `_reduced_stack`, hoppings
+    c 2cos(k2' - j phi) plus the scalar shift 2c(cos k3 + cos k4) +
+    (16/pi^2) 2cos(pi B/4 + m pi/4), c = -1/(8 mu^2), hoppings
     c and corners c sigma, sigma = cos(q k1') = +1 at k1' = 0 and -1 at
     k1' = pi/q.  The corners add onto occupied entries for q <= 2: the
     diagonal becomes c 2(cos k2' + sigma) at q = 1, the hopping c(1 + sigma)
@@ -250,51 +216,6 @@ def _iso_stack(q: int, items: Sequence[tuple[int, BlochMomentum]]) -> np.ndarray
     return h.reshape(-1, 2 * q, 2 * q)
 
 
-def assemble_reduced(p: int, q: int, k: BlochMomentum, m: int) -> np.ndarray:
-    """Sector-m q x q matrix: Harper core times -1/(8 mu^2), momentum scalar, ring sector shift."""
-    return _reduced_stack(q, [(p, k)], m)[0]
-
-
-def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:
-    """Full 8q x 8q cycle of blocks, wired exactly as the sector analysis needs.
-
-    The hopping block sits below the diagonal (and at the [0, q-1] corner);
-    its conjugate transpose sits above (and at [q-1, 0]).
-    """
-    flux = FluxParam(p, q)
-    B = flux.field
-    phi = _TWO_PI * p / q
-    ring = RING_WEIGHT * ring_matrix(B)
-    eye8 = np.eye(RING_SIZE)
-
-    if isinstance(variant, BlockAnisotropic):
-        def a_block(n: int) -> np.ndarray:
-            w = -2.0 / (8.0 * MU * MU) * (math.cos(k.k2 - n * phi) + math.cos(k.k3) + math.cos(k.k4))
-            return w * eye8 + ring
-
-        hop = -np.exp(1j * k.k1) / (8.0 * MU * MU) * eye8
-    elif isinstance(variant, BlockIsotropic):
-        def a_block(n: int) -> np.ndarray:
-            pair = [math.cos(k.k3), math.cos(k.k2 - n * phi) + math.cos(k.k4)]
-            diag = np.array([pair[s % 2] for s in range(RING_SIZE)])
-            return -2.0 / (4.0 * MU * MU) * np.diag(diag) + ring
-
-        hop = -np.exp(1j * k.k1) / (4.0 * MU * MU) * np.diag([1.0, 0.0] * (RING_SIZE // 2))
-    else:
-        raise ValueError(f"block assembly expects a block variant, got {variant!r}")
-
-    n_dim = RING_SIZE * q
-    _require_dimension(n_dim)
-    h = np.zeros((n_dim, n_dim), dtype=complex)
-    for n in range(q):
-        s = slice(RING_SIZE * n, RING_SIZE * (n + 1))
-        h[s, s] += a_block(n)
-        t = slice(RING_SIZE * ((n + 1) % q), RING_SIZE * ((n + 1) % q) + RING_SIZE)
-        h[t, s] += hop
-        h[s, t] += hop.conj().T
-    return h
-
-
 def _require_solvable(h: np.ndarray, mask: np.ndarray) -> None:
     """RuntimeError unless every matrix of an (n, dim, dim) stack is zero outside the symmetric
     `mask`, finite and Hermitian to `_HERMITIAN_TOL`: the matrices are assembled here, so a
@@ -310,30 +231,6 @@ def _require_solvable(h: np.ndarray, mask: np.ndarray) -> None:
     drift = float(np.abs(h[:, rows, cols] - h[:, cols, rows].conj()).max(initial=0.0))
     if drift > _HERMITIAN_TOL:
         raise RuntimeError(f"matrix fails Hermiticity by {drift:.3e}")
-
-
-def eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending real spectrum of one square matrix with an explicit residual certificate.
-
-    Raises instead of returning a partial or low-quality spectrum: a
-    non-square matrix or one over `_MAX_DIMENSION` is a ValueError, a matrix
-    `_require_solvable` refuses or LAPACK non-convergence a RuntimeError, and
-    every (lambda, v) pair must satisfy ||Hv - lambda v|| <= 1e-8 (1 + ||H||_F).
-    """
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
-    _require_dimension(n)
-    _require_solvable(h[None], np.ones((n, n), dtype=bool))
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver did not converge on a {n}x{n} matrix: {exc}") from exc
-    residual = np.linalg.norm(h @ vecs - vecs * vals, axis=0).max()
-    bound = 1e-8 * (1.0 + np.linalg.norm(h, "fro"))
-    if residual > bound:
-        raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds contract bound {bound:.3e}")
-    return vals
 
 
 def _cyclic_band(n: int, pendants: bool = False) -> np.ndarray:

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import hyperband
 from hyperband import checks, cli
+from hyperband.checks import assemble_block, eigenvalues
 from hyperband.cli import main, parse_config_file
 from hyperband.halfplane import HPoint, Sl2Element, moebius_act, moebius_rows
-from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, assemble_block, eigenvalues
+from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic
 from hyperband.tiling import (
     _ARC_RADIUS_LIMIT,
     _TWO_PI,
@@ -37,12 +38,46 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _subprocess_env() -> dict[str, str]:
+    """This environment with the package's source directory first on PYTHONPATH, output block-buffered."""
     src = str(Path(hyperband.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_cli_import_leaves_scipy_unloaded():
     probe = "import sys, hyperband.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "flags, argv, lines_read",
+    [
+        # unbuffered, each verify line is written as its check ends, after the reader has gone
+        (["-u"], ["verify", "--g", "5"], 1),
+        # block-buffered, everything is written by the final flush, into a pipe closed at start-up
+        ([], ["spectrum", "--B", "1/6"], 0),
+    ],
+)
+def test_closed_stdout_exits_141_without_a_traceback(flags, argv, lines_read):
+    proc = subprocess.Popen(
+        [sys.executable, *flags, "-m", "hyperband", *argv],
+        env=_subprocess_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline().startswith(b"PASS fuchsian relation")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    # exit 1 would read as a verification failure
+    assert proc.wait(timeout=60) == 141
+    assert err == b""  # no traceback, and no "Exception ignored" from the exit flush
 
 
 # ---------------------------------------------------------------- verify
@@ -130,16 +165,14 @@ def test_verify_fails_the_lattice_lines_of_a_denominator_too_large_for_a_float(c
 
 
 def test_verify_hermiticity_line_can_fail(monkeypatch, capsys):
-    import hyperband.spectrum as spectrum
-
-    real_ring = spectrum.ring_matrix
+    real_ring = checks.ring_matrix
 
     def skewed_ring(B):
         ring = real_ring(B)
         ring[0, 1] += 1e-9j  # [1, 0] left alone, so every block matrix is off by ~1e-9
         return ring
 
-    monkeypatch.setattr(spectrum, "ring_matrix", skewed_ring)
+    monkeypatch.setattr(checks, "ring_matrix", skewed_ring)
     for tol, verdict in (((), "FAIL"), (("--tol", "hermiticity=1e-6"), "PASS")):
         code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4", *tol)
         assert code == 1

@@ -9,7 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from hyperband.checks import harper_oracle_compare
+from hyperband.checks import (
+    assemble_block,
+    assemble_reduced,
+    eigenvalues,
+    harper_core,
+    harper_oracle_compare,
+    ring_matrix,
+)
 from hyperband.magnetic import FluxParam
 from hyperband.spectrum import (
     MU,
@@ -17,19 +24,14 @@ from hyperband.spectrum import (
     BlockAnisotropic,
     BlockIsotropic,
     ReducedHarper,
-    assemble_block,
-    assemble_reduced,
     butterfly_sweep,
     certify_spectra,
     coprime_flux_pairs,
-    eigenvalues,
-    harper_core,
     harper_eigvalsh,
     inertia_counts,
     model_spectra,
     model_spectrum,
     momentum_samples,
-    ring_matrix,
     rotation_sector_shift,
 )
 
@@ -218,23 +220,6 @@ def test_reduced_rejects_non_coprime():
         assemble_reduced(1, 0, BlochMomentum.zero(), 0)
     with pytest.raises(ValueError):
         assemble_reduced(1, 3, BlochMomentum.zero(), 9)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=40),
-    st.data(),
-    st.lists(st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4), min_size=1, max_size=3),
-    st.integers(min_value=0, max_value=7),
-)
-def test_batched_assembly_bitwise_equals_stacked_assemble_reduced(q, data, ks, m):
-    import hyperband.spectrum as spectrum
-
-    admitted = [p for p in range(1, 2 * q) if math.gcd(p, q) == 1]
-    ps = data.draw(st.lists(st.sampled_from(admitted), min_size=1, max_size=4))
-    items = [(p, BlochMomentum(*k)) for p in ps for k in ks]
-    stacked = np.stack([assemble_reduced(p, q, k, m) for p, k in items])
-    assert spectrum._reduced_stack(q, items, m).tobytes() == stacked.tobytes()
 
 
 # ---------------------------------------------------------------- block assembly
@@ -693,7 +678,7 @@ def test_chambers_stack_at_the_edges_of_the_invariant(q):
     items = [(p, k) for p in ps for k in momenta]
     for m in range(8):
         got = spectrum._certified_spectra(ReducedHarper(m), q, ps, momenta).reshape(len(items), q)
-        dense = np.linalg.eigvalsh(spectrum._reduced_stack(q, items, m))
+        dense = np.linalg.eigvalsh(np.stack([assemble_reduced(p, q, k, m) for p, k in items]))
         assert np.abs(got - dense).max() < 1e-12
 
 
@@ -917,3 +902,48 @@ def test_harper_oracle_all_small_q():
 def test_harper_oracle_rejects_p_zero():
     with pytest.raises(ValueError):
         harper_oracle_compare(0, 1, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------- dense oracle
+
+
+def test_dense_oracle_is_defined_in_checks_alone():
+    import hyperband.spectrum as spectrum
+
+    for name in ("ring_matrix", "harper_core", "_reduced_stack", "assemble_reduced", "assemble_block", "eigenvalues"):
+        assert not hasattr(spectrum, name), name
+    for fn in (ring_matrix, harper_core, assemble_reduced, assemble_block, eigenvalues):
+        assert fn.__module__ == "hyperband.checks"
+
+
+class _SweepRouteCalled(Exception):
+    pass
+
+
+def test_dense_oracle_never_calls_the_sweep_route(monkeypatch):
+    import hyperband.spectrum as spectrum
+    from hyperband import checks
+
+    rng = np.random.default_rng(263)
+    pair = FluxParam(3, 5)
+    momenta = [random_momentum(rng) for _ in range(2)]
+
+    def defects():
+        return (
+            checks.rotation_sectors(pair, momenta),
+            checks.lattice_hermiticity(pair, momenta),
+            checks.harper_oracle_compare(3, 7, 0.4, 1.1),
+        )
+
+    def refuse(*args, **kwargs):
+        raise _SweepRouteCalled
+
+    expected = defects()
+    for name in ("_chambers_stack", "_chambers_momenta", "harper_eigvalsh", "_certified_spectra", "model_spectra"):
+        monkeypatch.setattr(spectrum, name, refuse)
+    # the patch bites: the checks that compare the two routes now stop
+    with pytest.raises(_SweepRouteCalled):
+        checks.chambers([pair], momenta)
+    with pytest.raises(_SweepRouteCalled):
+        checks.iso_sectors(pair, momenta)
+    assert defects() == expected
