@@ -4,10 +4,14 @@ Subcommands: `verify` prints a PASS/FAIL line per record of `checks.run_suite`
 (a library error inside a check is its FAIL line), `tile` writes a
 Poincare-disk patch of the {4g,4g} tiling as SVG, `spectrum` prints the
 eigenvalues of one lattice Hamiltonian, `butterfly` sweeps rational flux and
-writes a phi/energy CSV.  Exit codes: 0 success, 1 verification failure,
-2 usage or configuration error, 141 (128 + SIGPIPE) when the reader closes
-stdout before all output is written (`| head -1`): no traceback, and the
-rest of the output is dropped.
+writes a phi/energy CSV.  Every option is declared once, in `build_parser`,
+with its default; a `--config` file's values become the subcommand's
+defaults, so argparse converts and reports them as it does the flags they
+name.  `main` alone turns exceptions into exit codes: 0 success,
+1 verification failure, 2 usage or configuration error or an output that
+cannot be written (`--out` or stdout), 141 (128 + SIGPIPE) when the reader
+closes stdout or `--out` before all output is written (`| head -1`): no
+traceback, and the rest of the output is dropped.
 
 The SVG paths are rows of 8-byte words: each `%.6f` number is looked up in
 digit tables (`_number_words`) instead of being formatted one at a time, and
@@ -17,6 +21,7 @@ a block of rows becomes text in one `bytes.translate`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -63,21 +68,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, config: dict[str, str], key: str, default):
-    """Flag beats config beats default; config values arrive as text."""
-    flag = getattr(args, key, None)
-    return flag if flag is not None else config.get(key, default)
-
-
-def _as_int(value, what: str) -> int:
-    try:
-        return int(str(value), 10)
-    except ValueError as exc:
-        raise UsageError(f"{what} must be an integer, got {value!r}") from exc
-
-
-def _at_least(value, what: str, low: int) -> int:
-    n = _as_int(value, what)
+def _at_least(n: int, what: str, low: int) -> int:
     if n < low:
         raise UsageError(f"{what} must be >= {low}, got {n}")
     return n
@@ -85,7 +76,7 @@ def _at_least(value, what: str, low: int) -> int:
 
 def parse_flux(text: str, allow_real: bool) -> Union[Fraction, float]:
     """`p/q` is exact; a bare real is admitted only where rationality is not needed."""
-    text = str(text).strip()
+    text = text.strip()
     if "/" in text:
         try:
             value = Fraction(text)
@@ -107,10 +98,10 @@ def parse_flux(text: str, allow_real: bool) -> Union[Fraction, float]:
     return value
 
 
-def parse_model(name: str, m) -> HamiltonianModel:
-    name = str(name).strip()
+def parse_model(name: str, m: Optional[int]) -> HamiltonianModel:
+    name = name.strip()
     if name == "reduced":
-        return ReducedHarper(0 if m is None else _as_int(m, "sector index"))
+        return ReducedHarper(0 if m is None else m)
     if m is not None:
         raise UsageError(f"--m selects a rotation sector of the reduced model, not {name!r}")
     if name == "block-aniso":
@@ -121,7 +112,7 @@ def parse_model(name: str, m) -> HamiltonianModel:
 
 
 def parse_momentum(text: str) -> BlochMomentum:
-    parts = str(text).split(",")
+    parts = text.split(",")
     if len(parts) != 4:
         raise UsageError(f"momentum needs four comma-separated reals, got {text!r}")
     try:
@@ -152,11 +143,11 @@ def _tolerances(overrides: Optional[Sequence[str]]) -> dict[str, float]:
 # ---------------------------------------------------------------- commands and their writers
 
 
-def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    genus = _at_least(_resolve(args, config, "g", 2), "genus", 2)
-    flux = parse_flux(_resolve(args, config, "B", "1/4"), allow_real=True)
-    seed = _at_least(_resolve(args, config, "seed", 0), "seed", 0)
-    tols = _tolerances(getattr(args, "tol", None))
+def cmd_verify(args: argparse.Namespace) -> int:
+    genus = _at_least(args.g, "genus", 2)
+    flux = parse_flux(args.B, allow_real=True)
+    seed = _at_least(args.seed, "seed", 0)
+    tols = _tolerances(args.tol)
 
     failed = False
     for record in checks.run_suite(genus, flux, seed, tols):
@@ -286,6 +277,17 @@ def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> str:
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
+@contextlib.contextmanager
+def _created(path: str):
+    """`path` opened for writing; an OSError while it is open names `path`, so `main` tells it from stdout."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        exc.filename = exc.filename or path
+        raise
+
+
 def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
     """Write the Poincare-disk SVG of the tiles up to `depth` to `out`; return the tile count.
 
@@ -297,7 +299,7 @@ def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
     tiles = enumerate_tiles(make_generators(params), depth)
     # corners block by block, so the array temporaries stay block-sized
     blocks = [disk_corners(tiles[lo : lo + _SVG_BLOCK], dom) for lo in range(0, len(tiles), _SVG_BLOCK)]
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    with _created(out) as fh:
         fh.write(_SVG_HEAD)
         for u, v in blocks:
             fh.write(_svg_paths(u, v, dom.edges))
@@ -305,60 +307,50 @@ def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
     return len(tiles)
 
 
-def cmd_tile(args: argparse.Namespace, config: dict[str, str]) -> int:
-    genus = _at_least(_resolve(args, config, "g", 2), "genus", 2)
-    depth = _at_least(_resolve(args, config, "depth", 2), "depth", 0)
-    out = str(_resolve(args, config, "out", "tiling.svg"))
-    try:
-        tiles = render_tiling_svg(TilingParams(genus), depth, out)
-    except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc}") from exc
-    print(f"wrote {out}: {tiles} tiles (genus {genus}, depth {depth})")
+def cmd_tile(args: argparse.Namespace) -> int:
+    tiles = render_tiling_svg(TilingParams(args.g), args.depth, args.out)
+    print(f"wrote {args.out}: {tiles} tiles (genus {args.g}, depth {args.depth})")
     return 0
 
 
-def cmd_spectrum(args: argparse.Namespace, config: dict[str, str]) -> int:
-    flux = parse_flux(_resolve(args, config, "B", "1/6"), allow_real=False)
-    model = parse_model(_resolve(args, config, "model", "reduced"), _resolve(args, config, "m", None))
-    k = parse_momentum(_resolve(args, config, "k", "0,0,0,0"))
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    flux = parse_flux(args.B, allow_real=False)
+    model = parse_model(args.model, args.m)
+    k = parse_momentum(args.k)
     pair = FluxParam.from_field(flux)
     for value in model_spectrum(model, pair.p, pair.q, k):
         print(f"{value:.12g}")
     return 0
 
 
-def cmd_butterfly(args: argparse.Namespace, config: dict[str, str]) -> int:
-    model = parse_model(_resolve(args, config, "model", "reduced"), _resolve(args, config, "m", None))
-    q_max = _as_int(_resolve(args, config, "q_max", 8), "q_max")
-    k_samples = _as_int(_resolve(args, config, "k_samples", 4), "k_samples")
-    seed = _as_int(_resolve(args, config, "seed", 0), "seed")
-    out = str(_resolve(args, config, "out", "butterfly.csv"))
-
+def cmd_butterfly(args: argparse.Namespace) -> int:
+    model = parse_model(args.model, args.m)
     start = time.perf_counter()
-    sweep = butterfly_sweep(model, q_max, k_samples, seed)
+    sweep = butterfly_sweep(model, args.q_max, args.k_samples, args.seed)
     samples = rows = 0
-    try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("phi,energy\n")
-            # phi ascends from flux to flux, so a stable sort within each flux
-            # writes the rows in (phi, energy) order
-            for phi, spectra in sweep:
-                energies = np.sort(spectra, axis=None, kind="stable").tolist()
-                prefix = f"{phi:.10g},".replace("%", "%%")
-                fh.write((prefix + "%.12g\n") * len(energies) % tuple(energies))
-                samples += len(spectra)
-                rows += len(energies)
-    except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc}") from exc
+    with _created(args.out) as fh:
+        fh.write("phi,energy\n")
+        # phi ascends from flux to flux, so a stable sort within each flux
+        # writes the rows in (phi, energy) order
+        for phi, spectra in sweep:
+            energies = np.sort(spectra, axis=None, kind="stable").tolist()
+            prefix = f"{phi:.10g},".replace("%", "%%")
+            fh.write((prefix + "%.12g\n") * len(energies) % tuple(energies))
+            samples += len(spectra)
+            rows += len(energies)
     elapsed = time.perf_counter() - start
-    print(f"wrote {out}: {samples} samples, {rows} rows, {elapsed:.2f} s")
+    print(f"wrote {args.out}: {samples} samples, {rows} rows, {elapsed:.2f} s")
     return 0
 
 
 # ---------------------------------------------------------------- entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: Optional[dict[str, str]] = None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, each option declared once with its default.
+
+    `defaults` (a config file's text values) replace those defaults; argparse converts them with the flag's `type`.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperband",
         description="Hyperbolic band theory on {4g,4g} tilings under a uniform magnetic field.",
@@ -366,32 +358,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the numerical identity suite")
-    verify.add_argument("--g", type=int, help="genus (default 2)")
-    verify.add_argument("--B", help="magnetic field, rational like 1/4 or a bare real")
-    verify.add_argument("--seed", type=int, help="seed for random sample points (default 0)")
+    verify.add_argument("--g", type=int, default=2, help="genus (default %(default)s)")
+    verify.add_argument("--B", default="1/4", help="magnetic field, rational like 1/4 or a bare real")
+    verify.add_argument("--seed", type=int, default=0, help="seed for random sample points (default %(default)s)")
     verify.add_argument("--tol", action="append", metavar="NAME=VALUE", help="override one check tolerance")
 
     tile = sub.add_parser("tile", help="render a Poincare-disk tiling patch to SVG")
-    tile.add_argument("--g", type=int, help="genus (default 2)")
-    tile.add_argument("--depth", type=int, help="word length of tile orbit (default 2)")
-    tile.add_argument("--out", help="output SVG path (default tiling.svg)")
+    tile.add_argument("--g", type=int, default=2, help="genus (default %(default)s)")
+    tile.add_argument("--depth", type=int, default=2, help="word length of tile orbit (default %(default)s)")
+    tile.add_argument("--out", default="tiling.svg", help="output SVG path (default %(default)s)")
 
     spectrum = sub.add_parser("spectrum", help="print eigenvalues of one lattice Hamiltonian")
-    spectrum.add_argument("--B", help="rational magnetic field p/(2q), e.g. 1/6")
-    spectrum.add_argument("--model", help="reduced | block-aniso | block-iso (default reduced)")
-    spectrum.add_argument("--m", type=int, help="rotation sector for the reduced model (default 0)")
-    spectrum.add_argument("--k", help="Bloch momentum as four comma-separated reals (default 0,0,0,0)")
-
     butterfly = sub.add_parser("butterfly", help="sweep rational flux and write phi,energy CSV")
-    butterfly.add_argument("--model", help="reduced | block-aniso | block-iso (default reduced)")
-    butterfly.add_argument("--m", type=int, help="rotation sector for the reduced model (default 0)")
-    butterfly.add_argument("--q-max", dest="q_max", type=int, help="largest flux denominator (default 8)")
-    butterfly.add_argument("--k-samples", dest="k_samples", type=int, help="momenta per flux (default 4)")
-    butterfly.add_argument("--seed", type=int, help="momentum sequence offset (default 0)")
-    butterfly.add_argument("--out", help="output CSV path (default butterfly.csv)")
+    spectrum.add_argument("--B", default="1/6", help="rational magnetic field p/(2q), e.g. 1/6")
+    for command in (spectrum, butterfly):  # the model options, after --B in spectrum's help and first in butterfly's
+        command.add_argument("--model", default="reduced", help="reduced | block-aniso | block-iso (default %(default)s)")
+        command.add_argument("--m", type=int, help="rotation sector for the reduced model (default 0)")
+    spectrum.add_argument(
+        "--k", default="0,0,0,0", help="Bloch momentum as four comma-separated reals (default %(default)s)"
+    )
+    butterfly.add_argument("--q-max", type=int, default=8, help="largest flux denominator (default %(default)s)")
+    butterfly.add_argument("--k-samples", type=int, default=4, help="momenta per flux (default %(default)s)")
+    butterfly.add_argument("--seed", type=int, default=0, help="momentum sequence offset (default %(default)s)")
+    butterfly.add_argument("--out", default="butterfly.csv", help="output CSV path (default %(default)s)")
 
     for command in (verify, tile, spectrum, butterfly):
         command.add_argument("--config", help="key=value config file; flags override")
+        command.set_defaults(**(defaults or {}))
     return parser
 
 
@@ -404,12 +397,12 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = parse_config_file(args.config) if getattr(args, "config", None) else {}
-        code = _COMMANDS[args.command](args, config)
-        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
+        if args.config:
+            args = build_parser(parse_config_file(args.config)).parse_args(argv)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a failing stdout fails here, not in the interpreter's exit flush
         return code
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -417,10 +410,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader closed stdout; send what is still buffered to devnull so the exit flush succeeds
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
+    except OSError as exc:
+        # no filename: stdout failed (`_created` names --out); devnull takes the rest, and the exit flush passes
+        if exc.filename is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
+        print(f"error: cannot write {exc.filename or 'stdout'}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -61,6 +61,8 @@ def test_cli_import_leaves_scipy_unloaded():
         (["-u"], ["verify", "--g", "5"], 1),
         # block-buffered, everything is written by the final flush, into a pipe closed at start-up
         ([], ["spectrum", "--B", "1/6"], 0),
+        # --out names the same closed pipe
+        ([], ["butterfly", "--model", "block-aniso", "--q-max", "12", "--k-samples", "2", "--out", "/dev/stdout"], 0),
     ],
 )
 def test_closed_stdout_exits_141_without_a_traceback(flags, argv, lines_read):
@@ -78,6 +80,17 @@ def test_closed_stdout_exits_141_without_a_traceback(flags, argv, lines_read):
     # exit 1 would read as a verification failure
     assert proc.wait(timeout=60) == 141
     assert err == b""  # no traceback, and no "Exception ignored" from the exit flush
+
+
+@pytest.mark.parametrize("argv", [["verify", "--g", "2"], ["spectrum", "--B", "1/6"]])
+def test_unwritable_stdout_exits_2_without_a_traceback(argv):
+    with open("/dev/full", "w") as full:  # every write fails with ENOSPC
+        result = subprocess.run(
+            [sys.executable, "-m", "hyperband", *argv], env=_subprocess_env(), stdout=full, stderr=subprocess.PIPE
+        )
+    err = result.stderr.decode().splitlines()
+    assert result.returncode == 2
+    assert len(err) == 1 and err[0].startswith("error: cannot write stdout: ")
 
 
 # ---------------------------------------------------------------- verify
@@ -735,7 +748,8 @@ def test_library_refusals_are_usage_errors(tmp_path, monkeypatch, capsys, argv, 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# sweep setup\nq_max = 2\nk_samples = 1\nout = {}\n".format(tmp_path / "c.csv"))
+    # depth is a tile key: one file may serve several subcommands
+    cfg.write_text("# sweep setup\nq_max = 2\nk_samples = 1\ndepth = 1\nout = {}\n".format(tmp_path / "c.csv"))
     code, text, _ = run(capsys, "butterfly", "--config", str(cfg))
     assert code == 0 and (tmp_path / "c.csv").exists()
     override = tmp_path / "d.csv"
@@ -750,6 +764,25 @@ def test_config_file_rejects_unknown_key_and_bad_syntax(tmp_path, capsys):
     bad.write_text("just words\n")
     assert run(capsys, "butterfly", "--config", str(bad))[0] == 2
     assert run(capsys, "butterfly", "--config", str(tmp_path / "absent.cfg"))[0] == 2
+
+
+def test_config_values_are_converted_and_reported_as_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("g = abc\n")
+    for argv in (["verify", "--config", str(cfg)], ["verify", "--g", "abc"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "argument --g: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_config_sector_is_refused_for_a_block_model(tmp_path, capsys):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("m = 3\n")
+    for command in (["spectrum"], ["butterfly", "--q-max", "2", "--out", str(tmp_path / "x.csv")]):
+        code, out, err = run(capsys, *command, "--config", str(cfg), "--model", "block-aniso")
+        assert code == 2 and "--m selects a rotation sector" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_config_parser_strips_comments_and_blanks(tmp_path):
