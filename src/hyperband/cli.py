@@ -8,10 +8,11 @@ writes a phi/energy CSV.  Every option is declared once, in `build_parser`,
 with its default; a `--config` file's values become the subcommand's
 defaults, so argparse converts and reports them as it does the flags they
 name.  `main` alone turns exceptions into exit codes: 0 success,
-1 verification failure, 2 usage or configuration error or an output that
-cannot be written (`--out` or stdout), 141 (128 + SIGPIPE) when the reader
-closes stdout or `--out` before all output is written (`| head -1`): no
-traceback, and the rest of the output is dropped.
+1 verification failure, 2 usage or configuration error (a ValueError, from
+the parsers here or the library alike) or an output that cannot be written
+(`--out` or stdout), 141 (128 + SIGPIPE) when the reader closes stdout or
+`--out` before all output is written (`| head -1`): no traceback, and the
+rest of the output is dropped.
 
 The SVG paths are rows of 8-byte words: each `%.6f` number is looked up in
 digit tables (`_number_words`) instead of being formatted one at a time, and
@@ -38,10 +39,6 @@ from .spectrum import butterfly_sweep, model_spectrum
 from .tiling import TilingParams, disk_corners, edge_states, enumerate_tiles, make_fundamental_domain, make_generators
 
 
-class UsageError(Exception):
-    """Bad flags, config file, or preconditions; maps to exit code 2."""
-
-
 # ---------------------------------------------------------------- arguments and config
 
 _CONFIG_KEYS = {"g", "B", "model", "m", "k", "depth", "q_max", "k_samples", "seed", "out"}
@@ -54,23 +51,23 @@ def parse_config_file(path: str) -> dict[str, str]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
 def _at_least(n: int, what: str, low: int) -> int:
     if n < low:
-        raise UsageError(f"{what} must be >= {low}, got {n}")
+        raise ValueError(f"{what} must be >= {low}, got {n}")
     return n
 
 
@@ -81,20 +78,20 @@ def parse_flux(text: str, allow_real: bool) -> Union[Fraction, float]:
         try:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad rational flux {text!r}: {exc}") from exc
+            raise ValueError(f"bad rational flux {text!r}: {exc}") from exc
         try:
             float(value)
         except OverflowError as exc:
-            raise UsageError(f"flux must be finite as a float, got {text!r}") from exc
+            raise ValueError(f"flux must be finite as a float, got {text!r}") from exc
         return value
     try:
         value = float(text)
     except ValueError as exc:
-        raise UsageError(f"bad flux {text!r}") from exc
+        raise ValueError(f"bad flux {text!r}") from exc
     if not math.isfinite(value):
-        raise UsageError(f"flux must be finite, got {text!r}")
+        raise ValueError(f"flux must be finite, got {text!r}")
     if not allow_real:
-        raise UsageError(f"this command needs an exact rational flux like 1/6, got {text!r}")
+        raise ValueError(f"this command needs an exact rational flux like 1/6, got {text!r}")
     return value
 
 
@@ -103,22 +100,22 @@ def parse_model(name: str, m: Optional[int]) -> HamiltonianModel:
     if name == "reduced":
         return ReducedHarper(0 if m is None else m)
     if m is not None:
-        raise UsageError(f"--m selects a rotation sector of the reduced model, not {name!r}")
+        raise ValueError(f"--m selects a rotation sector of the reduced model, not {name!r}")
     if name == "block-aniso":
         return BlockAnisotropic()
     if name == "block-iso":
         return BlockIsotropic()
-    raise UsageError(f"unknown model {name!r}; choose reduced, block-aniso, or block-iso")
+    raise ValueError(f"unknown model {name!r}; choose reduced, block-aniso, or block-iso")
 
 
 def parse_momentum(text: str) -> BlochMomentum:
     parts = text.split(",")
     if len(parts) != 4:
-        raise UsageError(f"momentum needs four comma-separated reals, got {text!r}")
+        raise ValueError(f"momentum needs four comma-separated reals, got {text!r}")
     try:
         k1, k2, k3, k4 = (float(p) for p in parts)
     except ValueError as exc:
-        raise UsageError(f"bad momentum {text!r}") from exc
+        raise ValueError(f"bad momentum {text!r}") from exc
     return BlochMomentum(k1, k2, k3, k4)
 
 
@@ -126,16 +123,16 @@ def _tolerances(overrides: Optional[Sequence[str]]) -> dict[str, float]:
     tols = dict(checks.TOLERANCES)
     for item in overrides or ():
         if "=" not in item:
-            raise UsageError(f"tolerance override needs name=value, got {item!r}")
+            raise ValueError(f"tolerance override needs name=value, got {item!r}")
         name, value = (part.strip() for part in item.split("=", 1))
         if name not in tols:
-            raise UsageError(f"unknown tolerance {name!r}; known: {', '.join(sorted(tols))}")
+            raise ValueError(f"unknown tolerance {name!r}; known: {', '.join(sorted(tols))}")
         try:
             tol = float(value)
         except ValueError as exc:
-            raise UsageError(f"bad tolerance value {value!r}") from exc
+            raise ValueError(f"bad tolerance value {value!r}") from exc
         if not (math.isfinite(tol) and tol > 0.0):
-            raise UsageError(f"tolerance {name} must be a finite positive number, got {value!r}")
+            raise ValueError(f"tolerance {name} must be a finite positive number, got {value!r}")
         tols[name] = tol
     return tols
 
@@ -404,7 +401,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a failing stdout fails here, not in the interpreter's exit flush
         return code
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -12,15 +12,17 @@ with an 8-site ring matrix inside each A_n whose corner phases e^{+-i 2 pi B}
 carry the rotation sector structure.  Diagonalizing the commuting ring first
 reduces each sector m to a q x q Harper-type matrix: diagonal 2cos(k2 - n phi),
 unit hoppings e^{-+ i k1}, and the scalar sector shift (16/pi^2) 2cos(pi B/4 +
-m pi/4); `model_spectra` computes the anisotropic block spectrum that way.
-By Chambers' relation that core has the same spectrum at a momentum with
-k1 in {0, pi/q}, where a gauge makes it real symmetric (`_chambers_stack`),
-so rotation sectors and block-aniso are solved as real matrices.  The
-isotropic block model splits into four complex 2q x 2q sectors
-(`_iso_stack`).  All three models are solved in batches for eigenvalues
-only, certified by inertia counts (`harper_eigvalsh`), one flux per orbit
-{p, p+q, q-p, 2q-p} ({p, 2q-p} for block-iso, `_flux_representative`); the
-other fluxes of an orbit reuse its spectrum, shifted by a scalar.
+m pi/4).  So every sector is the sector-0 matrix plus a scalar, and sector 0
+is the only sector matrix a sweep solves: `model_spectra` shifts its spectrum
+into sector m (`reduced --m M`) or into all eight (block-aniso).
+By Chambers' relation that matrix has the same spectrum at a momentum with
+k1 in {0, pi/q}, where a gauge makes it real symmetric (`_chambers_stack`).
+The isotropic block model splits into four complex 2q x 2q sectors
+(`_iso_stack`).  Both are assembled from arrays of numerators and momenta,
+solved in batches for eigenvalues only and certified by inertia counts
+(`harper_eigvalsh`), one flux per orbit {p, p+q, q-p, 2q-p} ({p, 2q-p} for
+block-iso, `_flux_representative`); the other fluxes of an orbit reuse its
+spectrum, shifted by a scalar.
 Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
@@ -42,6 +44,10 @@ _TWO_PI = 2.0 * math.pi
 _MAX_DIMENSION = 2000
 _MAX_SWEEP_WORKLOAD = 2_000_000_000  # sum of dim^3 over all diagonalizations
 _MAX_SWEEP_Q = 500
+# every energy of a sweep is held in memory (8 B) and written as a CSV row (about 25 B),
+# so 2e7 rows is 160 MB held and 0.5 GB written; the workload guard alone lets a small
+# q_max with a huge k_samples through (q_max 2 at 2e8 momenta is 1e9 rows)
+_MAX_SWEEP_ROWS = 20_000_000
 _HALTON_BASES = (2, 3, 5, 7)
 _BATCH_BYTES = 1 << 20  # one assembled stack of matrices, at its itemsize; bounds peak memory
 _NEG_SQRT_TINY = -math.sqrt(np.finfo(float).tiny)
@@ -161,54 +167,56 @@ def _chambers_momenta(q: int, k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarra
     return np.where(upper, 0.0, math.pi / q), 2.0 * half / q
 
 
-def _chambers_stack(q: int, items: Sequence[tuple[int, BlochMomentum]], m: int) -> np.ndarray:
-    """Real symmetric twins of the sector-m matrices `checks.assemble_reduced` builds, stacked (n, q, q).
+def _chambers_stack(q: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Real symmetric twins of the sector-0 matrices `checks.assemble_reduced` builds, stacked (n, q, q).
 
-    Each momentum moves by `_chambers_momenta` to (k1', k2'), where the
-    gauge e^{i j k1'} on site j makes the sector-m matrix real: diagonal
-    c 2cos(k2' - j phi) plus the scalar shift 2c(cos k3 + cos k4) +
-    (16/pi^2) 2cos(pi B/4 + m pi/4), c = -1/(8 mu^2), hoppings
-    c and corners c sigma, sigma = cos(q k1') = +1 at k1' = 0 and -1 at
-    k1' = pi/q.  The corners add onto occupied entries for q <= 2: the
+    `p` holds n float numerators, coprime to q (the caller has checked),
+    and `k` the matching (n, 4) momenta.  Sector 0 is the only sector
+    matrix assembled: every other sector differs from it by a scalar, which
+    `model_spectra` adds to the spectrum.  Each momentum moves by
+    `_chambers_momenta` to (k1', k2'), where the gauge e^{i j k1'} on site
+    j makes the matrix real: diagonal c 2cos(k2' - j phi) plus the scalar
+    shift 2c(cos k3 + cos k4) + (16/pi^2) 2cos(pi B/4), c = -1/(8 mu^2),
+    hoppings c and corners c sigma, sigma = cos(q k1') = +1 at k1' = 0 and
+    -1 at k1' = pi/q.  The corners add onto occupied entries for q <= 2: the
     diagonal becomes c 2(cos k2' + sigma) at q = 1, the hopping c(1 + sigma)
-    at q = 2.  The caller has checked that each p is coprime to q.
+    at q = 2.
     """
     _require_dimension(q)
     c = -1.0 / (8.0 * MU * MU)
-    p = np.array([p for p, _ in items], dtype=float)
-    k1, k2, k3, k4 = np.array([[k.k1, k.k2, k.k3, k.k4] for _, k in items]).T
+    k1, k2, k3, k4 = k.T
     k1r, k2r = _chambers_momenta(q, k1, k2)
     j = np.arange(q)
-    h = np.zeros((len(items), q, q))
+    h = np.zeros((len(p), q, q))
     h[:, j, j] = c * 2.0 * np.cos(k2r[:, None] - j * (_TWO_PI * p / q)[:, None])
     h[:, j[:-1], j[1:]] = h[:, j[1:], j[:-1]] = c
     corner = c * np.where(k1r == 0.0, 1.0, -1.0)
     h[:, 0, q - 1] += corner
     h[:, q - 1, 0] += corner
-    h[:, j, j] += (2.0 * c * (np.cos(k3) + np.cos(k4)) + RING_WEIGHT * rotation_sector_shift(p / (2.0 * q), m))[:, None]
+    h[:, j, j] += (2.0 * c * (np.cos(k3) + np.cos(k4)) + RING_WEIGHT * rotation_sector_shift(p / (2.0 * q), 0))[:, None]
     return h
 
 
-def _iso_stack(q: int, items: Sequence[tuple[int, BlochMomentum]]) -> np.ndarray:
-    """Block-iso S^2 sectors j = 0..3 for each (p, k) in `items`, stacked (4n, 2q, 2q), j fastest.
+def _iso_stack(q: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Block-iso S^2 sectors j = 0..3 at float numerators `p` (n,) and momenta `k` (n, 4), stacked (4n, 2q, 2q), j fastest.
 
     S is the twisted ring shift, S + S^dagger = ring(B); S^2 commutes with
     block-iso, whose diagonal and hopping diag(1, 0, ...) are 2-periodic on
     the ring.  Sector j, ordered (e_0..e_{q-1}, o_0..o_{q-1}) over even and
-    odd ring sites, with s = -1/(4 mu^2) and lambda_j = e^{i pi B/2} i^j:
-    e-e is the Harper core at zero flux with k3 for k2, times s; o-o is
-    diag s(2cos(k2 - n phi) + 2cos k4); H[e_n, o_n] = (16/pi^2)(1 + lambda_j).
-    Each o_n couples only to e_n: a pendant site.
+    odd ring sites, with s = -1/(4 mu^2), B = p/(2q) and
+    lambda_j = e^{i pi B/2} i^j: e-e is the Harper core at zero flux with k3
+    for k2, times s; o-o is diag s(2cos(k2 - n phi) + 2cos k4);
+    H[e_n, o_n] = (16/pi^2)(1 + lambda_j).  Each o_n couples only to e_n: a
+    pendant site.
     """
     _require_dimension(2 * q)
     s = -1.0 / (4.0 * MU * MU)
-    k1, k2, k3, k4 = np.array([[k.k1, k.k2, k.k3, k.k4] for _, k in items]).T
-    phi = np.array([_TWO_PI * p / q for p, _ in items])
-    B = np.array([FluxParam(p, q).field for p, _ in items])
-    link = RING_WEIGHT * (1.0 + np.exp(0.5j * math.pi * (B[:, None] + np.arange(4))))
+    k1, k2, k3, k4 = k.T
+    phi = _TWO_PI * p / q
+    link = RING_WEIGHT * (1.0 + np.exp(0.5j * math.pi * (p[:, None] / (2.0 * q) + np.arange(4))))
     n = np.arange(q)
-    h = np.zeros((len(items), 4, 2 * q, 2 * q), dtype=complex)
-    h[:, :, :q, :q] = _harper_stack(q, np.zeros(len(items)), k1, k3, scale=s)[:, None]
+    h = np.zeros((len(p), 4, 2 * q, 2 * q), dtype=complex)
+    h[:, :, :q, :q] = _harper_stack(q, np.zeros(len(p)), k1, k3, scale=s)[:, None]
     odd = s * 2.0 * np.cos(k2[:, None] - n * phi[:, None]) + s * 2.0 * np.cos(k4)[:, None]
     h[:, :, q + n, q + n] = odd[:, None]
     h[:, :, n, q + n] = link[:, :, None]
@@ -361,44 +369,62 @@ def _sector_layout(model: HamiltonianModel, q: int) -> tuple[int, int]:
     return (4, 2 * q) if isinstance(model, BlockIsotropic) else (1, q)
 
 
-def _flux_representative(model: HamiltonianModel, p: int, q: int) -> int:
-    """The member of p's flux orbit whose matrices `model_spectra` solves for flux p/(2q).
+def _flux_representative(model: HamiltonianModel, p: np.ndarray, q: int) -> np.ndarray:
+    """The member of each p's flux orbit whose matrices `model_spectra` solves for flux p/(2q).
 
-    The Harper core sees phi = 2 pi p/q only modulo 2 pi and up to its sign
-    (reversing the sites and conjugating maps phi to -phi), so for a
-    rotation sector and block-aniso it is min(p mod q, q - p mod q), and 1
-    at q = 1.  Block-iso's pendant links break the p + q symmetry, but its
-    full spectrum is 4 pi periodic and equal at p and 2q - p, so there it is
-    min(p', 2q - p') with p' = p mod 2q.
+    `p` is an integer array.  The Harper core sees phi = 2 pi p/q only
+    modulo 2 pi and up to its sign (reversing the sites and conjugating maps
+    phi to -phi), so for a rotation sector and block-aniso it is
+    min(p mod q, q - p mod q), and 1 at q = 1.  Block-iso's pendant links
+    break the p + q symmetry, but its full spectrum is 4 pi periodic and
+    equal at p and 2q - p, so there it is min(p', 2q - p') with
+    p' = p mod 2q.  A p not coprime to q > 1 keeps a representative that is
+    not coprime either, so the solve still refuses it.
     """
     if isinstance(model, BlockIsotropic):
-        p %= 2 * q
-        return min(p, 2 * q - p)
-    return 1 if q == 1 else min(p % q, q - p % q)
+        p = p % (2 * q)
+        return np.minimum(p, 2 * q - p)
+    if q == 1:
+        return np.ones_like(p)
+    p = p % q
+    return np.minimum(p, q - p)
+
+
+def _solved_numerators(model: HamiltonianModel, ps: Sequence[int], q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(solved, row): the ascending representatives `model_spectra` solves for `ps`, and each p's index into them.
+
+    The workload guard of `butterfly_sweep` charges len(solved), so it counts
+    exactly the matrix sets the sweep solves.  (np.unique with return_inverse
+    also skips the hash path, whose masked-array test would import numpy.ma.)
+    """
+    return np.unique(_flux_representative(model, np.asarray(ps), q), return_inverse=True)
 
 
 def _certified_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
     """Certified spectra of the matrices solved for `model` at every p of `ps` and momentum, shape (len(ps), len(momenta), count * dim).
 
-    The matrices are the real symmetric Chambers twin of the sector-m matrix
-    (`_chambers_stack`, sector 0 for block-aniso) or block-iso's four complex
-    S^2 sectors, whose spectra follow one another unmerged.  A p not coprime
-    to q is a ValueError, also when there is no momentum.  The matrices are
-    assembled as stacks of at most about `_BATCH_BYTES`, counted at 8 B per
-    real and 16 B per complex entry, and solved by `harper_eigvalsh`, which
+    The matrices are the real symmetric Chambers twin of the sector-0
+    matrix (`_chambers_stack`) for a rotation sector and block-aniso alike,
+    or block-iso's four complex S^2 sectors, whose spectra follow one
+    another unmerged; no other sector is assembled.  A p not coprime to q is
+    a ValueError, also when there is no momentum.  The (p, momentum) items
+    are flattened once, momentum fastest, into a float numerator vector
+    and an (n, 4) momentum array; slices of both are assembled as
+    stacks of at most about `_BATCH_BYTES`, counted at 8 B per real and
+    16 B per complex entry, and solved by `harper_eigvalsh`, which
     certifies every eigenvalue against the matrix it solved.
     """
-    for p in dict.fromkeys(ps):
+    for p in dict.fromkeys(np.asarray(ps).tolist()):
         FluxParam(p, q)
     iso = isinstance(model, BlockIsotropic)
-    m = model.m if isinstance(model, ReducedHarper) else 0
     count, dim = _sector_layout(model, q)
-    items = [(p, k) for p in ps for k in momenta]
-    itemsize = 16 if iso else 8
-    per_batch = max(1, _BATCH_BYTES // (itemsize * count * dim * dim))
+    p = np.repeat(np.asarray(ps, dtype=float), len(momenta))
+    k = np.tile(np.array([[x.k1, x.k2, x.k3, x.k4] for x in momenta]).reshape(-1, 4), (len(ps), 1))
+    per_batch = max(1, _BATCH_BYTES // ((16 if iso else 8) * count * dim * dim))
+    stack = _iso_stack if iso else _chambers_stack
     spectra = [
-        harper_eigvalsh(_iso_stack(q, chunk) if iso else _chambers_stack(q, chunk, m), pendants=iso)
-        for chunk in (items[i : i + per_batch] for i in range(0, len(items), per_batch))
+        harper_eigvalsh(stack(q, p[i : i + per_batch], k[i : i + per_batch]), pendants=iso)
+        for i in range(0, len(p), per_batch)
     ]
     return np.concatenate(spectra or [np.empty(0)]).reshape(len(ps), len(momenta), count * dim)
 
@@ -410,32 +436,31 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     and 8q for the block models.  One matrix set is solved per flux orbit:
     only the representative r = `_flux_representative(model, p, q)` of each
     p is assembled and solved (`_certified_spectra`: batched stacks,
-    `harper_eigvalsh`, every eigenvalue certified).  A rotation sector
-    m is the Harper core times a constant plus a scalar, and the core's
-    spectrum is the same at p and r; the ring term commutes with the core,
-    so the anisotropic 8q x 8q spectrum is the union of the sector-0
-    spectra shifted into all eight sectors.  With s(B, t) =
-    2cos(pi B/4 + t pi/4) and m the solved sector (0 for block-aniso), both
-    are the solved spectrum at r, plus the orbit shift (16/pi^2)(s(B_p, m) -
-    s(B_r, m)), plus the sector shifts (16/pi^2)(s(B_p, t) - s(B_p, m)) for t
-    in the model's sectors, (m,) or 0..7, sorted when there are eight: one
-    q x q solve per orbit, and both shifts are computed as arrays.  That
-    q x q matrix is solved as its real symmetric Chambers twin at a moved
+    `harper_eigvalsh`, every eigenvalue certified).  Sector 0 is the only
+    sector matrix solved.  A rotation sector m is the Harper core times a
+    constant plus a scalar, and the core's spectrum is the same at p and r;
+    the ring term commutes with the core, so the anisotropic 8q x 8q
+    spectrum is the union of the sector-0 spectra shifted into all eight
+    sectors.  With s(B, t) = 2cos(pi B/4 + t pi/4), both are the sector-0
+    spectrum at r, plus the orbit shift (16/pi^2)(s(B_p, 0) - s(B_r, 0)),
+    plus the sector shifts (16/pi^2)(s(B_p, t) - s(B_p, 0)) for t in the
+    model's sectors, (m,) or 0..7, sorted when there are eight: one q x q
+    solve per orbit, and both shifts are computed as arrays.  That q x q
+    matrix is solved as its real symmetric Chambers twin at a moved
     momentum (`_chambers_stack`); block-iso's sectors stay Hermitian.  The
     sector-0 matrix is solved, never the bare scaled core, on which LAPACK
     `eigh` can fail to converge (p/q = 101/52, k = 0).  The isotropic
     spectrum is the union of its four S^2 sectors at r, the same at p.
     """
-    reps = [_flux_representative(model, p, q) for p in ps]
-    solved = sorted(set(reps))
+    solved, row = _solved_numerators(model, ps, q)
     vals = _certified_spectra(model, q, solved, momenta)
-    row = np.searchsorted(solved, reps)  # the solved row of each p
     if isinstance(model, BlockIsotropic):
         return np.sort(vals, axis=-1)[row]
-    m, sectors = (model.m, np.array([model.m])) if isinstance(model, ReducedHarper) else (0, np.arange(RING_SIZE))
-    b_p, b_r = np.array(ps) / (2.0 * q), np.array(reps) / (2.0 * q)
-    orbit = RING_WEIGHT * (rotation_sector_shift(b_p, m) - rotation_sector_shift(b_r, m))
-    sector = RING_WEIGHT * (rotation_sector_shift(b_p[:, None], sectors) - rotation_sector_shift(b_p, m)[:, None])
+    sectors = np.array([model.m]) if isinstance(model, ReducedHarper) else np.arange(RING_SIZE)
+    b_p = np.asarray(ps) / (2.0 * q)
+    base = rotation_sector_shift(b_p, 0)
+    orbit = RING_WEIGHT * (base - rotation_sector_shift(solved[row] / (2.0 * q), 0))
+    sector = RING_WEIGHT * (rotation_sector_shift(b_p[:, None], sectors) - base[:, None])
     union = (vals[row] + orbit[:, None, None])[:, :, None, :] + sector[:, None, :, None]
     union = union.reshape(len(ps), len(momenta), len(sectors) * vals.shape[-1])
     return np.sort(union, axis=-1) if len(sectors) > 1 else union
@@ -493,9 +518,12 @@ def butterfly_sweep(
     Returns one (phi, spectra) pair per flux in ascending phi, where row i of
     the (k_samples, dim) array `spectra` is the ascending spectrum at the i-th
     momentum sample.  Each denominator is solved in one `model_spectra` call.
-    Output is fully deterministic for fixed inputs.  A workload guard bounds
-    the total diagonalization cost before any matrix is built; it charges
-    what `model_spectra` solves, one matrix set per flux orbit and momentum.
+    Output is fully deterministic for fixed inputs.  Two guards refuse a
+    sweep before any momentum or matrix is built: the workload guard bounds
+    the total diagonalization cost, charging what `model_spectra` solves
+    (one matrix set per flux orbit and momentum), and the row guard bounds
+    the energies returned, k_samples times the spectrum sizes summed over
+    the fluxes, by `_MAX_SWEEP_ROWS`.
     """
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")
@@ -506,7 +534,7 @@ def butterfly_sweep(
     for p, q in pairs:
         numerators.setdefault(q, []).append(p)
     workload = k_samples * sum(
-        len({_flux_representative(model, p, q) for p in ps}) * count * dim**3
+        len(_solved_numerators(model, ps, q)[0]) * count * dim**3
         for q, ps in numerators.items()
         for count, dim in [_sector_layout(model, q)]
     )
@@ -515,6 +543,10 @@ def butterfly_sweep(
             f"sweep workload {workload:.2e} (sum of dim^3) exceeds {_MAX_SWEEP_WORKLOAD:.2e}; "
             "lower q_max or k_samples"
         )
+    sectors = 1 if isinstance(model, ReducedHarper) else RING_SIZE
+    rows = k_samples * sectors * sum(len(ps) * q for q, ps in numerators.items())
+    if rows > _MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep of {rows:.2e} rows exceeds {_MAX_SWEEP_ROWS:.2e}; lower q_max or k_samples")
     momenta = momentum_samples(k_samples, seed)
 
     spectra = {}

@@ -42,6 +42,11 @@ def random_momentum(rng) -> BlochMomentum:
     return BlochMomentum(*rng.uniform(0.0, TWO_PI, size=4))
 
 
+def item_arrays(p: int, k: BlochMomentum) -> tuple[np.ndarray, np.ndarray]:
+    # one (p, k) item as the stack builders take it: a float numerator vector and (n, 4) momenta
+    return np.array([float(p)]), np.array([[k.k1, k.k2, k.k3, k.k4]])
+
+
 def random_flux_pair(rng, q_max=8):
     q = int(rng.integers(1, q_max + 1))
     while True:
@@ -339,7 +344,7 @@ def test_inertia_count_matches_dense_count(pq, ks, m, iso, fractions):
 
     p, q = pq
     k = BlochMomentum(*ks)
-    h = spectrum._iso_stack(q, [(p, k)])[m % 4] if iso else assemble_reduced(p, q, k, m)
+    h = spectrum._iso_stack(q, *item_arrays(p, k))[m % 4] if iso else assemble_reduced(p, q, k, m)
     vals = np.linalg.eigvalsh(h)
     delta = 1e-8 * (1.0 + np.linalg.norm(h))
     # random shifts over the spectrum, gap midpoints, and the certificate's own lambda -+ delta
@@ -405,7 +410,7 @@ def test_kernel_refuses_entries_outside_the_cyclic_band():
     with pytest.raises(RuntimeError, match="outside the cyclic band"):
         harper_eigvalsh(h)
     # a pendant linked to a second core site is no pendant
-    iso = spectrum._iso_stack(5, [(3, BlochMomentum(0.3, 1.1, 2.5, 4.0))])
+    iso = spectrum._iso_stack(5, *item_arrays(3, BlochMomentum(0.3, 1.1, 2.5, 4.0)))
     harper_eigvalsh(iso.copy(), pendants=True)
     iso[1, 0, 6] = iso[1, 6, 0] = 1e-3
     with pytest.raises(RuntimeError, match="outside the cyclic band"):
@@ -524,15 +529,18 @@ def test_model_spectrum_dispatch():
     k = BlochMomentum(0.3, 1.1, 2.5, 4.0)
     got = model_spectrum(ReducedHarper(4), 3, 7, k)
     dense = assemble_reduced(3, 7, k, 4)
-    # reduced: the spectrum of its real Chambers twin, bit for bit
-    real = spectrum._chambers_stack(7, [(3, k)], 4)
+    # reduced: the spectrum of the real Chambers twin of sector 0 (3 is its own
+    # orbit representative), plus the sector-4 shift, bit for bit
+    real = spectrum._chambers_stack(7, *item_arrays(3, k))
     assert real.dtype == np.float64
-    assert np.array_equal(got, np.linalg.eigvalsh(real)[0])
+    B = 3 / 14
+    sector = spectrum.RING_WEIGHT * (rotation_sector_shift(B, 4) - rotation_sector_shift(B, 0))
+    assert np.array_equal(got, (np.linalg.eigvalsh(real)[0] + 0.0) + sector)
     # against the eigenvector solve of the oracle path only rounding differs
     assert np.abs(got - eigenvalues(dense)).max() < 1e-12
     # block-iso: the union of its four S^2 sector spectra, bit for bit
     got = model_spectrum(BlockIsotropic(), 3, 7, k)
-    sectors = spectrum._iso_stack(7, [(3, k)])
+    sectors = spectrum._iso_stack(7, *item_arrays(3, k))
     assert np.array_equal(got, np.sort(np.linalg.eigvalsh(sectors), axis=None))
     with pytest.raises(ValueError):
         model_spectrum(BlockAnisotropic(), 2, 4, k)
@@ -646,27 +654,33 @@ def test_chambers_momenta_at_the_edges_of_the_invariant():
 @given(
     st.sampled_from(coprime_flux_pairs(40)),
     st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4),
-    st.integers(min_value=0, max_value=7),
 )
 # q <= 2 on both branches: the corners fold onto the diagonal (q = 1) or the hopping (q = 2)
-@example((1, 1), [0.7, 1.9, 0.2, 5.1], 3)
-@example((1, 1), [2.5, 2.0, 0.2, 5.1], 6)
-@example((1, 2), [1.3, 0.4, 2.2, 0.0], 0)
-@example((3, 2), [0.2, 0.3, 4.0, 1.0], 7)
+@example((1, 1), [0.7, 1.9, 0.2, 5.1])
+@example((1, 1), [2.5, 2.0, 0.2, 5.1])
+@example((1, 2), [1.3, 0.4, 2.2, 0.0])
+@example((3, 2), [0.2, 0.3, 4.0, 1.0])
 # s exactly 2, -2 and 0
-@example((3, 5), [0.0, 0.0, 0.3, 0.9], 2)
-@example((3, 5), [math.pi / 5, math.pi / 5, 0.3, 0.9], 2)
-@example((3, 5), [0.0, math.pi / 5, 0.3, 0.9], 2)
+@example((3, 5), [0.0, 0.0, 0.3, 0.9])
+@example((3, 5), [math.pi / 5, math.pi / 5, 0.3, 0.9])
+@example((3, 5), [0.0, math.pi / 5, 0.3, 0.9])
 # s 8e-14 from 2 and from -2, where the two central bands of q = 4 touch
-@example((7, 4), [0.0, 1e-07, 0.0, 0.0], 0)
-@example((7, 4), [math.pi / 4, math.pi / 4 + 1e-07, 0.0, 0.0], 0)
-def test_chambers_stack_has_the_dense_sector_spectrum(pq, ks, m):
+@example((7, 4), [0.0, 1e-07, 0.0, 0.0])
+@example((7, 4), [math.pi / 4, math.pi / 4 + 1e-07, 0.0, 0.0])
+# where LAPACK fails on the bare scaled core
+@example((101, 52), [0.0, 0.0, 0.0, 0.0])
+def test_chambers_stack_has_the_dense_sector_spectrum(pq, ks):
+    # the solved sector-0 twin at p itself, and every sector m through the orbit
+    # representative's sector-0 spectrum plus the shifts of `model_spectra`
     import hyperband.spectrum as spectrum
 
     p, q = pq
     k = BlochMomentum(*ks)
-    got = spectrum._certified_spectra(ReducedHarper(m), q, [p], [k])[0, 0]
-    assert np.abs(got - eigenvalues(assemble_reduced(p, q, k, m))).max() < 1e-12
+    solved = spectrum._certified_spectra(ReducedHarper(0), q, [p], [k])[0, 0]
+    assert np.abs(solved - eigenvalues(assemble_reduced(p, q, k, 0))).max() < 1e-12
+    for m in range(8):
+        got = model_spectra(ReducedHarper(m), q, [p], [k])[0, 0]
+        assert np.abs(got - eigenvalues(assemble_reduced(p, q, k, m))).max() < 1e-12
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 7, 40])
@@ -677,7 +691,7 @@ def test_chambers_stack_at_the_edges_of_the_invariant(q):
     momenta = [BlochMomentum(k1, k2, 0.3, 0.9) for k1, k2 in _edge_momenta(q)]
     items = [(p, k) for p in ps for k in momenta]
     for m in range(8):
-        got = spectrum._certified_spectra(ReducedHarper(m), q, ps, momenta).reshape(len(items), q)
+        got = model_spectra(ReducedHarper(m), q, ps, momenta).reshape(len(items), q)
         dense = np.linalg.eigvalsh(np.stack([assemble_reduced(p, q, k, m) for p, k in items]))
         assert np.abs(got - dense).max() < 1e-12
 
@@ -687,13 +701,13 @@ def test_chambers_sign_convention_sigma_is_minus_one_at_k1_pi_over_q():
     # e^{i j k1} on site j turns the complex sector matrix into the real one
     import hyperband.spectrum as spectrum
 
-    q, p, m = 5, 2, 3
+    q, p = 5, 2
     c = -1.0 / (8.0 * MU * MU)
     for k1, sigma in ((math.pi / q, -1.0), (0.0, 1.0)):
         k = BlochMomentum(k1, 0.45, 1.0, 2.0)
-        real = spectrum._chambers_stack(q, [(p, k)], m)[0]
+        real = spectrum._chambers_stack(q, *item_arrays(p, k))[0]
         gauge = np.exp(1j * np.arange(q) * k1)
-        gauged = gauge.conj()[:, None] * assemble_reduced(p, q, k, m) * gauge[None, :]
+        gauged = gauge.conj()[:, None] * assemble_reduced(p, q, k, 0) * gauge[None, :]
         assert np.abs(gauged - real).max() < 1e-15
         assert real[0, q - 1] == real[q - 1, 0] == c * sigma
         assert real[0, 1] == real[1, 0] == c
@@ -720,6 +734,41 @@ def test_batches_count_eight_bytes_per_real_and_sixteen_per_complex_entry(monkey
     stacks.clear()
     spectrum._certified_spectra(BlockIsotropic(), 1, [1], momenta)
     assert stacks == [(16, np.complex128)] * 3 + [(4, np.complex128)]
+
+
+def test_batch_boundaries_keep_each_p_with_its_momenta(monkeypatch):
+    # several numerators and momenta: a p slice and a k slice that drift apart at a
+    # batch boundary would pair a flux with another flux's momenta
+    import hyperband.spectrum as spectrum
+
+    momenta = [BlochMomentum(0.4 * i, 0.2 + 0.3 * i, 0.3, 0.4 * i) for i in range(5)]
+    cases = (
+        (ReducedHarper(0), spectrum._chambers_stack, 7, [1, 2, 3, 5, 9]),
+        (BlockIsotropic(), spectrum._iso_stack, 5, [1, 2, 3, 7, 9]),
+    )
+    for model, stack, q, ps in cases:
+        default = spectrum._certified_spectra(model, q, ps, momenta)
+        monkeypatch.setattr(spectrum, "_BATCH_BYTES", 1)  # one (p, k) item per batch
+        single = spectrum._certified_spectra(model, q, ps, momenta)
+        monkeypatch.undo()
+        assert np.array_equal(single, default)
+        for i, p in enumerate(ps):
+            for j, k in enumerate(momenta):
+                assert np.array_equal(default[i, j], np.linalg.eigvalsh(stack(q, *item_arrays(p, k))).ravel())
+
+
+def test_flux_representative_maps_arrays_and_keeps_non_coprime_p():
+    import hyperband.spectrum as spectrum
+
+    ps = np.array([1, 3, 5, 7, 9, 11, 13, 15])
+    assert spectrum._flux_representative(ReducedHarper(0), ps, 8).tolist() == [1, 3, 3, 1, 1, 3, 3, 1]
+    assert spectrum._flux_representative(BlockIsotropic(), ps, 8).tolist() == [1, 3, 5, 7, 7, 5, 3, 1]
+    assert spectrum._flux_representative(BlockAnisotropic(), np.array([1, 0, 2]), 1).tolist() == [1, 1, 1]
+    # p = 4 = 0 mod 4: the representative 0 is not coprime to 4, so the solve refuses it
+    assert spectrum._flux_representative(ReducedHarper(0), np.array([4]), 4).tolist() == [0]
+    for model in (ReducedHarper(3), BlockAnisotropic(), BlockIsotropic()):
+        with pytest.raises(ValueError, match="not coprime"):
+            model_spectra(model, 4, [1, 4], [BlochMomentum.zero()])
 
 
 # ---------------------------------------------------------------- sweeps
@@ -846,6 +895,25 @@ def test_butterfly_sweep_guards():
         butterfly_sweep(BlockIsotropic(), 60, 4, 0)  # workload over budget
     with pytest.raises(ValueError):
         butterfly_sweep(ReducedHarper(0), 501, 1, 0)
+
+
+def test_sweep_row_guard_refuses_before_any_momentum(monkeypatch, tmp_path, capsys):
+    # q_max 2 at 2e8 momenta passes the workload guard (1.8e9 <= 2e9) but would be 1e9 rows
+    import hyperband.spectrum as spectrum
+    from hyperband import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("momentum_samples ran")
+
+    monkeypatch.setattr(spectrum, "momentum_samples", refuse)
+    out = tmp_path / "b.csv"
+    argv = ["butterfly", "--model", "reduced", "--q-max", "2", "--k-samples", "200000000", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "sweep of 1.00e+09 rows exceeds 2.00e+07" in capsys.readouterr().err
+    assert not out.exists()
+    # the largest sweep the workload guard admits at 4 momenta (1.15e7 rows) passes both guards
+    with pytest.raises(AssertionError, match="momentum_samples ran"):
+        butterfly_sweep(BlockAnisotropic(), 96, 4, 0)
 
 
 def test_sweep_guard_charges_the_solved_dimension(monkeypatch):
