@@ -2,12 +2,17 @@
 
 Every check takes its sample inputs (genera, fields, points, momenta, flux
 pairs) and returns the worst defect over them, NaN when any defect is NaN.
+An empty sample list is a ValueError that names the list.
 The operator-algebra checks build their residual polynomials once per field
-and check (commutator or generator), then evaluate them at each sample point.
+and check (commutator or generator), then evaluate them at each sample point;
+the operator images those polynomials are formed from are built once per
+field and shared by all three algebra lines (`magnetic._basis_images`).
 `TOLERANCES` holds the `verify` bounds that `--tol NAME=VALUE` overrides;
 the acceptance criteria that have a matching check read these defaults.
-`run_suite` runs the `verify` table `SUITE`; only there does a library error
-inside a check become a record (defect inf), elsewhere it reaches the caller.
+`run_suite` runs the `verify` table `SUITE` on samples drawn from the
+stdlib `random.Random(seed)`, so `verify` never loads `numpy.random`; only
+there does a library error inside a check become a record (defect inf),
+elsewhere it reaches the caller.
 
 The lattice checks hold the sweep's kernel in `spectrum` against a dense
 oracle kept here: `ring_matrix`, `harper_core`, `assemble_reduced` and
@@ -23,8 +28,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, TypeVar
 
 import numpy as np
 
@@ -35,6 +41,8 @@ from .spectrum import MU, RING_SIZE, RING_WEIGHT, BlochMomentum, BlockAnisotropi
 from .spectrum import HamiltonianModel, ReducedHarper
 
 _TWO_PI = 2.0 * math.pi
+
+_Sample = TypeVar("_Sample")
 
 TOLERANCES = {
     "relation": 1e-9,
@@ -109,8 +117,9 @@ SUITE: tuple[tuple[str, str, Callable[[SuiteSamples], tuple[float, str]]], ...] 
 def run_suite(genus: int, flux: Fraction | float, seed: int, tols: dict[str, float]) -> Iterator[CheckRecord]:
     """The records of `SUITE` in order, each judged by `tols[key]`, yielded as each check ends.
 
-    Samples come from `default_rng(seed)`: five flux-relation points, five
-    algebra points, two momenta.  The lattice checks are genus-2 structures
+    Samples come from the stdlib `random.Random(seed)`: five flux-relation
+    points, five algebra points, then two momenta (`random_points`,
+    `random_momenta`).  The lattice checks are genus-2 structures
     at the pair of a `Fraction` flux; a bare real B has none, so they take
     p/q = 1/3.  A `ValueError`, `RuntimeError` or `OverflowError` (a flux
     pair too large for a float) inside a check gives defect inf with the
@@ -118,7 +127,7 @@ def run_suite(genus: int, flux: Fraction | float, seed: int, tols: dict[str, flo
     """
     B = float(flux)
     pair = FluxParam.from_field(flux) if isinstance(flux, Fraction) else FluxParam(1, 3)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     flux_points = random_points(rng, 5)
     samples = SuiteSamples(genus, B, pair, flux_points, random_points(rng, 5), random_momenta(rng, 2))
     for name, key, compute in SUITE:
@@ -140,21 +149,41 @@ COMMUTATORS = (
 )
 
 
-def random_points(rng: np.random.Generator, count: int) -> list[HPoint]:
+class UniformSource(Protocol):
+    """A source of uniform draws, such as `random.Random` or a numpy `Generator`."""
+
+    def uniform(self, a: float, b: float) -> float: ...
+
+
+def random_points(rng: UniformSource, count: int) -> list[HPoint]:
     """Points with x in [-2, 2), y in [0.2, 3), drawn x then y per point."""
     return [HPoint(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.2, 3.0))) for _ in range(count)]
 
 
-def random_momenta(rng: np.random.Generator, count: int) -> list[BlochMomentum]:
-    return [BlochMomentum(*rng.uniform(0.0, _TWO_PI, size=4)) for _ in range(count)]
+def random_momenta(rng: UniformSource, count: int) -> list[BlochMomentum]:
+    """Momenta with each of k1..k4 in [0, 2 pi), drawn k1 to k4 per momentum.
+
+    Four scalar draws give a numpy `Generator` the same values as its
+    `uniform(0, 2 pi, size=4)`.
+    """
+    return [BlochMomentum(*(float(rng.uniform(0.0, _TWO_PI)) for _ in range(4))) for _ in range(count)]
+
+
+def _listed(samples: Iterable[_Sample], name: str) -> list[_Sample]:
+    """`samples` as a list; an empty one is a ValueError that names it."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError(f"check needs at least one sample, got an empty {name}")
+    return samples
 
 
 def fuchsian_relation(genera: Iterable[int]) -> float:
+    genera = _listed(genera, "genus list")
     return max_or_nan(tiling.relation_defect(tiling.make_generators(tiling.TilingParams(g))) for g in genera)
 
 
 def edge_pairing(genera: Iterable[int]) -> float:
-    params = [tiling.TilingParams(g) for g in genera]
+    params = [tiling.TilingParams(g) for g in _listed(genera, "genus list")]
     return max_or_nan(
         tiling.edge_pairing_defect(tiling.make_generators(p), tiling.make_fundamental_domain(p)) for p in params
     )
@@ -162,6 +191,7 @@ def edge_pairing(genera: Iterable[int]) -> float:
 
 def covering_degree(samples: Iterable[tuple[int, HPoint]]) -> float:
     """Half-turn phase at B = 1/q from z against e^{i 2 pi/q}, over (q, z) samples."""
+    samples = _listed(samples, "(q, z) sample list")
     return max_or_nan(abs(magnetic.covering_degree_check(q, z) - cmath.exp(2j * math.pi / q)) for q, z in samples)
 
 
@@ -172,14 +202,14 @@ def flux_relation(genus: int, B: float, points: list[HPoint]) -> tuple[float, co
     fails to close, so a returned defect also certifies closure.
     """
     expected = cmath.exp(1j * 4.0 * (genus - 1) * math.pi * B)
-    phases = [magnetic.flux_relation_phase(tiling.TilingParams(genus), B, z) for z in points]
+    phases = [magnetic.flux_relation_phase(tiling.TilingParams(genus), B, z) for z in _listed(points, "point list")]
     return max_or_nan(abs(phase - expected) for phase in phases), phases[-1]
 
 
 def operator_commutators(fields: Iterable[float], points: list[HPoint]) -> float:
     return max_or_nan(
         magnetic.commutator_residual(op1, op2, expected, points, B)
-        for B in fields
+        for B in _listed(fields, "field list")
         for op1, op2, expected in COMMUTATORS
     )
 
@@ -188,14 +218,14 @@ def hamiltonian_symmetry(fields: Iterable[float], points: list[HPoint]) -> float
     """[H, X] for each field generator X."""
     return max_or_nan(
         magnetic.hamiltonian_commutation_residual(op, points, B)
-        for B in fields
+        for B in _listed(fields, "field list")
         for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
     )
 
 
 def hamiltonian_forms(fields: Iterable[float], points: list[HPoint]) -> float:
     """Generator form of the Landau Hamiltonian against its continuum form."""
-    return max_or_nan(magnetic.hamiltonian_forms_residual(points, B) for B in fields)
+    return max_or_nan(magnetic.hamiltonian_forms_residual(points, B) for B in _listed(fields, "field list"))
 
 
 def ring_matrix(B: float) -> np.ndarray:
@@ -293,7 +323,7 @@ def lattice_hermiticity(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> fl
     p, q = pair.p, pair.q
     return max_or_nan(
         float(np.abs(h - h.conj().T).max())
-        for k in momenta
+        for k in _listed(momenta, "momentum list")
         for h in (
             assemble_reduced(p, q, k, 0),
             assemble_reduced(p, q, k, 5),
@@ -312,13 +342,13 @@ def rotation_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float
         block = eigenvalues(assemble_block(BlockAnisotropic(), p, q, k))
         return float(np.abs(np.sort(np.concatenate(sectors)) - block).max())
 
-    return max_or_nan(gap(k) for k in momenta)
+    return max_or_nan(gap(k) for k in _listed(momenta, "momentum list"))
 
 
 def iso_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
     """Union of the four S^2 sector spectra (`model_spectra`) against the dense 8q x 8q block-iso spectrum."""
     p, q = pair.p, pair.q
-    momenta = list(momenta)
+    momenta = _listed(momenta, "momentum list")
     dense = [eigenvalues(assemble_block(BlockIsotropic(), p, q, k)) for k in momenta]
     sectors = spectrum.model_spectra(BlockIsotropic(), q, [p], momenta)[0]
     return float(np.abs(sectors - np.array(dense)).max())
@@ -335,7 +365,7 @@ def flux_orbits(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) ->
     and pair.  Both routes of sector 0 solve its real Chambers twin; the
     `chambers` check compares that twin with the dense complex matrix.
     """
-    momenta = list(momenta)
+    pairs, momenta = _listed(pairs, "flux pair list"), _listed(momenta, "momentum list")
 
     def gap(model: HamiltonianModel, pair: FluxParam) -> float:
         p, q = pair.p, pair.q
@@ -356,9 +386,9 @@ def chambers(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> fl
     eigenvectors.  Each pair's flux is solved as given, not through its orbit
     representative.  Besides `momenta`, each pair also runs one fixed momentum
     on each branch: k1 = 0 gives s = cos(q k1) + cos(q k2) >= 0, k1 = pi/q
-    gives s < 0.
+    gives s < 0, so `momenta` may be empty and `pairs` may not.
     """
-    momenta = list(momenta)
+    pairs, momenta = _listed(pairs, "flux pair list"), list(momenta)
 
     def gap(pair: FluxParam) -> float:
         p, q = pair.p, pair.q

@@ -337,13 +337,17 @@ def _apply(op: DiffOpId, f: Poly2, B: float) -> Poly2:
     raise ValueError(f"unknown operator {op!r}")
 
 
-def _apply_hamiltonian_generator_form(f: Poly2, B: float) -> Poly2:
-    # H = 1/(2m) (T_B (S_B - T_B) - 1/4 U_B^2 - 1/2 U_B + B^2), m = 1
-    sf = _apply(DiffOpId.S_B, f, B) - _apply(DiffOpId.T_B, f, B)
-    first = _apply(DiffOpId.T_B, sf, B)
-    uf = _apply(DiffOpId.U_B, f, B)
-    uuf = _apply(DiffOpId.U_B, uf, B)
+def _generator_form(f: Poly2, sf: Poly2, tf: Poly2, uf: Poly2, uuf: Poly2, B: float) -> Poly2:
+    # H = 1/(2m) (T_B (S_B - T_B) - 1/4 U_B^2 - 1/2 U_B + B^2), m = 1, from f and
+    # its images sf = S_B f, tf = T_B f, uf = U_B f, uuf = U_B U_B f
+    first = _apply(DiffOpId.T_B, sf - tf, B)
     return 0.5 * (first - 0.25 * uuf - 0.5 * uf + (B * B) * f)
+
+
+def _apply_hamiltonian_generator_form(f: Poly2, B: float) -> Poly2:
+    """H in generator form applied to any f, without the image table (the tests' reference)."""
+    sf, tf, uf = (_apply(op, f, B) for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B))
+    return _generator_form(f, sf, tf, uf, _apply(DiffOpId.U_B, uf, B), B)
 
 
 def apply_diff_operator(op: DiffOpId, f: Poly2, z: HPoint, B: float) -> complex:
@@ -358,19 +362,76 @@ def max_or_nan(values: Iterable[float]) -> float:
     0.0, which would let an overflowed residual read as a perfect pass.
     """
     values = list(values)
+    if not values:
+        raise ValueError("max_or_nan needs at least one value, got an empty sequence")
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def _basis_residual(residual: Callable[[Poly2], Poly2], points: Iterable[HPoint]) -> float:
-    """Max over the cubic basis and the points of |residual(f)(z)|, NaN if any is NaN.
+# The letter of an operator word that stands for H in generator form; the
+# other letters are `DiffOpId` members.
+_H_GENERATOR = "H_generator"
 
-    The residual polynomials do not depend on z: each is built once, then
-    evaluated at every point.
+_Word = tuple[DiffOpId | str, ...]
+
+
+class _BasisImages:
+    """Images of the `POLY_BASIS` polynomials under operator words at one field B, each built once.
+
+    `image(word, i)` applies the letters of `word` in order to basis
+    polynomial i: `(S_B, T_B)` is T_B S_B f_i.  Each image is built from its
+    prefix's image with the operations of the uncached expression, so it is
+    the same polynomial, coefficient order included, and every residual
+    formed from images is the same float.
+    """
+
+    def __init__(self, B: float):
+        self.B = B
+        self._table: dict[tuple[_Word, int], Poly2] = {}
+
+    def image(self, word: _Word, i: int) -> Poly2:
+        poly = self._table.get((word, i))
+        if poly is None:
+            prefix, op = word[:-1], word[-1]
+            f = self.image(prefix, i) if prefix else POLY_BASIS[i]
+            if op == _H_GENERATOR:
+                s, t, u = DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B
+                sf, tf, uf, uuf = (self.image(prefix + w, i) for w in ((s,), (t,), (u,), (u, u)))
+                poly = _generator_form(f, sf, tf, uf, uuf, self.B)
+            else:
+                poly = _apply(op, f, self.B)
+            self._table[(word, i)] = poly
+        return poly
+
+
+_images: _BasisImages | None = None
+
+
+def _basis_images(B: float) -> _BasisImages:
+    """The image table of field B, shared by every residual at that field.
+
+    Only the latest field's table is kept: a call at another field replaces
+    it.  Fields are told apart by type and repr, which separates 0.0 from
+    -0.0 and matches NaN with itself, where == would not.  An entry depends
+    only on (field, word, basis index), so sharing the table between callers
+    changes no result.
+    """
+    global _images
+    if _images is None or (type(_images.B), repr(_images.B)) != (type(B), repr(B)):
+        _images = _BasisImages(B)
+    return _images
+
+
+def _basis_residual(residual: Callable[[_BasisImages, int], Poly2], points: Iterable[HPoint], B: float) -> float:
+    """Max over the cubic basis and the points of |residual(images, i)(z)|, NaN if any is NaN.
+
+    The residual polynomials do not depend on z: each is built once from the
+    field's shared basis images, then evaluated at every point.
     """
     points = tuple(points)
     if not points:
         raise ValueError("algebra residual needs at least one sample point, got an empty point list")
-    polys = [residual(f) for f in POLY_BASIS]
+    images = _basis_images(B)
+    polys = [residual(images, i) for i in range(len(POLY_BASIS))]
     return max_or_nan(abs(r(z.x, z.y)) for r in polys for z in points)
 
 
@@ -383,13 +444,13 @@ def commutator_residual(
 ) -> float:
     """Max over the cubic basis and the points of |([op1, op2] - sum c_i op_i) f(z)|."""
 
-    def residual(f: Poly2) -> Poly2:
-        comm = _apply(op1, _apply(op2, f, B), B) - _apply(op2, _apply(op1, f, B), B)
+    def residual(images: _BasisImages, i: int) -> Poly2:
+        comm = images.image((op2, op1), i) - images.image((op1, op2), i)
         for op, coeff in expected.items():
-            comm = comm - coeff * _apply(op, f, B)
+            comm = comm - coeff * images.image((op,), i)
         return comm
 
-    return _basis_residual(residual, points)
+    return _basis_residual(residual, points, B)
 
 
 def hamiltonian_commutation_residual(op: DiffOpId, points: Iterable[HPoint], B: float) -> float:
@@ -397,12 +458,10 @@ def hamiltonian_commutation_residual(op: DiffOpId, points: Iterable[HPoint], B: 
     if op not in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B):
         raise ValueError(f"Hamiltonian symmetry check expects a field generator, got {op!r}")
 
-    def residual(f: Poly2) -> Poly2:
-        return _apply_hamiltonian_generator_form(_apply(op, f, B), B) - _apply(
-            op, _apply_hamiltonian_generator_form(f, B), B
-        )
+    def residual(images: _BasisImages, i: int) -> Poly2:
+        return images.image((op, _H_GENERATOR), i) - images.image((_H_GENERATOR, op), i)
 
-    return _basis_residual(residual, points)
+    return _basis_residual(residual, points, B)
 
 
 def hamiltonian_forms_residual(points: Iterable[HPoint], B: float) -> float:
@@ -411,9 +470,11 @@ def hamiltonian_forms_residual(points: Iterable[HPoint], B: float) -> float:
     The generator form 1/2 (T_B(S_B - T_B) - U_B^2/4 - U_B/2 + B^2) and the
     Landau form (-y^2 Laplacian + 2iBy d/dx + B^2)/2 are the same operator.
     """
-    return _basis_residual(
-        lambda f: _apply_hamiltonian_generator_form(f, B) - _apply(DiffOpId.H_continuum, f, B), points
-    )
+
+    def residual(images: _BasisImages, i: int) -> Poly2:
+        return images.image((_H_GENERATOR,), i) - images.image((DiffOpId.H_continuum,), i)
+
+    return _basis_residual(residual, points, B)
 
 
 def check_weighted_action(mu_or_t: float, kind: DiffOpId, f: Poly2, z: HPoint, B: float) -> tuple[complex, complex]:

@@ -18,6 +18,7 @@ from hyperband import checks, cli
 from hyperband.checks import assemble_block, eigenvalues
 from hyperband.cli import main, parse_config_file
 from hyperband.halfplane import HPoint, Sl2Element, moebius_act, moebius_rows
+from hyperband.magnetic import FluxParam, max_or_nan
 from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic
 from hyperband.tiling import (
     _ARC_RADIUS_LIMIT,
@@ -52,6 +53,20 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_verify_leaves_numpy_random_unloaded():
+    # verify draws its samples from the stdlib random module
+    probe = (
+        "import contextlib, io, sys, hyperband.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = hyperband.cli.main(['verify', '--g', '5'])\n"
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "0 False"
 
 
 @pytest.mark.parametrize(
@@ -220,6 +235,42 @@ def test_verify_suite_names_are_unique_and_use_every_tolerance():
     assert len(names) == len(set(names))
     # every `--tol NAME` bounds some line, and every line's bound can be overridden
     assert {key for _, key, _ in checks.SUITE} == set(checks.TOLERANCES)
+
+
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        (lambda: checks.fuchsian_relation([]), "genus list"),
+        (lambda: checks.edge_pairing([]), "genus list"),
+        (lambda: checks.covering_degree([]), r"\(q, z\) sample list"),
+        (lambda: checks.flux_relation(2, 0.25, []), "point list"),
+        (lambda: checks.operator_commutators([], [HPoint(0.5, 1.0)]), "field list"),
+        (lambda: checks.operator_commutators([0.25], []), "point list"),
+        (lambda: checks.hamiltonian_symmetry([], [HPoint(0.5, 1.0)]), "field list"),
+        (lambda: checks.hamiltonian_forms([], [HPoint(0.5, 1.0)]), "field list"),
+        (lambda: checks.lattice_hermiticity(FluxParam(1, 3), []), "momentum list"),
+        (lambda: checks.rotation_sectors(FluxParam(1, 3), []), "momentum list"),
+        (lambda: checks.iso_sectors(FluxParam(1, 3), []), "momentum list"),
+        (lambda: checks.flux_orbits([], [BlochMomentum.zero()]), "flux pair list"),
+        (lambda: checks.flux_orbits([FluxParam(1, 3)], []), "momentum list"),
+        (lambda: checks.chambers([], [BlochMomentum.zero()]), "flux pair list"),
+        (lambda: max_or_nan([]), "sequence"),
+    ],
+)
+def test_checks_refuse_an_empty_sample_list_by_name(check, name):
+    with pytest.raises(ValueError, match=f"empty {name}"):
+        check()
+
+
+def test_chambers_runs_its_fixed_momenta_without_sampled_ones():
+    assert checks.chambers([FluxParam(1, 3)], []) < checks.TOLERANCES["sector"]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11, 2718])
+def test_random_momenta_draw_a_numpy_generator_like_its_size_4_draws(seed):
+    rng = np.random.default_rng(seed)
+    old = [BlochMomentum(*rng.uniform(0.0, 2.0 * math.pi, size=4)) for _ in range(3)]
+    assert checks.random_momenta(np.random.default_rng(seed), 3) == old
 
 
 def test_verify_rejects_unknown_tolerance(capsys):

@@ -585,17 +585,30 @@ _POINT = st.builds(HPoint, st.floats(-3.0, 3.0), st.floats(0.05, 20.0))
 
 @settings(max_examples=40, deadline=None)
 @given(
-    B=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e200, 1e200)),
+    B1=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e200, 1e200)),
+    B2=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e200, 1e200)),
     points=st.lists(_POINT, min_size=1, max_size=5),
 )
-def test_multi_point_residuals_equal_the_per_point_construction(B, points):
-    for op1, op2, expected in COMMUTATORS:
-        got = commutator_residual(op1, op2, expected, points, B)
-        assert same_float(got, per_point_residual(oracle_commutator(op1, op2, expected, B), points))
-    for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B):
-        got = hamiltonian_commutation_residual(op, points, B)
-        assert same_float(got, per_point_residual(oracle_hamiltonian_commutation(op, B), points))
-    assert same_float(hamiltonian_forms_residual(points, B), per_point_residual(oracle_forms(B), points))
+# fields in the order B1, B2, B1, so the shared image table must follow the field;
+# a NaN field's images must not reach the next field
+@example(B1=1e200, B2=0.25, points=[HPoint(0.5, 1.0), HPoint(-1.2, 0.4)])
+@example(B1=math.nan, B2=0.25, points=[HPoint(0.5, 1.0)])
+@example(B1=0.0, B2=-0.0, points=[HPoint(0.5, 1.0)])
+def test_multi_point_residuals_equal_the_per_point_construction(B1, B2, points):
+    for B in (B1, B2, B1):
+        for op1, op2, expected in COMMUTATORS:
+            got = commutator_residual(op1, op2, expected, points, B)
+            assert same_float(got, per_point_residual(oracle_commutator(op1, op2, expected, B), points))
+        for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B):
+            got = hamiltonian_commutation_residual(op, points, B)
+            assert same_float(got, per_point_residual(oracle_hamiltonian_commutation(op, B), points))
+        assert same_float(hamiltonian_forms_residual(points, B), per_point_residual(oracle_forms(B), points))
+
+
+def test_apply_builds_a_new_image_on_every_call():
+    # the oracles above call `_apply`, so it must not share the residuals' image table
+    f = Poly2.monomial(1, 2)
+    assert _apply(DiffOpId.S_B, f, 0.25) is not _apply(DiffOpId.S_B, f, 0.25)
 
 
 def test_residuals_refuse_an_empty_point_list():
