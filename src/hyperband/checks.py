@@ -17,11 +17,13 @@ elsewhere it reaches the caller.
 The lattice checks hold the sweep's kernel in `spectrum` against a dense
 oracle kept here: `ring_matrix`, `harper_core`, `assemble_reduced` and
 `assemble_block` build the complex matrices from the model's definition, and
-`eigenvalues` solves one with eigenvectors and a residual certificate.  It
-shares only `_harper_stack` (checked by `harper_oracle_compare`) and the gates
-`_require_dimension` and `_require_solvable` with the kernel, and never calls
-the sweep's route: `_chambers_stack`, `_chambers_momenta`, `harper_eigvalsh`,
-`_certified_spectra` or `model_spectra`.
+`eigenvalues` solves one matrix, or an (n, d, d) stack in one LAPACK call,
+with eigenvectors and a residual certificate for each matrix; each lattice
+check solves its dense matrices of one size as one stack.  It shares only
+`_harper_stack` (checked by `harper_oracle_compare`) and the gates
+`_require_dimension` and `_require_solvable` with the kernel, and never
+calls the sweep's route: `_chambers_stack`, `_chambers_momenta`,
+`harper_eigvalsh`, `_certified_spectra` or `model_spectra`.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def flux_relation(genus: int, B: float, points: list[HPoint]) -> tuple[float, co
     fails to close, so a returned defect also certifies closure.
     """
     expected = cmath.exp(1j * 4.0 * (genus - 1) * math.pi * B)
-    phases = [magnetic.flux_relation_phase(tiling.TilingParams(genus), B, z) for z in _listed(points, "point list")]
+    phases = magnetic.flux_relation_phase(tiling.TilingParams(genus), B, _listed(points, "point list"))
     return max_or_nan(abs(phase - expected) for phase in phases), phases[-1]
 
 
@@ -295,26 +297,34 @@ def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) 
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending real spectrum of one square matrix with an explicit residual certificate.
+    """Ascending real spectrum of one square matrix, or of each matrix of an (n, d, d) stack,
+    with an explicit residual certificate.
 
-    Raises instead of returning a partial or low-quality spectrum: a
-    non-square matrix or one over `_MAX_DIMENSION` is a ValueError, a matrix
-    `_require_solvable` refuses or LAPACK non-convergence a RuntimeError, and
-    every (lambda, v) pair must satisfy ||Hv - lambda v|| <= 1e-8 (1 + ||H||_F).
+    One LAPACK call solves the whole stack, with eigenvectors; each row of
+    the (n, d) result is what the matrix alone gives.  Raises instead of
+    returning a partial or low-quality spectrum: an input that is neither a
+    square matrix nor a stack of them, or a dimension over `_MAX_DIMENSION`,
+    is a ValueError; a matrix `_require_solvable` refuses or LAPACK
+    non-convergence a RuntimeError; and every (lambda, v) pair of every
+    matrix H must satisfy ||Hv - lambda v|| <= 1e-8 (1 + ||H||_F).
     """
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    n = h.shape[-1]
     spectrum._require_dimension(n)
-    spectrum._require_solvable(h[None], np.ones((n, n), dtype=bool))
+    spectrum._require_solvable(h[None] if h.ndim == 2 else h, np.ones((n, n), dtype=bool))
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver did not converge on a {n}x{n} matrix: {exc}") from exc
-    residual = np.linalg.norm(h @ vecs - vecs * vals, axis=0).max()
-    bound = 1e-8 * (1.0 + np.linalg.norm(h, "fro"))
-    if residual > bound:
-        raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds contract bound {bound:.3e}")
+    residual = np.linalg.norm(h @ vecs - vecs * vals[..., None, :], axis=-2).max(axis=-1, initial=0.0)
+    bound = 1e-8 * (1.0 + np.linalg.norm(h, "fro", axis=(-2, -1)))
+    failed = np.flatnonzero(residual > bound)
+    if failed.size:
+        i = failed[0]
+        raise RuntimeError(
+            f"eigenpair residual {residual.flat[i]:.3e} exceeds contract bound {bound.flat[i]:.3e}"
+        )
     return vals
 
 
@@ -336,22 +346,19 @@ def lattice_hermiticity(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> fl
 def rotation_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
     """Union of the eight sector spectra against the dense 8q x 8q block-aniso spectrum."""
     p, q = pair.p, pair.q
-
-    def gap(k: BlochMomentum) -> float:
-        sectors = [eigenvalues(assemble_reduced(p, q, k, m)) for m in range(RING_SIZE)]
-        block = eigenvalues(assemble_block(BlockAnisotropic(), p, q, k))
-        return float(np.abs(np.sort(np.concatenate(sectors)) - block).max())
-
-    return max_or_nan(gap(k) for k in _listed(momenta, "momentum list"))
+    momenta = _listed(momenta, "momentum list")
+    sectors = eigenvalues(np.array([assemble_reduced(p, q, k, m) for k in momenta for m in range(RING_SIZE)]))
+    block = eigenvalues(np.array([assemble_block(BlockAnisotropic(), p, q, k) for k in momenta]))
+    return float(np.abs(np.sort(sectors.reshape(block.shape), axis=-1) - block).max())
 
 
 def iso_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
     """Union of the four S^2 sector spectra (`model_spectra`) against the dense 8q x 8q block-iso spectrum."""
     p, q = pair.p, pair.q
     momenta = _listed(momenta, "momentum list")
-    dense = [eigenvalues(assemble_block(BlockIsotropic(), p, q, k)) for k in momenta]
+    dense = eigenvalues(np.array([assemble_block(BlockIsotropic(), p, q, k) for k in momenta]))
     sectors = spectrum.model_spectra(BlockIsotropic(), q, [p], momenta)[0]
-    return float(np.abs(sectors - np.array(dense)).max())
+    return float(np.abs(sectors - dense).max())
 
 
 def flux_orbits(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> float:
@@ -394,8 +401,8 @@ def chambers(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> fl
         p, q = pair.p, pair.q
         ks = momenta + [BlochMomentum(0.0, 0.4, 1.0, 2.0), BlochMomentum(math.pi / q, 0.4, 1.0, 2.0)]
         real = spectrum._certified_spectra(ReducedHarper(0), q, [p], ks)[0]
-        dense = [eigenvalues(assemble_reduced(p, q, k, 0)) for k in ks]
-        return float(np.abs(real - np.array(dense)).max())
+        dense = eigenvalues(np.array([assemble_reduced(p, q, k, 0) for k in ks]))
+        return float(np.abs(real - dense).max())
 
     return max_or_nan(gap(pair) for pair in pairs)
 

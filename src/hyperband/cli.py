@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -71,10 +72,13 @@ def _at_least(n: int, what: str, low: int) -> int:
     return n
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_flux(text: str, allow_real: bool) -> Union[Fraction, float]:
-    """`p/q` is exact; a bare real is admitted only where rationality is not needed."""
+    """`p/q` and an integer are exact; any other real is admitted only where rationality is not needed."""
     text = text.strip()
-    if "/" in text:
+    if "/" in text or _INTEGER.fullmatch(text):
         try:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -356,7 +360,9 @@ def build_parser(defaults: Optional[dict[str, str]] = None) -> argparse.Argument
 
     verify = sub.add_parser("verify", help="run the numerical identity suite")
     verify.add_argument("--g", type=int, default=2, help="genus (default %(default)s)")
-    verify.add_argument("--B", default="1/4", help="magnetic field, rational like 1/4 or a bare real")
+    verify.add_argument(
+        "--B", default="1/4", help="magnetic field: exact like 1/4 or 2, or a real like 0.3; negative as --B=-1/4"
+    )
     verify.add_argument("--seed", type=int, default=0, help="seed for random sample points (default %(default)s)")
     verify.add_argument("--tol", action="append", metavar="NAME=VALUE", help="override one check tolerance")
 
@@ -367,7 +373,9 @@ def build_parser(defaults: Optional[dict[str, str]] = None) -> argparse.Argument
 
     spectrum = sub.add_parser("spectrum", help="print eigenvalues of one lattice Hamiltonian")
     butterfly = sub.add_parser("butterfly", help="sweep rational flux and write phi,energy CSV")
-    spectrum.add_argument("--B", default="1/6", help="rational magnetic field p/(2q), e.g. 1/6")
+    spectrum.add_argument(
+        "--B", default="1/6", help="exact magnetic field p/(2q) or an integer, e.g. 1/6; negative as --B=-1/6"
+    )
     for command in (spectrum, butterfly):  # the model options, after --B in spectrum's help and first in butterfly's
         command.add_argument("--model", default="reduced", help="reduced | block-aniso | block-iso (default %(default)s)")
         command.add_argument("--m", type=int, help="rotation sector for the reduced model (default 0)")

@@ -85,7 +85,11 @@ def s_phase(t: float, z0: HPoint, B: float) -> complex:
     """
     if not math.isfinite(B):
         raise ValueError("non-finite field strength")
-    w = moebius_act(exp_s(t), z0)
+    return _rotation_phase(t, z0, moebius_act(exp_s(t), z0), B)
+
+
+def _rotation_phase(t: float, z0: HPoint, w: HPoint, B: float) -> complex:
+    """The closed form of `s_phase` from z0 and its image w = e^{t S} z0."""
     return cmath.exp(2j * B * (t + math.atan2(w.y + 1.0, w.x) - math.atan2(z0.y + 1.0, z0.x)))
 
 
@@ -157,12 +161,30 @@ def act_magnetic(word: MagneticWord, z: HPoint, B: float) -> MagneticAction:
     left to right (the last factor's matrix ends up leftmost).  Only rotation
     factors carry phase, picked up at the point current when they act.
     """
+    return _act(word, _factor_matrices(word, B), z, B)
+
+
+def _factor_matrices(word: MagneticWord, B: float) -> list[Sl2Element]:
+    """Each factor's matrix, built once for every point the word acts on.
+
+    A non-finite B is refused here, before any factor acts, when the word
+    has a rotation factor to carry phase; a word without one ignores B.
+    """
+    if not math.isfinite(B) and any(f.kind == "S" for f in word.factors):
+        raise ValueError("non-finite field strength")
+    return [f.matrix() for f in word.factors]
+
+
+def _act(word: MagneticWord, matrices: list[Sl2Element], z: HPoint, B: float) -> MagneticAction:
+    """`act_magnetic` with the factor matrices given: each moves the point once, and a
+    rotation's phase is `s_phase`'s closed form from the point before and the image after."""
     phase = complex(1.0)
     current = z
-    for f in word.factors:
+    for f, g in zip(word.factors, matrices):
+        image = moebius_act(g, current)
         if f.kind == "S":
-            phase *= s_phase(f.value, current, B)
-        current = moebius_act(f.matrix(), current)
+            phase *= _rotation_phase(f.value, current, image, B)
+        current = image
     return MagneticAction(phase, current)
 
 
@@ -201,16 +223,26 @@ def flux_relation_word(params: TilingParams) -> MagneticWord:
     return MagneticWord(tuple(factors))
 
 
-def flux_relation_phase(params: TilingParams, B: float, z: HPoint) -> complex:
-    """Phase of the relation word at z; the Gauss-Bonnet value is e^{i4(g-1)pi B}."""
-    action = act_magnetic(flux_relation_word(params), z, B)
-    drift = hyperbolic_distance(action.image, z)
-    if drift > _CLOSURE_ERROR:
-        raise RuntimeError(
-            f"relation word failed to close: image drifted {drift:.3e} from the start "
-            "(composition-order bug)"
-        )
-    return action.phase
+def flux_relation_phase(params: TilingParams, B: float, points: HPoint | Iterable[HPoint]) -> list[complex]:
+    """Phase of the relation word at each point (a single point is a one-point list).
+
+    The Gauss-Bonnet value is e^{i4(g-1)pi B} at every point.  The word and
+    its factor matrices are built once per call; a point whose orbit does not
+    close raises RuntimeError.
+    """
+    word = flux_relation_word(params)
+    matrices = _factor_matrices(word, B)
+    phases = []
+    for z in [points] if isinstance(points, HPoint) else points:
+        action = _act(word, matrices, z, B)
+        drift = hyperbolic_distance(action.image, z)
+        if drift > _CLOSURE_ERROR:
+            raise RuntimeError(
+                f"relation word failed to close: image drifted {drift:.3e} from the start "
+                "(composition-order bug)"
+            )
+        phases.append(action.phase)
+    return phases
 
 
 def covering_degree_check(q: int, z: HPoint) -> complex:

@@ -19,7 +19,7 @@ from hyperband.checks import assemble_block, eigenvalues
 from hyperband.cli import main, parse_config_file
 from hyperband.halfplane import HPoint, Sl2Element, moebius_act, moebius_rows
 from hyperband.magnetic import FluxParam, max_or_nan
-from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic
+from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, ReducedHarper, model_spectrum
 from hyperband.tiling import (
     _ARC_RADIUS_LIMIT,
     _TWO_PI,
@@ -131,6 +131,28 @@ def test_verify_zero_field_phase_is_one(capsys):
 def test_verify_accepts_bare_real_field(capsys):
     code, out, _ = run(capsys, "verify", "--B", "0.7")
     assert code == 0
+
+
+@pytest.mark.parametrize("field, pair", [("1", "(p=2, q=1)"), ("2", "(p=4, q=1)"), ("0", "(p=0, q=1)")])
+def test_verify_runs_the_lattice_lines_at_an_integer_field(field, pair, capsys):
+    # an integer field is exact, so the lattice lines take its pair, not the 1/3 placeholder of a real
+    code, out, _ = run(capsys, "verify", "--B", field)
+    assert code == 0
+    lattice = [line for line in out.splitlines() if "lattice hermiticity" in line or "sectors" in line]
+    assert len(lattice) == 3 and all(line.endswith(pair) for line in lattice)
+
+
+def test_negative_values_attached_with_equals(capsys):
+    # detached, argparse reads -1/4 as an option and exits 2
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--B", "-1/4"])
+    assert info.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    code, out, _ = run(capsys, "verify", "--B=-1/4")
+    assert code == 0 and "(p=-1, q=2)" in out
+    code, out, _ = run(capsys, "spectrum", "--B=-1/6", "--k=0,0,0,0")
+    assert code == 0
+    want = model_spectrum(ReducedHarper(0), -1, 3, BlochMomentum.zero())
+    assert out == "".join(f"{value:.12g}\n" for value in want)
 
 
 def test_verify_rejects_low_genus(capsys):
@@ -685,6 +707,12 @@ def test_spectrum_rejects_bad_flux_and_model(capsys):
     assert run(capsys, "spectrum", "--B", "1/6", "--model", "nonsense")[0] == 2
     assert run(capsys, "spectrum", "--B", "1/6", "--model", "block-iso", "--m", "2")[0] == 2
     assert run(capsys, "spectrum", "--k", "1,2,3")[0] == 2
+
+
+@pytest.mark.parametrize("integer, fraction", [("2", "2/1"), ("0", "0/1"), ("-1", "-1/1"), ("+3", "3/1")])
+def test_spectrum_takes_an_integer_flux_as_exact(integer, fraction, capsys):
+    assert run(capsys, "spectrum", f"--B={integer}") == run(capsys, "spectrum", f"--B={fraction}")
+    assert run(capsys, "spectrum", f"--B={integer}")[0] == 0
 
 
 def test_spectrum_refuses_a_rational_flux_too_large_for_a_float(capsys):

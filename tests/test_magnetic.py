@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hyperband import checks
 from hyperband.checks import COMMUTATORS
 from hyperband.halfplane import HPoint, exp_s, moebius_act, rotation_orbit_circle
 from hyperband.magnetic import (
@@ -326,9 +327,9 @@ def test_magnetic_generator_zero_field_phase_is_one():
 
 def test_flux_relation_frozen_values():
     dom = make_fundamental_domain(TilingParams(2))
-    got = flux_relation_phase(TilingParams(2), 0.25, dom.vertices[7])
+    [got] = flux_relation_phase(TilingParams(2), 0.25, [dom.vertices[7]])
     assert abs(got - (-1.0)) < 1e-7  # phi = 4 pi B = pi
-    got = flux_relation_phase(TilingParams(3), 0.5, HPoint(0.2, 1.6))
+    [got] = flux_relation_phase(TilingParams(3), 0.5, [HPoint(0.2, 1.6)])
     assert abs(got - 1.0) < 1e-7  # e^{i 4 pi} with g-1 = 2
 
 
@@ -337,7 +338,7 @@ def test_flux_relation_matches_gauss_bonnet_phase():
     for g in (2, 3):
         for B in (0.0, 0.25, 1.0 / 3.0, 0.7):
             z = random_point(rng)
-            got = flux_relation_phase(TilingParams(g), B, z)
+            [got] = flux_relation_phase(TilingParams(g), B, [z])
             want = cmath.exp(1j * 4.0 * (g - 1) * math.pi * B)
             assert abs(got - want) < 1e-7
 
@@ -345,14 +346,14 @@ def test_flux_relation_matches_gauss_bonnet_phase():
 def test_flux_relation_sign_convention():
     # B = 1/3 separates e^{+i4piB} from its conjugate; a reversed word order
     # would land on the conjugate
-    got = flux_relation_phase(TilingParams(2), 1.0 / 3.0, HPoint(0.4, 1.2))
+    [got] = flux_relation_phase(TilingParams(2), 1.0 / 3.0, [HPoint(0.4, 1.2)])
     assert abs(got - cmath.exp(4j * math.pi / 3.0)) < 1e-7
     assert abs(got - cmath.exp(-4j * math.pi / 3.0)) > 1.0
 
 
 def test_flux_relation_independent_of_base_point():
     rng = np.random.default_rng(137)
-    phases = [flux_relation_phase(TilingParams(2), 0.37, random_point(rng)) for _ in range(10)]
+    phases = flux_relation_phase(TilingParams(2), 0.37, [random_point(rng) for _ in range(10)])
     for ph in phases[1:]:
         assert abs(ph - phases[0]) < 1e-8
 
@@ -376,6 +377,48 @@ def test_flux_relation_reports_non_closure(monkeypatch):
     monkeypatch.setattr(mag, "flux_relation_word", lambda p: MagneticWord((t_translation(1.0),)))
     with pytest.raises(RuntimeError):
         mag.flux_relation_phase(TilingParams(2), 0.3, HPoint(0.2, 1.1))
+
+
+def _per_point_fold(word: MagneticWord, z: HPoint, B: float) -> complex:
+    # each factor moves the point by its own freshly built matrix; a rotation's
+    # phase comes from `s_phase` at the point current when it acts
+    phase, current = complex(1.0), z
+    for f in word.factors:
+        if f.kind == "S":
+            phase *= s_phase(f.value, current, B)
+        current = moebius_act(f.matrix(), current)
+    return phase
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=st.integers(2, 8),
+    B=st.floats(-50.0, 50.0, allow_nan=False),
+    coords=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.2, 3.0)), min_size=1, max_size=6),
+)
+@example(g=2, B=0.0, coords=[(0.2, 1.1)])
+@example(g=5, B=0.37, coords=[(-1.5, 0.3), (0.0, 1.0), (1.9, 2.9)])
+@example(g=8, B=1.0 / 3.0, coords=[(2.0, 0.2)] * 6)
+def test_flux_relation_phase_is_the_per_point_fold(g, B, coords):
+    params = TilingParams(g)
+    points = [HPoint(x, y) for x, y in coords]
+    word = flux_relation_word(params)
+    want = [_per_point_fold(word, z, B) for z in points]
+    assert flux_relation_phase(params, B, points) == want
+
+
+def test_flux_relation_check_builds_each_rotation_matrix_once(monkeypatch):
+    import hyperband.magnetic as mag
+
+    calls = []
+    real_exp_s = mag.exp_s
+    monkeypatch.setattr(mag, "exp_s", lambda t: calls.append(t) or real_exp_s(t))
+    word = flux_relation_word(TilingParams(5))
+    rotations = [f.value for f in word.factors if f.kind == "S"]
+    assert len(rotations) == 36
+    points = [HPoint(0.3 * i - 0.6, 0.5 + 0.4 * i) for i in range(5)]
+    checks.flux_relation(5, 0.25, points)
+    assert calls == rotations
 
 
 # ---------------------------------------------------------------- covering

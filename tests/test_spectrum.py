@@ -315,6 +315,53 @@ def test_eigenvalues_match_characteristic_polynomial_oracle():
     assert np.abs(np.asarray(eigenvalues(a)) - roots).max() < 1e-8
 
 
+def test_stacked_eigenvalues_equal_each_single_solve():
+    rng = np.random.default_rng(2027)
+    for _ in range(6):
+        p, q = random_flux_pair(rng, q_max=6)
+        ks = [random_momentum(rng) for _ in range(3)]
+        for stack in (
+            np.array([assemble_reduced(p, q, k, m) for k in ks for m in range(8)]),
+            np.array([assemble_block(model, p, q, k) for k in ks for model in (BlockAnisotropic(), BlockIsotropic())]),
+        ):
+            got = eigenvalues(stack)
+            assert got.shape == stack.shape[:2]
+            for h, row in zip(stack, got, strict=True):
+                assert np.array_equal(row, eigenvalues(h))
+
+
+def test_stacked_eigenvalues_keep_the_gates():
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.zeros(4))
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        eigenvalues(np.zeros((1, 2001, 2001), dtype=complex))
+    stack = np.array([np.eye(2), [[0.0, 1.0], [2.0, 0.0]]], dtype=complex)
+    with pytest.raises(RuntimeError, match="fails Hermiticity"):
+        eigenvalues(stack)
+
+
+def test_stacked_eigenvalues_certify_each_matrix_against_its_own_norm(monkeypatch):
+    # an error of 1e-6 passes the bound of a matrix of norm 1e3 (1e-5) but not
+    # that of the unit-norm one (~2.4e-8), so a bound pooled over the stack would miss it
+    small = np.diag([1.0, -1.0]).astype(complex)
+    stack = np.array([1e3 * small, small])
+    real_eigh = np.linalg.eigh
+
+    def off_on_the_last(h):
+        vals, vecs = real_eigh(h)
+        vals[-1, 0] += 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", off_on_the_last)
+    with pytest.raises(RuntimeError, match="eigenpair residual 1.000e-06 exceeds contract bound 2.414e-08"):
+        eigenvalues(stack)
+    assert eigenvalues(stack[:1])[0, 0] == -1e3 + 1e-6  # within the large matrix's own bound
+
+
 def test_eigenvalues_rejects_oversized():
     with pytest.raises(ValueError):
         eigenvalues(np.eye(2001, dtype=complex))
