@@ -15,8 +15,11 @@ the parsers here or the library alike) or an output that cannot be written
 rest of the output is dropped.
 
 The SVG paths are rows of 8-byte words: each `%.6f` number is looked up in
-digit tables (`_number_words`) instead of being formatted one at a time, and
-a block of rows becomes text in one `bytes.translate`.
+digit tables (`_number_words`) instead of being formatted one at a time, each
+corner coordinate and arc radius once per tile, and the rows of a block of
+`_SVG_BLOCK_CORNERS` corners become the file's bytes in one `bytes.translate`.
+The SVG file is opened in binary mode, so no block is decoded and encoded
+again.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from . import checks
 from .magnetic import FluxParam
 from .spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, HamiltonianModel, ReducedHarper
 from .spectrum import butterfly_sweep, model_spectrum
-from .tiling import TilingParams, disk_corners, edge_states, enumerate_tiles, make_fundamental_domain, make_generators
+from .tiling import TilingParams, check_tiling_size, disk_corners, edge_states, enumerate_tiles
+from .tiling import make_fundamental_domain, make_generators
 
 
 # ---------------------------------------------------------------- arguments and config
@@ -160,15 +164,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 _SVG_HEAD = (
-    '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-    'viewBox="-1.05 -1.05 2.1 2.1" width="720" height="720">\n'
-    '<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.004"/>\n'
+    b'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+    b'viewBox="-1.05 -1.05 2.1 2.1" width="720" height="720">\n'
+    b'<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.004"/>\n'
 )
-_SVG_BLOCK = 512  # tiles per block of corner arrays and path rows
+# tile corners per block of corner arrays and path rows (256 octagons): a
+# block's temporaries grow with its corners.  On Linux with glibc, a cold
+# `tile --g 2 --depth 5` takes about 3k minor page faults at 256 octagons a
+# block and 18k from 320 up, where each block's freed temporaries go back to
+# the system and are faulted in again; smaller blocks cost more numpy calls
+# than they save
+_SVG_BLOCK_CORNERS = 2048
 
 # Path text is built as little-endian uint64 words of up to eight ASCII bytes,
 # padded with NUL bytes that `bytes.translate` deletes.  A number is two
-# words: its integer part with the sign, right-aligned, and its fraction.
+# words: its integer part with the sign, right-aligned, and its fraction.  The
+# first byte of the integer word stays empty and holds the space before the
+# number.
 
 
 def _words(text: str) -> np.ndarray:
@@ -197,22 +209,17 @@ _INT_WORDS = _integer_words()
 _FRAC_HIGH = _digit_words(1) | np.uint64(ord("."))  # '.' and the first three decimals
 _FRAC_LOW = _digit_words(4)  # the last three decimals
 
-
-def _slots(*separators: str) -> np.ndarray:
-    """Slots of a path row: each separator's word, then two empty number words."""
-    return np.array([[_words(text)[0], 0, 0] for text in separators], dtype=np.uint64).ravel()
-
-
-# the words of a path row (see `_svg_paths`); an edge's third separator is
-# `_END_SEPARATORS[state]` for edge state 0, 1, 2 (straight, arc with sweep
-# flag 0 or 1)
-_PATH_START = np.concatenate([_words("<path d="), _slots('"M ', " ")])
-_EDGE_SLOTS = _slots(" A ", " ", " L ", " ")
-_END_SEPARATORS = np.concatenate([_words(" L "), _words(" 0 0 0 "), _words(" 0 0 1 ")])
-_PATH_TAIL = _words(' Z" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>\n')
+# the words of a path row besides its numbers (see `_svg_paths`): an edge's
+# arc word and sweep word by edge state 0, 1, 2 (straight, arc with sweep
+# flag 0 or 1), and the row's head and tail
+_ARC_WORDS = np.concatenate([np.zeros(1, dtype=np.uint64), _words(" A"), _words(" A")])
+_SWEEP_WORDS = np.concatenate([_words(" L"), _words(" 0 0 0"), _words(" 0 0 1")])
+_ROW_ENDS = np.concatenate([_words('<path d="M'), _words(' Z" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>\n')])
+_PATH_NUMBER_WIDTH = 15  # characters of a number in a path: its first byte holds the space
+_SPACE = np.uint64(ord(" "))
 
 
-def _number_words(x: np.ndarray, out: np.ndarray) -> int:
+def _number_words(x: np.ndarray, out: np.ndarray, width: int = 16) -> int:
     """Write `'%.6f' % value` of every entry of `x` as two words into `out` (shape x.shape + (2,)).
 
     With y = |x| 10^6 and n = rint(y), `_INT_WORDS` gives the integer part
@@ -222,11 +229,13 @@ def _number_words(x: np.ndarray, out: np.ndarray) -> int:
     is within 2^-53 y of the exact |x| 10^6, so n is the correctly rounded
     value unless |y - n| >= 0.5 - 2.3e-16 y.  Those entries (among them the
     exact ties, which `%` rounds half to even), integer parts of 10^4 or more
-    and non-finite values are formatted by `%` one at a time; the count of
-    them is returned.  A `%` text longer than the two words' 16 bytes (from
-    |x| = 10^8 when negative, 10^9 when positive) is a ValueError; tile
-    corners lie in the unit disk and arc radii are at most
-    `_ARC_RADIUS_LIMIT`, so `_svg_paths` never meets one.
+    and non-finite values are formatted by `%` one at a time, right-aligned
+    in the two words; the count of them is returned.  A `%` text longer than
+    `width` characters, at most the two words' 16 bytes, is a ValueError, so
+    the first 16 - `width` bytes stay empty (a number from the digit tables,
+    at most 12 characters, leaves three).  Tile corners lie in the unit disk
+    and arc radii are at most `_ARC_RADIUS_LIMIT`, so `_svg_paths` never
+    meets one wider than `_PATH_NUMBER_WIDTH`.
     """
     y = np.abs(x) * 1e6
     n = np.rint(y)
@@ -243,46 +252,73 @@ def _number_words(x: np.ndarray, out: np.ndarray) -> int:
     at = np.nonzero(scalar)
     for index, value in zip(zip(*at), x[at].tolist()):
         text = ("%.6f" % value).encode("ascii")
-        if len(text) > 16:
-            raise ValueError(f"cannot write {text.decode()} into a path: wider than 16 characters")
-        out[index] = np.frombuffer(text.ljust(16, b"\0"), dtype="<u8")
+        if len(text) > width:
+            raise ValueError(f"cannot write {text.decode()} into a path: wider than {width} characters")
+        out[index] = np.frombuffer(text.rjust(16, b"\0"), dtype="<u8")
     return len(at[0])
 
 
-def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> str:
-    """One `<path>` line per tile for corners (u, v) shaped (tiles, vertices).
+def _row_columns(vertices: int, edges) -> np.ndarray:
+    """The table column of each word of a path row, in path order.
 
-    Each tile is one row of words: `_PATH_START`, an `_EDGE_SLOTS` per edge
-    and `_PATH_TAIL`.  A slot is three words, a separator and the two words
-    that `_number_words` writes for one number: the start's u and v, then
-    each edge's radius, radius, u and v.  The slots that a straight edge does
-    not use are zeroed, and the whole block becomes text in one `translate`
-    that deletes the NUL bytes.
+    A row of the word table in `_svg_paths` holds two words for each value
+    (the u of every corner, then the v of every corner, then the radius of
+    every edge), one arc word and one sweep word for each edge, and `_ROW_ENDS`.
+    """
+    k = len(edges)
+    arcs = 2 * (2 * vertices + k)
+    sweeps, ends = arcs + k, arcs + 2 * k
+
+    def number(value: int) -> list[int]:
+        return [2 * value, 2 * value + 1]
+
+    def corner(c: int) -> list[int]:
+        return number(c) + number(vertices + c)
+
+    columns = [ends, ends + 1, *corner(edges[0][0])]
+    for e, (_, j) in enumerate(edges):
+        radius = number(2 * vertices + e)
+        columns += [arcs + e, *radius, *radius, sweeps + e, *corner(j)]
+    columns += range(ends + 2, ends + len(_ROW_ENDS))
+    return np.array(columns)
+
+
+def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> bytes:
+    """One `<path>` line per tile for corners (u, v) shaped (tiles, vertices), as ASCII bytes.
+
+    Each corner's u and v and each edge's radius are formatted once, in one
+    `_number_words` call, into a table of words with one row per tile; the
+    space before each number goes into its first byte, which is empty.  The
+    table also holds each edge's `_ARC_WORDS` and `_SWEEP_WORDS` entry and
+    the `_ROW_ENDS` words, and a straight edge's radius words are zeroed.  A
+    path row is its table row's words in path order (`_row_columns`), and the
+    whole block becomes bytes in one `translate` that deletes the NUL bytes.
     """
     state, radius = edge_states(u, v, edges)
-    n, k = state.shape
-    start, ends = edges[0][0], [j for _, j in edges]
-    rows = np.empty((n, len(_PATH_START) + k * len(_EDGE_SLOTS) + len(_PATH_TAIL)), dtype="<u8")
-    rows[:] = np.concatenate([_PATH_START, np.tile(_EDGE_SLOTS, k), _PATH_TAIL])
-    slots = rows[:, 1 : -len(_PATH_TAIL)].reshape(n, 2 + 4 * k, 3)  # a view: the last axis is contiguous
-    values = np.empty((n, 2 + 4 * k))
-    values[:, 0], values[:, 1] = u[:, start], v[:, start]
-    edge_values = values[:, 2:].reshape(n, k, 4)
-    # a straight edge's radius may be huge; its slots are emptied below
-    edge_values[..., 0] = edge_values[..., 1] = np.where(state > 0, radius, 0.0)
-    edge_values[..., 2], edge_values[..., 3] = u[:, ends], v[:, ends]
-    _number_words(values, slots[..., 1:])
-    edge_slots = slots[:, 2:].reshape(n, k, 4, 3)
-    edge_slots[..., 2, 0] = _END_SEPARATORS[state]
-    edge_slots[state == 0, :2] = 0
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+    (n, m), k = u.shape, state.shape[1]
+    values = np.empty((n, 2 * m + k))
+    values[:, :m], values[:, m : 2 * m] = u, v
+    # a straight edge's radius may be huge; 0.0 stands in for it, and its words are zeroed below
+    values[:, 2 * m :] = np.where(state > 0, radius, 0.0)
+    arcs = 2 * values.shape[1]  # the table's first arc word, after two words per value
+    table = np.empty((n, arcs + 2 * k + len(_ROW_ENDS)), dtype="<u8")
+    words = table[:, :arcs].reshape(values.shape + (2,))  # a view: a row's number words are contiguous
+    _number_words(values, words, _PATH_NUMBER_WIDTH)
+    words[..., 0] |= _SPACE
+    words[:, 2 * m :][state == 0] = 0
+    table[:, arcs : -len(_ROW_ENDS)] = np.concatenate([_ARC_WORDS[state], _SWEEP_WORDS[state]], axis=1)
+    table[:, -len(_ROW_ENDS) :] = _ROW_ENDS
+    return table[:, _row_columns(m, edges)].tobytes().translate(None, b"\0")
 
 
 @contextlib.contextmanager
-def _created(path: str):
-    """`path` opened for writing; an OSError while it is open names `path`, so `main` tells it from stdout."""
+def _created(path: str, binary: bool = False):
+    """`path` opened for writing, as UTF-8 text or `binary`.
+
+    An OSError while it is open names `path`, so `main` tells it from stdout.
+    """
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
     except OSError as exc:
         exc.filename = exc.filename or path
@@ -292,19 +328,22 @@ def _created(path: str):
 def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
     """Write the Poincare-disk SVG of the tiles up to `depth` to `out`; return the tile count.
 
-    Every refusal (the enumeration guard, degenerate corner geometry) comes
-    before `out` is opened; the paths are then formatted and written a block
-    of `_SVG_BLOCK` tiles at a time.
+    Every refusal comes before `out` is opened: the enumeration guard before
+    the generators and the fundamental domain are built, degenerate corner
+    geometry after.  The paths are then formatted and written as bytes, a
+    block of `_SVG_BLOCK_CORNERS` corners at a time.
     """
+    check_tiling_size(params.genus, depth)
     dom = make_fundamental_domain(params)
     tiles = enumerate_tiles(make_generators(params), depth)
     # corners block by block, so the array temporaries stay block-sized
-    blocks = [disk_corners(tiles[lo : lo + _SVG_BLOCK], dom) for lo in range(0, len(tiles), _SVG_BLOCK)]
-    with _created(out) as fh:
+    step = max(1, _SVG_BLOCK_CORNERS // len(dom.vertices))
+    blocks = [disk_corners(tiles[lo : lo + step], dom) for lo in range(0, len(tiles), step)]
+    with _created(out, binary=True) as fh:
         fh.write(_SVG_HEAD)
         for u, v in blocks:
             fh.write(_svg_paths(u, v, dom.edges))
-        fh.write("</svg>\n")
+        fh.write(b"</svg>\n")
     return len(tiles)
 
 

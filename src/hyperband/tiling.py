@@ -226,6 +226,22 @@ def _neighbour_pairs(keys, order, base_keys, base_order) -> tuple[np.ndarray, np
     return np.concatenate(firsts), np.concatenate(seconds)
 
 
+def check_tiling_size(genus: int, depth: int) -> None:
+    """Refuse a negative depth, or one whose words span more than `_MAX_CANDIDATE_WORDS` candidates.
+
+    The count depends on genus and depth alone, so a caller can refuse before
+    it builds the O(genus) generators and fundamental domain.
+    """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    n_letters = 4 * genus
+    candidates = 0
+    for length in range(1, depth + 1):
+        candidates += n_letters * (n_letters - 1) ** (length - 1)
+        if candidates > _MAX_CANDIDATE_WORDS:
+            raise ValueError(f"depth {depth} spans > {_MAX_CANDIDATE_WORDS} candidate words for genus {genus}")
+
+
 def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> np.ndarray:
     """Deduplicated group elements of word length <= depth as rows (a, b, c, d), identity first.
 
@@ -236,17 +252,8 @@ def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> np.ndarray:
     one array pass: products, gate, cells, a sorted-key probe of the stored
     elements, and the few close pairs within the level resolved in order.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    check_tiling_size(gens.genus, depth)
     n_letters = 4 * gens.genus
-    candidates = 0
-    for length in range(1, depth + 1):
-        candidates += n_letters * (n_letters - 1) ** (length - 1)
-        if candidates > _MAX_CANDIDATE_WORDS:
-            raise ValueError(
-                f"depth {depth} spans > {_MAX_CANDIDATE_WORDS} candidate words for genus {gens.genus}"
-            )
-
     # letter 2j is gamma_{j+1}, letter 2j + 1 its inverse: letter k ^ 1 undoes letter k
     letters = np.array([m.entries() for gamma in gens.gammas for m in (gamma, gamma.inverse())])
     frontier, stored_keys = _gated_rows(np.array([Sl2Element.identity().entries()]))

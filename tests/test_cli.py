@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -78,6 +79,8 @@ def test_verify_leaves_numpy_random_unloaded():
         ([], ["spectrum", "--B", "1/6"], 0),
         # --out names the same closed pipe
         ([], ["butterfly", "--model", "block-aniso", "--q-max", "12", "--k-samples", "2", "--out", "/dev/stdout"], 0),
+        # so does the binary SVG writer
+        ([], ["tile", "--g", "2", "--depth", "3", "--out", "/dev/stdout"], 0),
     ],
 )
 def test_closed_stdout_exits_141_without_a_traceback(flags, argv, lines_read):
@@ -106,6 +109,15 @@ def test_unwritable_stdout_exits_2_without_a_traceback(argv):
     err = result.stderr.decode().splitlines()
     assert result.returncode == 2
     assert len(err) == 1 and err[0].startswith("error: cannot write stdout: ")
+
+
+def test_tile_to_a_full_device_exits_2_without_a_traceback():
+    result = subprocess.run(
+        [sys.executable, "-m", "hyperband", "tile", "--out", "/dev/full"], env=_subprocess_env(), capture_output=True
+    )
+    err = result.stderr.decode().splitlines()
+    assert result.returncode == 2 and result.stdout == b""
+    assert len(err) == 1 and err[0].startswith("error: cannot write /dev/full: ")
 
 
 # ---------------------------------------------------------------- verify
@@ -391,7 +403,7 @@ def _vector_paths(pairs) -> list[str]:
     """`d` attributes the CLI formats for one-edge paths w1 -> w2, in one batch."""
     u = np.array([[w1.real, w2.real] for w1, w2 in pairs])
     v = np.array([[w1.imag, w2.imag] for w1, w2 in pairs])
-    text = cli._svg_paths(u, v, ((0, 1),))
+    text = cli._svg_paths(u, v, ((0, 1),)).decode("ascii")
     return [line.split('"')[1] for line in text.splitlines()]
 
 
@@ -468,6 +480,31 @@ def test_vectorized_segments_equal_scalar_oracle(pairs):
     assert got == [_edge_geometry(w1, w2) for w1, w2 in pairs]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(st.lists(_PAIRS, min_size=k, max_size=k), min_size=1, max_size=8)))
+@example([[(0.3 + 0.4j, -0.3 - 0.4j), (0.5 + 0j, 0.0 + 0.5j), (0.5 + 0j, 0.25 + 0j), (0.6 + 0.1j, -0.2 + 0.3j)]])
+@example([[_near_limit_pair(0.7, s, -1.0, 1.0) for s in (-1.0, 1.0, -1e-3, 1e-3)]])
+def test_mixed_edge_rows_equal_scalar_oracle_slot_by_slot(rows):
+    # edge e of a row runs from corner 2e to corner 2e + 1, so one row mixes straight edges and arcs
+    points = np.array([[w for pair in row for w in pair] for row in rows])
+    edges = tuple((2 * e, 2 * e + 1) for e in range(len(rows[0])))
+    lines = cli._svg_paths(points.real.copy(), points.imag.copy(), edges).decode("ascii").splitlines()
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        head, *segments, tail = re.split(r" (?=[ALZ])", line.split('"')[1])
+        assert head == f"M {row[0][0].real:.6f} {row[0][0].imag:.6f}" and tail == "Z"
+        assert len(segments) == len(row)
+        for segment, (w1, w2) in zip(segments, row):
+            state, radius = _edge_geometry(w1, w2)
+            words = segment.split()
+            if state:  # both radius slots hold the one formatted radius
+                assert words[:6] == ["A", f"{radius:.6f}", f"{radius:.6f}", "0", "0", str(state - 1)]
+            else:  # the radius slots and their separators are empty
+                assert words[0] == "L" and len(words) == 3
+            assert words[-2:] == [f"{w2.real:.6f}", f"{w2.imag:.6f}"]
+            assert segment == _disk_edge_path(w1, w2)
+
+
 def _number_texts(values) -> tuple[list[str], int]:
     """What `cli._number_words` writes for each value, and how many it handed to `%`."""
     x = np.array(values, dtype=float)
@@ -516,6 +553,14 @@ def test_number_words_hand_ties_and_non_finite_values_to_percent():
     assert _number_texts([99999999.0, -9999999.0])[0] == ["99999999.000000", "-9999999.000000"]
     with pytest.raises(ValueError, match="wider than 16"):
         _number_texts([1.0, -1e8])  # -100000000.000000
+
+
+def test_path_numbers_leave_room_for_their_space():
+    # a path keeps the space before a number in the first of its 16 bytes: 15 characters fit, 16 do not
+    u, v = np.array([[99999999.0, 0.5]]), np.array([[-0.25, 0.0]])
+    assert cli._svg_paths(u, v, ((0, 1),)).startswith(b'<path d="M 99999999.000000 -0.250000 ')
+    with pytest.raises(ValueError, match="cannot write -99999999.000000 into a path: wider than 15 characters"):
+        cli._svg_paths(-u, v, ((0, 1),))
 
 
 def test_disk_corners_are_the_scalar_floats():
@@ -594,6 +639,27 @@ def test_refused_tile_runs_leave_no_file(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "tiling.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "genus, depth, message",
+    [
+        (2, 9, "depth 9 spans > 1000000 candidate words for genus 2"),
+        (300000, 2, "depth 2 spans > 1000000 candidate words for genus 300000"),
+        (3000000, 1, "depth 1 spans > 1000000 candidate words for genus 3000000"),
+        (2, -1, "depth must be >= 0, got -1"),
+    ],
+)
+def test_oversized_tiling_is_refused_before_the_group_is_built(genus, depth, message, tmp_path, monkeypatch, capsys):
+    def not_built(params):
+        raise AssertionError("the guard refuses before the generators and the domain are built")
+
+    monkeypatch.setattr(cli, "make_generators", not_built)
+    monkeypatch.setattr(cli, "make_fundamental_domain", not_built)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "tile", "--g", str(genus), "--depth", str(depth))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "tiling.svg").exists()
+
+
 @functools.lru_cache(maxsize=None)
 def _oracle_svg_lines(genus: int, depth: int) -> tuple[str, ...]:
     dom = make_fundamental_domain(TilingParams(genus))
@@ -619,6 +685,19 @@ def test_tile_svg_is_byte_identical_to_scalar_rendering(genus, depth, tmp_path, 
         "</svg>",
     ]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("genus, depth", [(2, 3), (4, 1)])  # octagon and 16-gon rows
+def test_tile_svg_does_not_depend_on_the_block_size(genus, depth, tmp_path, monkeypatch, capsys):
+    argv = ["tile", "--g", str(genus), "--depth", str(depth), "--out"]
+    assert run(capsys, *argv, str(tmp_path / "default.svg"))[0] == 0
+    want = (tmp_path / "default.svg").read_bytes()
+    paths = want.splitlines()[2:-1]
+    assert paths == [line.encode() for line in _oracle_svg_lines(genus, {2: 4, 4: 2}[genus])[: len(paths)]]
+    for block in (1, 7, len(paths) + 1):  # tiles
+        monkeypatch.setattr(cli, "_SVG_BLOCK_CORNERS", block * 4 * genus)
+        assert run(capsys, *argv, str(tmp_path / f"{block}.svg"))[0] == 0
+        assert (tmp_path / f"{block}.svg").read_bytes() == want
 
 
 def test_tile_depth_zero_single_octagon(tmp_path, capsys):

@@ -21,6 +21,7 @@ from hyperband.tiling import (
     FundamentalDomain,
     GroupWord,
     TilingParams,
+    check_tiling_size,
     edge_pairing_defect,
     enumerate_tiles,
     make_fundamental_domain,
@@ -362,6 +363,22 @@ def test_enumerate_refuses_explosive_depth():
         enumerate_tiles(gens, 7)  # 8 * sum 7^l crosses 1e6 candidates
     with pytest.raises(ValueError):
         enumerate_tiles(gens, -1)
+
+
+def test_size_guard_refuses_from_genus_and_depth_alone():
+    # genus 2: 8 (7^6 - 1) / 6 = 156864 candidates at depth 6, 1098056 at depth 7
+    check_tiling_size(2, 6)
+    message = "depth 7 spans > 1000000 candidate words for genus 2"
+    with pytest.raises(ValueError, match=message):
+        check_tiling_size(2, 7)
+    with pytest.raises(ValueError, match=message):
+        enumerate_tiles(make_generators(TilingParams(2)), 7)
+    # depth 1 has 4g candidates: exactly 10^6 at genus 250000 passes
+    check_tiling_size(250000, 1)
+    with pytest.raises(ValueError, match="depth 1 spans > 1000000 candidate words for genus 250001"):
+        check_tiling_size(250001, 1)
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        check_tiling_size(2, -1)
 
 
 def test_enumerate_counts_follow_word_growth():
