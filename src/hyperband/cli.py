@@ -214,12 +214,12 @@ _FRAC_LOW = _digit_words(4)  # the last three decimals
 # flag 0 or 1), and the row's head and tail
 _ARC_WORDS = np.concatenate([np.zeros(1, dtype=np.uint64), _words(" A"), _words(" A")])
 _SWEEP_WORDS = np.concatenate([_words(" L"), _words(" 0 0 0"), _words(" 0 0 1")])
-_ROW_ENDS = np.concatenate([_words('<path d="M'), _words(' Z" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>\n')])
-_PATH_NUMBER_WIDTH = 15  # characters of a number in a path: its first byte holds the space
+_ROW_HEAD = _words('<path d="M')
+_ROW_TAIL = _words(' Z" fill="none" stroke="#1f3a5f" stroke-width="0.0025"/>\n')
 _SPACE = np.uint64(ord(" "))
 
 
-def _number_words(x: np.ndarray, out: np.ndarray, width: int = 16) -> int:
+def _number_words(x: np.ndarray, out: np.ndarray) -> int:
     """Write `'%.6f' % value` of every entry of `x` as two words into `out` (shape x.shape + (2,)).
 
     With y = |x| 10^6 and n = rint(y), `_INT_WORDS` gives the integer part
@@ -231,11 +231,10 @@ def _number_words(x: np.ndarray, out: np.ndarray, width: int = 16) -> int:
     exact ties, which `%` rounds half to even), integer parts of 10^4 or more
     and non-finite values are formatted by `%` one at a time, right-aligned
     in the two words; the count of them is returned.  A `%` text longer than
-    `width` characters, at most the two words' 16 bytes, is a ValueError, so
-    the first 16 - `width` bytes stay empty (a number from the digit tables,
-    at most 12 characters, leaves three).  Tile corners lie in the unit disk
-    and arc radii are at most `_ARC_RADIUS_LIMIT`, so `_svg_paths` never
-    meets one wider than `_PATH_NUMBER_WIDTH`.
+    15 characters is a ValueError, so the first byte stays empty for the
+    space before the number (a number from the digit tables, at most 12
+    characters, leaves three).  Tile corners lie in the unit disk and arc
+    radii are at most `_ARC_RADIUS_LIMIT`, so `_svg_paths` never meets one.
     """
     y = np.abs(x) * 1e6
     n = np.rint(y)
@@ -252,8 +251,8 @@ def _number_words(x: np.ndarray, out: np.ndarray, width: int = 16) -> int:
     at = np.nonzero(scalar)
     for index, value in zip(zip(*at), x[at].tolist()):
         text = ("%.6f" % value).encode("ascii")
-        if len(text) > width:
-            raise ValueError(f"cannot write {text.decode()} into a path: wider than {width} characters")
+        if len(text) > 15:
+            raise ValueError(f"cannot write {text.decode()} into a path: wider than 15 characters")
         out[index] = np.frombuffer(text.rjust(16, b"\0"), dtype="<u8")
     return len(at[0])
 
@@ -263,11 +262,13 @@ def _row_columns(vertices: int, edges) -> np.ndarray:
 
     A row of the word table in `_svg_paths` holds two words for each value
     (the u of every corner, then the v of every corner, then the radius of
-    every edge), one arc word and one sweep word for each edge, and `_ROW_ENDS`.
+    every edge), one arc word and one sweep word for each edge, `_ROW_HEAD`
+    and `_ROW_TAIL`.
     """
     k = len(edges)
     arcs = 2 * (2 * vertices + k)
-    sweeps, ends = arcs + k, arcs + 2 * k
+    sweeps, head = arcs + k, arcs + 2 * k
+    tail = head + len(_ROW_HEAD)
 
     def number(value: int) -> list[int]:
         return [2 * value, 2 * value + 1]
@@ -275,11 +276,11 @@ def _row_columns(vertices: int, edges) -> np.ndarray:
     def corner(c: int) -> list[int]:
         return number(c) + number(vertices + c)
 
-    columns = [ends, ends + 1, *corner(edges[0][0])]
+    columns = [*range(head, tail), *corner(edges[0][0])]
     for e, (_, j) in enumerate(edges):
         radius = number(2 * vertices + e)
         columns += [arcs + e, *radius, *radius, sweeps + e, *corner(j)]
-    columns += range(ends + 2, ends + len(_ROW_ENDS))
+    columns += range(tail, tail + len(_ROW_TAIL))
     return np.array(columns)
 
 
@@ -290,9 +291,10 @@ def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> bytes:
     `_number_words` call, into a table of words with one row per tile; the
     space before each number goes into its first byte, which is empty.  The
     table also holds each edge's `_ARC_WORDS` and `_SWEEP_WORDS` entry and
-    the `_ROW_ENDS` words, and a straight edge's radius words are zeroed.  A
-    path row is its table row's words in path order (`_row_columns`), and the
-    whole block becomes bytes in one `translate` that deletes the NUL bytes.
+    the `_ROW_HEAD` and `_ROW_TAIL` words, and a straight edge's radius words
+    are zeroed.  A path row is its table row's words in path order
+    (`_row_columns`), and the whole block becomes bytes in one `translate`
+    that deletes the NUL bytes.
     """
     state, radius = edge_states(u, v, edges)
     (n, m), k = u.shape, state.shape[1]
@@ -301,13 +303,16 @@ def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> bytes:
     # a straight edge's radius may be huge; 0.0 stands in for it, and its words are zeroed below
     values[:, 2 * m :] = np.where(state > 0, radius, 0.0)
     arcs = 2 * values.shape[1]  # the table's first arc word, after two words per value
-    table = np.empty((n, arcs + 2 * k + len(_ROW_ENDS)), dtype="<u8")
+    head = arcs + 2 * k  # the table's first `_ROW_HEAD` word
+    tail = head + len(_ROW_HEAD)  # its first `_ROW_TAIL` word
+    table = np.empty((n, tail + len(_ROW_TAIL)), dtype="<u8")
     words = table[:, :arcs].reshape(values.shape + (2,))  # a view: a row's number words are contiguous
-    _number_words(values, words, _PATH_NUMBER_WIDTH)
+    _number_words(values, words)
     words[..., 0] |= _SPACE
     words[:, 2 * m :][state == 0] = 0
-    table[:, arcs : -len(_ROW_ENDS)] = np.concatenate([_ARC_WORDS[state], _SWEEP_WORDS[state]], axis=1)
-    table[:, -len(_ROW_ENDS) :] = _ROW_ENDS
+    table[:, arcs:head] = np.concatenate([_ARC_WORDS[state], _SWEEP_WORDS[state]], axis=1)
+    table[:, head:tail] = _ROW_HEAD
+    table[:, tail:] = _ROW_TAIL
     return table[:, _row_columns(m, edges)].tobytes().translate(None, b"\0")
 
 

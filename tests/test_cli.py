@@ -551,7 +551,7 @@ def test_number_words_hand_ties_and_non_finite_values_to_percent():
     )
     assert _number_texts([0.5, 0.25, -0.125, 9999.0])[1] == 0
     assert _number_texts([99999999.0, -9999999.0])[0] == ["99999999.000000", "-9999999.000000"]
-    with pytest.raises(ValueError, match="wider than 16"):
+    with pytest.raises(ValueError, match="wider than 15"):
         _number_texts([1.0, -1e8])  # -100000000.000000
 
 
