@@ -14,18 +14,24 @@ the parsers here or the library alike) or an output that cannot be written
 `--out` before all output is written (`| head -1`): no traceback, and the
 rest of the output is dropped.
 
-The SVG paths are rows of 8-byte words: each `%.6f` number is looked up in
-digit tables (`_number_words`) instead of being formatted one at a time, each
-corner coordinate and arc radius once per tile, and the rows of a block of
-`_SVG_BLOCK_CORNERS` corners become the file's bytes in one `bytes.translate`.
-The SVG file is opened in binary mode, so no block is decoded and encoded
-again.
+Both file writers build their text as rows of 8-byte words looked up in digit
+tables instead of formatting each number with `%`, and turn each block of
+rows into the file's bytes with one `bytes.translate`; the file is opened in
+binary mode, so no block is decoded and encoded again.  An SVG path's `%.6f`
+numbers come from `_number_words`, each corner coordinate and arc radius once
+per tile, in blocks of `_SVG_BLOCK_CORNERS` corners.  A CSV row is its flux's
+`%.10g,` prefix, formatted once per flux, and its energy's `%.12g` from
+`_energy_words` in one fixed layout (integer part, '.', 15 fraction digits
+with the trailing zeros dropped), in blocks of about `_CSV_BLOCK_ROWS` rows.
+Rounding ties and the few values these layouts do not hold go through `%`,
+one at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import re
@@ -284,7 +290,7 @@ def _row_columns(vertices: int, edges) -> np.ndarray:
     return np.array(columns)
 
 
-def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> bytes:
+def _svg_paths(u: np.ndarray, v: np.ndarray, edges, columns: np.ndarray) -> bytes:
     """One `<path>` line per tile for corners (u, v) shaped (tiles, vertices), as ASCII bytes.
 
     Each corner's u and v and each edge's radius are formatted once, in one
@@ -292,9 +298,10 @@ def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> bytes:
     space before each number goes into its first byte, which is empty.  The
     table also holds each edge's `_ARC_WORDS` and `_SWEEP_WORDS` entry and
     the `_ROW_HEAD` and `_ROW_TAIL` words, and a straight edge's radius words
-    are zeroed.  A path row is its table row's words in path order
-    (`_row_columns`), and the whole block becomes bytes in one `translate`
-    that deletes the NUL bytes.
+    are zeroed.  A path row is its table row's words in path order,
+    `columns` (`_row_columns(vertices, edges)`, the same for every block), and
+    the whole block becomes bytes in one `translate` that deletes the NUL
+    bytes.
     """
     state, radius = edge_states(u, v, edges)
     (n, m), k = u.shape, state.shape[1]
@@ -313,7 +320,7 @@ def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> bytes:
     table[:, arcs:head] = np.concatenate([_ARC_WORDS[state], _SWEEP_WORDS[state]], axis=1)
     table[:, head:tail] = _ROW_HEAD
     table[:, tail:] = _ROW_TAIL
-    return table[:, _row_columns(m, edges)].tobytes().translate(None, b"\0")
+    return table[:, columns].tobytes().translate(None, b"\0")
 
 
 @contextlib.contextmanager
@@ -344,10 +351,11 @@ def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
     # corners block by block, so the array temporaries stay block-sized
     step = max(1, _SVG_BLOCK_CORNERS // len(dom.vertices))
     blocks = [disk_corners(tiles[lo : lo + step], dom) for lo in range(0, len(tiles), step)]
+    columns = _row_columns(len(dom.vertices), dom.edges)
     with _created(out, binary=True) as fh:
         fh.write(_SVG_HEAD)
         for u, v in blocks:
-            fh.write(_svg_paths(u, v, dom.edges))
+            fh.write(_svg_paths(u, v, dom.edges, columns))
         fh.write(b"</svg>\n")
     return len(tiles)
 
@@ -368,21 +376,135 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+# CSV rows per block: enough fluxes to make about this many rows.  Each
+# block is formatted and written at once, so its temporaries stay small; one
+# block for a whole sweep is slower than many
+_CSV_BLOCK_ROWS = 2048
+
+# An energy is four words: its integer part with the sign (an `_INT_WORDS`
+# entry), then '.' and 15 fraction digits in five 3-digit groups, with the
+# newline in the last word: '.' g1 g2 | g3 g4 | g5 '\n'.
+_DECADES = np.array([10.0**j for j in range(-4, 5)])
+_POWERS = np.array([float(10**k) for k in range(18)])  # 10^k, exact
+
+
+@functools.cache
+def _fraction_tables() -> tuple[np.ndarray, ...]:
+    """The word tables of the five fraction groups, built on first use.
+
+    Entry d (0..999) of a group's table is d in three digits; entry 1000 + d
+    is its stripped twin, without trailing '0' bytes and, in the first
+    group, without the '.' when no digit is left.  The last group is always
+    stripped, so its table is the stripped half only, with the newline.
+    """
+    d = np.arange(1000)
+    shown = 3 - (d % 10 == 0) - (d % 100 == 0) - (d == 0)  # digits left after stripping
+
+    def twins(words: np.ndarray, first_byte: int) -> np.ndarray:
+        end = np.where(shown > 0, first_byte + shown, 0).astype(np.uint64)
+        return np.concatenate([words, words & ((np.uint64(1) << np.uint64(8) * end) - np.uint64(1))])
+
+    return (
+        twins(_digit_words(1) | np.uint64(ord(".")), 1),
+        twins(_digit_words(4), 4),
+        twins(_digit_words(0), 0),
+        twins(_digit_words(3), 3),
+        twins(_digit_words(0), 0)[1000:] | np.uint64(ord("\n")) << np.uint64(24),
+    )
+
+
+def _energy_words(x: np.ndarray, out: np.ndarray) -> int:
+    """Write `'%.12g\\n' % value` of every entry of the 1-d `x` as four words into `out` (shape (len(x), 4)).
+
+    With X the decimal exponent of |x| rounded to 12 digits, `%.12g` prints
+    n = rint(|x| 10^(11 - X)) as 11 - X fraction digits, trailing zeros (and
+    a bare '.') dropped.  X is read off `_DECADES`; it is the exponent `%g`
+    uses when n lies in [10^11, 10^12), and the few entries whose n does
+    not (a rounding carry to the next decade, or |x| within an ulp of a
+    power of ten) go to `%`.  The float product y = |x| 10^(11 - X) is
+    within 2^-53 y of the exact one, so n is the correctly rounded value
+    unless |y - n| >= 0.5 - 2.3e-16 y.  The digits of n are laid out as 15
+    fraction digits for every X: the integer part
+    n // 10^(11 - X) indexes `_INT_WORDS` (the half with the '-' when the
+    sign bit is set), and the fraction, times 10^(X + 4), gives five 3-digit
+    groups; each group after which every group is zero comes from the
+    stripped twin in `_fraction_tables`.  Each floor of a quotient is exact,
+    every value being an integer below 10^15.  Those entries, near ties (the
+    exact ties among them, which `%` rounds half to even), X outside
+    [-4, 3] (where `%g` switches to exponent notation, or the integer part
+    has five digits), zeros and non-finite values are formatted by `%` one
+    at a time; the count of them is returned.
+    """
+    ax = np.abs(x)
+    exponent = np.searchsorted(_DECADES, ax, side="right") - 5  # nan sorts last
+    with np.errstate(invalid="ignore"):  # inf * 0, inf - inf
+        y = ax * _POWERS[11 - exponent]
+        n = np.rint(y)
+        scalar = ~((np.abs(y - n) < 0.5 - 2.3e-16 * y) & (n >= 1e11) & (n < 1e12) & (exponent >= -4) & (exponent <= 3))
+    n[scalar] = 0.0
+    scale = _POWERS[11 - exponent]
+    whole = np.floor(n / scale)
+    fraction = (n - whole * scale) * _POWERS[exponent + 4]  # the 15 fraction digits
+    groups = []
+    for k in (12, 9, 6, 3):
+        group = np.floor(fraction / _POWERS[k])
+        fraction -= group * _POWERS[k]
+        groups.append(group.astype(np.intp))
+    g1, g2, g3, g4, g5 = *groups, fraction.astype(np.intp)
+    # a group is stripped when every group after it is zero (the last always is)
+    s4 = g5 == 0
+    s3 = s4 & (g4 == 0)
+    s2 = s3 & (g3 == 0)
+    s1 = s2 & (g2 == 0)
+    t1, t2, t3, t4, t5 = _fraction_tables()
+    out[:, 0] = _INT_WORDS[whole.astype(np.intp) + 10**4 * np.signbit(x)]
+    out[:, 1] = t1[g1 + 1000 * s1] | t2[g2 + 1000 * s2]
+    out[:, 2] = t3[g3 + 1000 * s3] | t4[g4 + 1000 * s4]
+    out[:, 3] = t5[g5]
+    at = np.flatnonzero(scalar)
+    for i, value in zip(at.tolist(), x[at].tolist()):
+        out[i] = np.frombuffer((b"%.12g\n" % value).ljust(32, b"\0"), dtype="<u8")
+    return len(at)
+
+
+def _csv_rows(prefixes: list[bytes], energies: list[np.ndarray]) -> bytes:
+    """The CSV rows of a block of fluxes: the flux's prefix before each of its energies, as ASCII bytes.
+
+    A row is the prefix's words (NUL-padded to the block's longest) and the
+    energy's four `_energy_words`; the whole block becomes bytes in one
+    `translate` that deletes the NUL bytes.
+    """
+    width = -(-max(map(len, prefixes)) // 8)
+    heads = np.frombuffer(b"".join(p.ljust(8 * width, b"\0") for p in prefixes), dtype="<u8").reshape(-1, width)
+    x = np.concatenate(energies)
+    table = np.empty((len(x), width + 4), dtype="<u8")
+    table[:, :width] = np.repeat(heads, [len(e) for e in energies], axis=0)
+    _energy_words(x, table[:, width:])
+    return table.tobytes().translate(None, b"\0")
+
+
 def cmd_butterfly(args: argparse.Namespace) -> int:
     model = parse_model(args.model, args.m)
     start = time.perf_counter()
     sweep = butterfly_sweep(model, args.q_max, args.k_samples, args.seed)
-    samples = rows = 0
-    with _created(args.out) as fh:
-        fh.write("phi,energy\n")
+    samples = rows = pending = 0
+    prefixes: list[bytes] = []
+    energies: list[np.ndarray] = []
+    with _created(args.out, binary=True) as fh:
+        fh.write(b"phi,energy\n")
         # phi ascends from flux to flux, so a stable sort within each flux
         # writes the rows in (phi, energy) order
         for phi, spectra in sweep:
-            energies = np.sort(spectra, axis=None, kind="stable").tolist()
-            prefix = f"{phi:.10g},".replace("%", "%%")
-            fh.write((prefix + "%.12g\n") * len(energies) % tuple(energies))
+            prefixes.append(b"%.10g," % phi)
+            energies.append(np.sort(spectra, axis=None, kind="stable"))
             samples += len(spectra)
-            rows += len(energies)
+            rows += spectra.size
+            pending += spectra.size
+            if pending >= _CSV_BLOCK_ROWS:
+                fh.write(_csv_rows(prefixes, energies))
+                prefixes, energies, pending = [], [], 0
+        if prefixes:
+            fh.write(_csv_rows(prefixes, energies))
     elapsed = time.perf_counter() - start
     print(f"wrote {args.out}: {samples} samples, {rows} rows, {elapsed:.2f} s")
     return 0

@@ -34,6 +34,7 @@ from .halfplane import (
 
 _DEDUP_TOL = 1e-6
 _MAX_CANDIDATE_WORDS = 10**6
+_MAX_TILE_CORNERS = 16 * _MAX_CANDIDATE_WORDS  # g = 4 depth 5 has about 13.9M
 _TWO_PI = 2.0 * math.pi
 _ARC_RADIUS_LIMIT = 1e4  # straight-segment fallback for near-diameter geodesics
 
@@ -227,10 +228,13 @@ def _neighbour_pairs(keys, order, base_keys, base_order) -> tuple[np.ndarray, np
 
 
 def check_tiling_size(genus: int, depth: int) -> None:
-    """Refuse a negative depth, or one whose words span more than `_MAX_CANDIDATE_WORDS` candidates.
+    """Refuse a negative depth, or one past `_MAX_CANDIDATE_WORDS` candidates or `_MAX_TILE_CORNERS` corners.
 
-    The count depends on genus and depth alone, so a caller can refuse before
-    it builds the O(genus) generators and fundamental domain.
+    The corner bound counts (1 + candidates) tiles of 4g corners each: a
+    large genus has few candidates at depth 1 but a 4g-gon per tile, and
+    `tile` holds every corner before it writes.  Both counts depend on genus
+    and depth alone, so a caller can refuse before it builds the O(genus)
+    generators and fundamental domain.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -240,6 +244,8 @@ def check_tiling_size(genus: int, depth: int) -> None:
         candidates += n_letters * (n_letters - 1) ** (length - 1)
         if candidates > _MAX_CANDIDATE_WORDS:
             raise ValueError(f"depth {depth} spans > {_MAX_CANDIDATE_WORDS} candidate words for genus {genus}")
+    if (1 + candidates) * n_letters > _MAX_TILE_CORNERS:
+        raise ValueError(f"depth {depth} spans > {_MAX_TILE_CORNERS} tile corners for genus {genus}")
 
 
 def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Exit codes, report text, SVG and CSV artifacts of the command-line front end."""
 
+import decimal
 import functools
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +19,11 @@ from hypothesis import strategies as st
 import hyperband
 from hyperband import checks, cli
 from hyperband.checks import assemble_block, eigenvalues
-from hyperband.cli import main, parse_config_file
+from hyperband.cli import main, parse_config_file, parse_model
 from hyperband.halfplane import HPoint, Sl2Element, moebius_act, moebius_rows
 from hyperband.magnetic import FluxParam, max_or_nan
-from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, ReducedHarper, model_spectrum
+from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, ReducedHarper, butterfly_sweep
+from hyperband.spectrum import model_spectrum
 from hyperband.tiling import (
     _ARC_RADIUS_LIMIT,
     _TWO_PI,
@@ -399,11 +402,16 @@ def _tile_path(dom: FundamentalDomain, tile: Sl2Element) -> str:
     return " ".join(parts)
 
 
+def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> bytes:
+    """`cli._svg_paths` of one block, with the row columns `render_tiling_svg` builds for its edges."""
+    return cli._svg_paths(u, v, edges, cli._row_columns(u.shape[1], edges))
+
+
 def _vector_paths(pairs) -> list[str]:
     """`d` attributes the CLI formats for one-edge paths w1 -> w2, in one batch."""
     u = np.array([[w1.real, w2.real] for w1, w2 in pairs])
     v = np.array([[w1.imag, w2.imag] for w1, w2 in pairs])
-    text = cli._svg_paths(u, v, ((0, 1),)).decode("ascii")
+    text = _svg_paths(u, v, ((0, 1),)).decode("ascii")
     return [line.split('"')[1] for line in text.splitlines()]
 
 
@@ -488,7 +496,7 @@ def test_mixed_edge_rows_equal_scalar_oracle_slot_by_slot(rows):
     # edge e of a row runs from corner 2e to corner 2e + 1, so one row mixes straight edges and arcs
     points = np.array([[w for pair in row for w in pair] for row in rows])
     edges = tuple((2 * e, 2 * e + 1) for e in range(len(rows[0])))
-    lines = cli._svg_paths(points.real.copy(), points.imag.copy(), edges).decode("ascii").splitlines()
+    lines = _svg_paths(points.real.copy(), points.imag.copy(), edges).decode("ascii").splitlines()
     assert len(lines) == len(rows)
     for line, row in zip(lines, rows):
         head, *segments, tail = re.split(r" (?=[ALZ])", line.split('"')[1])
@@ -558,9 +566,9 @@ def test_number_words_hand_ties_and_non_finite_values_to_percent():
 def test_path_numbers_leave_room_for_their_space():
     # a path keeps the space before a number in the first of its 16 bytes: 15 characters fit, 16 do not
     u, v = np.array([[99999999.0, 0.5]]), np.array([[-0.25, 0.0]])
-    assert cli._svg_paths(u, v, ((0, 1),)).startswith(b'<path d="M 99999999.000000 -0.250000 ')
+    assert _svg_paths(u, v, ((0, 1),)).startswith(b'<path d="M 99999999.000000 -0.250000 ')
     with pytest.raises(ValueError, match="cannot write -99999999.000000 into a path: wider than 15 characters"):
-        cli._svg_paths(-u, v, ((0, 1),))
+        _svg_paths(-u, v, ((0, 1),))
 
 
 def test_disk_corners_are_the_scalar_floats():
@@ -645,6 +653,7 @@ def test_refused_tile_runs_leave_no_file(tmp_path, monkeypatch, capsys):
         (2, 9, "depth 9 spans > 1000000 candidate words for genus 2"),
         (300000, 2, "depth 2 spans > 1000000 candidate words for genus 300000"),
         (3000000, 1, "depth 1 spans > 1000000 candidate words for genus 3000000"),
+        (30000, 1, "depth 1 spans > 16000000 tile corners for genus 30000"),
         (2, -1, "depth must be >= 0, got -1"),
     ],
 )
@@ -846,6 +855,91 @@ def test_butterfly_streamed_rows_equal_a_global_sort(tmp_path, monkeypatch, caps
     reference = "phi,energy\n" + "".join(f"{phi:.10g},{energy:.12g}\n" for phi, energy in rows)
     assert out.read_bytes() == reference.encode()
     assert b"-0\n" in out.read_bytes()
+
+
+def _energy_texts(values) -> tuple[list[str], int]:
+    """What `cli._energy_words` writes for each value, and how many it handed to `%`."""
+    x = np.array(values, dtype=float)
+    out = np.zeros(x.shape + (4,), dtype="<u8")
+    scalar = cli._energy_words(x, out)
+    return [words.tobytes().translate(None, b"\0").decode("ascii") for words in out], scalar
+
+
+def _must_take_percent_g(x: float) -> bool:
+    # non-finite, zero, a rounded exponent outside [-4, 3], or an exact tie at the twelfth digit
+    if not math.isfinite(x) or x == 0.0:
+        return True
+    exponent = decimal.Decimal("%.12g" % x).adjusted()
+    return not -4 <= exponent <= 3 or (Fraction(abs(x)) * Fraction(10) ** (11 - exponent)).denominator == 2
+
+
+_POWER_NEIGHBOURS = [
+    float(np.nextafter(s * float(f"1e{j}"), s * side))
+    for j in range(-5, 5)
+    for s in (1.0, -1.0)
+    for side in (0.0, math.inf)
+]
+# decimal near-ties just below a decade, 99...95 10^-k: a carry to the next decade decided by a rounded product
+_DECADE_TIES = [s * (10**12 - 0.5) / 10**k for k in range(8, 16) for s in (1.0, -1.0)]
+# k / 2^j with 13 significant digits, the last a 5: exact ties, at exponents -4, 0 and 3
+_DYADIC_TIES = [7 / 2**16, -7 / 2**16, 4097 / 2**12, 512001 / 2**9, -512001 / 2**9]
+_ENERGY = st.one_of(
+    st.floats(-10, 10),  # subnormals included
+    st.floats(-1e4, 1e4),
+    # decimal ties (m + 1/2) 10^-k at the twelfth digit: the float sits just off the tie
+    st.builds(lambda m, k, s: s * (m + 0.5) / 10**k, st.integers(10**11, 10**12 - 1), st.integers(8, 15), _SIGN),
+    # dyadic values k / 2^j; those with 13 significant digits ending in 5 are exact ties
+    st.builds(lambda k, j: k / 2.0**j, st.integers(-(2**26), 2**26), st.integers(9, 16)),
+    st.sampled_from(_POWER_NEIGHBOURS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENERGY, min_size=1, max_size=24))
+@example([-0.0, 0.0, 1e-4, 9.99999999999995e-5, 1e-5, 9999.99999999995, 1e4, math.nan, math.inf, -math.inf])
+@example(_POWER_NEIGHBOURS)
+@example(_DECADE_TIES)
+@example(_DYADIC_TIES + [0.5, -1.25, 3.0, 1000.0, 0.0001, 1234.5678])
+def test_energy_words_are_percent_twelve_g(values):
+    text, scalar = _energy_texts(values)
+    assert text == ["%.12g\n" % x for x in values]
+    alone = [_energy_texts([x])[1] for x in values]
+    assert scalar == sum(alone)
+    assert all(count == 1 for x, count in zip(values, alone) if _must_take_percent_g(x))
+
+
+def test_energy_words_hand_ties_zeros_and_wide_exponents_to_percent():
+    assert _energy_texts(_DYADIC_TIES) == (["%.12g\n" % x for x in _DYADIC_TIES], 5)
+    assert _energy_texts([0.0, -0.0, 1e-5, 1e4, math.nan]) == (["0\n", "-0\n", "1e-05\n", "10000\n", "nan\n"], 5)
+    assert _energy_texts([0.5, -1.25, 3.0, 1e-4, 9999.5, -0.1]) == (
+        ["0.5\n", "-1.25\n", "3\n", "0.0001\n", "9999.5\n", "-0.1\n"],
+        0,
+    )
+
+
+def _percent_csv(sweep) -> bytes:
+    """The CSV as a per-flux `%` format writes it: the reference for `cli._csv_rows`."""
+    parts = ["phi,energy\n"]
+    for phi, spectra in sweep:
+        energies = np.sort(spectra, axis=None, kind="stable").tolist()
+        prefix = f"{phi:.10g},".replace("%", "%%")
+        parts.append((prefix + "%.12g\n") * len(energies) % tuple(energies))
+    return "".join(parts).encode("ascii")
+
+
+@pytest.mark.parametrize("model, m", [("reduced", 0), ("reduced", 5), ("block-aniso", None), ("block-iso", None)])
+def test_butterfly_csv_is_byte_identical_to_percent_writer(model, m, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "sweep.csv"
+    sector = [] if m is None else ["--m", str(m)]
+    argv = ["butterfly", "--model", model, *sector, "--q-max", "12", "--k-samples", "2", "--out", str(out)]
+    want = _percent_csv(butterfly_sweep(parse_model(model, m), 12, 2, 0))
+    assert run(capsys, *argv)[0] == 0
+    assert out.read_bytes() == want
+    # a block ends after the flux that reaches `_CSV_BLOCK_ROWS` rows: one flux a block, or a few
+    for rows in (1, 100):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", rows)
+        assert run(capsys, *argv)[0] == 0
+        assert out.read_bytes() == want
 
 
 def test_butterfly_solver_failure_exits_1(tmp_path, monkeypatch, capsys):

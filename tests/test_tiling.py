@@ -373,10 +373,17 @@ def test_size_guard_refuses_from_genus_and_depth_alone():
         check_tiling_size(2, 7)
     with pytest.raises(ValueError, match=message):
         enumerate_tiles(make_generators(TilingParams(2)), 7)
-    # depth 1 has 4g candidates: exactly 10^6 at genus 250000 passes
-    check_tiling_size(250000, 1)
+    # depth 1 has 4g candidates: genus 250001 is past 10^6 of them
     with pytest.raises(ValueError, match="depth 1 spans > 1000000 candidate words for genus 250001"):
         check_tiling_size(250001, 1)
+    # and (1 + 4g) 4g corners: 3997 * 3996 = 15972012 at genus 999 pass, 4001 * 4000 at genus 1000 do not,
+    # nor do the 10^6 + 1 tiles of 10^6 corners at genus 250000, exactly 10^6 candidates
+    check_tiling_size(999, 1)
+    for genus in (1000, 250000):
+        with pytest.raises(ValueError, match=f"depth 1 spans > 16000000 tile corners for genus {genus}"):
+            check_tiling_size(genus, 1)
+    # genus 4 depth 5: 16 (15^5 - 1) / 14 = 867856 candidates, (1 + 867856) 16 = 13885712 corners
+    check_tiling_size(4, 5)
     with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
         check_tiling_size(2, -1)
 
