@@ -324,13 +324,13 @@ def _svg_paths(u: np.ndarray, v: np.ndarray, edges, columns: np.ndarray) -> byte
 
 
 @contextlib.contextmanager
-def _created(path: str, binary: bool = False):
-    """`path` opened for writing, as UTF-8 text or `binary`.
+def _created(path: str):
+    """`path` opened for writing bytes.
 
     An OSError while it is open names `path`, so `main` tells it from stdout.
     """
     try:
-        with open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             yield fh
     except OSError as exc:
         exc.filename = exc.filename or path
@@ -352,7 +352,7 @@ def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
     step = max(1, _SVG_BLOCK_CORNERS // len(dom.vertices))
     blocks = [disk_corners(tiles[lo : lo + step], dom) for lo in range(0, len(tiles), step)]
     columns = _row_columns(len(dom.vertices), dom.edges)
-    with _created(out, binary=True) as fh:
+    with _created(out) as fh:
         fh.write(_SVG_HEAD)
         for u, v in blocks:
             fh.write(_svg_paths(u, v, dom.edges, columns))
@@ -490,7 +490,7 @@ def cmd_butterfly(args: argparse.Namespace) -> int:
     samples = rows = pending = 0
     prefixes: list[bytes] = []
     energies: list[np.ndarray] = []
-    with _created(args.out, binary=True) as fh:
+    with _created(args.out) as fh:
         fh.write(b"phi,energy\n")
         # phi ascends from flux to flux, so a stable sort within each flux
         # writes the rows in (phi, energy) order

@@ -922,8 +922,7 @@ def _percent_csv(sweep) -> bytes:
     parts = ["phi,energy\n"]
     for phi, spectra in sweep:
         energies = np.sort(spectra, axis=None, kind="stable").tolist()
-        prefix = f"{phi:.10g},".replace("%", "%%")
-        parts.append((prefix + "%.12g\n") * len(energies) % tuple(energies))
+        parts.append((f"{phi:.10g}," + "%.12g\n") * len(energies) % tuple(energies))
     return "".join(parts).encode("ascii")
 
 
