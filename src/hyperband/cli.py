@@ -231,11 +231,15 @@ def _number_words(x: np.ndarray, out: np.ndarray) -> int:
     With y = |x| 10^6 and n = rint(y), `_INT_WORDS` gives the integer part
     n // 10^6 from the half with the '-' when the sign bit is set (so -0.0
     and negatives that round to zero print -0.000000, as `%` does), and
-    `_FRAC_HIGH` | `_FRAC_LOW` give the six decimals.  The float product y
-    is within 2^-53 y of the exact |x| 10^6, so n is the correctly rounded
-    value unless |y - n| >= 0.5 - 2.3e-16 y.  Those entries (among them the
-    exact ties, which `%` rounds half to even), integer parts of 10^4 or more
-    and non-finite values are formatted by `%` one at a time, right-aligned
+    `_FRAC_HIGH` | `_FRAC_LOW` give the six decimals.  y is the exact
+    |x| 10^6 correctly rounded, since 10^6 is a float.  Rounding is
+    monotone and n +- 1/2 are floats (n < 10^10 < 2^52), so the exact
+    product reaching n + 1/2 would round to y >= n + 1/2, and likewise
+    below: |y - n| < 1/2 puts the exact product strictly within 1/2 of n,
+    which is then the correctly rounded value.  Entries with |y - n| = 1/2
+    (among them the exact ties, which `%` rounds half to even), integer
+    parts of 10^4 or more and non-finite values are formatted by `%` one at
+    a time, right-aligned
     in the two words; the count of them is returned.  A `%` text longer than
     15 characters is a ValueError, so the first byte stays empty for the
     space before the number (a number from the digit tables, at most 12
@@ -245,7 +249,7 @@ def _number_words(x: np.ndarray, out: np.ndarray) -> int:
     y = np.abs(x) * 1e6
     n = np.rint(y)
     with np.errstate(invalid="ignore"):  # inf - inf
-        scalar = ~((np.abs(y - n) < 0.5 - 2.3e-16 * y) & (n < 1e10))
+        scalar = ~((np.abs(y - n) < 0.5) & (n < 1e10))
     n[scalar] = 0.0
     # n = 10^6 whole + 10^3 high + low; each floor of a quotient is exact below 10^10
     whole = np.floor(n / 1e6)
@@ -421,26 +425,30 @@ def _energy_words(x: np.ndarray, out: np.ndarray) -> int:
     a bare '.') dropped.  X is read off `_DECADES`; it is the exponent `%g`
     uses when n lies in [10^11, 10^12), and the few entries whose n does
     not (a rounding carry to the next decade, or |x| within an ulp of a
-    power of ten) go to `%`.  The float product y = |x| 10^(11 - X) is
-    within 2^-53 y of the exact one, so n is the correctly rounded value
-    unless |y - n| >= 0.5 - 2.3e-16 y.  The digits of n are laid out as 15
-    fraction digits for every X: the integer part
-    n // 10^(11 - X) indexes `_INT_WORDS` (the half with the '-' when the
-    sign bit is set), and the fraction, times 10^(X + 4), gives five 3-digit
+    power of ten) go to `%`.  The float product y = |x| 10^(11 - X) is the
+    exact product correctly rounded, since 10^(11 - X) <= 10^15 is a
+    float.  Rounding is monotone and n +- 1/2 are floats (n < 10^12 <
+    2^52), so the exact product reaching n + 1/2 would round to y >= n + 1/2,
+    and likewise below: |y - n| < 1/2 puts the exact product strictly
+    within 1/2 of n, which is then the correctly rounded value.  The
+    digits of n are laid out as 15 fraction digits for every X: the
+    integer part n // 10^(11 - X) indexes `_INT_WORDS` (the half with the
+    '-' when the sign bit is set), and the fraction, times 10^(X + 4), gives five 3-digit
     groups; each group after which every group is zero comes from the
     stripped twin in `_fraction_tables`.  Each floor of a quotient is exact,
-    every value being an integer below 10^15.  Those entries, near ties (the
-    exact ties among them, which `%` rounds half to even), X outside
-    [-4, 3] (where `%g` switches to exponent notation, or the integer part
-    has five digits), zeros and non-finite values are formatted by `%` one
-    at a time; the count of them is returned.
+    every value being an integer below 10^15.  The entries whose n falls
+    outside [10^11, 10^12), those with |y - n| = 1/2 (the exact ties among
+    them, which `%` rounds half to even), X outside [-4, 3] (where `%g`
+    switches to exponent notation, or the integer part has five digits),
+    zeros and non-finite values are formatted by `%` one at a time; the
+    count of them is returned.
     """
     ax = np.abs(x)
     exponent = np.searchsorted(_DECADES, ax, side="right") - 5  # nan sorts last
     with np.errstate(invalid="ignore"):  # inf * 0, inf - inf
         y = ax * _POWERS[11 - exponent]
         n = np.rint(y)
-        scalar = ~((np.abs(y - n) < 0.5 - 2.3e-16 * y) & (n >= 1e11) & (n < 1e12) & (exponent >= -4) & (exponent <= 3))
+        scalar = ~((np.abs(y - n) < 0.5) & (n >= 1e11) & (n < 1e12) & (exponent >= -4) & (exponent <= 3))
     n[scalar] = 0.0
     scale = _POWERS[11 - exponent]
     whole = np.floor(n / scale)

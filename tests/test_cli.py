@@ -538,12 +538,24 @@ _PATH_NUMBER = st.one_of(
 _TIES = [k / 128 for k in (1, 3, -3, 5, 127, 129, 1279999, -1279999)] + [k / 2.0**20 for k in (1, 3, 8191, 8193, -24575)]
 
 
+def _with_neighbours(values: list[float]) -> list[float]:
+    """Each value and the floats on either side of it."""
+    return [float(np.nextafter(x, side)) for x in values for side in (-math.inf, x, math.inf)]
+
+
+# decimal near-ties (n + 1/2) 10^-6 and their neighbours: |y - n| < 1/2 alone must decide the rounding
+_DECIMAL_NEAR_TIES = _with_neighbours(
+    [s * (n + 0.5) / 1e6 for n in (0, 1, 2, 12345, 999999, 10**10 - 1) for s in (1.0, -1.0)]
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_PATH_NUMBER, min_size=1, max_size=24))
 @example([-0.0, -1e-9, -4e-7, 0.0, 5e-324])
 @example(_TIES)
 @example([2.5e-06, 1.25e-05, -2.05e-05, 0.0234375, 9999.9999995, 1e4, -1e4, 9999.999999, -9999.999999])
 @example([math.nan, math.inf, -math.inf, 1.0, -1.0])
+@example(_DECIMAL_NEAR_TIES)
 def test_number_words_are_percent_six_f(values):
     text, scalar = _number_texts(values)
     assert text == ["%.6f" % x for x in values]
@@ -883,6 +895,10 @@ _POWER_NEIGHBOURS = [
 _DECADE_TIES = [s * (10**12 - 0.5) / 10**k for k in range(8, 16) for s in (1.0, -1.0)]
 # k / 2^j with 13 significant digits, the last a 5: exact ties, at exponents -4, 0 and 3
 _DYADIC_TIES = [7 / 2**16, -7 / 2**16, 4097 / 2**12, 512001 / 2**9, -512001 / 2**9]
+# decimal near-ties (m + 1/2) 10^-k at the twelfth digit and their neighbours, at every exponent in [-4, 3]
+_TWELFTH_DIGIT_NEAR_TIES = _with_neighbours(
+    [s * (m + 0.5) / 10**k for k in range(8, 16) for m in (10**11, 123456789012, 10**12 - 1) for s in (1.0, -1.0)]
+)
 _ENERGY = st.one_of(
     st.floats(-10, 10),  # subnormals included
     st.floats(-1e4, 1e4),
@@ -900,6 +916,7 @@ _ENERGY = st.one_of(
 @example(_POWER_NEIGHBOURS)
 @example(_DECADE_TIES)
 @example(_DYADIC_TIES + [0.5, -1.25, 3.0, 1000.0, 0.0001, 1234.5678])
+@example(_TWELFTH_DIGIT_NEAR_TIES)
 def test_energy_words_are_percent_twelve_g(values):
     text, scalar = _energy_texts(values)
     assert text == ["%.12g\n" % x for x in values]
