@@ -3,10 +3,10 @@
 Every check takes its sample inputs (genera, fields, points, momenta, flux
 pairs) and returns the worst defect over them, NaN when any defect is NaN.
 An empty sample list is a ValueError that names the list.
-The operator-algebra checks build their residual polynomials once per field
-and check (commutator or generator), then evaluate them at each sample point;
-the operator images those polynomials are formed from are built once per
-field and shared by all three algebra lines (`magnetic._basis_images`).
+The operator-algebra checks form one residual matrix per field and check
+(commutator or generator) on the cubic basis, then evaluate it at every
+sample point in one product (`magnetic.commutator_residual` and the two
+Hamiltonian residuals); no operator image is kept from one call to the next.
 `TOLERANCES` holds the `verify` bounds that `--tol NAME=VALUE` overrides;
 the acceptance criteria that have a matching check read these defaults.
 `run_suite` runs the `verify` table `SUITE` on samples drawn from the

@@ -22,19 +22,28 @@ continuous branch.  Products of such flows realize a magnetic deformation of
 the Fuchsian group: the defining relation no longer closes to 1 but to the
 flux phase e^{i 4(g-1) pi B}.
 
-The second half of the module is an exact polynomial calculus used to verify
-the commutation relations, the generator form of the Landau Hamiltonian, and
-the weighted (automorphy-twisted) actions, all without finite differences.
+The second half of the module verifies the commutation relations, the
+generator form of the Landau Hamiltonian, and the weighted
+(automorphy-twisted) actions, all without finite differences.  Every
+operator is linear and raises the polynomial degree by at most one, so it is
+written once as terms c B^p x^a y^b dx^m dy^n, and the residuals are
+matrices on the monomials x^i y^j: products of operator matrices applied to
+the cubic basis, then evaluated at every sample point at once.  `Poly2` is
+the exact polynomial calculus that the weighted actions use and that the
+tests hold the matrices against.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
+
+import numpy as np
 
 from .halfplane import HPoint, Sl2Element, exp_s, exp_t, exp_u, hyperbolic_distance, moebius_act
 from .tiling import TilingParams, relation_word, scaling_parameter
@@ -369,22 +378,122 @@ def _apply(op: DiffOpId, f: Poly2, B: float) -> Poly2:
     raise ValueError(f"unknown operator {op!r}")
 
 
-def _generator_form(f: Poly2, sf: Poly2, tf: Poly2, uf: Poly2, uuf: Poly2, B: float) -> Poly2:
-    # H = 1/(2m) (T_B (S_B - T_B) - 1/4 U_B^2 - 1/2 U_B + B^2), m = 1, from f and
-    # its images sf = S_B f, tf = T_B f, uf = U_B f, uuf = U_B U_B f
-    first = _apply(DiffOpId.T_B, sf - tf, B)
-    return 0.5 * (first - 0.25 * uuf - 0.5 * uf + (B * B) * f)
-
-
 def _apply_hamiltonian_generator_form(f: Poly2, B: float) -> Poly2:
-    """H in generator form applied to any f, without the image table (the tests' reference)."""
+    """H = 1/(2m) (T_B (S_B - T_B) - 1/4 U_B^2 - 1/2 U_B + B^2), m = 1, applied to f (the tests' reference)."""
     sf, tf, uf = (_apply(op, f, B) for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B))
-    return _generator_form(f, sf, tf, uf, _apply(DiffOpId.U_B, uf, B), B)
+    first = _apply(DiffOpId.T_B, sf - tf, B)
+    return 0.5 * (first - 0.25 * _apply(DiffOpId.U_B, uf, B) - 0.5 * uf + (B * B) * f)
 
 
 def apply_diff_operator(op: DiffOpId, f: Poly2, z: HPoint, B: float) -> complex:
     """Operator applied to a polynomial test function, evaluated at z."""
     return _apply(op, f, B)(z.x, z.y)
+
+
+# ---------------------------------------------------------------- operator matrices
+
+# Each operator as terms (p, c, (a, b, m, n)), the term c B^p x^a y^b dx^m dy^n.
+_PARTIAL_X = (0, 1.0, (0, 0, 1, 0))
+_S_FIELD_FREE = (_PARTIAL_X, (0, 1.0, (2, 0, 1, 0)), (0, -1.0, (0, 2, 1, 0)), (0, 2.0, (1, 1, 0, 1)))
+_U_FIELD_FREE = ((0, 2.0, (1, 0, 1, 0)), (0, 2.0, (0, 1, 0, 1)))
+_TERMS: dict[DiffOpId, tuple[tuple[int, complex, tuple[int, int, int, int]], ...]] = {
+    DiffOpId.S_B: (*_S_FIELD_FREE, (1, 2j, (0, 1, 0, 0))),
+    DiffOpId.T_B: (_PARTIAL_X,),
+    DiffOpId.U_B: _U_FIELD_FREE,
+    DiffOpId.S_check: (*_S_FIELD_FREE, (1, 2.0, (1, 0, 0, 0)), (1, 2j, (0, 1, 0, 0))),
+    DiffOpId.T_check: (_PARTIAL_X,),
+    DiffOpId.U_check: (*_U_FIELD_FREE, (1, 2.0, (0, 0, 0, 0))),
+    DiffOpId.H_continuum: (
+        (0, -0.5, (0, 2, 2, 0)),
+        (0, -0.5, (0, 2, 0, 2)),
+        (1, 1j, (0, 1, 1, 0)),
+        (2, 0.5, (0, 0, 0, 0)),
+    ),
+}
+
+# The monomials x^i y^j with i + j <= 6, by degree and then by falling i:
+# x^i y^j is number d (d + 1)/2 + j with d = i + j, the first ten are
+# `POLY_BASIS` in order, and those of degree <= d are the first `_SIZES[d]`.
+# An operator's matrix maps the monomials of degree <= 5 (its columns) to
+# those of degree <= 6 (its rows).  Every term raises the degree by at most
+# one, so a column holds the whole image; the residuals never apply an
+# operator to anything of degree 6.
+_MONOMIALS = tuple((i, d - i) for d in range(7) for i in range(d, -1, -1))
+_SIZES = tuple((d + 1) * (d + 2) // 2 for d in range(7))
+_CUBICS = _SIZES[3]
+
+
+@functools.cache
+def _term_entries(a: int, b: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero entries of the matrix of x^a y^b dx^m dy^n, as (flat index, value).
+
+    The term takes column x^i y^j to row x^(i-m+a) y^(j-n+b) with value
+    i!/(i-m)! j!/(j-n)!.
+    """
+    entries = []
+    for col, (i, j) in enumerate(_MONOMIALS[: _SIZES[5]]):
+        if i >= m and j >= n:
+            d = i - m + a + j - n + b  # the image's degree
+            entries.append(((d * (d + 1) // 2 + j - n + b) * _SIZES[5] + col, math.perm(i, m) * math.perm(j, n)))
+    return tuple(entries)
+
+
+@functools.cache
+def _operator_entries(op: DiffOpId) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """The field-free entries of `op`'s matrix by power p of B: (p, flat indices, coefficients).
+
+    The terms of one power that meet in an entry are summed, exactly, being
+    small integers or their halves.
+    """
+    by_power: dict[int, dict[int, complex]] = {}
+    for power, coeff, term in _TERMS[op]:
+        entries = by_power.setdefault(power, {})
+        for flat, value in _term_entries(*term):
+            entries[flat] = entries.get(flat, 0.0) + coeff * value
+    parts = []
+    for power, entries in sorted(by_power.items()):
+        index, coeffs = np.array(list(entries)), np.array(list(entries.values()), dtype=complex)
+        index.flags.writeable = coeffs.flags.writeable = False  # shared by every caller
+        parts.append((power, index, coeffs))
+    return tuple(parts)
+
+
+def _operator_matrix(op: DiffOpId, B: float) -> np.ndarray:
+    """The matrix of `op` at field B; a field-free term never sees B, not even a NaN one."""
+    matrix = np.zeros(_SIZES[6] * _SIZES[5], dtype=complex)
+    for power, index, coeffs in _operator_entries(op):
+        matrix[index] += coeffs if power == 0 else (B if power == 1 else B * B) * coeffs
+    return matrix.reshape(_SIZES[6], _SIZES[5])
+
+
+@functools.cache
+def _exponents() -> tuple[np.ndarray, np.ndarray]:
+    """The exponents i and j of `_MONOMIALS`, as arrays."""
+    exponents = np.array(_MONOMIALS).T
+    exponents.flags.writeable = False  # shared by every caller
+    return tuple(exponents)
+
+
+def _product(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
+    """a b, where the columns of b have degree <= `degree`: only the rows of b that can be nonzero take part."""
+    k = _SIZES[degree]
+    return np.einsum("ij,jk->ik", a[:, :k], b[:k])
+
+
+_GENERATORS = (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
+
+
+def _hamiltonian_columns(generators: list[np.ndarray], B: float, degree: int) -> np.ndarray:
+    """The columns of H in generator form for the monomials of degree <= `degree`.
+
+    H = 1/(2m) (T_B (S_B - T_B) - 1/4 U_B^2 - 1/2 U_B + B^2), m = 1, from
+    the matrices of S_B, T_B and U_B.  H keeps the degree of what it acts on.
+    """
+    s, t, u = generators
+    k = _SIZES[degree]
+    inner = _product(t, s[:, :k] - t[:, :k], degree + 1) - 0.25 * _product(u, u[:, :k], degree) - 0.5 * u[:, :k]
+    inner[range(k), range(k)] += B * B
+    return 0.5 * inner
 
 
 def max_or_nan(values: Iterable[float]) -> float:
@@ -399,74 +508,31 @@ def max_or_nan(values: Iterable[float]) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-# The letter of an operator word that stands for H in generator form; the
-# other letters are `DiffOpId` members.
-_H_GENERATOR = "H_generator"
+def _worst_at_points(residual: np.ndarray, points: Iterable[HPoint]) -> float:
+    """Max over the cubic basis (the columns of `residual`) and the points of |residual f(z)|, NaN if any is NaN.
 
-_Word = tuple[DiffOpId | str, ...]
-
-
-class _BasisImages:
-    """Images of the `POLY_BASIS` polynomials under operator words at one field B, each built once.
-
-    `image(word, i)` applies the letters of `word` in order to basis
-    polynomial i: `(S_B, T_B)` is T_B S_B f_i.  Each image is built from its
-    prefix's image with the operations of the uncached expression, so it is
-    the same polynomial, coefficient order included, and every residual
-    formed from images is the same float.
+    All ten residual polynomials are evaluated at every point in one product.
     """
-
-    def __init__(self, B: float):
-        self.B = B
-        self._table: dict[tuple[_Word, int], Poly2] = {}
-
-    def image(self, word: _Word, i: int) -> Poly2:
-        poly = self._table.get((word, i))
-        if poly is None:
-            prefix, op = word[:-1], word[-1]
-            f = self.image(prefix, i) if prefix else POLY_BASIS[i]
-            if op == _H_GENERATOR:
-                s, t, u = DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B
-                sf, tf, uf, uuf = (self.image(prefix + w, i) for w in ((s,), (t,), (u,), (u, u)))
-                poly = _generator_form(f, sf, tf, uf, uuf, self.B)
-            else:
-                poly = _apply(op, f, self.B)
-            self._table[(word, i)] = poly
-        return poly
+    xy = np.array([(z.x, z.y) for z in points], dtype=float).reshape(-1, 2)
+    i, j = _exponents()
+    values = xy[:, :1] ** i * xy[:, 1:] ** j
+    # real values times the real and imaginary parts side by side: no cast of the values to complex
+    at_points = np.einsum("pk,kc->pc", values, np.ascontiguousarray(residual).view(float)).view(complex)
+    return max_or_nan(np.abs(at_points).ravel().tolist())
 
 
-_images: _BasisImages | None = None
-
-
-def _basis_images(B: float) -> _BasisImages:
-    """The image table of field B, shared by every residual at that field.
-
-    Only the latest field's table is kept: a call at another field replaces
-    it.  Fields are told apart by type and repr, which separates 0.0 from
-    -0.0 and matches NaN with itself, where == would not.  An entry depends
-    only on (field, word, basis index), so sharing the table between callers
-    changes no result.
-    """
-    global _images
-    if _images is None or (type(_images.B), repr(_images.B)) != (type(B), repr(B)):
-        _images = _BasisImages(B)
-    return _images
-
-
-def _basis_residual(residual: Callable[[_BasisImages, int], Poly2], points: Iterable[HPoint], B: float) -> float:
-    """Max over the cubic basis and the points of |residual(images, i)(z)|, NaN if any is NaN.
-
-    The residual polynomials do not depend on z: each is built once from the
-    field's shared basis images, then evaluated at every point.
-    """
+def _listed_points(points: Iterable[HPoint]) -> tuple[HPoint, ...]:
     points = tuple(points)
     if not points:
         raise ValueError("algebra residual needs at least one sample point, got an empty point list")
-    images = _basis_images(B)
-    polys = [residual(images, i) for i in range(len(POLY_BASIS))]
-    return max_or_nan(abs(r(z.x, z.y)) for r in polys for z in points)
+    return points
 
 
+# an overflowing B^2 makes inf, and inf - inf or inf * 0 NaN residuals, which `max_or_nan` reports
+_QUIET = np.errstate(invalid="ignore", over="ignore")
+
+
+@_QUIET
 def commutator_residual(
     op1: DiffOpId,
     op2: DiffOpId,
@@ -475,38 +541,36 @@ def commutator_residual(
     B: float,
 ) -> float:
     """Max over the cubic basis and the points of |([op1, op2] - sum c_i op_i) f(z)|."""
+    points = _listed_points(points)
+    matrices = {op: _operator_matrix(op, B) for op in (op1, op2, *expected)}
+    m1, m2 = matrices[op1], matrices[op2]
+    residual = _product(m1, m2[:, :_CUBICS], 4) - _product(m2, m1[:, :_CUBICS], 4)
+    for op, coeff in expected.items():
+        residual = residual - coeff * matrices[op][:, :_CUBICS]
+    return _worst_at_points(residual, points)
 
-    def residual(images: _BasisImages, i: int) -> Poly2:
-        comm = images.image((op2, op1), i) - images.image((op1, op2), i)
-        for op, coeff in expected.items():
-            comm = comm - coeff * images.image((op,), i)
-        return comm
 
-    return _basis_residual(residual, points, B)
-
-
+@_QUIET
 def hamiltonian_commutation_residual(op: DiffOpId, points: Iterable[HPoint], B: float) -> float:
     """Max over the basis and the points of |[H, op] f(z)| with H in generator form."""
-    if op not in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B):
+    if op not in _GENERATORS:
         raise ValueError(f"Hamiltonian symmetry check expects a field generator, got {op!r}")
+    points = _listed_points(points)
+    generators = [_operator_matrix(g, B) for g in _GENERATORS]
+    h, m = _hamiltonian_columns(generators, B, 4), generators[_GENERATORS.index(op)]
+    return _worst_at_points(_product(h, m[:, :_CUBICS], 4) - _product(m, h[:, :_CUBICS], 3), points)
 
-    def residual(images: _BasisImages, i: int) -> Poly2:
-        return images.image((op, _H_GENERATOR), i) - images.image((_H_GENERATOR, op), i)
 
-    return _basis_residual(residual, points, B)
-
-
+@_QUIET
 def hamiltonian_forms_residual(points: Iterable[HPoint], B: float) -> float:
     """Max over the basis and the points of |(H_generator - H_continuum) f(z)|.
 
     The generator form 1/2 (T_B(S_B - T_B) - U_B^2/4 - U_B/2 + B^2) and the
     Landau form (-y^2 Laplacian + 2iBy d/dx + B^2)/2 are the same operator.
     """
-
-    def residual(images: _BasisImages, i: int) -> Poly2:
-        return images.image((_H_GENERATOR,), i) - images.image((DiffOpId.H_continuum,), i)
-
-    return _basis_residual(residual, points, B)
+    points = _listed_points(points)
+    h = _hamiltonian_columns([_operator_matrix(g, B) for g in _GENERATORS], B, 3)
+    return _worst_at_points(h - _operator_matrix(DiffOpId.H_continuum, B)[:, :_CUBICS], points)
 
 
 def check_weighted_action(mu_or_t: float, kind: DiffOpId, f: Poly2, z: HPoint, B: float) -> tuple[complex, complex]:

@@ -21,8 +21,11 @@ from hyperband.magnetic import (
     MagneticWord,
     POLY_BASIS,
     Poly2,
+    _MONOMIALS,
+    _SIZES,
     _apply,
     _apply_hamiltonian_generator_form as _generator_form,
+    _operator_matrix,
     act_magnetic,
     apply_diff_operator,
     automorphic_factor,
@@ -597,8 +600,9 @@ def test_overflowed_residuals_are_nan_not_zero():
 
 
 def per_point_residual(residual, points) -> float:
-    """Oracle: rebuild every basis residual polynomial at each point, then take the max over points."""
-    return max_or_nan(max_or_nan(abs(residual(f)(z.x, z.y)) for f in POLY_BASIS) for z in points)
+    """Oracle: max over the cubic basis and the points of |residual(f)(z)|, each polynomial built by `_apply`."""
+    polys = [residual(f) for f in POLY_BASIS]
+    return max_or_nan(max_or_nan(abs(poly(z.x, z.y)) for poly in polys) for z in points)
 
 
 def oracle_commutator(op1, op2, expected, B):
@@ -619,39 +623,126 @@ def oracle_forms(B):
     return lambda f: _generator_form(f, B) - _apply(DiffOpId.H_continuum, f, B)
 
 
-def same_float(a: float, b: float) -> bool:
-    return a == b or (math.isnan(a) and math.isnan(b))
+_GENERATORS = (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
+
+
+def algebra_residuals(points, B) -> tuple[list[float], list[float]]:
+    """Every residual the three algebra lines take, by the library and by the `_apply` oracle, in one order."""
+    library = [commutator_residual(op1, op2, expected, points, B) for op1, op2, expected in COMMUTATORS]
+    library += [hamiltonian_commutation_residual(op, points, B) for op in _GENERATORS]
+    library.append(hamiltonian_forms_residual(points, B))
+    oracles = [oracle_commutator(op1, op2, expected, B) for op1, op2, expected in COMMUTATORS]
+    oracles += [oracle_hamiltonian_commutation(op, B) for op in _GENERATORS]
+    oracles.append(oracle_forms(B))
+    return library, [per_point_residual(oracle, points) for oracle in oracles]
+
+
+def is_small_dyadic(B: float) -> bool:
+    """B = k/2^m with |k| < 4096 and 0 <= m <= 8."""
+    if not math.isfinite(B):
+        return False
+    frac = Fraction(B)
+    return frac.denominator <= 2**8 and abs(frac.numerator) < 4096
 
 
 _POINT = st.builds(HPoint, st.floats(-3.0, 3.0), st.floats(0.05, 20.0))
+_DYADIC = st.builds(lambda k, m: k / 2**m, st.integers(-4095, 4095), st.integers(0, 8))
+_FIELD = st.one_of(_DYADIC, st.floats(-2.0, 2.0), st.sampled_from([1e200, math.nan]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    B1=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e200, 1e200)),
-    B2=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e200, 1e200)),
-    points=st.lists(_POINT, min_size=1, max_size=5),
-)
-# fields in the order B1, B2, B1, so the shared image table must follow the field;
-# a NaN field's images must not reach the next field
+@settings(max_examples=200, deadline=None)
+@given(B1=_FIELD, B2=_FIELD, points=st.lists(_POINT, min_size=1, max_size=5))
+# fields in the order B1, B2, B1, so no residual may carry anything from one field to the next;
+# a NaN or overflowing field's residuals must not reach the next field
 @example(B1=1e200, B2=0.25, points=[HPoint(0.5, 1.0), HPoint(-1.2, 0.4)])
 @example(B1=math.nan, B2=0.25, points=[HPoint(0.5, 1.0)])
 @example(B1=0.0, B2=-0.0, points=[HPoint(0.5, 1.0)])
-def test_multi_point_residuals_equal_the_per_point_construction(B1, B2, points):
+@example(B1=1.9068267436675859, B2=0.37, points=[HPoint(0.5, 1.0), HPoint(-3.0, 20.0)])
+# the worst rounding found, by the matrices at (B1, first point) and by `_apply` at (B2, second point)
+@example(
+    B1=0.023603680064972248,
+    B2=-0.006625948512240144,
+    points=[HPoint(-1.0058843066593584, 1.0184488054017977), HPoint(1.0631961205032983, 0.2813747600302328)],
+)
+def test_algebra_residuals_match_the_poly2_oracle(B1, B2, points):
+    # The matrices and the oracle round differently, so they agree to a bound, not to the float.
+    # A residual coefficient is a difference of products of size up to about 50 (1 + |B|)^2, each
+    # rounded, summed over at most 21 monomials of degree <= 5: near |x| = y = 1 both routes come near
+    # 1e-14 (1 + |B|)^2 (hill-climbed: 1.2e-14 by the matrices, 8.5e-15 by `_apply`), so the bound
+    # is ten times that.
+    scale = max(max(1.0, abs(z.x), z.y) for z in points) ** 5
     for B in (B1, B2, B1):
-        for op1, op2, expected in COMMUTATORS:
-            got = commutator_residual(op1, op2, expected, points, B)
-            assert same_float(got, per_point_residual(oracle_commutator(op1, op2, expected, B), points))
-        for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B):
-            got = hamiltonian_commutation_residual(op, points, B)
-            assert same_float(got, per_point_residual(oracle_hamiltonian_commutation(op, B), points))
-        assert same_float(hamiltonian_forms_residual(points, B), per_point_residual(oracle_forms(B), points))
+        library, oracle = algebra_residuals(points, B)
+        if is_small_dyadic(B):
+            # every coefficient and every product is exact
+            assert library == oracle == [0.0] * 10
+        elif math.isfinite(B) and abs(B) <= 2.0:
+            bound = 1e-13 * scale * (1.0 + abs(B)) ** 2
+            assert max(library) <= bound and max(oracle) <= bound
+        else:
+            # B^2 overflows or B is NaN: a residual is NaN where the oracle's is, and each line's maximum is NaN
+            assert [math.isnan(r) for r in library] == [math.isnan(r) for r in oracle]
+            for line in (slice(0, 6), slice(6, 9), slice(9, 10)):
+                assert math.isnan(max_or_nan(library[line])) and math.isnan(max_or_nan(oracle[line]))
 
 
-def test_apply_builds_a_new_image_on_every_call():
-    # the oracles above call `_apply`, so it must not share the residuals' image table
-    f = Poly2.monomial(1, 2)
-    assert _apply(DiffOpId.S_B, f, 0.25) is not _apply(DiffOpId.S_B, f, 0.25)
+def _images_along(word, f, B) -> list[Poly2]:
+    """f's images under each prefix of `word` (letters applied in order), H's inner images included.
+
+    The letter "H" is H in generator form, 1/2 (T(S - T) - U^2/4 - U/2 + B^2):
+    its inner images are S f, T f, (S - T) f, T (S - T) f, U f and U U f.
+    """
+    images = []
+    for letter in word:
+        if letter == "H":
+            sf, tf, uf = (_apply(op, f, B) for op in _GENERATORS)
+            inner = [sf, tf, sf - tf, _apply(DiffOpId.T_B, sf - tf, B), uf, _apply(DiffOpId.U_B, uf, B)]
+            images += inner
+            f = _generator_form(f, B)
+        else:
+            f = _apply(letter, f, B)
+        images.append(f)
+    return images
+
+
+def degree(poly: Poly2) -> int:
+    return max((i + j for i, j in poly.coeffs), default=0)
+
+
+@pytest.mark.parametrize("B", [0.37, -1.25])
+def test_no_operator_meets_a_missing_column(B):
+    """An operator's matrix has columns for the monomials of degree <= 5 only.
+
+    Every image that the residuals form of a cubic basis monomial, inner
+    images included, has degree < 6, so no operator is applied to a term
+    its matrix has no column for; and H keeps the degree of what it acts
+    on, which lets its columns be formed for the degrees the residuals use.
+    """
+    words = [(op2, op1) for op1, op2, _ in COMMUTATORS] + [(op1, op2) for op1, op2, _ in COMMUTATORS]
+    words += [(op, "H") for op in _GENERATORS] + [("H", op) for op in _GENERATORS]
+    words += [("H",), (DiffOpId.H_continuum,)]
+    for word in words:
+        for f in POLY_BASIS:
+            assert all(degree(image) < 6 for image in _images_along(word, f, B)), (word, f.coeffs)
+    for i in range(5):
+        for j in range(5 - i):
+            f = Poly2.monomial(i, j)
+            assert degree(_generator_form(f, B)) == i + j
+            assert degree(_apply(DiffOpId.H_continuum, f, B)) == i + j
+
+
+@pytest.mark.parametrize("B", [0.0, 1.0 / 3.0, -1.9068267436675859, 0.37])
+def test_operator_matrices_hold_the_poly2_images(B):
+    # column k of an operator's matrix is the image of monomial k, for every monomial of degree <= 5
+    assert [Poly2.monomial(i, j).coeffs for i, j in _MONOMIALS[:10]] == [f.coeffs for f in POLY_BASIS]
+    for op in DiffOpId:
+        matrix = _operator_matrix(op, B)
+        for k, (i, j) in enumerate(_MONOMIALS[: _SIZES[5]]):
+            image = _apply(op, Poly2.monomial(i, j), B)
+            column = np.zeros(len(_MONOMIALS), dtype=complex)
+            for (a, b), c in image.coeffs.items():
+                column[_MONOMIALS.index((a, b))] = c
+            np.testing.assert_allclose(matrix[:, k], column, rtol=1e-15, atol=0.0)
 
 
 def test_residuals_refuse_an_empty_point_list():
