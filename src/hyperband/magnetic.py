@@ -390,6 +390,18 @@ def apply_diff_operator(op: DiffOpId, f: Poly2, z: HPoint, B: float) -> complex:
     return _apply(op, f, B)(z.x, z.y)
 
 
+def max_or_nan(values: Iterable[float]) -> float:
+    """The largest value, or NaN when any value is NaN.
+
+    The builtin `max` keeps a NaN only when it comes first: max(0.0, nan) is
+    0.0, which would let an overflowed residual read as a perfect pass.
+    """
+    values = list(values)
+    if not values:
+        raise ValueError("max_or_nan needs at least one value, got an empty sequence")
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 # ---------------------------------------------------------------- operator matrices
 
 # Each operator as terms (p, c, (a, b, m, n)), the term c B^p x^a y^b dx^m dy^n.
@@ -494,18 +506,6 @@ def _hamiltonian_columns(generators: list[np.ndarray], B: float, degree: int) ->
     inner = _product(t, s[:, :k] - t[:, :k], degree + 1) - 0.25 * _product(u, u[:, :k], degree) - 0.5 * u[:, :k]
     inner[range(k), range(k)] += B * B
     return 0.5 * inner
-
-
-def max_or_nan(values: Iterable[float]) -> float:
-    """The largest value, or NaN when any value is NaN.
-
-    The builtin `max` keeps a NaN only when it comes first: max(0.0, nan) is
-    0.0, which would let an overflowed residual read as a perfect pass.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("max_or_nan needs at least one value, got an empty sequence")
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 def _worst_at_points(residual: np.ndarray, points: Iterable[HPoint]) -> float:
