@@ -16,14 +16,17 @@ elsewhere it reaches the caller.
 
 The lattice checks hold the sweep's kernel in `spectrum` against a dense
 oracle kept here: `ring_matrix`, `harper_core`, `assemble_reduced` and
-`assemble_block` build the complex matrices from the model's definition, and
-`eigenvalues` solves one matrix, or an (n, d, d) stack in one LAPACK call,
-with eigenvectors and a residual certificate for each matrix; each lattice
-check solves its dense matrices of one size as one stack.  It shares only
-`_harper_stack` (checked by `harper_oracle_compare`) and the gates
-`_require_dimension` and `_require_solvable` with the kernel, and never
-calls the sweep's route: `_chambers_stack`, `_chambers_momenta`,
-`harper_eigvalsh`, `_certified_spectra` or `model_spectra`.
+`assemble_block` build the complex matrices from the model's definition
+(`assemble_block` places the ring, the site weights, the hop and its
+conjugate by one index assignment each; the per-block loop it replaced is
+the tests' byte-for-byte reference), and `eigenvalues` solves one matrix, or an
+(n, d, d) stack in one LAPACK call, with eigenvectors and a residual
+certificate for each matrix; each lattice check solves its dense matrices
+of one size as one stack.  It shares only `_harper_stack` (checked by
+`harper_oracle_compare`) and the gates `_require_dimension` and
+`_require_solvable` with the kernel, and never calls the sweep's route:
+`_chambers_stack`, `_chambers_momenta`, `harper_eigvalsh`,
+`_certified_spectra` or `model_spectra`.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .spectrum import MU, RING_SIZE, RING_WEIGHT, BlochMomentum, BlockAnisotropi
 from .spectrum import HamiltonianModel, ReducedHarper
 
 _TWO_PI = 2.0 * math.pi
+_SITES = np.arange(RING_SIZE)
 
 _Sample = TypeVar("_Sample")
 
@@ -232,10 +236,7 @@ def hamiltonian_forms(fields: Iterable[float], points: list[HPoint]) -> float:
 
 def ring_matrix(B: float) -> np.ndarray:
     """8-site nearest-neighbor ring with corner phases e^{+-i 2 pi B}."""
-    ring = np.zeros((RING_SIZE, RING_SIZE), dtype=complex)
-    for i in range(RING_SIZE - 1):
-        ring[i, i + 1] = 1.0
-        ring[i + 1, i] = 1.0
+    ring = np.eye(RING_SIZE, k=1, dtype=complex) + np.eye(RING_SIZE, k=-1, dtype=complex)
     ring[0, RING_SIZE - 1] = np.exp(2j * math.pi * B)
     ring[RING_SIZE - 1, 0] = np.exp(-2j * math.pi * B)
     return ring
@@ -258,42 +259,38 @@ def assemble_reduced(p: int, q: int, k: BlochMomentum, m: int) -> np.ndarray:
 
 
 def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:
-    """Full 8q x 8q cycle of blocks, wired exactly as the sector analysis needs.
+    """Full 8q x 8q cycle of 8 x 8 blocks, wired exactly as the sector analysis needs.
 
-    The hopping block sits below the diagonal (and at the [0, q-1] corner);
-    its conjugate transpose sits above (and at [q-1, 0]).
+    With s = -1/(8 mu^2) (block-aniso) or -1/(4 mu^2) (block-iso), diagonal
+    block n is the ring (16/pi^2) ring(B) plus 2s times the site weights:
+    cos(k2 - n phi) + cos k3 + cos k4 on every site (block-aniso), or cos k3
+    on even and cos(k2 - n phi) + cos k4 on odd sites (block-iso).  The hop
+    block, s e^{i k1} on the hopping sites (all of them, or the even ones),
+    sits at block (n + 1 mod q, n), below the diagonal and at the corner
+    (0, q - 1); its conjugate transpose sits at (n, n + 1 mod q).  Each term
+    is one index assignment into a (q, 8, q, 8) array, added in that order,
+    so at q <= 2, where hop and conjugate share a block, every entry is the
+    float the per-block loop gives.
     """
     B = FluxParam(p, q).field
-    phi = _TWO_PI * p / q
-    ring = RING_WEIGHT * ring_matrix(B)
-    eye8 = np.eye(RING_SIZE)
-
-    if isinstance(variant, BlockAnisotropic):
-        def a_block(n: int) -> np.ndarray:
-            w = -2.0 / (8.0 * MU * MU) * (math.cos(k.k2 - n * phi) + math.cos(k.k3) + math.cos(k.k4))
-            return w * eye8 + ring
-
-        hop = -np.exp(1j * k.k1) / (8.0 * MU * MU) * eye8
-    elif isinstance(variant, BlockIsotropic):
-        def a_block(n: int) -> np.ndarray:
-            pair = [math.cos(k.k3), math.cos(k.k2 - n * phi) + math.cos(k.k4)]
-            diag = np.array([pair[s % 2] for s in range(RING_SIZE)])
-            return -2.0 / (4.0 * MU * MU) * np.diag(diag) + ring
-
-        hop = -np.exp(1j * k.k1) / (4.0 * MU * MU) * np.diag([1.0, 0.0] * (RING_SIZE // 2))
-    else:
+    if not isinstance(variant, (BlockAnisotropic, BlockIsotropic)):
         raise ValueError(f"block assembly expects a block variant, got {variant!r}")
-
-    n_dim = RING_SIZE * q
-    spectrum._require_dimension(n_dim)
-    h = np.zeros((n_dim, n_dim), dtype=complex)
-    for n in range(q):
-        s = slice(RING_SIZE * n, RING_SIZE * (n + 1))
-        h[s, s] += a_block(n)
-        t = slice(RING_SIZE * ((n + 1) % q), RING_SIZE * ((n + 1) % q) + RING_SIZE)
-        h[t, s] += hop
-        h[s, t] += hop.conj().T
-    return h
+    spectrum._require_dimension(RING_SIZE * q)
+    n = np.arange(q)[:, None]
+    wave = np.cos(k.k2 - n * (_TWO_PI * p / q))
+    if isinstance(variant, BlockAnisotropic):
+        denom, hop_sites = 8.0 * MU * MU, _SITES
+        weights = wave + math.cos(k.k3) + math.cos(k.k4)
+    else:
+        denom, hop_sites = 4.0 * MU * MU, _SITES[::2]
+        weights = np.where(_SITES % 2 == 0, math.cos(k.k3), wave + math.cos(k.k4))
+    hop = -np.exp(1j * k.k1) / denom
+    h = np.zeros((q, RING_SIZE, q, RING_SIZE), dtype=complex)
+    h[n, :, n, :] += RING_WEIGHT * ring_matrix(B)
+    h[n, _SITES, n, _SITES] += -2.0 / denom * weights
+    h[(n + 1) % q, hop_sites, n, hop_sites] += hop
+    h[n, hop_sites, (n + 1) % q, hop_sites] += np.conj(hop)
+    return h.reshape(RING_SIZE * q, RING_SIZE * q)
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:

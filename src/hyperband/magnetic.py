@@ -378,13 +378,6 @@ def _apply(op: DiffOpId, f: Poly2, B: float) -> Poly2:
     raise ValueError(f"unknown operator {op!r}")
 
 
-def _apply_hamiltonian_generator_form(f: Poly2, B: float) -> Poly2:
-    """H = 1/(2m) (T_B (S_B - T_B) - 1/4 U_B^2 - 1/2 U_B + B^2), m = 1, applied to f (the tests' reference)."""
-    sf, tf, uf = (_apply(op, f, B) for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B))
-    first = _apply(DiffOpId.T_B, sf - tf, B)
-    return 0.5 * (first - 0.25 * _apply(DiffOpId.U_B, uf, B) - 0.5 * uf + (B * B) * f)
-
-
 def apply_diff_operator(op: DiffOpId, f: Poly2, z: HPoint, B: float) -> complex:
     """Operator applied to a polynomial test function, evaluated at z."""
     return _apply(op, f, B)(z.x, z.y)

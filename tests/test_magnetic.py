@@ -24,7 +24,6 @@ from hyperband.magnetic import (
     _MONOMIALS,
     _SIZES,
     _apply,
-    _apply_hamiltonian_generator_form as _generator_form,
     _operator_matrix,
     act_magnetic,
     apply_diff_operator,
@@ -599,6 +598,16 @@ def test_overflowed_residuals_are_nan_not_zero():
     assert math.isnan(max_or_nan([0.0, math.nan, 1.0])) and max_or_nan([0.0, 2.0, 1.0]) == 2.0
 
 
+_GENERATORS = (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
+
+
+def _generator_form(f, B) -> Poly2:
+    """Oracle: H = 1/(2m) (T_B (S_B - T_B) - 1/4 U_B^2 - 1/2 U_B + B^2), m = 1, applied to f by `_apply`."""
+    sf, tf, uf = (_apply(op, f, B) for op in _GENERATORS)
+    first = _apply(DiffOpId.T_B, sf - tf, B)
+    return 0.5 * (first - 0.25 * _apply(DiffOpId.U_B, uf, B) - 0.5 * uf + (B * B) * f)
+
+
 def per_point_residual(residual, points) -> float:
     """Oracle: max over the cubic basis and the points of |residual(f)(z)|, each polynomial built by `_apply`."""
     polys = [residual(f) for f in POLY_BASIS]
@@ -621,9 +630,6 @@ def oracle_hamiltonian_commutation(op, B):
 
 def oracle_forms(B):
     return lambda f: _generator_form(f, B) - _apply(DiffOpId.H_continuum, f, B)
-
-
-_GENERATORS = (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
 
 
 def algebra_residuals(points, B) -> tuple[list[float], list[float]]:

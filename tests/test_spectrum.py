@@ -218,6 +218,63 @@ def test_reduced_assembly_bitwise_equals_entry_loop(pq, ks, m):
     assert assemble_reduced(p, q, k, m).tobytes() == _reduced_by_entry_loop(p, q, k, m).tobytes()
 
 
+def _ring_by_site_loop(B):
+    # reference: the per-site fill that `ring_matrix` replaces
+    ring = np.zeros((8, 8), dtype=complex)
+    for i in range(7):
+        ring[i, i + 1] = 1.0
+        ring[i + 1, i] = 1.0
+    ring[0, 7] = np.exp(2j * math.pi * B)
+    ring[7, 0] = np.exp(-2j * math.pi * B)
+    return ring
+
+
+def _block_by_block_loop(model, p, q, k):
+    # reference: the per-block accumulation the index-assigned assembler replaces
+    phi = TWO_PI * p / q
+    ring = (16.0 / math.pi**2) * _ring_by_site_loop(p / (2.0 * q))
+    eye8 = np.eye(8)
+    iso = isinstance(model, BlockIsotropic)
+    denom = (4.0 if iso else 8.0) * MU * MU
+    hop = -np.exp(1j * k.k1) / denom * (np.diag([1.0, 0.0] * 4) if iso else eye8)
+    h = np.zeros((8 * q, 8 * q), dtype=complex)
+    for n in range(q):
+        if iso:
+            pair = [math.cos(k.k3), math.cos(k.k2 - n * phi) + math.cos(k.k4)]
+            a_block = -2.0 / denom * np.diag([pair[s % 2] for s in range(8)]) + ring
+        else:
+            w = -2.0 / denom * (math.cos(k.k2 - n * phi) + math.cos(k.k3) + math.cos(k.k4))
+            a_block = w * eye8 + ring
+        s = slice(8 * n, 8 * (n + 1))
+        t = slice(8 * ((n + 1) % q), 8 * ((n + 1) % q) + 8)
+        h[s, s] += a_block
+        h[t, s] += hop
+        h[s, t] += hop.conj().T
+    return h
+
+
+@pytest.mark.parametrize("B", [0.0, 0.125, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0, -0.3, 2.5])
+def test_ring_bitwise_equals_site_loop(B):
+    assert ring_matrix(B).tobytes() == _ring_by_site_loop(B).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(coprime_flux_pairs(40)),
+    st.lists(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True), min_size=4, max_size=4),
+)
+# q <= 2: hop and its conjugate land on the same block, where summation order shows
+@example((1, 1), [0.7, 1.9, 0.2, 5.1])
+@example((1, 2), [1.3, 0.4, 2.2, 0.0])
+@example((3, 2), [4.0, 2.8, 0.1, 6.0])
+@example((1, 1), [0.0, 0.0, 0.0, 0.0])
+def test_block_assembly_bitwise_equals_block_loop(pq, ks):
+    p, q = pq
+    k = BlochMomentum(*ks)
+    for model in (BlockAnisotropic(), BlockIsotropic()):
+        assert assemble_block(model, p, q, k).tobytes() == _block_by_block_loop(model, p, q, k).tobytes()
+
+
 def test_reduced_rejects_non_coprime():
     with pytest.raises(ValueError):
         assemble_reduced(2, 4, BlochMomentum.zero(), 0)
