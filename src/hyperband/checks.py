@@ -17,12 +17,15 @@ elsewhere it reaches the caller.
 The lattice checks hold the sweep's kernel in `spectrum` against a dense
 oracle kept here: `ring_matrix`, `harper_core`, `assemble_reduced` and
 `assemble_block` build the complex matrices from the model's definition
-(`assemble_block` places the ring, the site weights, the hop and its
-conjugate by one index assignment each; the per-block loop it replaced is
-the tests' byte-for-byte reference), and `eigenvalues` solves one matrix, or an
-(n, d, d) stack in one LAPACK call, with eigenvectors and a residual
-certificate for each matrix; each lattice check solves its dense matrices
-of one size as one stack.  It shares only `_harper_stack` (checked by
+(`assemble_reduced` is the one-matrix case of `_reduced_matrices`, which
+builds the sector matrices of every momentum and sector as one stack;
+`assemble_block` places the ring, the site weights, the hop and its
+conjugate by one index assignment each; the per-entry and per-block loops
+they replaced are the tests' byte-for-byte references), and `eigenvalues`
+solves one matrix, or an (n, d, d) stack in one LAPACK call, with
+eigenvectors and a residual certificate for each matrix; each lattice
+check builds its sector matrices as one stack and solves its dense
+matrices of one size as one stack.  It shares only `_harper_stack` (checked by
 `harper_oracle_compare`) and the gates `_require_dimension` and
 `_require_solvable` with the kernel, and never calls the sweep's route:
 `_chambers_stack`, `_chambers_momenta`, `harper_eigvalsh`,
@@ -35,7 +38,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -248,14 +251,29 @@ def harper_core(flux: FluxParam, k1: float, k2: float) -> np.ndarray:
     return spectrum._harper_stack(flux.q, np.array([phi]), np.array([k1]), np.array([k2]), 1.0)[0]
 
 
+def _reduced_matrices(p: int, q: int, momenta: Sequence[BlochMomentum], sectors: int | Sequence[int]) -> np.ndarray:
+    """The sector matrices of `assemble_reduced` at every momentum and sector, stacked
+    (len(momenta) * number of sectors, q, q), momentum outer and sector inner.
+
+    `sectors` is one sector index or a sequence of them.  One `_harper_stack`
+    call builds every scaled core and one diagonal update adds each matrix's
+    scalar, so each matrix has the bytes it has when built alone.
+    """
+    c = -1.0 / (8.0 * MU * MU)
+    sector = RING_WEIGHT * spectrum.rotation_sector_shift(FluxParam(p, q).field, np.asarray(sectors)).reshape(-1)
+    k = np.array([[x.k1, x.k2, x.k3, x.k4] for x in momenta]).reshape(-1, 4)
+    shift = (2.0 * c * (np.cos(k[:, 2]) + np.cos(k[:, 3])))[:, None] + sector
+    k = np.repeat(k, len(sector), axis=0)
+    h = spectrum._harper_stack(q, np.full(len(k), _TWO_PI * p / q), k[:, 0], k[:, 1], scale=c)
+    j = np.arange(q)
+    h[:, j, j] += shift.reshape(-1, 1)
+    return h
+
+
 def assemble_reduced(p: int, q: int, k: BlochMomentum, m: int) -> np.ndarray:
     """Sector-m q x q matrix: the Harper core times c = -1/(8 mu^2), plus the scalar
     2c(cos k3 + cos k4) + (16/pi^2) 2cos(pi B/4 + m pi/4) on the diagonal."""
-    c = -1.0 / (8.0 * MU * MU)
-    sector = RING_WEIGHT * spectrum.rotation_sector_shift(FluxParam(p, q).field, m)
-    h = spectrum._harper_stack(q, np.array([_TWO_PI * p / q]), np.array([k.k1]), np.array([k.k2]), scale=c)[0]
-    h += (2.0 * c * (math.cos(k.k3) + math.cos(k.k4)) + sector) * np.eye(q)
-    return h
+    return _reduced_matrices(p, q, [k], m)[0]
 
 
 def assemble_block(variant: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:
@@ -328,15 +346,12 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
 def lattice_hermiticity(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
     """Largest |H - H^dagger| over sectors 0 and 5 and both block models."""
     p, q = pair.p, pair.q
+    momenta = _listed(momenta, "momentum list")
+    reduced = _reduced_matrices(p, q, momenta, [0, 5])
+    models = (BlockAnisotropic(), BlockIsotropic())
+    blocks = np.array([assemble_block(model, p, q, k) for k in momenta for model in models])
     return max_or_nan(
-        float(np.abs(h - h.conj().T).max())
-        for k in _listed(momenta, "momentum list")
-        for h in (
-            assemble_reduced(p, q, k, 0),
-            assemble_reduced(p, q, k, 5),
-            assemble_block(BlockAnisotropic(), p, q, k),
-            assemble_block(BlockIsotropic(), p, q, k),
-        )
+        drift for h in (reduced, blocks) for drift in np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
     )
 
 
@@ -344,7 +359,7 @@ def rotation_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float
     """Union of the eight sector spectra against the dense 8q x 8q block-aniso spectrum."""
     p, q = pair.p, pair.q
     momenta = _listed(momenta, "momentum list")
-    sectors = eigenvalues(np.array([assemble_reduced(p, q, k, m) for k in momenta for m in range(RING_SIZE)]))
+    sectors = eigenvalues(_reduced_matrices(p, q, momenta, range(RING_SIZE)))
     block = eigenvalues(np.array([assemble_block(BlockAnisotropic(), p, q, k) for k in momenta]))
     return float(np.abs(np.sort(sectors.reshape(block.shape), axis=-1) - block).max())
 
@@ -398,7 +413,7 @@ def chambers(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> fl
         p, q = pair.p, pair.q
         ks = momenta + [BlochMomentum(0.0, 0.4, 1.0, 2.0), BlochMomentum(math.pi / q, 0.4, 1.0, 2.0)]
         real = spectrum._certified_spectra(ReducedHarper(0), q, [p], ks)[0]
-        dense = eigenvalues(np.array([assemble_reduced(p, q, k, 0) for k in ks]))
+        dense = eigenvalues(_reduced_matrices(p, q, ks, 0))
         return float(np.abs(real - dense).max())
 
     return max_or_nan(gap(pair) for pair in pairs)

@@ -224,21 +224,22 @@ def _iso_stack(q: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
     return h.reshape(-1, 2 * q, 2 * q)
 
 
-def _require_solvable(h: np.ndarray, mask: np.ndarray) -> None:
+def _require_solvable(h: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """RuntimeError unless every matrix of an (n, dim, dim) stack is zero outside the symmetric
     `mask`, finite and Hermitian to `_HERMITIAN_TOL`: the matrices are assembled here, so a
-    bad one is a fault of the library, not of its input."""
+    bad one is a fault of the library, not of its input.  Returns the (n, entries) gather
+    h[:, mask] it checked."""
     dim = h.shape[-1]
     band = h[:, mask]
     if np.count_nonzero(h) != np.count_nonzero(band):
         raise RuntimeError(f"{dim}x{dim} matrix has entries outside the cyclic band")
     if not np.all(np.isfinite(band)):
         raise RuntimeError(f"non-finite entries in a stack of {dim}x{dim} matrices")
-    # outside the mask H - H^dagger vanishes; inside, the mask's lower triangle covers every pair
-    rows, cols = np.nonzero(np.tril(mask))
-    drift = float(np.abs(h[:, rows, cols] - h[:, cols, rows].conj()).max(initial=0.0))
+    # outside the mask H - H^dagger vanishes; the symmetric mask holds both entries of every pair
+    drift = float(np.abs(band - h.swapaxes(-1, -2)[:, mask].conj()).max(initial=0.0))
     if drift > _HERMITIAN_TOL:
         raise RuntimeError(f"matrix fails Hermiticity by {drift:.3e}")
+    return band
 
 
 def _cyclic_band(n: int, pendants: bool = False) -> np.ndarray:
@@ -329,10 +330,15 @@ def certify_spectra(h: np.ndarray, vals: np.ndarray, pendants: bool = False) -> 
     lambda near some eigenvalue, this pins the i-th one, so a duplicated or
     missing eigenvalue fails.  Raises RuntimeError.
     """
+    _certify(h, h[:, _cyclic_band(h.shape[-1], pendants)], vals, pendants)
+
+
+def _certify(h: np.ndarray, band: np.ndarray, vals: np.ndarray, pendants: bool) -> None:
+    """`certify_spectra`, given `band`, the gather of `h` over its `_cyclic_band`, for the norm."""
     dim = h.shape[-1]
     if not np.all(np.isfinite(vals)):
         raise RuntimeError(f"non-finite eigenvalue from a {dim}x{dim} matrix")
-    delta = 1e-8 * (1.0 + np.linalg.norm(h[:, _cyclic_band(dim, pendants)], axis=1))[:, None]
+    delta = 1e-8 * (1.0 + np.linalg.norm(band, axis=1))[:, None]
     counts = inertia_counts(h, np.concatenate([vals - delta, vals + delta], axis=1), pendants)
     i = np.arange(dim)
     bad = (counts[:, :dim] > i) | (counts[:, dim:] < i + 1)
@@ -351,16 +357,18 @@ def harper_eigvalsh(h: np.ndarray, pendants: bool = False) -> np.ndarray:
     The matrices are Hermitian or real symmetric; `pendants` selects the
     layout of `_cyclic_band`.  `_require_solvable` refuses a stack that is
     nonzero outside the band (the certificate reads only the band); one
-    LAPACK call solves it without eigenvectors, and `certify_spectra` checks
-    every eigenvalue.  Any failure raises RuntimeError.
+    LAPACK call solves it without eigenvectors, and the certificate of
+    `certify_spectra` checks every eigenvalue.  The band is built and
+    gathered once, for the gate and the certificate's norm alike.  Any
+    failure raises RuntimeError.
     """
     dim = h.shape[-1]
-    _require_solvable(h, _cyclic_band(dim, pendants))
+    band = _require_solvable(h, _cyclic_band(dim, pendants))
     try:
         vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver did not converge on a stack of {dim}x{dim} matrices: {exc}") from exc
-    certify_spectra(h, vals, pendants)
+    _certify(h, band, vals, pendants)
     return vals
 
 

@@ -35,7 +35,6 @@ from .halfplane import (
 _DEDUP_TOL = 1e-6
 _MAX_CANDIDATE_WORDS = 10**6
 _MAX_TILE_CORNERS = 16 * _MAX_CANDIDATE_WORDS  # g = 4 depth 5 has about 13.9M
-_TWO_PI = 2.0 * math.pi
 _ARC_RADIUS_LIMIT = 1e4  # straight-segment fallback for near-diameter geodesics
 
 
@@ -321,7 +320,8 @@ def edge_states(u: np.ndarray, v: np.ndarray, edges) -> tuple[np.ndarray, np.nda
     An edge from w1 to w2 runs along the geodesic circle orthogonal to |w|=1.
     Its center c satisfies 2 Re(w) cx + 2 Im(w) cy = |w|^2 + 1 at both
     endpoints; a vanishing determinant means a diameter, drawn straight, as
-    are circles too large to draw.  `atan2` only picks the sweep flag.
+    are circles too large to draw.  The sign of the cross product of the
+    radii c -> w1 and c -> w2 picks the sweep flag.
     """
     i, j = np.array(edges).T
     # abs(w) ** 2 of the scalar code: `**` is libm pow, which float_power
@@ -339,6 +339,6 @@ def edge_states(u: np.ndarray, v: np.ndarray, edges) -> tuple[np.ndarray, np.nda
     arc &= r_sq > 0.0
     radius = np.sqrt(np.where(arc, r_sq, 0.0))
     arc &= radius <= _ARC_RADIUS_LIMIT
-    delta = (np.arctan2(v2 - cy, u2 - cx) - np.arctan2(v1 - cy, u1 - cx)) % _TWO_PI
-    delta = np.where(delta > math.pi, delta - _TWO_PI, delta)
-    return np.where(arc, np.where(delta > 0.0, 2, 1), 0).astype(np.uint8), radius
+    # positive: w2 lies less than a half turn counterclockwise of w1 about c (state 2)
+    turn = (u1 - cx) * (v2 - cy) - (v1 - cy) * (u2 - cx)
+    return np.where(arc, np.where(turn > 0.0, 2, 1), 0).astype(np.uint8), radius

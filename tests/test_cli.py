@@ -26,7 +26,6 @@ from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, 
 from hyperband.spectrum import model_spectrum
 from hyperband.tiling import (
     _ARC_RADIUS_LIMIT,
-    _TWO_PI,
     FundamentalDomain,
     TilingParams,
     disk_corners,
@@ -365,9 +364,9 @@ def _edge_geometry(w1: complex, w2: complex) -> tuple[int, float]:
         return 0, 0.0
     theta1 = math.atan2(w1.imag - cy, w1.real - cx)
     theta2 = math.atan2(w2.imag - cy, w2.real - cx)
-    delta = (theta2 - theta1) % _TWO_PI
+    delta = (theta2 - theta1) % math.tau
     if delta > math.pi:
-        delta -= _TWO_PI
+        delta -= math.tau
     sweep = 1 if delta > 0.0 else 0
     return 1 + sweep, radius
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
+from hyperband import checks
 from hyperband.checks import (
     assemble_block,
     assemble_reduced,
@@ -216,6 +217,29 @@ def test_reduced_assembly_bitwise_equals_entry_loop(pq, ks, m):
     p, q = pq
     k = BlochMomentum(*ks)
     assert assemble_reduced(p, q, k, m).tobytes() == _reduced_by_entry_loop(p, q, k, m).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(coprime_flux_pairs(40)),
+    st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8, unique=True),
+)
+# q <= 2 wraps onto occupied entries; a zero momentum puts the corner phases at exactly 1
+@example((1, 1), [[0.7, 1.9, 0.2, 5.1], [0.0, 0.0, 0.0, 0.0]], [3, 0])
+@example((1, 2), [[1.3, 0.4, 2.2, 0.0]], [0, 5, 7])
+@example((3, 2), [[4.0, 2.8, 0.1, 6.0], [2.2, 0.0, 3.1, 1.0]], [7, 1])
+@example((2, 5), [[0.0, 0.0, 0.0, 0.0]], list(range(8)))
+def test_stacked_sector_build_bitwise_equals_entry_loop(pq, ks, sectors):
+    # momentum outer, sector inner: each matrix of the one stacked build is the loop's, byte for byte
+    p, q = pq
+    momenta = [BlochMomentum(*x) for x in ks]
+    want = np.array([_reduced_by_entry_loop(p, q, k, m) for k in momenta for m in sectors])
+    assert checks._reduced_matrices(p, q, momenta, sectors).tobytes() == want.tobytes()
 
 
 def _ring_by_site_loop(B):
@@ -522,11 +546,29 @@ def test_kernel_refuses_entries_outside_the_cyclic_band():
 
 
 def test_kernel_refuses_non_hermitian_and_non_finite_stacks():
+    import hyperband.spectrum as spectrum
+
     h, _ = _reduced_stack_and_spectra()
     skewed = h.copy()
     skewed[0, 1, 0] += 1e-9
     with pytest.raises(RuntimeError, match="Hermiticity"):
         harper_eigvalsh(skewed)
+    # the drift reads both entries of every pair in the band: the cyclic corner
+    q = h.shape[-1]
+    for row, col in ((0, q - 1), (q - 1, 0)):
+        skewed = h.copy()
+        skewed[1, row, col] += 1e-9j
+        with pytest.raises(RuntimeError, match="Hermiticity by 1.000e-09"):
+            harper_eigvalsh(skewed)
+    # and a block-iso pendant link
+    q = 5
+    iso = spectrum._iso_stack(q, *item_arrays(3, BlochMomentum(0.3, 1.1, 2.5, 4.0)))
+    for j in (0, q - 1):
+        for row, col in ((q + j, j), (j, q + j)):
+            skewed = iso.copy()
+            skewed[2, row, col] += 1e-9
+            with pytest.raises(RuntimeError, match="Hermiticity by 1.000e-09"):
+                harper_eigvalsh(skewed, pendants=True)
     h[1, 3, 3] = math.inf
     with pytest.raises(RuntimeError, match="non-finite"):
         harper_eigvalsh(h)
@@ -965,13 +1007,14 @@ def test_sweep_certifies_one_matrix_set_per_orbit_and_momentum(monkeypatch):
     import hyperband.spectrum as spectrum
 
     certified = []
-    real_certify = spectrum.certify_spectra
+    real_certify = spectrum._certify
 
-    def counting(h, vals, pendants=False):
+    def counting(h, band, vals, pendants):
         certified.append(len(h))
-        real_certify(h, vals, pendants)
+        real_certify(h, band, vals, pendants)
 
-    monkeypatch.setattr(spectrum, "certify_spectra", counting)
+    # the certificate `harper_eigvalsh` runs on the band it gathered for the gate
+    monkeypatch.setattr(spectrum, "_certify", counting)
     q_max, k_samples = 12, 3
     pairs = coprime_flux_pairs(q_max)
     for model, sectors in ((ReducedHarper(6), 1), (BlockAnisotropic(), 1), (BlockIsotropic(), 4)):
