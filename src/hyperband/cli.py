@@ -43,6 +43,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import checks
+from .halfplane import moebius_rows
 from .magnetic import FluxParam
 from .spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, HamiltonianModel, ReducedHarper
 from .spectrum import butterfly_sweep, model_spectrum
@@ -176,11 +177,16 @@ _SVG_HEAD = (
 )
 # tile corners per block of corner arrays and path rows (256 octagons): a
 # block's temporaries grow with its corners.  On Linux with glibc, a cold
-# `tile --g 2 --depth 5` takes about 3k minor page faults at 256 octagons a
-# block and 18k from 320 up, where each block's freed temporaries go back to
-# the system and are faulted in again; smaller blocks cost more numpy calls
-# than they save
+# `tile --g 2 --depth 5` takes about 0.7k minor page faults at 256 octagons
+# a block, 0.8k at 448 and 13k at 512, where each block's freed
+# temporaries go back to the system and are faulted in again; smaller
+# blocks cost more numpy calls than they save
 _SVG_BLOCK_CORNERS = 2048
+# tile corners per block of the refusal check that precedes the writing: a
+# corner there holds a few floats of `moebius_rows` temporaries, not a path
+# row's words and bytes, so a block four times as large stays as small and
+# takes a quarter of the numpy calls
+_CHECK_BLOCK_CORNERS = 4 * _SVG_BLOCK_CORNERS
 
 # Path text is built as little-endian uint64 words of up to eight ASCII bytes,
 # padded with NUL bytes that `bytes.translate` deletes.  A number is two
@@ -346,20 +352,25 @@ def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
 
     Every refusal comes before `out` is opened: the enumeration guard before
     the generators and the fundamental domain are built, degenerate corner
-    geometry after.  The paths are then formatted and written as bytes, a
-    block of `_SVG_BLOCK_CORNERS` corners at a time.
+    geometry after, when `moebius_rows` has checked every corner, a block of
+    `_CHECK_BLOCK_CORNERS` at a time, and dropped it.  The corners are then
+    computed again, formatted and written as bytes a block of
+    `_SVG_BLOCK_CORNERS` corners at a time, so no corner array outlives its
+    block.
     """
     check_tiling_size(params.genus, depth)
     dom = make_fundamental_domain(params)
     tiles = enumerate_tiles(make_generators(params), depth)
-    # corners block by block, so the array temporaries stay block-sized
+    x, y = np.array([[p.x, p.y] for p in dom.vertices]).T
+    step = max(1, _CHECK_BLOCK_CORNERS // len(dom.vertices))
+    for lo in range(0, len(tiles), step):  # raises at the first refused corner in row-major order
+        moebius_rows(tiles[lo : lo + step], x, y)
     step = max(1, _SVG_BLOCK_CORNERS // len(dom.vertices))
-    blocks = [disk_corners(tiles[lo : lo + step], dom) for lo in range(0, len(tiles), step)]
     columns = _row_columns(len(dom.vertices), dom.edges)
     with _created(out) as fh:
         fh.write(_SVG_HEAD)
-        for u, v in blocks:
-            fh.write(_svg_paths(u, v, dom.edges, columns))
+        for lo in range(0, len(tiles), step):
+            fh.write(_svg_paths(*disk_corners(tiles[lo : lo + step], dom), dom.edges, columns))
         fh.write(b"</svg>\n")
     return len(tiles)
 

@@ -273,7 +273,11 @@ def inertia_counts(h: np.ndarray, sigma: np.ndarray, pendants: bool = False) -> 
     With `pendants` (layout of `_cyclic_band`) each pendant q + j is
     eliminated first: pivot b_j = H[q+j, q+j] - sigma, same zero rule, and
     -|H[q+j, j]|^2 / b_j folds into a_j - sigma before the core recurrence.
+    A `sigma` that is not 2-D with one row per matrix is a ValueError: it
+    would broadcast one row of shifts over several matrices.
     """
+    if sigma.ndim != 2 or len(sigma) != len(h):
+        raise ValueError(f"shifts must be shaped ({len(h)}, s) for {len(h)} matrices, got {sigma.shape}")
     q = h.shape[-1] // 2 if pendants else h.shape[-1]
     j = np.arange(q)
     diag = h.real[:, j, j, None]  # a_j, (n, q, 1)
@@ -328,8 +332,11 @@ def certify_spectra(h: np.ndarray, vals: np.ndarray, pendants: bool = False) -> 
     most i eigenvalues lie below lambda_i - delta and at least i + 1 below
     lambda_i + delta.  Unlike an eigenpair residual, which only places each
     lambda near some eigenvalue, this pins the i-th one, so a duplicated or
-    missing eigenvalue fails.  Raises RuntimeError.
+    missing eigenvalue fails.  Raises RuntimeError, or ValueError for a
+    `vals` of another shape than (n, dim), which would broadcast.
     """
+    if vals.shape != h.shape[:-1]:
+        raise ValueError(f"claimed spectra must be shaped {h.shape[:-1]}, got {vals.shape}")
     _certify(h, h[:, _cyclic_band(h.shape[-1], pendants)], vals, pendants)
 
 

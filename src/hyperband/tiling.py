@@ -34,7 +34,9 @@ from .halfplane import (
 
 _DEDUP_TOL = 1e-6
 _MAX_CANDIDATE_WORDS = 10**6
-_MAX_TILE_CORNERS = 16 * _MAX_CANDIDATE_WORDS  # g = 4 depth 5 has about 13.9M
+# `tile` formats and writes every corner, so this bounds its output and the
+# time it takes, not its memory; g = 4 depth 5 has about 13.9M corners
+_MAX_TILE_CORNERS = 16 * _MAX_CANDIDATE_WORDS
 _ARC_RADIUS_LIMIT = 1e4  # straight-segment fallback for near-diameter geodesics
 
 
@@ -178,6 +180,27 @@ def edge_pairing_defect(gens: FuchsianGenerators, dom: FundamentalDomain) -> flo
 
 
 _H = 0.05  # side of the dedup cells
+_ROW_SPAN = 1 << 17  # a cell key is column * _ROW_SPAN + row
+_COLUMN_LIMIT = 2.0**45  # |column| is clipped here, so every key and probe bound fits in int64
+# candidates per chunk of a level pass: each chunk's products, gate, cells
+# and probes are formed at once, so no temporary of a level outgrows a chunk
+# but the sorted keys of the level and of the tiles kept before it
+_LEVEL_CHUNK = 4096
+
+
+def _cell_keys(column: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The int64 keys column * 2^17 + row of integral float cell columns and rows.
+
+    Columns are clipped to +-2^45 (a NaN column goes to -2^45).  Every
+    positive float y has |log y| < 746, so |row| < 15000 < 2^16: sorted keys
+    run column by column, and by row within a column, as the pairs
+    (column, row) do lexicographically, and key +- 1 is the next row of the
+    same column.  Clipping only merges the columns past the bound into the
+    edge columns, where they cost comparisons, never a lost copy; at g = 2
+    depth 6, g = 3 depth 5 and g = 4 and 5 depth 4, |column| < 2^33.
+    """
+    column = np.fmin(np.fmax(column, -_COLUMN_LIMIT), _COLUMN_LIMIT)
+    return column.astype(np.int64) * _ROW_SPAN + row.astype(np.int64)
 
 
 def _gated_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,21 +208,19 @@ def _gated_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The rows are `sl2_rows(raw)`, and w = x + iy is the image of i under
     `moebius_rows`, so a refused candidate raises the scalar error.  The cell
-    of w is the complex number round(x / (y h)) + i round(log(y) / h): numpy
-    orders complex numbers lexicographically, so sorted cells run column by
-    column.  In the chart u = x / y, v = log y the hyperbolic metric reads
-    ds^2 = (du + u dv)^2 + dv^2: the dilations z -> lambda z, which are
+    of w is the column round(x / (y h)) and the row round(log(y) / h), packed
+    by `_cell_keys`.  In the chart u = x / y, v = log y the hyperbolic metric
+    reads ds^2 = (du + u dv)^2 + dv^2: the dilations z -> lambda z, which are
     isometries, shift v and fix u, so a cell has the same hyperbolic size at
-    every height.  Deep tiles
-    crowd towards the real axis, where a Euclidean grid lumps many of them
-    into one cell; here they keep to cells of their own, and a probe rarely
-    meets a matrix to compare.
+    every height.  Deep tiles crowd towards the real axis, where a Euclidean
+    grid lumps many of them into one cell; here they keep to cells of their
+    own, and a probe rarely meets a matrix to compare.
     """
     rows = sl2_rows(raw)
     x, y = moebius_rows(rows, 0.0, 1.0)
     with np.errstate(all="ignore"):  # x / (y h) may overflow for images near the real axis
-        keys = np.rint(x[:, 0] / (y[:, 0] * _H)) + 1j * np.rint(np.log(y[:, 0]) / _H)
-    return rows, keys
+        column = np.rint(x[:, 0] / (y[:, 0] * _H))
+    return rows, _cell_keys(column, np.rint(np.log(y[:, 0]) / _H))
 
 
 def _psl2_close(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -218,22 +239,25 @@ def _neighbour_pairs(keys, order, base_keys, base_order) -> tuple[np.ndarray, np
     hold every copy.  The three cells of one column are one run of sorted keys.
     """
     firsts, seconds = [], []
-    for dx in (-1.0, 0.0, 1.0):
-        lo = np.searchsorted(base_keys, keys + (dx - 1j), "left")
-        n = np.searchsorted(base_keys, keys + (dx + 1j), "right") - lo
+    for dx in (-_ROW_SPAN, 0, _ROW_SPAN):
+        lo = np.searchsorted(base_keys, keys + (dx - 1), "left")
+        n = np.searchsorted(base_keys, keys + (dx + 1), "right") - lo
         firsts.append(np.repeat(order, n))
         seconds.append(base_order[np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)])
     return np.concatenate(firsts), np.concatenate(seconds)
 
 
-def check_tiling_size(genus: int, depth: int) -> None:
+def check_tiling_size(genus: int, depth: int) -> int:
     """Refuse a negative depth, or one past `_MAX_CANDIDATE_WORDS` candidates or `_MAX_TILE_CORNERS` corners.
 
-    The corner bound counts (1 + candidates) tiles of 4g corners each: a
-    large genus has few candidates at depth 1 but a 4g-gon per tile, and
-    `tile` holds every corner before it writes.  Both counts depend on genus
-    and depth alone, so a caller can refuse before it builds the O(genus)
-    generators and fundamental domain.
+    Returns 1 + the candidate count: the freely reduced words of length
+    <= depth, the most tiles the enumeration can keep.  The corner bound
+    counts that many tiles of 4g corners each: a large genus has few
+    candidates at depth 1 but a 4g-gon per tile, and `tile` formats and
+    writes every corner, so the bound limits the output's size and the time
+    spent on it.  Both counts depend on genus and depth alone, so a caller
+    can refuse before it builds the O(genus) generators and fundamental
+    domain.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -245,6 +269,37 @@ def check_tiling_size(genus: int, depth: int) -> None:
             raise ValueError(f"depth {depth} spans > {_MAX_CANDIDATE_WORDS} candidate words for genus {genus}")
     if (1 + candidates) * n_letters > _MAX_TILE_CORNERS:
         raise ValueError(f"depth {depth} spans > {_MAX_TILE_CORNERS} tile corners for genus {genus}")
+    return 1 + candidates
+
+
+def _first_copies(level: np.ndarray, level_keys: np.ndarray, stored: np.ndarray, stored_keys: np.ndarray) -> np.ndarray:
+    """Mask of the candidates `level` that no element of `stored`, nor an earlier kept candidate, lies close to.
+
+    Queries go in sorted-key chunks of `_LEVEL_CHUNK`: first every candidate
+    against the stored keys, then against the other candidates, where the
+    few close pairs are resolved in order.
+    """
+    order = np.argsort(level_keys, kind="stable")
+    level_keys = level_keys[order]
+    stored_order = np.argsort(stored_keys, kind="stable")
+    stored_keys = stored_keys[stored_order]
+    chunks = [(level_keys[lo : lo + _LEVEL_CHUNK], order[lo : lo + _LEVEL_CHUNK]) for lo in range(0, len(order), _LEVEL_CHUNK)]
+    kept = np.ones(len(level), dtype=bool)
+    for cells in chunks:
+        new, old = _neighbour_pairs(*cells, stored_keys, stored_order)
+        kept[new[_psl2_close(level[new], stored[old])]] = False
+    close_pairs = []
+    for cells in chunks:
+        later, earlier = _neighbour_pairs(*cells, level_keys, order)
+        pair = (earlier < later) & kept[later] & kept[earlier]
+        later, earlier = later[pair], earlier[pair]
+        close = _psl2_close(level[later], level[earlier])
+        close_pairs += zip(later[close].tolist(), earlier[close].tolist())
+    # first come wins: a candidate goes when an earlier kept one is close
+    for i, j in sorted(close_pairs):
+        if kept[j]:
+            kept[i] = False
+    return kept
 
 
 def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> np.ndarray:
@@ -253,46 +308,48 @@ def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> np.ndarray:
     Breadth-first over freely reduced words; order within a level follows
     gamma_1, gamma_1^-1, gamma_2, ... applied on the right.  A candidate is
     dropped when an element kept before it, at an earlier level or earlier in
-    its own level, lies within `_DEDUP_TOL` of it in PSL(2,R).  Each level is
-    one array pass: products, gate, cells, a sorted-key probe of the stored
-    elements, and the few close pairs within the level resolved in order.
+    its own level, lies within `_DEDUP_TOL` of it in PSL(2,R).  Each level
+    is one array pass in chunks of `_LEVEL_CHUNK` candidates: products, gate
+    and cells are written behind the kept rows, in arrays sized once by
+    `check_tiling_size`; a sorted-key probe of the stored elements and of
+    the level (`_first_copies`) marks the first copies, which are then moved
+    up behind the kept rows.  A chunk refuses at its first refused product,
+    else at its first refused image.
     """
-    check_tiling_size(gens.genus, depth)
+    size = check_tiling_size(gens.genus, depth)
     n_letters = 4 * gens.genus
     # letter 2j is gamma_{j+1}, letter 2j + 1 its inverse: letter k ^ 1 undoes letter k
     letters = np.array([m.entries() for gamma in gens.gammas for m in (gamma, gamma.inverse())])
-    frontier, stored_keys = _gated_rows(np.array([Sl2Element.identity().entries()]))
-    last = np.array([-1])
-    stored = frontier
+    rows, keys = np.empty((size, 4)), np.empty(size, dtype=np.int64)
+    last = np.empty(size, dtype=np.int32)  # the last letter of each row's word
+    rows[:1], keys[:1] = _gated_rows(np.array([Sl2Element.identity().entries()]))
+    last[0] = -1
+    lo, kept = 0, 1  # rows[:kept] are the tiles so far, rows[lo:kept] the last level's
     for _ in range(depth):
-        parent = np.repeat(np.arange(len(frontier)), n_letters)
-        letter = np.tile(np.arange(n_letters), len(frontier))
-        reduced = letter != last[parent] ^ 1  # free reduction: skip immediate backtracking
-        parent, letter = parent[reduced], letter[reduced]
-        (a1, b1, c1, d1), (a2, b2, c2, d2) = frontier[parent].T, letters[letter].T
-        rows, keys = _gated_rows(
-            np.stack([a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2], axis=1)
-        )
-
-        order = np.argsort(keys, kind="stable")
-        cells = (keys[order], order)
-        stored_order = np.argsort(stored_keys, kind="stable")
-        new, old = _neighbour_pairs(*cells, stored_keys[stored_order], stored_order)
-        kept = np.ones(len(rows), dtype=bool)
-        kept[new[_psl2_close(rows[new], stored[old])]] = False
-        later, earlier = _neighbour_pairs(*cells, *cells)
-        pair = (earlier < later) & kept[later] & kept[earlier]
-        later, earlier = later[pair], earlier[pair]
-        close = _psl2_close(rows[later], rows[earlier])
-        # first come wins: a candidate goes when an earlier kept one is close
-        for i, j in sorted(zip(later[close].tolist(), earlier[close].tolist())):
-            if kept[j]:
-                kept[i] = False
-
-        frontier, last = rows[kept], letter[kept]
-        stored = np.concatenate([stored, frontier])
-        stored_keys = np.concatenate([stored_keys, keys[kept]])
-    return stored
+        end, span = kept, (kept - lo) * n_letters
+        for start in range(0, span, _LEVEL_CHUNK):
+            parent, letter = np.divmod(np.arange(start, min(start + _LEVEL_CHUNK, span)), n_letters)
+            parent += lo
+            reduced = letter != last[parent] ^ 1  # free reduction: skip immediate backtracking
+            parent, letter = parent[reduced], letter[reduced]
+            (a1, b1, c1, d1), (a2, b2, c2, d2) = rows[parent].T, letters[letter].T
+            stop = end + len(parent)
+            rows[end:stop], keys[end:stop] = _gated_rows(
+                np.stack([a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2], axis=1)
+            )
+            last[end:stop] = letter
+            end = stop
+        first = _first_copies(rows[kept:end], keys[kept:end], rows[:kept], keys[:kept])
+        # move the first copies up, a chunk at a time: each chunk's writes land below its reads
+        lo, top = kept, kept
+        for start in range(lo, end, _LEVEL_CHUNK):
+            at = start + np.flatnonzero(first[start - lo : start - lo + _LEVEL_CHUNK])
+            to = slice(top, top + len(at))
+            rows[to], keys[to], last[to] = rows[at], keys[at], last[at]
+            top = to.stop
+        kept = top
+    del keys, last  # the copy that trims the rows is then the only other array
+    return rows[:kept].copy()
 
 
 def disk_corners(tiles: np.ndarray, dom: FundamentalDomain) -> tuple[np.ndarray, np.ndarray]:

@@ -658,6 +658,22 @@ def test_refused_tile_runs_leave_no_file(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "tiling.svg").exists()
 
 
+@pytest.mark.parametrize("first, second", [(0, 2), (2, 1)])
+def test_refused_tiles_past_the_first_block_leave_no_file(first, second, tmp_path, monkeypatch, capsys):
+    # one refused tile in the second checked block of corners, another in the third: the earlier one is reported
+    monkeypatch.chdir(tmp_path)
+    step = cli._CHECK_BLOCK_CORNERS // 8  # octagons per checked block: 1024
+    rows = np.tile(Sl2Element.identity().entries(), (3 * step, 1))
+    rows[step + 44] = _DEGENERATE_TILES[first][0].entries()
+    rows[2 * step + 88] = _DEGENERATE_TILES[second][0].entries()
+    monkeypatch.setattr(cli, "enumerate_tiles", lambda gens, depth: rows)
+    code, out, err = run(capsys, "tile", "--depth", "1")
+    message = _scalar_images(rows, _OCTAGON)
+    assert _DEGENERATE_TILES[first][1] in message
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "tiling.svg").exists()
+
+
 @pytest.mark.parametrize(
     "genus, depth, message",
     [

@@ -516,6 +516,25 @@ def test_certificate_rejects_a_wrong_eigenvalue(mutation):
         certify_spectra(h, vals)
 
 
+def test_certificate_refuses_claims_shaped_unlike_the_stack():
+    h, vals = _reduced_stack_and_spectra()
+    # one row for three distinct matrices would broadcast: each matrix checked against the first's spectrum
+    for claim in (vals[:1], vals[:, :-1], vals[0], vals[..., None]):
+        with pytest.raises(ValueError, match=r"claimed spectra must be shaped \(3, 9\)"):
+            certify_spectra(h, claim)
+    # the same row for two copies of one matrix is true, yet it is still not a claim per matrix
+    with pytest.raises(ValueError, match=r"claimed spectra must be shaped \(2, 9\)"):
+        certify_spectra(np.stack([h[0], h[0]]), vals[:1])
+
+
+def test_inertia_counts_refuse_shifts_without_one_row_per_matrix():
+    h, vals = _reduced_stack_and_spectra()
+    assert np.array_equal(inertia_counts(h, vals + 1e-3), np.tile(np.arange(1, 10), (3, 1)))
+    for sigma in (vals[:1] + 1e-3, vals[0] + 1e-3, (vals + 1e-3)[..., None]):
+        with pytest.raises(ValueError, match=r"shifts must be shaped \(3, s\) for 3 matrices"):
+            inertia_counts(h, sigma)
+
+
 def test_kernel_certifies_what_lapack_returns(monkeypatch):
     real_eigvalsh = np.linalg.eigvalsh
 

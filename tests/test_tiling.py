@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperband import tiling
 from hyperband.halfplane import (
@@ -265,6 +267,70 @@ def test_enumeration_is_bit_identical_to_scalar_oracle(genus, depth):
     assert rows.dtype == np.float64 and rows.shape[1:] == (4,)
     oracle = _scalar_enumerate_tiles(gens, depth)
     assert np.array_equal(_bits(rows), _bits([m.entries() for m in oracle]))
+
+
+@pytest.mark.parametrize("genus, depth", [(2, 4), (3, 3)])
+def test_level_chunks_do_not_change_the_rows(genus, depth, monkeypatch):
+    # depth 4 = 2g is where copies merge, across chunks as well as within one
+    gens = make_generators(TilingParams(genus))
+    want = _bits(enumerate_tiles(gens, depth))
+    for chunk in (1, 7, tiling.check_tiling_size(genus, depth) * (4 * genus)):
+        monkeypatch.setattr(tiling, "_LEVEL_CHUNK", chunk)
+        assert np.array_equal(_bits(enumerate_tiles(gens, depth)), want)
+
+
+def _complex_neighbour_pairs(keys, order, base_keys, base_order) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle of `tiling._neighbour_pairs` on complex cells column + i row, which numpy sorts lexicographically."""
+    firsts, seconds = [], []
+    for dx in (-1.0, 0.0, 1.0):
+        lo = np.searchsorted(base_keys, keys + (dx - 1j), "left")
+        n = np.searchsorted(base_keys, keys + (dx + 1j), "right") - lo
+        firsts.append(np.repeat(order, n))
+        seconds.append(base_order[np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)])
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+_LIMIT = 2**45  # tiling._COLUMN_LIMIT
+# columns and rows bunched so that cells meet, around 0 and at the clip bound, and spread wide
+_CELL = st.tuples(
+    st.one_of(
+        st.integers(-3, 3),
+        st.integers(_LIMIT - 3, _LIMIT + 3),
+        st.integers(-_LIMIT - 3, -_LIMIT + 3),
+        st.integers(-(2**52), 2**52),
+    ),
+    st.one_of(st.integers(-3, 3), st.integers(-15000, -14996), st.integers(14996, 15000), st.integers(-15000, 15000)),
+)
+
+
+def _pairs(first, second) -> list[tuple[int, int]]:
+    return sorted(zip(first.tolist(), second.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CELL, min_size=1, max_size=30), st.lists(_CELL, min_size=1, max_size=30))
+@example([(_LIMIT + 9, 4), (_LIMIT, -15000)], [(_LIMIT + 1, 5), (_LIMIT - 1, -14999), (2**52, 3)])
+@example([(-1, -1), (0, 15000)], [(-2, -2), (-1, 0), (0, 1), (1, 14999), (-1, -15000)])
+def test_packed_cell_keys_give_the_complex_keys_neighbours(queries, base):
+    # the complex oracle sees the clipped columns: clipping is the one place where the keys may merge cells
+    def cells(pairs):
+        column, row = np.array(pairs, dtype=float).T
+        packed, clipped = tiling._cell_keys(column, row), np.clip(column, -_LIMIT, _LIMIT) + 1j * row
+        order = np.argsort(clipped, kind="stable")
+        assert np.array_equal(np.argsort(packed, kind="stable"), order)
+        return (packed[order], order), (clipped[order], order)
+
+    (packed, order), (clipped, _) = cells(queries)
+    (base_packed, base_order), (base_clipped, _) = cells(base)
+    want = _pairs(*_complex_neighbour_pairs(clipped, order, base_clipped, base_order))
+    assert _pairs(*tiling._neighbour_pairs(packed, order, base_packed, base_order)) == want
+
+
+def test_cell_keys_clip_non_finite_columns_to_the_bound():
+    column = np.array([np.inf, -np.inf, np.nan, 2.0**60, -(2.0**45), 5.0])
+    keys = tiling._cell_keys(column, np.array([3.0, -3.0, 0.0, -15000.0, 15000.0, -1.0]))
+    bound = _LIMIT << 17
+    assert keys.tolist() == [bound + 3, -bound - 3, -bound, bound - 15000, -bound + 15000, (5 << 17) - 1]
 
 
 def test_first_copy_wins_where_merges_start():
