@@ -1,12 +1,13 @@
 """The paper's identities, each written once, for `verify` and the acceptance suite.
 
-Every check takes its sample inputs (genera, fields, points, momenta, flux
-pairs) and returns the worst defect over them, NaN when any defect is NaN.
-An empty sample list is a ValueError that names the list.
-The operator-algebra checks form one residual matrix per field and check
-(commutator or generator) on the cubic basis, then evaluate it at every
-sample point in one product (`magnetic.commutator_residual` and the two
-Hamiltonian residuals); no operator image is kept from one call to the next.
+Every check but the three operator-algebra ones takes its sample inputs
+(genera, points, momenta, flux pairs) and returns the worst defect over
+them, NaN when any defect is NaN.  An empty sample list is a ValueError
+that names the list.  The algebra checks take no samples: their residuals
+(`magnetic.commutator_residual` and the two Hamiltonian residuals) are
+polynomials in the field B, formed exactly on the cubic basis, so a
+defect is the largest coefficient of any power of B and reads 0.0 where
+the identity holds at every field.
 `TOLERANCES` holds the `verify` bounds that `--tol NAME=VALUE` overrides;
 the acceptance criteria that have a matching check read these defaults.
 `run_suite` runs the `verify` table `SUITE` on samples drawn from the
@@ -73,7 +74,6 @@ class SuiteSamples(NamedTuple):
     B: float
     pair: FluxParam
     flux_points: list[HPoint]
-    points: list[HPoint]
     momenta: list[BlochMomentum]
 
 
@@ -112,9 +112,9 @@ SUITE: tuple[tuple[str, str, Callable[[SuiteSamples], tuple[float, str]]], ...] 
     ("edge pairing", "pairing", lambda s: (edge_pairing([s.genus]), "")),
     ("covering degree", "covering", lambda s: (covering_degree([(q, HPoint(1.0, 1.0)) for q in range(1, 9)]), "")),
     ("flux relation", "flux", _flux_line),
-    ("operator commutators", "algebra", lambda s: (operator_commutators([s.B], s.points), "")),
-    ("hamiltonian symmetry", "hamiltonian", lambda s: (hamiltonian_symmetry([s.B], s.points), "")),
-    ("hamiltonian forms", "forms", lambda s: (hamiltonian_forms([s.B], s.points), "")),
+    ("operator commutators", "algebra", lambda s: (operator_commutators(), "")),
+    ("hamiltonian symmetry", "hamiltonian", lambda s: (hamiltonian_symmetry(), "")),
+    ("hamiltonian forms", "forms", lambda s: (hamiltonian_forms(), "")),
     ("lattice hermiticity", "hermiticity", lambda s: (lattice_hermiticity(s.pair, s.momenta), _pair_note(s))),
     ("rotation sectors", "sector", lambda s: (rotation_sectors(s.pair, s.momenta), _pair_note(s))),
     ("iso sectors", "sector", lambda s: (iso_sectors(s.pair, s.momenta), _pair_note(s))),
@@ -127,9 +127,9 @@ def run_suite(genus: int, flux: Fraction | float, seed: int, tols: dict[str, flo
     """The records of `SUITE` in order, each judged by `tols[key]`, yielded as each check ends.
 
     Samples come from the stdlib `random.Random(seed)`: five flux-relation
-    points, five algebra points, then two momenta (`random_points`,
-    `random_momenta`).  The lattice checks are genus-2 structures
-    at the pair of a `Fraction` flux; a bare real B has none, so they take
+    points, five points no check reads, then two momenta (`random_points`,
+    `random_momenta`).  The lattice checks are genus-2 structures at the
+    pair of a `Fraction` flux; a bare real B has none, so they take
     p/q = 1/3.  A `ValueError`, `RuntimeError` or `OverflowError` (a flux
     pair too large for a float) inside a check gives defect inf with the
     message as note.
@@ -138,7 +138,8 @@ def run_suite(genus: int, flux: Fraction | float, seed: int, tols: dict[str, flo
     pair = FluxParam.from_field(flux) if isinstance(flux, Fraction) else FluxParam(1, 3)
     rng = random.Random(seed)
     flux_points = random_points(rng, 5)
-    samples = SuiteSamples(genus, B, pair, flux_points, random_points(rng, 5), random_momenta(rng, 2))
+    random_points(rng, 5)  # the algebra checks take no samples; drawn so that each seed keeps its momenta
+    samples = SuiteSamples(genus, B, pair, flux_points, random_momenta(rng, 2))
     for name, key, compute in SUITE:
         try:
             defect, note = compute(samples)
@@ -215,26 +216,18 @@ def flux_relation(genus: int, B: float, points: list[HPoint]) -> tuple[float, co
     return max_or_nan(abs(phase - expected) for phase in phases), phases[-1]
 
 
-def operator_commutators(fields: Iterable[float], points: list[HPoint]) -> float:
-    return max_or_nan(
-        magnetic.commutator_residual(op1, op2, expected, points, B)
-        for B in _listed(fields, "field list")
-        for op1, op2, expected in COMMUTATORS
-    )
+def operator_commutators() -> float:
+    return max(magnetic.commutator_residual(op1, op2, expected) for op1, op2, expected in COMMUTATORS)
 
 
-def hamiltonian_symmetry(fields: Iterable[float], points: list[HPoint]) -> float:
+def hamiltonian_symmetry() -> float:
     """[H, X] for each field generator X."""
-    return max_or_nan(
-        magnetic.hamiltonian_commutation_residual(op, points, B)
-        for B in _listed(fields, "field list")
-        for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
-    )
+    return max(magnetic.hamiltonian_commutation_residual(op) for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B))
 
 
-def hamiltonian_forms(fields: Iterable[float], points: list[HPoint]) -> float:
+def hamiltonian_forms() -> float:
     """Generator form of the Landau Hamiltonian against its continuum form."""
-    return max_or_nan(magnetic.hamiltonian_forms_residual(points, B) for B in _listed(fields, "field list"))
+    return magnetic.hamiltonian_forms_residual()
 
 
 def ring_matrix(B: float) -> np.ndarray:

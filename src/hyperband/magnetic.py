@@ -26,10 +26,14 @@ The second half of the module verifies the commutation relations, the
 generator form of the Landau Hamiltonian, and the weighted
 (automorphy-twisted) actions, all without finite differences.  Every
 operator is linear and raises the polynomial degree by at most one, so it is
-written once as terms c B^p x^a y^b dx^m dy^n, and the residuals are
-matrices on the monomials x^i y^j: products of operator matrices applied to
-the cubic basis, then evaluated at every sample point at once.  `Poly2` is
-the exact polynomial calculus that the weighted actions use and that the
+written once as terms c B^p x^a y^b dx^m dy^n with p <= 2, and becomes a
+polynomial in B whose coefficients are field-free matrices on the monomials
+x^i y^j.  A residual is a product of such polynomials applied to the cubic
+basis, formed power by power, so it holds at every field at once and takes
+no field and no sample point.  Every c is a small integer or its half, or
+i times one, so every entry of every product is a dyadic rational that
+float64 holds exactly: a residual that vanishes reads exactly 0.0.  `Poly2`
+is the exact polynomial calculus that the weighted actions use and that the
 tests hold the matrices against.
 """
 
@@ -444,126 +448,75 @@ def _term_entries(a: int, b: int, m: int, n: int) -> tuple[tuple[int, int], ...]
 
 
 @functools.cache
-def _operator_entries(op: DiffOpId) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """The field-free entries of `op`'s matrix by power p of B: (p, flat indices, coefficients).
+def _graded_matrix(op: DiffOpId) -> np.ndarray:
+    """`op`'s matrix as a polynomial in B: entry p of the (3, 28, 21) array holds its B^p terms.
 
-    The terms of one power that meet in an entry are summed, exactly, being
-    small integers or their halves.
+    Every coefficient is a small integer or its half, or i times one, so the
+    terms that meet in an entry sum exactly.
     """
-    by_power: dict[int, dict[int, complex]] = {}
+    graded = np.zeros((3, _SIZES[6] * _SIZES[5]), dtype=complex)
     for power, coeff, term in _TERMS[op]:
-        entries = by_power.setdefault(power, {})
         for flat, value in _term_entries(*term):
-            entries[flat] = entries.get(flat, 0.0) + coeff * value
-    parts = []
-    for power, entries in sorted(by_power.items()):
-        index, coeffs = np.array(list(entries)), np.array(list(entries.values()), dtype=complex)
-        index.flags.writeable = coeffs.flags.writeable = False  # shared by every caller
-        parts.append((power, index, coeffs))
-    return tuple(parts)
+            graded[power, flat] += coeff * value
+    graded = graded.reshape(3, _SIZES[6], _SIZES[5])
+    graded.flags.writeable = False  # shared by every caller
+    return graded
 
 
-def _operator_matrix(op: DiffOpId, B: float) -> np.ndarray:
-    """The matrix of `op` at field B; a field-free term never sees B, not even a NaN one."""
-    matrix = np.zeros(_SIZES[6] * _SIZES[5], dtype=complex)
-    for power, index, coeffs in _operator_entries(op):
-        matrix[index] += coeffs if power == 0 else (B if power == 1 else B * B) * coeffs
-    return matrix.reshape(_SIZES[6], _SIZES[5])
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b as polynomials in B: each power of a times each of b, summed by total power.
 
-
-@functools.cache
-def _exponents() -> tuple[np.ndarray, np.ndarray]:
-    """The exponents i and j of `_MONOMIALS`, as arrays."""
-    exponents = np.array(_MONOMIALS).T
-    exponents.flags.writeable = False  # shared by every caller
-    return tuple(exponents)
-
-
-def _product(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-    """a b, where the columns of b have degree <= `degree`: only the rows of b that can be nonzero take part."""
-    k = _SIZES[degree]
-    return np.einsum("ij,jk->ik", a[:, :k], b[:k])
+    Every image in b's columns must lie in a's columns: b's rows past them are zero and left out.
+    """
+    products = a[:, None] @ b[None, :, : a.shape[2]]
+    out = np.zeros((len(a) + len(b) - 1, *products.shape[2:]), dtype=complex)
+    for p, row in enumerate(products):
+        out[p : p + len(b)] += row
+    return out
 
 
 _GENERATORS = (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
 
 
-def _hamiltonian_columns(generators: list[np.ndarray], B: float, degree: int) -> np.ndarray:
-    """The columns of H in generator form for the monomials of degree <= `degree`.
+def _hamiltonian(k: int) -> np.ndarray:
+    """H in generator form on the first k monomials, as a polynomial in B.
 
-    H = 1/(2m) (T_B (S_B - T_B) - 1/4 U_B^2 - 1/2 U_B + B^2), m = 1, from
-    the matrices of S_B, T_B and U_B.  H keeps the degree of what it acts on.
+    H = 1/(2m) (T_B (S_B - T_B) - 1/4 U_B^2 - 1/2 U_B + B^2), m = 1.  H keeps
+    the degree of what it acts on.
     """
-    s, t, u = generators
-    k = _SIZES[degree]
-    inner = _product(t, s[:, :k] - t[:, :k], degree + 1) - 0.25 * _product(u, u[:, :k], degree) - 0.5 * u[:, :k]
-    inner[range(k), range(k)] += B * B
+    s, t, u = (_graded_matrix(g) for g in _GENERATORS)
+    inner = _compose(t, s[..., :k] - t[..., :k]) - 0.25 * _compose(u, u[..., :k])
+    inner[:3] -= 0.5 * u[..., :k]
+    inner[2, range(k), range(k)] += 1.0
     return 0.5 * inner
 
 
-def _worst_at_points(residual: np.ndarray, points: Iterable[HPoint]) -> float:
-    """Max over the cubic basis (the columns of `residual`) and the points of |residual f(z)|, NaN if any is NaN.
-
-    All ten residual polynomials are evaluated at every point in one product.
-    """
-    xy = np.array([(z.x, z.y) for z in points], dtype=float).reshape(-1, 2)
-    i, j = _exponents()
-    values = xy[:, :1] ** i * xy[:, 1:] ** j
-    # real values times the real and imaginary parts side by side: no cast of the values to complex
-    at_points = np.einsum("pk,kc->pc", values, np.ascontiguousarray(residual).view(float)).view(complex)
-    return max_or_nan(np.abs(at_points).ravel().tolist())
-
-
-def _listed_points(points: Iterable[HPoint]) -> tuple[HPoint, ...]:
-    points = tuple(points)
-    if not points:
-        raise ValueError("algebra residual needs at least one sample point, got an empty point list")
-    return points
-
-
-# an overflowing B^2 makes inf, and inf - inf or inf * 0 NaN residuals, which `max_or_nan` reports
-_QUIET = np.errstate(invalid="ignore", over="ignore")
-
-
-@_QUIET
-def commutator_residual(
-    op1: DiffOpId,
-    op2: DiffOpId,
-    expected: dict[DiffOpId, complex],
-    points: Iterable[HPoint],
-    B: float,
-) -> float:
-    """Max over the cubic basis and the points of |([op1, op2] - sum c_i op_i) f(z)|."""
-    points = _listed_points(points)
-    matrices = {op: _operator_matrix(op, B) for op in (op1, op2, *expected)}
-    m1, m2 = matrices[op1], matrices[op2]
-    residual = _product(m1, m2[:, :_CUBICS], 4) - _product(m2, m1[:, :_CUBICS], 4)
+def commutator_residual(op1: DiffOpId, op2: DiffOpId, expected: dict[DiffOpId, complex]) -> float:
+    """Largest coefficient, over every power of B, of ([op1, op2] - sum c_i op_i) on the cubic basis."""
+    m1, m2 = _graded_matrix(op1), _graded_matrix(op2)
+    residual = _compose(m1, m2[..., :_CUBICS]) - _compose(m2, m1[..., :_CUBICS])
     for op, coeff in expected.items():
-        residual = residual - coeff * matrices[op][:, :_CUBICS]
-    return _worst_at_points(residual, points)
+        residual[:3] -= coeff * _graded_matrix(op)[..., :_CUBICS]
+    return float(np.abs(residual).max())
 
 
-@_QUIET
-def hamiltonian_commutation_residual(op: DiffOpId, points: Iterable[HPoint], B: float) -> float:
-    """Max over the basis and the points of |[H, op] f(z)| with H in generator form."""
+def hamiltonian_commutation_residual(op: DiffOpId) -> float:
+    """Largest coefficient, over every power of B, of [H, op] on the cubic basis, H in generator form."""
     if op not in _GENERATORS:
         raise ValueError(f"Hamiltonian symmetry check expects a field generator, got {op!r}")
-    points = _listed_points(points)
-    generators = [_operator_matrix(g, B) for g in _GENERATORS]
-    h, m = _hamiltonian_columns(generators, B, 4), generators[_GENERATORS.index(op)]
-    return _worst_at_points(_product(h, m[:, :_CUBICS], 4) - _product(m, h[:, :_CUBICS], 3), points)
+    h, m = _hamiltonian(_SIZES[4]), _graded_matrix(op)
+    return float(np.abs(_compose(h, m[..., :_CUBICS]) - _compose(m, h[..., :_CUBICS])).max())
 
 
-@_QUIET
-def hamiltonian_forms_residual(points: Iterable[HPoint], B: float) -> float:
-    """Max over the basis and the points of |(H_generator - H_continuum) f(z)|.
+def hamiltonian_forms_residual() -> float:
+    """Largest coefficient, over every power of B, of (H_generator - H_continuum) on the cubic basis.
 
     The generator form 1/2 (T_B(S_B - T_B) - U_B^2/4 - U_B/2 + B^2) and the
     Landau form (-y^2 Laplacian + 2iBy d/dx + B^2)/2 are the same operator.
     """
-    points = _listed_points(points)
-    h = _hamiltonian_columns([_operator_matrix(g, B) for g in _GENERATORS], B, 3)
-    return _worst_at_points(h - _operator_matrix(DiffOpId.H_continuum, B)[:, :_CUBICS], points)
+    residual = _hamiltonian(_CUBICS)
+    residual[:3] -= _graded_matrix(DiffOpId.H_continuum)[..., :_CUBICS]
+    return float(np.abs(residual).max())
 
 
 def check_weighted_action(mu_or_t: float, kind: DiffOpId, f: Poly2, z: HPoint, B: float) -> tuple[complex, complex]:

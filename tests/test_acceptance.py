@@ -79,12 +79,9 @@ def test_criterion_4_vertex_angle_identity():
 
 
 def test_criterion_5_operator_algebra():
-    rng = np.random.default_rng(1005)
     start = time.perf_counter()
-    points = checks.random_points(rng, 20)
-    fields = (0.0, 1.0 / 3.0, 0.77)
-    defect = max(checks.operator_commutators(fields, points), checks.hamiltonian_symmetry(fields, points))
-    tol = min(checks.TOLERANCES["algebra"], checks.TOLERANCES["hamiltonian"])
+    defect = max(checks.operator_commutators(), checks.hamiltonian_symmetry(), checks.hamiltonian_forms())
+    tol = min(checks.TOLERANCES[key] for key in ("algebra", "hamiltonian", "forms"))
     _report(5, "operator algebra", defect, tol, time.perf_counter() - start, 2.0)
 
 

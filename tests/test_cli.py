@@ -188,13 +188,17 @@ def test_verify_prints_the_bound_it_applies(capsys):
     assert "  tol 1.5e-07  phase" in flux_line
 
 
-@pytest.mark.parametrize("field", ["1e200", "1e160"])
-def test_verify_fails_overflowed_hamiltonian_residuals(field, capsys):
-    code, out, _ = run(capsys, "verify", "--B", field)
+def test_verify_fails_a_nan_defect(capsys, monkeypatch):
+    # NaN < tol is false, so a NaN defect fails its line, and the exit code is 1
+    suite = list(checks.SUITE)
+    index = [name for name, _, _ in suite].index("hamiltonian symmetry")
+    suite[index] = ("hamiltonian symmetry", "hamiltonian", lambda s: (math.nan, ""))
+    monkeypatch.setattr(checks, "SUITE", tuple(suite))
+    code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4")
     assert code == 1
-    for name in ("hamiltonian symmetry", "hamiltonian forms"):
-        line = next(line for line in out.splitlines() if name in line)
-        assert line.startswith(f"FAIL {name}") and "defect nan" in line
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL hamiltonian symmetry     defect nan  tol 1e-08"
+    ]
 
 
 def test_verify_reports_library_errors_as_failures(capsys):
@@ -280,10 +284,6 @@ def test_verify_suite_names_are_unique_and_use_every_tolerance():
         (lambda: checks.edge_pairing([]), "genus list"),
         (lambda: checks.covering_degree([]), r"\(q, z\) sample list"),
         (lambda: checks.flux_relation(2, 0.25, []), "point list"),
-        (lambda: checks.operator_commutators([], [HPoint(0.5, 1.0)]), "field list"),
-        (lambda: checks.operator_commutators([0.25], []), "point list"),
-        (lambda: checks.hamiltonian_symmetry([], [HPoint(0.5, 1.0)]), "field list"),
-        (lambda: checks.hamiltonian_forms([], [HPoint(0.5, 1.0)]), "field list"),
         (lambda: checks.lattice_hermiticity(FluxParam(1, 3), []), "momentum list"),
         (lambda: checks.rotation_sectors(FluxParam(1, 3), []), "momentum list"),
         (lambda: checks.iso_sectors(FluxParam(1, 3), []), "momentum list"),
