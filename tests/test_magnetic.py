@@ -670,9 +670,11 @@ def test_no_operator_meets_a_missing_column(B):
             assert degree(_apply(DiffOpId.H_continuum, f, B)) == i + j
 
 
-def test_operator_matrices_hold_the_poly2_images():
+@pytest.mark.parametrize("B", [0.0, 1.0 / 3.0, -1.9068267436675859, 0.37])
+def test_operator_matrices_hold_the_poly2_images(B):
     # `_apply` gives v(B) = c0 + c1 B + c2 B^2 exactly at B = 0, 1, 2, which pins the matrix of each power:
-    # column k of the power-p matrix is c_p of the image of monomial k, for every monomial of degree <= 5
+    # column k of the power-p matrix is c_p of the image of monomial k, for every monomial of degree <= 5;
+    # summed at the field B, the powers give the image of monomial k at B
     assert [Poly2.monomial(i, j).coeffs for i, j in _MONOMIALS[:10]] == [f.coeffs for f in POLY_BASIS]
 
     def column(poly: Poly2) -> np.ndarray:
@@ -684,9 +686,11 @@ def test_operator_matrices_hold_the_poly2_images():
     for op in DiffOpId:
         graded = _graded_matrix(op)
         for k, (i, j) in enumerate(_MONOMIALS[: _SIZES[5]]):
-            v0, v1, v2 = (column(_apply(op, Poly2.monomial(i, j), B)) for B in (0.0, 1.0, 2.0))
+            v0, v1, v2 = (column(_apply(op, Poly2.monomial(i, j), b)) for b in (0.0, 1.0, 2.0))
             c2 = (v2 - 2.0 * v1 + v0) / 2.0
             assert np.array_equal(graded[:, :, k], [v0, v1 - v0 - c2, c2]), (op, i, j)
+            at_field = graded[0, :, k] + B * graded[1, :, k] + B * B * graded[2, :, k]
+            np.testing.assert_allclose(at_field, column(_apply(op, Poly2.monomial(i, j), B)), rtol=1e-15, atol=0.0)
 
 
 # the operators each algebra line is built from
