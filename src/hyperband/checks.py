@@ -4,10 +4,10 @@ Every check but the three operator-algebra ones takes its sample inputs
 (genera, points, momenta, flux pairs) and returns the worst defect over
 them, NaN when any defect is NaN.  An empty sample list is a ValueError
 that names the list.  The algebra checks take no samples: their residuals
-(`magnetic.commutator_residual` and the two Hamiltonian residuals) are
-polynomials in the field B, formed exactly on the cubic basis, so a
-defect is the largest coefficient of any power of B and reads 0.0 where
-the identity holds at every field.
+(`magnetic.commutator_residual`, `weight_conjugation_residual` and the two
+Hamiltonian residuals) are polynomials in the field B, formed exactly on
+the cubic basis, so a defect is the largest coefficient of any power of B
+and reads 0.0 where the identity holds at every field.
 `TOLERANCES` holds the `verify` bounds that `--tol NAME=VALUE` overrides;
 the acceptance criteria that have a matching check read these defaults.
 `run_suite` runs the `verify` table `SUITE` on samples drawn from the
@@ -24,13 +24,15 @@ builds the sector matrices of every momentum and sector as one stack;
 conjugate by one index assignment each; the per-entry and per-block loops
 they replaced are the tests' byte-for-byte references), and `eigenvalues`
 solves one matrix, or an (n, d, d) stack in one LAPACK call, with
-eigenvectors and a residual certificate for each matrix; each lattice
-check builds its sector matrices as one stack and solves its dense
-matrices of one size as one stack.  It shares only `_harper_stack` (checked by
-`harper_oracle_compare`) and the gates `_require_dimension` and
-`_require_solvable` with the kernel, and never calls the sweep's route:
-`_chambers_stack`, `_chambers_momenta`, `harper_eigvalsh`,
-`_certified_spectra` or `model_spectra`.
+eigenvectors and a residual certificate for each matrix.  The oracle
+shares only `_harper_stack` (checked by `harper_oracle_compare`) and the
+gates `_require_dimension` and `_require_solvable` with the kernel, and
+never calls the sweep's route: `_chambers_stack`, `_chambers_momenta`,
+`harper_eigvalsh`, `_certified_spectra` or `model_spectra`.  Two checks
+compare the routes: `sector_union` holds `model_spectra`'s block spectra,
+the sector union that butterfly sweeps print, against the dense 8q x 8q
+spectra, for both block models; `chambers` holds the real Chambers twin
+against the dense complex sector-0 matrix.
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ SUITE: tuple[tuple[str, str, Callable[[SuiteSamples], tuple[float, str]]], ...] 
     ("hamiltonian symmetry", "hamiltonian", lambda s: (hamiltonian_symmetry(), "")),
     ("hamiltonian forms", "forms", lambda s: (hamiltonian_forms(), "")),
     ("lattice hermiticity", "hermiticity", lambda s: (lattice_hermiticity(s.pair, s.momenta), _pair_note(s))),
-    ("rotation sectors", "sector", lambda s: (rotation_sectors(s.pair, s.momenta), _pair_note(s))),
-    ("iso sectors", "sector", lambda s: (iso_sectors(s.pair, s.momenta), _pair_note(s))),
+    ("rotation sectors", "sector", lambda s: (sector_union(BlockAnisotropic(), s.pair, s.momenta), _pair_note(s))),
+    ("iso sectors", "sector", lambda s: (sector_union(BlockIsotropic(), s.pair, s.momenta), _pair_note(s))),
     ("flux orbits", "sector", _orbits_line),
     ("chambers", "sector", _chambers_line),
 )
@@ -217,7 +219,8 @@ def flux_relation(genus: int, B: float, points: list[HPoint]) -> tuple[float, co
 
 
 def operator_commutators() -> float:
-    return max(magnetic.commutator_residual(op1, op2, expected) for op1, op2, expected in COMMUTATORS)
+    """The `COMMUTATORS` relations, and each weighted generator as the y^B conjugate of its field generator."""
+    return max(magnetic.weight_conjugation_residual(), *(magnetic.commutator_residual(*c) for c in COMMUTATORS))
 
 
 def hamiltonian_symmetry() -> float:
@@ -348,22 +351,19 @@ def lattice_hermiticity(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> fl
     )
 
 
-def rotation_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
-    """Union of the eight sector spectra against the dense 8q x 8q block-aniso spectrum."""
+def sector_union(model: HamiltonianModel, pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
+    """The sweep's block spectra (`model_spectra`) against the dense 8q x 8q spectra of `model`.
+
+    For block-aniso the sweep's spectrum is the union of the eight rotation
+    sectors, the sector-0 spectrum plus one scalar shift each; for block-iso,
+    the union of its four S^2 sectors.  The dense blocks are built and solved
+    first, so a q over the dimension bound fails before any kernel solve.
+    """
     p, q = pair.p, pair.q
     momenta = _listed(momenta, "momentum list")
-    sectors = eigenvalues(_reduced_matrices(p, q, momenta, range(RING_SIZE)))
-    block = eigenvalues(np.array([assemble_block(BlockAnisotropic(), p, q, k) for k in momenta]))
-    return float(np.abs(np.sort(sectors.reshape(block.shape), axis=-1) - block).max())
-
-
-def iso_sectors(pair: FluxParam, momenta: Iterable[BlochMomentum]) -> float:
-    """Union of the four S^2 sector spectra (`model_spectra`) against the dense 8q x 8q block-iso spectrum."""
-    p, q = pair.p, pair.q
-    momenta = _listed(momenta, "momentum list")
-    dense = eigenvalues(np.array([assemble_block(BlockIsotropic(), p, q, k) for k in momenta]))
-    sectors = spectrum.model_spectra(BlockIsotropic(), q, [p], momenta)[0]
-    return float(np.abs(sectors - dense).max())
+    dense = eigenvalues(np.array([assemble_block(model, p, q, k) for k in momenta]))
+    union = spectrum.model_spectra(model, q, [p], momenta)[0]
+    return float(np.abs(union - dense).max())
 
 
 def flux_orbits(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> float:

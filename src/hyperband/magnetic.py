@@ -32,7 +32,9 @@ x^i y^j.  A residual is a product of such polynomials applied to the cubic
 basis, formed power by power, so it holds at every field at once and takes
 no field and no sample point.  Every c is a small integer or its half, or
 i times one, so every entry of every product is a dyadic rational that
-float64 holds exactly: a residual that vanishes reads exactly 0.0.  `Poly2`
+float64 holds exactly: a residual that vanishes reads exactly 0.0.  The
+weighted generators X_check are checked the same way against y^{-B} X_B y^{B},
+conjugated term by term (`weight_conjugation_residual`).  `Poly2`
 is the exact polynomial calculus that the weighted actions use and that the
 tests hold the matrices against.
 """
@@ -447,20 +449,42 @@ def _term_entries(a: int, b: int, m: int, n: int) -> tuple[tuple[int, int], ...]
     return tuple(entries)
 
 
-@functools.cache
-def _graded_matrix(op: DiffOpId) -> np.ndarray:
-    """`op`'s matrix as a polynomial in B: entry p of the (3, 28, 21) array holds its B^p terms.
+def _graded(terms: Iterable[tuple[int, complex, tuple[int, int, int, int]]]) -> np.ndarray:
+    """The matrix of a sum of terms as a polynomial in B: entry p of the (3, 28, 21) array holds its B^p terms.
 
     Every coefficient is a small integer or its half, or i times one, so the
     terms that meet in an entry sum exactly.
     """
     graded = np.zeros((3, _SIZES[6] * _SIZES[5]), dtype=complex)
-    for power, coeff, term in _TERMS[op]:
+    for power, coeff, term in terms:
         for flat, value in _term_entries(*term):
             graded[power, flat] += coeff * value
-    graded = graded.reshape(3, _SIZES[6], _SIZES[5])
+    return graded.reshape(3, _SIZES[6], _SIZES[5])
+
+
+@functools.cache
+def _graded_matrix(op: DiffOpId) -> np.ndarray:
+    """`op`'s matrix as a polynomial in B (`_graded` of `_TERMS[op]`)."""
+    graded = _graded(_TERMS[op])
     graded.flags.writeable = False  # shared by every caller
     return graded
+
+
+def _weight_conjugate(op: DiffOpId) -> list[tuple[int, complex, tuple[int, int, int, int]]]:
+    """The terms of y^{-B} op y^{B}, from `op`'s terms one at a time.
+
+    y^{-B} dy y^{B} = dy + B/y, so a term c B^p x^a y^b dx^m dy with b >= 1
+    also gives c B^(p+1) x^a y^(b-1) dx^m; a term without dy is unchanged.
+    Any other dy term has no such polynomial image and is a ValueError.
+    """
+    terms = []
+    for power, coeff, (a, b, m, n) in _TERMS[op]:
+        terms.append((power, coeff, (a, b, m, n)))
+        if n:
+            if n != 1 or b < 1:
+                raise ValueError(f"cannot conjugate the term x^{a} y^{b} dx^{m} dy^{n} of {op!r} by y^B")
+            terms.append((power + 1, coeff, (a, b - 1, m, 0)))
+    return terms
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -498,6 +522,22 @@ def commutator_residual(op1: DiffOpId, op2: DiffOpId, expected: dict[DiffOpId, c
     for op, coeff in expected.items():
         residual[:3] -= coeff * _graded_matrix(op)[..., :_CUBICS]
     return float(np.abs(residual).max())
+
+
+_WEIGHTED = {DiffOpId.S_B: DiffOpId.S_check, DiffOpId.T_B: DiffOpId.T_check, DiffOpId.U_B: DiffOpId.U_check}
+
+
+def weight_conjugation_residual() -> float:
+    """Largest coefficient, over every power of B and X = S, T, U, of X_check - y^{-B} X_B y^{B} on the cubic basis.
+
+    The weighted generators are the field generators conjugated by the
+    weight y^B.  This pins every term of the weighted forms; the commutator
+    relations alone hold for any multiple of S_check's y^2 dx and 2iBy terms.
+    """
+    return max(
+        float(np.abs(_graded_matrix(check)[..., :_CUBICS] - _graded(_weight_conjugate(op))[..., :_CUBICS]).max())
+        for op, check in _WEIGHTED.items()
+    )
 
 
 def hamiltonian_commutation_residual(op: DiffOpId) -> float:

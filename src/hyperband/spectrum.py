@@ -12,9 +12,9 @@ with an 8-site ring matrix inside each A_n whose corner phases e^{+-i 2 pi B}
 carry the rotation sector structure.  Diagonalizing the commuting ring first
 reduces each sector m to a q x q Harper-type matrix: diagonal 2cos(k2 - n phi),
 unit hoppings e^{-+ i k1}, and the scalar sector shift (16/pi^2) 2cos(pi B/4 +
-m pi/4).  So every sector is the sector-0 matrix plus a scalar, and sector 0
-is the only sector matrix a sweep solves: `model_spectra` shifts its spectrum
-into sector m (`reduced --m M`) or into all eight (block-aniso).
+m pi/4).  So every sector is the Harper core plus a scalar; sector 0 is the
+only sector matrix a sweep solves, and one shift array moves its spectrum
+across the flux orbit into sector m (`reduced --m M`) or all eight (block-aniso).
 By Chambers' relation that matrix has the same spectrum at a momentum with
 k1 in {0, pi/q}, where a gauge makes it real symmetric (`_chambers_stack`).
 The isotropic block model splits into four complex 2q x 2q sectors
@@ -22,7 +22,7 @@ The isotropic block model splits into four complex 2q x 2q sectors
 solved in batches for eigenvalues only and certified by inertia counts
 (`harper_eigvalsh`), one flux per orbit {p, p+q, q-p, 2q-p} ({p, 2q-p} for
 block-iso, `_flux_representative`); the other fluxes of an orbit reuse its
-spectrum, shifted by a scalar.
+spectrum, through that same shift for a rotation sector and block-aniso.
 Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
@@ -452,31 +452,29 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     only the representative r = `_flux_representative(model, p, q)` of each
     p is assembled and solved (`_certified_spectra`: batched stacks,
     `harper_eigvalsh`, every eigenvalue certified).  Sector 0 is the only
-    sector matrix solved.  A rotation sector m is the Harper core times a
-    constant plus a scalar, and the core's spectrum is the same at p and r;
-    the ring term commutes with the core, so the anisotropic 8q x 8q
-    spectrum is the union of the sector-0 spectra shifted into all eight
-    sectors.  With s(B, t) = 2cos(pi B/4 + t pi/4), both are the sector-0
-    spectrum at r, plus the orbit shift (16/pi^2)(s(B_p, 0) - s(B_r, 0)),
-    plus the sector shifts (16/pi^2)(s(B_p, t) - s(B_p, 0)) for t in the
-    model's sectors, (m,) or 0..7, sorted when there are eight: one q x q
-    solve per orbit, and both shifts are computed as arrays.  That q x q
+    sector matrix solved, and its spectrum at r already holds the ring
+    term (16/pi^2) s(B_r, 0) on its diagonal, s(B, t) = 2cos(pi B/4 + t pi/4).
+    Every rotation sector t is the Harper core times a constant plus a
+    scalar, the core's spectrum is the same at p and r, and the ring term
+    commutes with the core; so sector t at p is the solved spectrum plus the
+    one shift (16/pi^2)(s(B_p, t) - s(B_r, 0)), computed as one array over
+    the model's sectors, (m,) for `reduced --m` or 0..7 for block-aniso,
+    whose 8q x 8q spectrum is the union of all eight, sorted.  That q x q
     matrix is solved as its real symmetric Chambers twin at a moved
     momentum (`_chambers_stack`); block-iso's sectors stay Hermitian.  The
     sector-0 matrix is solved, never the bare scaled core, on which LAPACK
     `eigh` can fail to converge (p/q = 101/52, k = 0).  The isotropic
     spectrum is the union of its four S^2 sectors at r, the same at p.
+    `checks.sector_union` holds both block spectra against dense matrices.
     """
     solved, row = _solved_numerators(model, ps, q)
     vals = _certified_spectra(model, q, solved, momenta)
     if isinstance(model, BlockIsotropic):
         return np.sort(vals, axis=-1)[row]
     sectors = np.array([model.m]) if isinstance(model, ReducedHarper) else np.arange(RING_SIZE)
-    b_p = np.asarray(ps) / (2.0 * q)
-    base = rotation_sector_shift(b_p, 0)
-    orbit = RING_WEIGHT * (base - rotation_sector_shift(solved[row] / (2.0 * q), 0))
-    sector = RING_WEIGHT * (rotation_sector_shift(b_p[:, None], sectors) - base[:, None])
-    union = (vals[row] + orbit[:, None, None])[:, :, None, :] + sector[:, None, :, None]
+    b_p, b_r = np.asarray(ps)[:, None] / (2.0 * q), solved[row, None] / (2.0 * q)
+    shift = RING_WEIGHT * (rotation_sector_shift(b_p, sectors) - rotation_sector_shift(b_r, 0))
+    union = vals[row][:, :, None, :] + shift[:, None, :, None]
     union = union.reshape(len(ps), len(momenta), len(sectors) * vals.shape[-1])
     return np.sort(union, axis=-1) if len(sectors) > 1 else union
 

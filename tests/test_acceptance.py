@@ -27,7 +27,7 @@ from hyperband.halfplane import (
     rotation_orbit_circle,
 )
 from hyperband.magnetic import FluxParam, s_phase
-from hyperband.spectrum import BlochMomentum, coprime_flux_pairs
+from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, coprime_flux_pairs
 from hyperband.tiling import TilingParams, make_fundamental_domain
 
 
@@ -93,17 +93,21 @@ def test_criterion_6_rotation_sector_consistency():
         pair, momenta = FluxParam(p, q), checks.random_momenta(rng, 3)
         defect = max(
             defect,
-            checks.rotation_sectors(pair, momenta),
-            checks.iso_sectors(pair, momenta),
+            checks.sector_union(BlockAnisotropic(), pair, momenta),
+            checks.sector_union(BlockIsotropic(), pair, momenta),
             checks.flux_orbits([pair], momenta),
             checks.chambers([pair], momenta),
         )
-    # LAPACK fails on the bare scaled Harper core here; the sectors must still
+    # LAPACK fails on the bare scaled Harper core here; the sector unions must still
     # match, and so must the spectra derived across its flux orbit {3, 49, 55, 101}
     # and the real Chambers twin
     hard, origin = FluxParam(101, 52), [BlochMomentum.zero()]
     defect = max(
-        defect, checks.iso_sectors(hard, origin), checks.flux_orbits([hard], origin), checks.chambers([hard], origin)
+        defect,
+        checks.sector_union(BlockAnisotropic(), hard, origin),
+        checks.sector_union(BlockIsotropic(), hard, origin),
+        checks.flux_orbits([hard], origin),
+        checks.chambers([hard], origin),
     )
     _report(6, "rotation-sector consistency", defect, checks.TOLERANCES["sector"], time.perf_counter() - start, 10.0)
 

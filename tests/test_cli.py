@@ -253,9 +253,10 @@ def test_verify_hermiticity_line_can_fail(monkeypatch, capsys):
         assert len(fails) == (3 if verdict == "FAIL" else 2)
 
 
-def test_verify_chambers_line_alone_catches_a_wrong_real_twin(monkeypatch, capsys):
-    # with sigma flipped the sweep and the flux-orbit line's direct route share
-    # the wrong real matrices, so only the comparison with the dense matrix fails
+def test_verify_sector_and_chambers_lines_catch_a_wrong_real_twin(monkeypatch, capsys):
+    # with sigma flipped the sweep and the flux-orbit line's direct route share the wrong
+    # real matrices, so only the comparisons with the dense matrices fail: the block-aniso
+    # sector union and the sector-0 twin (block-iso solves no Chambers twin)
     import hyperband.spectrum as spectrum
 
     real_momenta = spectrum._chambers_momenta
@@ -267,7 +268,26 @@ def test_verify_chambers_line_alone_catches_a_wrong_real_twin(monkeypatch, capsy
     monkeypatch.setattr(spectrum, "_chambers_momenta", flipped_sigma)
     code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4")
     assert code == 1
-    assert [line.split("  ")[0] for line in out.splitlines() if line.startswith("FAIL")] == ["FAIL chambers"]
+    fails = [line.split("  ")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL rotation sectors", "FAIL chambers"]
+
+
+def test_verify_rotation_sectors_line_reads_the_sweeps_block_aniso_spectrum(monkeypatch, capsys):
+    # a block-aniso sweep spectrum off by 1e-6 in one eigenvalue fails that line alone
+    import hyperband.spectrum as spectrum
+
+    real_spectra = spectrum.model_spectra
+
+    def nudged(model, q, ps, momenta):
+        vals = real_spectra(model, q, ps, momenta)
+        if isinstance(model, BlockAnisotropic):
+            vals[0, 0, 3] += 1e-6
+        return vals
+
+    monkeypatch.setattr(spectrum, "model_spectra", nudged)
+    code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4")
+    assert code == 1
+    assert [line.split("  ")[0] for line in out.splitlines() if line.startswith("FAIL")] == ["FAIL rotation sectors"]
 
 
 def test_verify_suite_names_are_unique_and_use_every_tolerance():
@@ -285,8 +305,8 @@ def test_verify_suite_names_are_unique_and_use_every_tolerance():
         (lambda: checks.covering_degree([]), r"\(q, z\) sample list"),
         (lambda: checks.flux_relation(2, 0.25, []), "point list"),
         (lambda: checks.lattice_hermiticity(FluxParam(1, 3), []), "momentum list"),
-        (lambda: checks.rotation_sectors(FluxParam(1, 3), []), "momentum list"),
-        (lambda: checks.iso_sectors(FluxParam(1, 3), []), "momentum list"),
+        (lambda: checks.sector_union(BlockAnisotropic(), FluxParam(1, 3), []), "momentum list"),
+        (lambda: checks.sector_union(BlockIsotropic(), FluxParam(1, 3), []), "momentum list"),
         (lambda: checks.flux_orbits([], [BlochMomentum.zero()]), "flux pair list"),
         (lambda: checks.flux_orbits([FluxParam(1, 3)], []), "momentum list"),
         (lambda: checks.chambers([], [BlochMomentum.zero()]), "flux pair list"),

@@ -26,6 +26,7 @@ from hyperband.magnetic import (
     _TERMS,
     _apply,
     _graded_matrix,
+    _weight_conjugate,
     act_magnetic,
     apply_diff_operator,
     automorphic_factor,
@@ -42,6 +43,7 @@ from hyperband.magnetic import (
     s_rotation,
     t_translation,
     u_scaling,
+    weight_conjugation_residual,
 )
 from hyperband.tiling import TilingParams, make_fundamental_domain, make_generators
 
@@ -720,6 +722,33 @@ def test_a_flipped_coefficient_fails_every_line_that_uses_its_operator(op, monke
     assert {name for name, ops in _LINE_OPERATORS.items() if op in ops} == {
         name for name, defect in defects.items() if defect > 0.0
     }
+
+
+@pytest.mark.parametrize("index, residual", enumerate([6.0, 6.0, 6.0, 12.0, 4.0, 4.0]))
+def test_each_flipped_s_check_coefficient_fails_operator_commutators(index, residual, monkeypatch):
+    # the commutator relations alone hold for any multiple of S_check's y^2 d/dx and 2iBy terms;
+    # the weight conjugation y^{-B} S_B y^{B} pins all six
+    terms = _TERMS[DiffOpId.S_check]
+    assert len(terms) == 6
+    power, coeff, term = terms[index]
+    monkeypatch.setitem(_TERMS, DiffOpId.S_check, (*terms[:index], (power, -coeff, term), *terms[index + 1 :]))
+    _graded_matrix.cache_clear()
+    try:
+        conjugation, line = weight_conjugation_residual(), checks.operator_commutators()
+    finally:
+        monkeypatch.undo()
+        _graded_matrix.cache_clear()
+    assert conjugation == residual
+    assert line >= residual
+    assert weight_conjugation_residual() == checks.operator_commutators() == 0.0
+
+
+def test_weight_conjugation_refuses_a_dy_term_without_a_polynomial_image(monkeypatch):
+    with pytest.raises(ValueError, match="cannot conjugate"):
+        _weight_conjugate(DiffOpId.H_continuum)  # y^2 dy^2
+    monkeypatch.setitem(_TERMS, DiffOpId.T_B, ((0, 1.0, (0, 0, 0, 1)),))  # dy: B/y is no polynomial
+    with pytest.raises(ValueError, match="cannot conjugate"):
+        _weight_conjugate(DiffOpId.T_B)
 
 
 # ---------------------------------------------------------------- weighted actions

@@ -1161,10 +1161,12 @@ def test_dense_oracle_never_calls_the_sweep_route(monkeypatch):
     rng = np.random.default_rng(263)
     pair = FluxParam(3, 5)
     momenta = [random_momentum(rng) for _ in range(2)]
+    models = (BlockAnisotropic(), BlockIsotropic())
 
     def defects():
+        dense = [eigenvalues(np.array([assemble_block(model, 3, 5, k) for k in momenta])) for model in models]
         return (
-            checks.rotation_sectors(pair, momenta),
+            [vals.tolist() for vals in dense],
             checks.lattice_hermiticity(pair, momenta),
             checks.harper_oracle_compare(3, 7, 0.4, 1.1),
         )
@@ -1178,6 +1180,7 @@ def test_dense_oracle_never_calls_the_sweep_route(monkeypatch):
     # the patch bites: the checks that compare the two routes now stop
     with pytest.raises(_SweepRouteCalled):
         checks.chambers([pair], momenta)
-    with pytest.raises(_SweepRouteCalled):
-        checks.iso_sectors(pair, momenta)
+    for model in models:
+        with pytest.raises(_SweepRouteCalled):
+            checks.sector_union(model, pair, momenta)
     assert defects() == expected
