@@ -15,16 +15,18 @@ the parsers here or the library alike) or an output that cannot be written
 rest of the output is dropped.
 
 Both file writers build their text as rows of 8-byte words looked up in digit
-tables instead of formatting each number with `%`, and turn each block of
-rows into the file's bytes with one `bytes.translate`; the file is opened in
-binary mode, so no block is decoded and encoded again.  An SVG path's `%.6f`
-numbers come from `_number_words`, each corner coordinate and arc radius once
-per tile, in blocks of `_SVG_BLOCK_CORNERS` corners.  A CSV row is its flux's
+tables instead of formatting each number with `%`, and turn each block of rows
+into the file's bytes with one `bytes.translate`; the file is opened in binary
+mode, so no block is decoded and encoded again.  Both take their digits from
+one core, `_decimal` (n = rint(|x| 10^D), marked where provably exact, as its
+integer part and 3-digit fraction groups), and their words from one set of
+tables, `_INT_WORDS` and `_fraction_tables`.  An SVG path's `%.6f` numbers
+come from `_number_words`, each corner coordinate and arc radius once per
+tile, in blocks of `_SVG_BLOCK_CORNERS` corners.  A CSV row is its flux's
 `%.10g,` prefix, formatted once per flux, and its energy's `%.12g` from
-`_energy_words` in one fixed layout (integer part, '.', 15 fraction digits
-with the trailing zeros dropped), in blocks of about `_CSV_BLOCK_ROWS` rows.
-Rounding ties and the few values these layouts do not hold go through `%`,
-one at a time.
+`_energy_words` (integer part, '.', 15 fraction digits with the trailing zeros
+dropped), in blocks of about `_CSV_BLOCK_ROWS` rows.  Rounding ties and the
+few values these layouts do not hold go through `%`, one at a time.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     """Line-oriented key=value pairs; blank lines and # comments ignored."""
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
@@ -218,8 +220,42 @@ def _integer_words() -> np.ndarray:
 
 
 _INT_WORDS = _integer_words()
-_FRAC_HIGH = _digit_words(1) | np.uint64(ord("."))  # '.' and the first three decimals
-_FRAC_LOW = _digit_words(4)  # the last three decimals
+
+
+def _decimal(x: np.ndarray, places, groups: int, low: float, high: float, keep=True) -> tuple[list, np.ndarray]:
+    """n = rint(|x| 10^D) for D = `places`, split into intp parts, and where n is exact.
+
+    The parts are n's integer part and `groups` 3-digit groups of its D
+    decimals, padded with zeros.  An entry is marked where `keep` holds, n
+    lies in [`low`, `high`) and n is |x| 10^D correctly rounded, which
+    |y - n| < 1/2 proves for the float product y = |x| 10^D: y is the
+    exact product correctly rounded, since 10^D (D <= 17) is a float.
+    Rounding is monotone and n +- 1/2 are floats (n < `high` <= 2^52), so
+    the exact product reaching n + 1/2 would round to y >= n + 1/2, and
+    likewise below: |y - n| < 1/2 puts the exact product strictly within
+    1/2 of n, which is then the correctly rounded value.  Entries with
+    |y - n| = 1/2 (among them the exact ties, which `%` rounds half to
+    even) and non-finite ones are never marked.  An unmarked entry splits
+    as n = 0; a marked one needs D <= 3 `groups` and n < 10^15, so each
+    floor of a quotient is exact.
+    """
+    scale = _POWERS[places]
+    y = np.abs(x) * scale
+    n = np.rint(y)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        y -= n  # in place: a block's temporaries set the writers' peak memory
+    exact = (np.abs(y, out=y) < 0.5) & (n >= low) & (n < high) & keep
+    n[~exact] = 0.0
+    whole = np.floor(n / scale)
+    n -= whole * scale
+    n *= _POWERS[3 * groups - places]  # the decimals, padded
+    parts = [whole.astype(np.intp)]
+    for k in range(groups - 1, 0, -1):
+        part = np.floor(n / _POWERS[3 * k])
+        n -= part * _POWERS[3 * k]
+        parts.append(part.astype(np.intp))
+    return [*parts, n.astype(np.intp)], exact
+
 
 # the words of a path row besides its numbers (see `_svg_paths`): an edge's
 # arc word and sweep word by edge state 0, 1, 2 (straight, arc with sweep
@@ -234,37 +270,23 @@ _SPACE = np.uint64(ord(" "))
 def _number_words(x: np.ndarray, out: np.ndarray) -> int:
     """Write `'%.6f' % value` of every entry of `x` as two words into `out` (shape x.shape + (2,)).
 
-    With y = |x| 10^6 and n = rint(y), `_INT_WORDS` gives the integer part
-    n // 10^6 from the half with the '-' when the sign bit is set (so -0.0
-    and negatives that round to zero print -0.000000, as `%` does), and
-    `_FRAC_HIGH` | `_FRAC_LOW` give the six decimals.  y is the exact
-    |x| 10^6 correctly rounded, since 10^6 is a float.  Rounding is
-    monotone and n +- 1/2 are floats (n < 10^10 < 2^52), so the exact
-    product reaching n + 1/2 would round to y >= n + 1/2, and likewise
-    below: |y - n| < 1/2 puts the exact product strictly within 1/2 of n,
-    which is then the correctly rounded value.  Entries with |y - n| = 1/2
-    (among them the exact ties, which `%` rounds half to even), integer
-    parts of 10^4 or more and non-finite values are formatted by `%` one at
-    a time, right-aligned
-    in the two words; the count of them is returned.  A `%` text longer than
-    15 characters is a ValueError, so the first byte stays empty for the
-    space before the number (a number from the digit tables, at most 12
-    characters, leaves three).  Tile corners lie in the unit disk and arc
-    radii are at most `_ARC_RADIUS_LIMIT`, so `_svg_paths` never meets one.
+    The integer part of n = rint(|x| 10^6) (`_decimal`) comes from the
+    `_INT_WORDS` half with the '-' when the sign bit is set (so -0.0 and
+    negatives that round to zero print -0.000000, as `%` does), its six
+    decimals from the first two `_fraction_tables`.  Entries that `_decimal`
+    leaves unmarked, integer parts of 10^4 or more among them, are formatted
+    by `%` one at a time, right-aligned in the two words; the count of them
+    is returned.  A `%` text longer than 15 characters is a ValueError, so
+    the first byte stays empty for the space before the number (a table
+    number, at most 12 characters, leaves three).  Tile corners lie in the
+    unit disk and arc radii are at most `_ARC_RADIUS_LIMIT`, so `_svg_paths`
+    never meets one.
     """
-    y = np.abs(x) * 1e6
-    n = np.rint(y)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        scalar = ~((np.abs(y - n) < 0.5) & (n < 1e10))
-    n[scalar] = 0.0
-    # n = 10^6 whole + 10^3 high + low; each floor of a quotient is exact below 10^10
-    whole = np.floor(n / 1e6)
-    n -= whole * 1e6
-    high = np.floor(n / 1e3)
-    n -= high * 1e3
-    out[..., 0] = _INT_WORDS[(whole + 1e4 * np.signbit(x)).astype(np.intp)]
-    out[..., 1] = _FRAC_HIGH[high.astype(np.intp)] | _FRAC_LOW[n.astype(np.intp)]
-    at = np.nonzero(scalar)
+    (whole, high, low), exact = _decimal(x, 6, 2, 0.0, 1e10)
+    t1, t2 = _fraction_tables()[:2]
+    out[..., 0] = _INT_WORDS[whole + 10**4 * np.signbit(x)]
+    out[..., 1] = t1[high] | t2[low]
+    at = np.nonzero(~exact)
     for index, value in zip(zip(*at), x[at].tolist()):
         text = ("%.6f" % value).encode("ascii")
         if len(text) > 15:
@@ -436,51 +458,27 @@ def _energy_words(x: np.ndarray, out: np.ndarray) -> int:
     a bare '.') dropped.  X is read off `_DECADES`; it is the exponent `%g`
     uses when n lies in [10^11, 10^12), and the few entries whose n does
     not (a rounding carry to the next decade, or |x| within an ulp of a
-    power of ten) go to `%`.  The float product y = |x| 10^(11 - X) is the
-    exact product correctly rounded, since 10^(11 - X) <= 10^15 is a
-    float.  Rounding is monotone and n +- 1/2 are floats (n < 10^12 <
-    2^52), so the exact product reaching n + 1/2 would round to y >= n + 1/2,
-    and likewise below: |y - n| < 1/2 puts the exact product strictly
-    within 1/2 of n, which is then the correctly rounded value.  The
-    digits of n are laid out as 15 fraction digits for every X: the
-    integer part n // 10^(11 - X) indexes `_INT_WORDS` (the half with the
-    '-' when the sign bit is set), and the fraction, times 10^(X + 4), gives five 3-digit
-    groups; each group after which every group is zero comes from the
-    stripped twin in `_fraction_tables`.  Each floor of a quotient is exact,
-    every value being an integer below 10^15.  The entries whose n falls
-    outside [10^11, 10^12), those with |y - n| = 1/2 (the exact ties among
-    them, which `%` rounds half to even), X outside [-4, 3] (where `%g`
-    switches to exponent notation, or the integer part has five digits),
-    zeros and non-finite values are formatted by `%` one at a time; the
-    count of them is returned.
+    power of ten) go to `%`.  `_decimal` gives n in the layout above for
+    every X; each group after which every group is zero comes from the
+    stripped twin in `_fraction_tables`.  Entries that `_decimal` leaves
+    unmarked, among them X outside [-4, 3] (where `%g` switches to exponent
+    notation, or the integer part has five digits) and zeros, are formatted
+    by `%` one at a time; the count of them is returned.
     """
-    ax = np.abs(x)
-    exponent = np.searchsorted(_DECADES, ax, side="right") - 5  # nan sorts last
-    with np.errstate(invalid="ignore"):  # inf * 0, inf - inf
-        y = ax * _POWERS[11 - exponent]
-        n = np.rint(y)
-        scalar = ~((np.abs(y - n) < 0.5) & (n >= 1e11) & (n < 1e12) & (exponent >= -4) & (exponent <= 3))
-    n[scalar] = 0.0
-    scale = _POWERS[11 - exponent]
-    whole = np.floor(n / scale)
-    fraction = (n - whole * scale) * _POWERS[exponent + 4]  # the 15 fraction digits
-    groups = []
-    for k in (12, 9, 6, 3):
-        group = np.floor(fraction / _POWERS[k])
-        fraction -= group * _POWERS[k]
-        groups.append(group.astype(np.intp))
-    g1, g2, g3, g4, g5 = *groups, fraction.astype(np.intp)
+    exponent = np.searchsorted(_DECADES, np.abs(x), side="right") - 5  # nan sorts last
+    layout = (exponent >= -4) & (exponent <= 3)
+    (whole, g1, g2, g3, g4, g5), exact = _decimal(x, 11 - exponent, 5, 1e11, 1e12, layout)
     # a group is stripped when every group after it is zero (the last always is)
     s4 = g5 == 0
     s3 = s4 & (g4 == 0)
     s2 = s3 & (g3 == 0)
     s1 = s2 & (g2 == 0)
     t1, t2, t3, t4, t5 = _fraction_tables()
-    out[:, 0] = _INT_WORDS[whole.astype(np.intp) + 10**4 * np.signbit(x)]
+    out[:, 0] = _INT_WORDS[whole + 10**4 * np.signbit(x)]
     out[:, 1] = t1[g1 + 1000 * s1] | t2[g2 + 1000 * s2]
     out[:, 2] = t3[g3 + 1000 * s3] | t4[g4 + 1000 * s4]
     out[:, 3] = t5[g5]
-    at = np.flatnonzero(scalar)
+    at = np.flatnonzero(~exact)
     for i, value in zip(at.tolist(), x[at].tolist()):
         out[i] = np.frombuffer((b"%.12g\n" % value).ljust(32, b"\0"), dtype="<u8")
     return len(at)

@@ -502,17 +502,21 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _GENERATORS = (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
 
 
-def _hamiltonian(k: int) -> np.ndarray:
-    """H in generator form on the first k monomials, as a polynomial in B.
+@functools.cache
+def _hamiltonian() -> np.ndarray:
+    """H in generator form on the monomials of degree <= 4, as a polynomial in B.
 
     H = 1/(2m) (T_B (S_B - T_B) - 1/4 U_B^2 - 1/2 U_B + B^2), m = 1.  H keeps
-    the degree of what it acts on.
+    the degree of what it acts on, so its first columns are H on the cubic basis.
     """
+    k = _SIZES[4]
     s, t, u = (_graded_matrix(g) for g in _GENERATORS)
     inner = _compose(t, s[..., :k] - t[..., :k]) - 0.25 * _compose(u, u[..., :k])
     inner[:3] -= 0.5 * u[..., :k]
     inner[2, range(k), range(k)] += 1.0
-    return 0.5 * inner
+    h = 0.5 * inner
+    h.flags.writeable = False  # shared by every caller
+    return h
 
 
 def commutator_residual(op1: DiffOpId, op2: DiffOpId, expected: dict[DiffOpId, complex]) -> float:
@@ -544,7 +548,7 @@ def hamiltonian_commutation_residual(op: DiffOpId) -> float:
     """Largest coefficient, over every power of B, of [H, op] on the cubic basis, H in generator form."""
     if op not in _GENERATORS:
         raise ValueError(f"Hamiltonian symmetry check expects a field generator, got {op!r}")
-    h, m = _hamiltonian(_SIZES[4]), _graded_matrix(op)
+    h, m = _hamiltonian(), _graded_matrix(op)
     return float(np.abs(_compose(h, m[..., :_CUBICS]) - _compose(m, h[..., :_CUBICS])).max())
 
 
@@ -554,7 +558,7 @@ def hamiltonian_forms_residual() -> float:
     The generator form 1/2 (T_B(S_B - T_B) - U_B^2/4 - U_B/2 + B^2) and the
     Landau form (-y^2 Laplacian + 2iBy d/dx + B^2)/2 are the same operator.
     """
-    residual = _hamiltonian(_CUBICS)
+    residual = _hamiltonian()[..., :_CUBICS].copy()
     residual[:3] -= _graded_matrix(DiffOpId.H_continuum)[..., :_CUBICS]
     return float(np.abs(residual).max())
 

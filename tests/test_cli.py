@@ -1060,6 +1060,15 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert code == 0 and override.exists()
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfq_max = 4\nk_samples = 1\n")
+    assert parse_config_file(str(cfg)) == {"q_max": "4", "k_samples": "1"}
+    assert run(capsys, "butterfly", "--config", str(cfg), "--out", str(tmp_path / "c.csv"))[0] == 0
+    assert run(capsys, "butterfly", "--q-max", "4", "--k-samples", "1", "--out", str(tmp_path / "f.csv"))[0] == 0
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+
+
 def test_config_file_rejects_unknown_key_and_bad_syntax(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")

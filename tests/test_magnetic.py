@@ -26,6 +26,7 @@ from hyperband.magnetic import (
     _TERMS,
     _apply,
     _graded_matrix,
+    _hamiltonian,
     _weight_conjugate,
     act_magnetic,
     apply_diff_operator,
@@ -710,6 +711,7 @@ def test_a_flipped_coefficient_fails_every_line_that_uses_its_operator(op, monke
     power, coeff, term = _TERMS[op][0]
     monkeypatch.setitem(_TERMS, op, ((power, -coeff, term), *_TERMS[op][1:]))
     _graded_matrix.cache_clear()
+    _hamiltonian.cache_clear()
     try:
         defects = {
             "operator commutators": checks.operator_commutators(),
@@ -719,6 +721,7 @@ def test_a_flipped_coefficient_fails_every_line_that_uses_its_operator(op, monke
     finally:
         monkeypatch.undo()
         _graded_matrix.cache_clear()
+        _hamiltonian.cache_clear()
     assert {name for name, ops in _LINE_OPERATORS.items() if op in ops} == {
         name for name, defect in defects.items() if defect > 0.0
     }

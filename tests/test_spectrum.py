@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
@@ -485,6 +485,69 @@ def test_inertia_count_matches_dense_count(pq, ks, m, iso, fractions):
     sigma = sigma[np.abs(sigma[:, None] - vals[None, :]).min(axis=1) > 1e-9]
     want = (vals[None, :] < sigma[:, None]).sum(axis=1)
     assert np.array_equal(inertia_counts(h[None], sigma[None], pendants=iso)[0], want)
+
+
+def _exact_negative_pivots(m: np.ndarray, sigma: float):
+    """Oracle: negative pivots of LDL^T(m - sigma I) in exact rational arithmetic on the float entries.
+
+    `m` is real symmetric.  The pivot is the remaining row with the fewest
+    nonzeros, so a cyclic band fills in little; by Sylvester's law the count
+    does not depend on the order.  None for an exact zero pivot.
+    """
+    rows = {i: {j: Fraction(v) for j, v in enumerate(row) if v} for i, row in enumerate(m.tolist())}
+    for i, row in rows.items():
+        row[i] = row.get(i, Fraction(0)) - Fraction(sigma)
+    negative = 0
+    while rows:
+        k = min(rows, key=lambda i: len(rows[i]))
+        row = rows.pop(k)
+        pivot = row.pop(k, 0)  # a diagonal that cancelled exactly is gone from the row
+        if pivot == 0:
+            return None
+        negative += pivot < 0
+        for i, a in row.items():
+            target = rows[i]
+            del target[k]
+            for j, b in row.items():
+                value = target.get(j, 0) - a * b / pivot
+                if value:
+                    target[j] = value
+                else:
+                    target.pop(j, None)
+    return negative
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(coprime_flux_pairs(12)), st.just(None)),
+        st.tuples(st.sampled_from(coprime_flux_pairs(5)), st.integers(min_value=0, max_value=3)),
+    ),
+    st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4),
+)
+# q <= 2: the corners fold onto occupied entries
+@example(((1, 1), None), [0.7, 1.9, 0.2, 5.1])
+@example(((1, 2), None), [1.3, 0.4, 2.2, 0.0])
+@example(((1, 1), 3), [0.7, 1.9, 0.2, 5.1])
+@example(((3, 2), 2), [0.0, 0.0, 0.0, 0.0])
+def test_inertia_counts_equal_an_exact_ldlt_at_the_certificate_shifts(matrix, ks):
+    # a Chambers twin (real, q x q) or a block-iso S^2 sector j (Hermitian, 2q x 2q), whose
+    # real embedding [[A, -B], [B, A]] has each eigenvalue twice, so twice the inertia
+    import hyperband.spectrum as spectrum
+
+    (p, q), sector = matrix
+    arrays = item_arrays(p, BlochMomentum(*ks))
+    iso = sector is not None
+    h = spectrum._iso_stack(q, *arrays)[sector] if iso else spectrum._chambers_stack(q, *arrays)[0]
+    assert np.array_equal(h, h.conj().T)
+    vals = np.linalg.eigvalsh(h)
+    delta = 1e-8 * (1.0 + np.linalg.norm(h[spectrum._cyclic_band(len(h), iso)]))
+    sigma = np.concatenate([vals - delta, vals + delta])
+    real = np.block([[h.real, -h.imag], [h.imag, h.real]]) if iso else h
+    exact = [_exact_negative_pivots(real, s) for s in sigma.tolist()]
+    assume(None not in exact)
+    counts = inertia_counts(h[None], sigma[None], pendants=iso)[0]
+    assert ((1 + iso) * counts).tolist() == exact
 
 
 def _reduced_stack_and_spectra():
