@@ -220,12 +220,14 @@ def flux_relation(genus: int, B: float, points: list[HPoint]) -> tuple[float, co
 
 def operator_commutators() -> float:
     """The `COMMUTATORS` relations, and each weighted generator as the y^B conjugate of its field generator."""
-    return max(magnetic.weight_conjugation_residual(), *(magnetic.commutator_residual(*c) for c in COMMUTATORS))
+    residuals = [magnetic.weight_conjugation_residual(), *(magnetic.commutator_residual(*c) for c in COMMUTATORS)]
+    return max_or_nan(residuals)
 
 
 def hamiltonian_symmetry() -> float:
     """[H, X] for each field generator X."""
-    return max(magnetic.hamiltonian_commutation_residual(op) for op in (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B))
+    generators = (DiffOpId.S_B, DiffOpId.T_B, DiffOpId.U_B)
+    return max_or_nan(magnetic.hamiltonian_commutation_residual(op) for op in generators)
 
 
 def hamiltonian_forms() -> float:

@@ -22,11 +22,12 @@ one core, `_decimal` (n = rint(|x| 10^D), marked where provably exact, as its
 integer part and 3-digit fraction groups), and their words from one set of
 tables, `_INT_WORDS` and `_fraction_tables`.  An SVG path's `%.6f` numbers
 come from `_number_words`, each corner coordinate and arc radius once per
-tile, in blocks of `_SVG_BLOCK_CORNERS` corners.  A CSV row is its flux's
-`%.10g,` prefix, formatted once per flux, and its energy's `%.12g` from
-`_energy_words` (integer part, '.', 15 fraction digits with the trailing zeros
-dropped), in blocks of about `_CSV_BLOCK_ROWS` rows.  Rounding ties and the
-few values these layouts do not hold go through `%`, one at a time.
+tile, in blocks of `_SVG_BLOCK_CORNERS` corners, and each path row's words
+are written in file order.  A CSV row is its flux's `%.10g,` prefix,
+formatted once per flux, and its energy's `%.12g` from `_energy_words`
+(integer part, '.', 15 fraction digits with the trailing zeros dropped), in
+blocks of about `_CSV_BLOCK_ROWS` rows.  Rounding ties and the few values
+these layouts do not hold go through `%`, one at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import checks
-from .halfplane import moebius_rows
 from .magnetic import FluxParam
 from .spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, HamiltonianModel, ReducedHarper
 from .spectrum import butterfly_sweep, model_spectrum
@@ -86,6 +86,13 @@ def _at_least(n: int, what: str, low: int) -> int:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _output_path(text: str) -> str:
+    """An `--out` value: a file name, which an empty path is not."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file name, got an empty path")
+    return text
 
 
 def parse_flux(text: str, allow_real: bool) -> Union[Fraction, float]:
@@ -184,11 +191,6 @@ _SVG_HEAD = (
 # temporaries go back to the system and are faulted in again; smaller
 # blocks cost more numpy calls than they save
 _SVG_BLOCK_CORNERS = 2048
-# tile corners per block of the refusal check that precedes the writing: a
-# corner there holds a few floats of `moebius_rows` temporaries, not a path
-# row's words and bytes, so a block four times as large stays as small and
-# takes a quarter of the numpy calls
-_CHECK_BLOCK_CORNERS = 4 * _SVG_BLOCK_CORNERS
 
 # Path text is built as little-endian uint64 words of up to eight ASCII bytes,
 # padded with NUL bytes that `bytes.translate` deletes.  A number is two
@@ -295,64 +297,39 @@ def _number_words(x: np.ndarray, out: np.ndarray) -> int:
     return len(at[0])
 
 
-def _row_columns(vertices: int, edges) -> np.ndarray:
-    """The table column of each word of a path row, in path order.
-
-    A row of the word table in `_svg_paths` holds two words for each value
-    (the u of every corner, then the v of every corner, then the radius of
-    every edge), one arc word and one sweep word for each edge, `_ROW_HEAD`
-    and `_ROW_TAIL`.
-    """
-    k = len(edges)
-    arcs = 2 * (2 * vertices + k)
-    sweeps, head = arcs + k, arcs + 2 * k
-    tail = head + len(_ROW_HEAD)
-
-    def number(value: int) -> list[int]:
-        return [2 * value, 2 * value + 1]
-
-    def corner(c: int) -> list[int]:
-        return number(c) + number(vertices + c)
-
-    columns = [*range(head, tail), *corner(edges[0][0])]
-    for e, (_, j) in enumerate(edges):
-        radius = number(2 * vertices + e)
-        columns += [arcs + e, *radius, *radius, sweeps + e, *corner(j)]
-    columns += range(tail, tail + len(_ROW_TAIL))
-    return np.array(columns)
-
-
-def _svg_paths(u: np.ndarray, v: np.ndarray, edges, columns: np.ndarray) -> bytes:
+def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> bytes:
     """One `<path>` line per tile for corners (u, v) shaped (tiles, vertices), as ASCII bytes.
 
     Each corner's u and v and each edge's radius are formatted once, in one
-    `_number_words` call, into a table of words with one row per tile; the
-    space before each number goes into its first byte, which is empty.  The
-    table also holds each edge's `_ARC_WORDS` and `_SWEEP_WORDS` entry and
-    the `_ROW_HEAD` and `_ROW_TAIL` words, and a straight edge's radius words
-    are zeroed.  A path row is its table row's words in path order,
-    `columns` (`_row_columns(vertices, edges)`, the same for every block), and
-    the whole block becomes bytes in one `translate` that deletes the NUL
-    bytes.
+    `_number_words` call; the space before each number goes into its first
+    byte, which is empty, and a straight edge's radius words are zeroed.  A
+    tile's row of words is then written in file order: `_ROW_HEAD`, the
+    start corner, and per edge its `_ARC_WORDS` entry, the radius twice, its
+    `_SWEEP_WORDS` entry and its end corner, then `_ROW_TAIL`.  The whole
+    block becomes bytes in one `translate` that deletes the NUL bytes.
     """
     state, radius = edge_states(u, v, edges)
     (n, m), k = u.shape, state.shape[1]
     values = np.empty((n, 2 * m + k))
-    values[:, :m], values[:, m : 2 * m] = u, v
+    values[:, 0 : 2 * m : 2], values[:, 1 : 2 * m : 2] = u, v  # a corner's u and v side by side
     # a straight edge's radius may be huge; 0.0 stands in for it, and its words are zeroed below
     values[:, 2 * m :] = np.where(state > 0, radius, 0.0)
-    arcs = 2 * values.shape[1]  # the table's first arc word, after two words per value
-    head = arcs + 2 * k  # the table's first `_ROW_HEAD` word
-    tail = head + len(_ROW_HEAD)  # its first `_ROW_TAIL` word
-    table = np.empty((n, tail + len(_ROW_TAIL)), dtype="<u8")
-    words = table[:, :arcs].reshape(values.shape + (2,))  # a view: a row's number words are contiguous
+    words = np.empty(values.shape + (2,), dtype="<u8")
     _number_words(values, words)
     words[..., 0] |= _SPACE
-    words[:, 2 * m :][state == 0] = 0
-    table[:, arcs:head] = np.concatenate([_ARC_WORDS[state], _SWEEP_WORDS[state]], axis=1)
-    table[:, head:tail] = _ROW_HEAD
-    table[:, tail:] = _ROW_TAIL
-    return table[:, columns].tobytes().translate(None, b"\0")
+    corners, radii = words[:, : 2 * m].reshape(n, m, 4), words[:, 2 * m :]
+    radii[state == 0] = 0
+    head, tail = len(_ROW_HEAD), len(_ROW_TAIL)
+    table = np.empty((n, head + 4 + 10 * k + tail), dtype="<u8")
+    table[:, :head] = _ROW_HEAD
+    table[:, head : head + 4] = corners[:, edges[0][0]]
+    groups = table[:, head + 4 : -tail].reshape(n, k, 10)  # a view: one group of words per edge
+    groups[..., 0] = _ARC_WORDS[state]
+    groups[..., 1:3] = groups[..., 3:5] = radii
+    groups[..., 5] = _SWEEP_WORDS[state]
+    groups[..., 6:] = corners[:, [j for _, j in edges]]
+    table[:, -tail:] = _ROW_TAIL
+    return table.tobytes().translate(None, b"\0")
 
 
 @contextlib.contextmanager
@@ -372,27 +349,21 @@ def _created(path: str):
 def render_tiling_svg(params: TilingParams, depth: int, out: str) -> int:
     """Write the Poincare-disk SVG of the tiles up to `depth` to `out`; return the tile count.
 
-    Every refusal comes before `out` is opened: the enumeration guard before
-    the generators and the fundamental domain are built, degenerate corner
-    geometry after, when `moebius_rows` has checked every corner, a block of
-    `_CHECK_BLOCK_CORNERS` at a time, and dropped it.  The corners are then
-    computed again, formatted and written as bytes a block of
-    `_SVG_BLOCK_CORNERS` corners at a time, so no corner array outlives its
-    block.
+    The refusals a run can reach come before `out` is opened: the
+    enumeration guard refuses from genus and depth alone, before the
+    generators and the fundamental domain are built.  No corner of an
+    enumerated tile is refused (`disk_corners`), so the corners are computed,
+    formatted and written as bytes once, a block of `_SVG_BLOCK_CORNERS`
+    corners at a time, and no corner array outlives its block.
     """
     check_tiling_size(params.genus, depth)
     dom = make_fundamental_domain(params)
     tiles = enumerate_tiles(make_generators(params), depth)
-    x, y = np.array([[p.x, p.y] for p in dom.vertices]).T
-    step = max(1, _CHECK_BLOCK_CORNERS // len(dom.vertices))
-    for lo in range(0, len(tiles), step):  # raises at the first refused corner in row-major order
-        moebius_rows(tiles[lo : lo + step], x, y)
     step = max(1, _SVG_BLOCK_CORNERS // len(dom.vertices))
-    columns = _row_columns(len(dom.vertices), dom.edges)
     with _created(out) as fh:
         fh.write(_SVG_HEAD)
         for lo in range(0, len(tiles), step):
-            fh.write(_svg_paths(*disk_corners(tiles[lo : lo + step], dom), dom.edges, columns))
+            fh.write(_svg_paths(*disk_corners(tiles[lo : lo + step], dom), dom.edges))
         fh.write(b"</svg>\n")
     return len(tiles)
 
@@ -552,7 +523,7 @@ def build_parser(defaults: Optional[dict[str, str]] = None) -> argparse.Argument
     tile = sub.add_parser("tile", help="render a Poincare-disk tiling patch to SVG")
     tile.add_argument("--g", type=int, default=2, help="genus (default %(default)s)")
     tile.add_argument("--depth", type=int, default=2, help="word length of tile orbit (default %(default)s)")
-    tile.add_argument("--out", default="tiling.svg", help="output SVG path (default %(default)s)")
+    tile.add_argument("--out", type=_output_path, default="tiling.svg", help="output SVG path (default %(default)s)")
 
     spectrum = sub.add_parser("spectrum", help="print eigenvalues of one lattice Hamiltonian")
     butterfly = sub.add_parser("butterfly", help="sweep rational flux and write phi,energy CSV")
@@ -568,7 +539,9 @@ def build_parser(defaults: Optional[dict[str, str]] = None) -> argparse.Argument
     butterfly.add_argument("--q-max", type=int, default=8, help="largest flux denominator (default %(default)s)")
     butterfly.add_argument("--k-samples", type=int, default=4, help="momenta per flux (default %(default)s)")
     butterfly.add_argument("--seed", type=int, default=0, help="momentum sequence offset (default %(default)s)")
-    butterfly.add_argument("--out", default="butterfly.csv", help="output CSV path (default %(default)s)")
+    butterfly.add_argument(
+        "--out", type=_output_path, default="butterfly.csv", help="output CSV path (default %(default)s)"
+    )
 
     for command in (verify, tile, spectrum, butterfly):
         command.add_argument("--config", help="key=value config file; flags override")

@@ -17,11 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperband
-from hyperband import checks, cli
+from hyperband import checks, cli, magnetic
 from hyperband.checks import assemble_block, eigenvalues
-from hyperband.cli import main, parse_config_file, parse_model
+from hyperband.cli import _svg_paths, main, parse_config_file, parse_model
 from hyperband.halfplane import HPoint, Sl2Element, moebius_act, moebius_rows
-from hyperband.magnetic import FluxParam, max_or_nan
+from hyperband.magnetic import DiffOpId, FluxParam, max_or_nan
 from hyperband.spectrum import BlochMomentum, BlockAnisotropic, BlockIsotropic, ReducedHarper, butterfly_sweep
 from hyperband.spectrum import model_spectrum
 from hyperband.tiling import (
@@ -199,6 +199,37 @@ def test_verify_fails_a_nan_defect(capsys, monkeypatch):
     assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
         "FAIL hamiltonian symmetry     defect nan  tol 1e-08"
     ]
+
+
+def _nan_on_third_call(residual):
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 3 else residual(*args)
+
+    return patched
+
+
+def _nan_for_t_b(residual):
+    return lambda op: math.nan if op is DiffOpId.T_B else residual(op)
+
+
+@pytest.mark.parametrize(
+    "name, residual, patch",
+    [
+        ("operator commutators", "commutator_residual", _nan_on_third_call),
+        ("hamiltonian symmetry", "hamiltonian_commutation_residual", _nan_for_t_b),
+    ],
+    ids=["commutators", "symmetry"],
+)
+def test_verify_fails_an_algebra_line_with_a_nan_residual_past_the_first(name, residual, patch, capsys, monkeypatch):
+    # the builtin max keeps a NaN only when it comes first; these lines combine through max_or_nan
+    monkeypatch.setattr(magnetic, residual, patch(getattr(magnetic, residual)))
+    code, out, _ = run(capsys, "verify", "--g", "2", "--B", "1/4")
+    assert code == 1
+    [line] = [line for line in out.splitlines() if not line.startswith("PASS")]
+    assert line.startswith(f"FAIL {name:<24s} defect nan  tol ")
 
 
 def test_verify_reports_library_errors_as_failures(capsys):
@@ -419,11 +450,6 @@ def _tile_path(dom: FundamentalDomain, tile: Sl2Element) -> str:
         parts.append(_disk_edge_path(corners[i], corners[j]))
     parts.append("Z")
     return " ".join(parts)
-
-
-def _svg_paths(u: np.ndarray, v: np.ndarray, edges) -> bytes:
-    """`cli._svg_paths` of one block, with the row columns `render_tiling_svg` builds for its edges."""
-    return cli._svg_paths(u, v, edges, cli._row_columns(u.shape[1], edges))
 
 
 def _vector_paths(pairs) -> list[str]:
@@ -675,14 +701,13 @@ def test_refused_tile_runs_leave_no_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "enumerate_tiles", lambda gens, depth: rows)
     code, _, err = run(capsys, "tile", "--depth", "1")
     assert code == 2 and message in err
-    assert not (tmp_path / "tiling.svg").exists()
 
 
 @pytest.mark.parametrize("first, second", [(0, 2), (2, 1)])
 def test_refused_tiles_past_the_first_block_leave_no_file(first, second, tmp_path, monkeypatch, capsys):
-    # one refused tile in the second checked block of corners, another in the third: the earlier one is reported
+    # one refused tile in the second written block of corners, another in the third: the earlier one is reported
     monkeypatch.chdir(tmp_path)
-    step = cli._CHECK_BLOCK_CORNERS // 8  # octagons per checked block: 1024
+    step = cli._SVG_BLOCK_CORNERS // 8  # octagons per written block: 256
     rows = np.tile(Sl2Element.identity().entries(), (3 * step, 1))
     rows[step + 44] = _DEGENERATE_TILES[first][0].entries()
     rows[2 * step + 88] = _DEGENERATE_TILES[second][0].entries()
@@ -691,7 +716,6 @@ def test_refused_tiles_past_the_first_block_leave_no_file(first, second, tmp_pat
     message = _scalar_images(rows, _OCTAGON)
     assert _DEGENERATE_TILES[first][1] in message
     assert (code, out, err) == (2, "", f"error: {message}\n")
-    assert not (tmp_path / "tiling.svg").exists()
 
 
 @pytest.mark.parametrize(
@@ -1025,6 +1049,27 @@ def test_butterfly_failed_certificate_on_a_representative_exits_1(tmp_path, monk
 def test_butterfly_rejects_small_q_max_and_bad_path(tmp_path, capsys):
     assert run(capsys, "butterfly", "--q-max", "1")[0] == 2
     assert run(capsys, "butterfly", "--out", str(tmp_path / "no" / "x.csv"))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [(["tile", "--depth", "0"], "enumerate_tiles"), (["butterfly", "--q-max", "2", "--k-samples", "1"], "butterfly_sweep")],
+    ids=["tile", "butterfly"],
+)
+def test_an_empty_out_is_a_usage_error_before_any_work(argv, stage, tmp_path, monkeypatch, capsys):
+    # an empty path is not stdout: argparse refuses it as --out, from the flag or from a config line
+    def not_run(*args):
+        raise AssertionError("an empty --out is refused before any tile is enumerated or matrix solved")
+
+    monkeypatch.setattr(cli, stage, not_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.cfg").write_text("out =\n")
+    for extra in (["--out", ""], ["--out="], ["--config", "out.cfg"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + extra)
+        assert info.value.code == 2
+        assert "argument --out: expected a file name, got an empty path" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["out.cfg"]
 
 
 @pytest.mark.parametrize(

@@ -367,7 +367,7 @@ def test_assembled_matrices_hermitian_everywhere():
         dim = q if isinstance(model, ReducedHarper) else 8 * q
         assert h.shape == (dim, dim)
         assert np.all(np.isfinite(h))
-        assert np.abs(h - h.conj().T).max() <= 1e-12
+        assert np.abs(h - h.conj().T).max() == 0.0  # each pair is one value and its exact conjugate
 
 
 # ---------------------------------------------------------------- eigensolver

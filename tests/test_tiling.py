@@ -517,3 +517,24 @@ def test_tile_membership_is_group_closed():
     for i, j in idx:
         prod = tiles1[i] @ tiles1[j]
         assert any(psl2_distance(prod, m) < 1e-6 for m in tiles2)
+
+
+# the deepest admitted depth of genus 2 to 6, 15, 62 and 999: the last four are the largest genus admitted at
+# depths 4, 3, 2 and 1
+@pytest.mark.parametrize("genus, depth", [(2, 6), (3, 5), (4, 5), (5, 4), (6, 4), (15, 3), (62, 2), (999, 1)])
+def test_no_corner_of_an_admitted_tiling_is_refused(genus, depth):
+    # the bound of `disk_corners`: entries at most e^(mu depth), and every |cz + d|^2 of a corner
+    # at least min(1/4, y^2) / (2 M^2 (1 + 4x^2)), hundreds of orders above the 1e-300 refusal
+    with pytest.raises(ValueError, match="spans >"):
+        check_tiling_size(genus, depth + 1)
+    params = TilingParams(genus)
+    rows = enumerate_tiles(make_generators(params), depth)
+    largest = np.abs(rows).max()
+    assert largest <= math.exp(scaling_parameter(genus) * depth) * (1 + 1e-9)
+    for vertex in make_fundamental_domain(params).vertices:
+        x, y = vertex.x, vertex.y
+        bound = min(0.25, y * y) / (2 * largest**2 * (1 + 4 * x * x))
+        assert bound > 1e-21
+        cx = rows[:, 2] * x + rows[:, 3]  # |cz + d|^2 as `moebius_rows` forms it
+        cy = rows[:, 2] * y
+        assert (cx * cx + cy * cy).min() >= bound * (1 - 1e-12)
