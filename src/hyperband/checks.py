@@ -129,19 +129,16 @@ def run_suite(genus: int, flux: Fraction | float, seed: int, tols: dict[str, flo
     """The records of `SUITE` in order, each judged by `tols[key]`, yielded as each check ends.
 
     Samples come from the stdlib `random.Random(seed)`: five flux-relation
-    points, five points no check reads, then two momenta (`random_points`,
-    `random_momenta`).  The lattice checks are genus-2 structures at the
-    pair of a `Fraction` flux; a bare real B has none, so they take
-    p/q = 1/3.  A `ValueError`, `RuntimeError` or `OverflowError` (a flux
+    points, then two momenta (`random_points`, `random_momenta`).  The
+    lattice checks are genus-2 structures at the pair of a `Fraction` flux;
+    a bare real B has none, so they take p/q = 1/3.  A `ValueError`, `RuntimeError` or `OverflowError` (a flux
     pair too large for a float) inside a check gives defect inf with the
     message as note.
     """
     B = float(flux)
     pair = FluxParam.from_field(flux) if isinstance(flux, Fraction) else FluxParam(1, 3)
     rng = random.Random(seed)
-    flux_points = random_points(rng, 5)
-    random_points(rng, 5)  # the algebra checks take no samples; drawn so that each seed keeps its momenta
-    samples = SuiteSamples(genus, B, pair, flux_points, random_momenta(rng, 2))
+    samples = SuiteSamples(genus, B, pair, random_points(rng, 5), random_momenta(rng, 2))
     for name, key, compute in SUITE:
         try:
             defect, note = compute(samples)

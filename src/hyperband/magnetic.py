@@ -538,7 +538,7 @@ def weight_conjugation_residual() -> float:
     weight y^B.  This pins every term of the weighted forms; the commutator
     relations alone hold for any multiple of S_check's y^2 dx and 2iBy terms.
     """
-    return max(
+    return max_or_nan(
         float(np.abs(_graded_matrix(check)[..., :_CUBICS] - _graded(_weight_conjugate(op))[..., :_CUBICS]).max())
         for op, check in _WEIGHTED.items()
     )

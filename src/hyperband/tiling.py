@@ -160,23 +160,20 @@ def make_fundamental_domain(params: TilingParams) -> FundamentalDomain:
 def edge_pairing_defect(gens: FuchsianGenerators, dom: FundamentalDomain) -> float:
     """Max over j of the endpoint mismatch in gamma_j C_{j+2g} = C_j.
 
-    Endpoints are matched as unordered pairs: the defect of one edge is the
-    smaller over both assignments of the larger endpoint distance.
+    A side pairing reverses the edge it carries across the polygon, so the
+    defect of one edge is the larger of the distances from gamma_j(start of
+    C_{j+2g}) to the end of C_j and from gamma_j(end of C_{j+2g}) to the start
+    of C_j, with start and end as `dom.edges` lists them.
     """
     g = gens.genus
     if len(dom.vertices) != 4 * g:
         raise ValueError("domain and generators disagree on genus")
-    worst = 0.0
-    for j in range(1, 2 * g + 1):
-        src = dom.edges[j + 2 * g - 1]
-        dst = dom.edges[j - 1]
-        a = moebius_act(gens.gammas[j - 1], dom.vertices[src[0]])
-        b = moebius_act(gens.gammas[j - 1], dom.vertices[src[1]])
-        p, q = dom.vertices[dst[0]], dom.vertices[dst[1]]
-        straight = max(hyperbolic_distance(a, p), hyperbolic_distance(b, q))
-        crossed = max(hyperbolic_distance(a, q), hyperbolic_distance(b, p))
-        worst = max(worst, min(straight, crossed))
-    return worst
+    v = dom.vertices
+    return max(
+        hyperbolic_distance(moebius_act(gamma, v[src]), v[dst])
+        for gamma, (start, end), (start_j, end_j) in zip(gens.gammas, dom.edges[2 * g :], dom.edges[: 2 * g])
+        for src, dst in ((start, end_j), (end, start_j))
+    )
 
 
 _H = 0.05  # side of the dedup cells

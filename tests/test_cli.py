@@ -215,13 +215,19 @@ def _nan_for_t_b(residual):
     return lambda op: math.nan if op is DiffOpId.T_B else residual(op)
 
 
+def _nan_term_for_t_b(conjugate):
+    # y^{-B} T_B y^{B} gains a NaN constant term: the second of the three conjugation residuals is NaN
+    return lambda op: conjugate(op) + [(0, complex(math.nan), (0, 0, 0, 0))] if op is DiffOpId.T_B else conjugate(op)
+
+
 @pytest.mark.parametrize(
     "name, residual, patch",
     [
         ("operator commutators", "commutator_residual", _nan_on_third_call),
+        ("operator commutators", "_weight_conjugate", _nan_term_for_t_b),
         ("hamiltonian symmetry", "hamiltonian_commutation_residual", _nan_for_t_b),
     ],
-    ids=["commutators", "symmetry"],
+    ids=["commutators", "conjugation", "symmetry"],
 )
 def test_verify_fails_an_algebra_line_with_a_nan_residual_past_the_first(name, residual, patch, capsys, monkeypatch):
     # the builtin max keeps a NaN only when it comes first; these lines combine through max_or_nan
@@ -696,6 +702,11 @@ def test_refused_tile_runs_leave_no_file(tmp_path, monkeypatch, capsys):
     code, _, err = run(capsys, "tile", "--depth", "9")  # enumeration guard
     assert code == 2 and "depth" in err
     assert not (tmp_path / "tiling.svg").exists()
+
+
+def test_a_refused_corner_exits_2_with_its_scalar_message(tmp_path, monkeypatch, capsys):
+    # no enumerated tile reaches this refusal (`tiling.disk_corners`), so the rows are injected
+    monkeypatch.chdir(tmp_path)
     tile, message = _DEGENERATE_TILES[0]
     rows = np.array([Sl2Element.identity().entries(), tile.entries()])
     monkeypatch.setattr(cli, "enumerate_tiles", lambda gens, depth: rows)
@@ -704,8 +715,11 @@ def test_refused_tile_runs_leave_no_file(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("first, second", [(0, 2), (2, 1)])
-def test_refused_tiles_past_the_first_block_leave_no_file(first, second, tmp_path, monkeypatch, capsys):
-    # one refused tile in the second written block of corners, another in the third: the earlier one is reported
+def test_refused_tiles_in_later_blocks_exit_2_with_only_the_earliest_scalar_message(
+    first, second, tmp_path, monkeypatch, capsys
+):
+    # one refused tile in the second written block of corners, another in the third: the earlier one is reported;
+    # the blocks written before it stay in the file
     monkeypatch.chdir(tmp_path)
     step = cli._SVG_BLOCK_CORNERS // 8  # octagons per written block: 256
     rows = np.tile(Sl2Element.identity().entries(), (3 * step, 1))

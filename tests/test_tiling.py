@@ -193,6 +193,40 @@ def test_edge_pairing_defect_detects_wrong_generator():
     assert edge_pairing_defect(broken, dom) > 0.1
 
 
+@pytest.mark.parametrize("genus, least", [(2, 3.0), (3, 3.9), (5, 5.0)])
+def test_edge_pairing_defect_fails_the_centre_half_turn(genus, least):
+    # z -> -1/z carries C_{1+2g} onto C_1 with its endpoints in the same order, not reversed,
+    # so it reads about 1e-14 when either matching may count (3.06, 3.98 and 5.06 as one map)
+    p = TilingParams(genus)
+    gens = make_generators(p)
+    broken = FuchsianGenerators((exp_s(math.pi / 2),) + gens.gammas[1:], gens.mu)
+    assert edge_pairing_defect(broken, make_fundamental_domain(p)) > least
+
+
+def _better_matching_defect(gens, dom):
+    """The edge pairing defect with either endpoint matching allowed, the smaller one kept."""
+    g = gens.genus
+    worst = 0.0
+    for j in range(1, 2 * g + 1):
+        src, dst = dom.edges[j + 2 * g - 1], dom.edges[j - 1]
+        a = moebius_act(gens.gammas[j - 1], dom.vertices[src[0]])
+        b = moebius_act(gens.gammas[j - 1], dom.vertices[src[1]])
+        p, q = dom.vertices[dst[0]], dom.vertices[dst[1]]
+        straight = max(hyperbolic_distance(a, p), hyperbolic_distance(b, q))
+        crossed = max(hyperbolic_distance(a, q), hyperbolic_distance(b, p))
+        worst = max(worst, min(straight, crossed))
+    return worst
+
+
+def test_edge_pairing_defect_is_the_better_matching_bit_for_bit():
+    # the reversed matching is the better one at every genus, so no printed defect moves;
+    # the edge pairing first fails its 1e-9 bound at g = 101
+    for g in [*range(2, 61), 100, 101, 150, 200]:
+        p = TilingParams(g)
+        gens, dom = make_generators(p), make_fundamental_domain(p)
+        assert edge_pairing_defect(gens, dom).hex() == _better_matching_defect(gens, dom).hex(), g
+
+
 def test_edge_pairing_defect_checks_genus_match():
     gens = make_generators(TilingParams(2))
     dom = make_fundamental_domain(TilingParams(3))
