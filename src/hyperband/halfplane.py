@@ -58,10 +58,9 @@ def det_gate(a, b, c, d):
     a*d - b*c, 32 eps (|a*d| + |b*c|): entries that each carry a few
     roundings move the determinant by that much, so products of deep tiling
     words are not rejected for pure rounding drift, while a large entry
-    alone widens nothing (diag(1e20, 1) is refused).  The bound never exceeds
-    the 64 eps max_entry^2 used before.  A NaN determinant or an overflowing
-    product is refused.  Takes floats or numpy arrays alike, so `sl2_rows`
-    applies the same rule to whole arrays.
+    alone widens nothing (diag(1e20, 1) is refused).  A NaN determinant or
+    an overflowing product is refused.  Takes floats or numpy arrays alike,
+    so `sl2_rows` applies the same rule to whole arrays.
     """
     det = _det2(a, b, c, d)
     tol = 1e-9 + 32.0 * _EPS * (abs(a * d) + abs(b * c))

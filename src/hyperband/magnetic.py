@@ -82,10 +82,6 @@ class FluxParam:
     def field(self) -> float:
         return self.p / (2.0 * self.q)
 
-    def flux(self, genus: int) -> float:
-        """Flux through one fundamental tile: 4(g-1) pi B."""
-        return 4.0 * (genus - 1) * math.pi * self.p / (2.0 * self.q)
-
 
 # ---------------------------------------------------------------- phase cocycle
 

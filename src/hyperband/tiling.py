@@ -179,9 +179,9 @@ def edge_pairing_defect(gens: FuchsianGenerators, dom: FundamentalDomain) -> flo
 _H = 0.05  # side of the dedup cells
 _ROW_SPAN = 1 << 17  # a cell key is column * _ROW_SPAN + row
 _COLUMN_LIMIT = 2.0**45  # |column| is clipped here, so every key and probe bound fits in int64
-# candidates per chunk of a level pass: each chunk's products, gate, cells
-# and probes are formed at once, so no temporary of a level outgrows a chunk
-# but the sorted keys of the level and of the tiles kept before it
+# words per chunk of a level pass and of the copy search: each chunk's
+# products, gate and cells, and each chunk's probes, are formed at once, so
+# no temporary outgrows a chunk but the one sort of all keys
 _LEVEL_CHUNK = 4096
 
 
@@ -248,7 +248,7 @@ def check_tiling_size(genus: int, depth: int) -> int:
     """Refuse a negative depth, or one past `_MAX_CANDIDATE_WORDS` candidates or `_MAX_TILE_CORNERS` corners.
 
     Returns 1 + the candidate count: the freely reduced words of length
-    <= depth, the most tiles the enumeration can keep.  The corner bound
+    <= depth, the rows the enumeration forms.  The corner bound
     counts that many tiles of 4g corners each: a large genus has few
     candidates at depth 1 but a 4g-gon per tile, and `tile` formats and
     writes every corner, so the bound limits the output's size and the time
@@ -269,30 +269,25 @@ def check_tiling_size(genus: int, depth: int) -> int:
     return 1 + candidates
 
 
-def _first_copies(level: np.ndarray, level_keys: np.ndarray, stored: np.ndarray, stored_keys: np.ndarray) -> np.ndarray:
-    """Mask of the candidates `level` that no element of `stored`, nor an earlier kept candidate, lies close to.
+def _first_copies(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows that no earlier kept row lies close to.
 
-    Queries go in sorted-key chunks of `_LEVEL_CHUNK`: first every candidate
-    against the stored keys, then against the other candidates, where the
-    few close pairs are resolved in order.
+    The keys are sorted once, and each sorted chunk of `_LEVEL_CHUNK` is
+    probed against all of them; the pairs of a later and an earlier row are
+    confirmed by matrix distance, and the few close pairs are resolved in
+    row order.
     """
-    order = np.argsort(level_keys, kind="stable")
-    level_keys = level_keys[order]
-    stored_order = np.argsort(stored_keys, kind="stable")
-    stored_keys = stored_keys[stored_order]
-    chunks = [(level_keys[lo : lo + _LEVEL_CHUNK], order[lo : lo + _LEVEL_CHUNK]) for lo in range(0, len(order), _LEVEL_CHUNK)]
-    kept = np.ones(len(level), dtype=bool)
-    for cells in chunks:
-        new, old = _neighbour_pairs(*cells, stored_keys, stored_order)
-        kept[new[_psl2_close(level[new], stored[old])]] = False
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     close_pairs = []
-    for cells in chunks:
-        later, earlier = _neighbour_pairs(*cells, level_keys, order)
-        pair = (earlier < later) & kept[later] & kept[earlier]
+    for lo in range(0, len(order), _LEVEL_CHUNK):
+        later, earlier = _neighbour_pairs(keys[lo : lo + _LEVEL_CHUNK], order[lo : lo + _LEVEL_CHUNK], keys, order)
+        pair = earlier < later
         later, earlier = later[pair], earlier[pair]
-        close = _psl2_close(level[later], level[earlier])
+        close = _psl2_close(rows[later], rows[earlier])
         close_pairs += zip(later[close].tolist(), earlier[close].tolist())
-    # first come wins: a candidate goes when an earlier kept one is close
+    # first come wins: a row goes when an earlier kept one is close
+    kept = np.ones(len(rows), dtype=bool)
     for i, j in sorted(close_pairs):
         if kept[j]:
             kept[i] = False
@@ -303,15 +298,15 @@ def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> np.ndarray:
     """Deduplicated group elements of word length <= depth as rows (a, b, c, d), identity first.
 
     Breadth-first over freely reduced words; order within a level follows
-    gamma_1, gamma_1^-1, gamma_2, ... applied on the right.  A candidate is
-    dropped when an element kept before it, at an earlier level or earlier in
-    its own level, lies within `_DEDUP_TOL` of it in PSL(2,R).  Each level
-    is one array pass in chunks of `_LEVEL_CHUNK` candidates: products, gate
-    and cells are written behind the kept rows, in arrays sized once by
-    `check_tiling_size`; a sorted-key probe of the stored elements and of
-    the level (`_first_copies`) marks the first copies, which are then moved
-    up behind the kept rows.  A chunk refuses at its first refused product,
-    else at its first refused image.
+    gamma_1, gamma_1^-1, gamma_2, ... applied on the right.  A word is
+    dropped when an element kept before it lies within `_DEDUP_TOL` of it in
+    PSL(2,R).  Every freely reduced word is formed first, one array pass per
+    level in chunks of `_LEVEL_CHUNK`: products, gate and cells go into
+    arrays sized once by `check_tiling_size`.  One sorted-key probe of all
+    the words (`_first_copies`) then marks the first copies, which are moved
+    up in place.  The words under a copy are copies too, of words met before
+    them, so the rows kept are the products of kept rows.  A chunk refuses
+    at its first refused product, else at its first refused image.
     """
     size = check_tiling_size(gens.genus, depth)
     n_letters = 4 * gens.genus
@@ -321,9 +316,9 @@ def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> np.ndarray:
     last = np.empty(size, dtype=np.int32)  # the last letter of each row's word
     rows[:1], keys[:1] = _gated_rows(np.array([Sl2Element.identity().entries()]))
     last[0] = -1
-    lo, kept = 0, 1  # rows[:kept] are the tiles so far, rows[lo:kept] the last level's
+    lo, top = 0, 1  # rows[lo:top] are the last level's words
     for _ in range(depth):
-        end, span = kept, (kept - lo) * n_letters
+        end, span = top, (top - lo) * n_letters
         for start in range(0, span, _LEVEL_CHUNK):
             parent, letter = np.divmod(np.arange(start, min(start + _LEVEL_CHUNK, span)), n_letters)
             parent += lo
@@ -336,16 +331,15 @@ def enumerate_tiles(gens: FuchsianGenerators, depth: int) -> np.ndarray:
             )
             last[end:stop] = letter
             end = stop
-        first = _first_copies(rows[kept:end], keys[kept:end], rows[:kept], keys[:kept])
-        # move the first copies up, a chunk at a time: each chunk's writes land below its reads
-        lo, top = kept, kept
-        for start in range(lo, end, _LEVEL_CHUNK):
-            at = start + np.flatnonzero(first[start - lo : start - lo + _LEVEL_CHUNK])
-            to = slice(top, top + len(at))
-            rows[to], keys[to], last[to] = rows[at], keys[at], last[at]
-            top = to.stop
-        kept = top
+        lo, top = top, end
+    first = _first_copies(rows, keys)
     del keys, last  # the copy that trims the rows is then the only other array
+    # move the first copies up, a chunk at a time: each chunk's writes land below its reads
+    kept = 0
+    for start in range(0, size, _LEVEL_CHUNK):
+        at = start + np.flatnonzero(first[start : start + _LEVEL_CHUNK])
+        rows[kept : kept + len(at)] = rows[at]
+        kept += len(at)
     return rows[:kept].copy()
 
 

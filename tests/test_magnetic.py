@@ -490,12 +490,6 @@ def test_flux_param_from_field():
     assert abs(fp.field - 1.0 / 6.0) < 1e-15
 
 
-def test_flux_param_flux_accessor():
-    fp = FluxParam(1, 2)  # B = 1/4
-    assert abs(fp.flux(2) - math.pi) < 1e-12
-    assert abs(fp.flux(3) - 2.0 * math.pi) < 1e-12
-
-
 # ---------------------------------------------------------------- automorphy factor
 
 

@@ -303,12 +303,14 @@ def test_enumeration_is_bit_identical_to_scalar_oracle(genus, depth):
     assert np.array_equal(_bits(rows), _bits([m.entries() for m in oracle]))
 
 
-@pytest.mark.parametrize("genus, depth", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("genus, depth", [(2, 4), (2, 5), (3, 3)])
 def test_level_chunks_do_not_change_the_rows(genus, depth, monkeypatch):
-    # depth 4 = 2g is where copies merge, across chunks as well as within one
+    # depth 4 = 2g is where copies merge, across chunks as well as within one; at depth 5 the words under
+    # the copies are formed and dropped too (chunks of 1 are slow there)
     gens = make_generators(TilingParams(genus))
     want = _bits(enumerate_tiles(gens, depth))
-    for chunk in (1, 7, tiling.check_tiling_size(genus, depth) * (4 * genus)):
+    past = tiling.check_tiling_size(genus, depth) * (4 * genus)
+    for chunk in (7, past) if depth == 5 else (1, 7, past):
         monkeypatch.setattr(tiling, "_LEVEL_CHUNK", chunk)
         assert np.array_equal(_bits(enumerate_tiles(gens, depth)), want)
 
@@ -389,6 +391,50 @@ def test_first_copy_wins_where_merges_start():
     assert len(kept) == len(rows)
     assert np.abs(np.array(kept) - rows).max() < 1e-9
     assert np.array_equal(_bits(rows), _bits([m.entries() for m in _scalar_enumerate_tiles(gens, 4)]))
+
+
+_ANGLE = st.floats(0.0, 2 * math.pi)
+_NEW_ROW = st.tuples(st.just("new"), _ANGLE, st.floats(0.0, 1.5), _ANGLE)
+# a factor within 1e-10 of I moves a row with entries below e^1.5 by < 1e-9; one within 3e-7 of I moves it by
+# up to about 2e-6, so such neighbours fall on either side of _DEDUP_TOL and a row close only to a dropped one stays
+_NUDGE = st.one_of(st.floats(-1e-10, 1e-10), st.floats(-3e-7, 3e-7))
+_NEAR_ROW = st.tuples(st.just("near"), st.integers(0, 99), _NUDGE, _NUDGE, _NUDGE, st.booleans())
+
+
+def _planted_rows(draws) -> np.ndarray:
+    """Rows e^{t S} e^{s U} e^{t' S}, and earlier rows (copies too) times a factor near I, maybe negated."""
+    rows: list[Sl2Element] = []
+    for draw in draws:
+        if draw[0] == "new":
+            _, t, s, t2 = draw
+            m = exp_s(t) @ exp_u(s) @ exp_s(t2)
+        else:
+            _, source, e1, e2, e3, flip = draw
+            m = rows[source % len(rows)] @ Sl2Element(1.0 + e1, e2, e3, (1.0 + e2 * e3) / (1.0 + e1))
+            if flip:  # the same element of PSL(2,R)
+                m = Sl2Element(*(-x for x in m.entries()))
+        rows.append(m)
+    return np.array([m.entries() for m in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NEW_ROW, st.lists(st.one_of(_NEW_ROW, _NEAR_ROW), max_size=40))
+# one element seven times over, a sorted run of keys that spans three chunks of 3, with a chain of copies of copies
+@example(("new", 0.3, 1.0, 2.0), [("near", i, 1e-10, -1e-10, 0.0, i % 2 == 1) for i in range(6)])
+# a row 1.2e-6 from the first is kept: it is close only to the dropped row between them
+@example(("new", 0.0, 0.0, 0.0), [("near", 0, 6e-7, 0.0, 0.0, False), ("near", 1, 6e-7, 0.0, 0.0, True)])
+# the same chain with the first row one column away, so the probe meets the pair (2, 1) before (1, 0)
+@example(("new", 0.003446534, 1.0, 0.0), [("near", 0, 3e-7, 0.0, 0.0, False), ("near", 1, 3e-7, 0.0, 0.0, False)])
+def test_first_copies_keep_each_row_unless_an_earlier_kept_row_is_close(first, draws):
+    rows, keys = tiling._gated_rows(_planted_rows([first, *draws]))
+    # brute force, O(n^2): row i stays unless a row kept before it is within _DEDUP_TOL in PSL(2,R)
+    want = np.zeros(len(rows), dtype=bool)
+    for i, m in enumerate(rows):
+        seen = rows[:i][want[:i]]
+        want[i] = not (np.minimum(np.abs(seen - m).max(axis=1), np.abs(seen + m).max(axis=1)) < tiling._DEDUP_TOL).any()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tiling, "_LEVEL_CHUNK", 3)
+        assert tiling._first_copies(rows, keys).tolist() == want.tolist()
 
 
 _SHEAR = (exp_t(1e10), Sl2Element(1.0, 0.0, 1e10, 1.0))
@@ -514,10 +560,11 @@ def _surface_group_ball(genus: int, depth: int) -> int:
     return sum(spheres)
 
 
-@pytest.mark.parametrize("genus, depth", [(2, 4), (2, 5), (3, 3), (3, 4)])
+@pytest.mark.parametrize("genus, depth", [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)])
 def test_enumerate_counts_follow_surface_group_growth(genus, depth, monkeypatch):
     # from depth 2g (half the relator) on, distinct words can name one element,
-    # which the float dedup must merge; the growth series counts elements
+    # which the float dedup must merge; the growth series counts elements.
+    # Depth 6 = 2g + 2 is the first where the words under copies have words under them
     compared = 0
     close = tiling._psl2_close
 
