@@ -44,7 +44,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
@@ -111,23 +111,25 @@ _FACTOR_KINDS = ("S", "U", "T")
 
 @dataclass(frozen=True)
 class MagneticFactor:
-    """One primitive flow factor: kind S (rotation), U (scaling), T (translation)."""
+    """One primitive flow factor: kind S (rotation), U (scaling), T (translation).
+
+    Its matrix is built once, at construction, after the kind and the value are checked.
+    """
 
     kind: str
     value: float
+    _matrix: Sl2Element = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _FACTOR_KINDS:
             raise ValueError(f"factor kind must be one of {_FACTOR_KINDS}, got {self.kind!r}")
         if not math.isfinite(self.value):
             raise ValueError("non-finite factor parameter")
+        build = exp_s if self.kind == "S" else exp_u if self.kind == "U" else exp_t
+        object.__setattr__(self, "_matrix", build(self.value))
 
     def matrix(self) -> Sl2Element:
-        if self.kind == "S":
-            return exp_s(self.value)
-        if self.kind == "U":
-            return exp_u(self.value)
-        return exp_t(self.value)
+        return self._matrix
 
 
 def s_rotation(t: float) -> MagneticFactor:
@@ -170,33 +172,18 @@ def act_magnetic(word: MagneticWord, z: HPoint, B: float) -> MagneticAction:
     Factors are stored in operator order; composing function actions reverses
     the matrix product, so the point is moved by each factor's matrix read
     left to right (the last factor's matrix ends up leftmost).  Only rotation
-    factors carry phase, picked up at the point current when they act.
+    factors carry phase, `s_phase`'s closed form from the point before and the
+    image after.  A non-finite B is refused before any factor acts.
     """
-    return _act(word, _factor_matrices(word, B), z, B)
-
-
-def _factor_matrices(word: MagneticWord, B: float) -> list[Sl2Element]:
-    """Each factor's matrix, built once for every point the word acts on.
-
-    A non-finite B is refused here, before any factor acts, when the word
-    has a rotation factor to carry phase; a word without one ignores B.
-    """
-    if not math.isfinite(B) and any(f.kind == "S" for f in word.factors):
+    if not math.isfinite(B):
         raise ValueError("non-finite field strength")
-    return [f.matrix() for f in word.factors]
-
-
-def _act(word: MagneticWord, matrices: list[Sl2Element], z: HPoint, B: float) -> MagneticAction:
-    """`act_magnetic` with the factor matrices given: each moves the point once, and a
-    rotation's phase is `s_phase`'s closed form from the point before and the image after."""
     phase = complex(1.0)
-    current = z
-    for f, g in zip(word.factors, matrices):
-        image = moebius_act(g, current)
+    for f in word.factors:
+        image = moebius_act(f.matrix(), z)
         if f.kind == "S":
-            phase *= _rotation_phase(f.value, current, image, B)
-        current = image
-    return MagneticAction(phase, current)
+            phase *= _rotation_phase(f.value, z, image, B)
+        z = image
+    return MagneticAction(phase, z)
 
 
 def magnetic_generators(params: TilingParams) -> list[MagneticWord]:
@@ -234,18 +221,17 @@ def flux_relation_word(params: TilingParams) -> MagneticWord:
     return MagneticWord(tuple(factors))
 
 
-def flux_relation_phase(params: TilingParams, B: float, points: HPoint | Iterable[HPoint]) -> list[complex]:
-    """Phase of the relation word at each point (a single point is a one-point list).
+def flux_relation_phase(params: TilingParams, B: float, points: Iterable[HPoint]) -> list[complex]:
+    """Phase of the relation word at each point.
 
-    The Gauss-Bonnet value is e^{i4(g-1)pi B} at every point.  The word and
-    its factor matrices are built once per call; a point whose orbit does not
-    close raises RuntimeError.
+    The Gauss-Bonnet value is e^{i4(g-1)pi B} at every point.  The word, and
+    with it each factor's matrix, is built once per call; a point whose orbit
+    does not close raises RuntimeError.
     """
     word = flux_relation_word(params)
-    matrices = _factor_matrices(word, B)
     phases = []
-    for z in [points] if isinstance(points, HPoint) else points:
-        action = _act(word, matrices, z, B)
+    for z in points:
+        action = act_magnetic(word, z, B)
         drift = hyperbolic_distance(action.image, z)
         if drift > _CLOSURE_ERROR:
             raise RuntimeError(

@@ -259,6 +259,22 @@ def test_verify_refuses_a_rational_flux_too_large_for_a_float(capsys):
     assert err.startswith("error: flux must be finite as a float")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--B", "abc"), "bad flux 'abc'"),
+        (("verify", "--B", "inf"), "flux must be finite, got 'inf'"),
+        (("spectrum", "--k=1,2,x,4"), "bad momentum '1,2,x,4'"),
+        (("verify", "--tol", "flux"), "tolerance override needs name=value, got 'flux'"),
+        (("verify", "--tol", "flux=abc"), "bad tolerance value 'abc'"),
+    ],
+)
+def test_unparsable_values_exit_2_with_one_error_line(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_verify_fails_the_lattice_lines_of_a_denominator_too_large_for_a_float(capsys):
     # B = 1/10^400 is 0.0 as a float, a usable field; its pair (1, 5 10^399) is not
     code, out, err = run(capsys, "verify", "--B", "1/1" + "0" * 400)

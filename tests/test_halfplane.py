@@ -172,6 +172,13 @@ def test_translation_and_scaling_actions():
     assert abs(w.y - 2.0 * f) < CONSTRUCTION_TOL
 
 
+@pytest.mark.parametrize("exp, name", [(exp_s, "rotation"), (exp_t, "translation"), (exp_u, "scaling")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_subgroup_elements_refuse_a_non_finite_parameter(exp, name, value):
+    with pytest.raises(ValueError, match=f"non-finite {name} parameter"):
+        exp(value)
+
+
 def test_rotation_fixes_i():
     for th in (0.1, 1.0, -2.3, math.pi / 2):
         w = moebius_act(exp_s(th), HPoint(0.0, 1.0))

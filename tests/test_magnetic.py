@@ -291,7 +291,7 @@ def test_non_finite_field_is_rejected(B):
     with pytest.raises(ValueError, match="field strength"):
         s_phase(0.7, HPoint(0.2, 1.1), B)
     with pytest.raises(ValueError, match="field strength"):
-        flux_relation_phase(TilingParams(2), B, HPoint(0.2, 1.1))
+        flux_relation_phase(TilingParams(2), B, [HPoint(0.2, 1.1)])
 
 
 # ---------------------------------------------------------------- generators
@@ -382,7 +382,7 @@ def test_flux_relation_reports_non_closure(monkeypatch):
 
     monkeypatch.setattr(mag, "flux_relation_word", lambda p: MagneticWord((t_translation(1.0),)))
     with pytest.raises(RuntimeError):
-        mag.flux_relation_phase(TilingParams(2), 0.3, HPoint(0.2, 1.1))
+        mag.flux_relation_phase(TilingParams(2), 0.3, [HPoint(0.2, 1.1)])
 
 
 def _per_point_fold(word: MagneticWord, z: HPoint, B: float) -> complex:
@@ -414,17 +414,32 @@ def test_flux_relation_phase_is_the_per_point_fold(g, B, coords):
 
 
 def test_flux_relation_check_builds_each_rotation_matrix_once(monkeypatch):
+    # a factor builds its matrix at construction, in construction order, so the
+    # calls are compared as multisets: one per rotation factor, never one per point
     import hyperband.magnetic as mag
 
-    calls = []
-    real_exp_s = mag.exp_s
-    monkeypatch.setattr(mag, "exp_s", lambda t: calls.append(t) or real_exp_s(t))
     word = flux_relation_word(TilingParams(5))
     rotations = [f.value for f in word.factors if f.kind == "S"]
     assert len(rotations) == 36
+    calls = []
+    real_exp_s = mag.exp_s
+    monkeypatch.setattr(mag, "exp_s", lambda t: calls.append(t) or real_exp_s(t))
     points = [HPoint(0.3 * i - 0.6, 0.5 + 0.4 * i) for i in range(5)]
     checks.flux_relation(5, 0.25, points)
-    assert calls == rotations
+    assert sorted(calls) == sorted(rotations)
+
+
+@pytest.mark.parametrize("kind, value", [("S", math.nan), ("U", math.inf)])
+def test_factor_refuses_a_non_finite_value_before_building_its_matrix(kind, value, monkeypatch):
+    import hyperband.magnetic as mag
+
+    def unreachable(t):
+        raise AssertionError(f"matrix built for {t!r}")
+
+    for name in ("exp_s", "exp_t", "exp_u"):
+        monkeypatch.setattr(mag, name, unreachable)
+    with pytest.raises(ValueError, match="non-finite factor parameter"):
+        MagneticFactor(kind, value)
 
 
 # ---------------------------------------------------------------- covering

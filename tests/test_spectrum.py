@@ -590,6 +590,33 @@ def test_certificate_refuses_claims_shaped_unlike_the_stack():
         certify_spectra(np.stack([h[0], h[0]]), vals[:1])
 
 
+def test_inertia_counts_count_an_exactly_zero_core_pivot_as_negative():
+    # the first pivot of [[0, 1], [1, 0]] at sigma = 0 is exactly 0: as -sqrt(tiny) it
+    # counts once, and the Schur complement 0 - 1/(-sqrt(tiny)) stays finite and positive
+    h = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+    want = (np.linalg.eigvalsh(h[0]) < 0.0).sum()
+    assert want == 1
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        assert np.array_equal(inertia_counts(h, np.zeros((1, 1))), [[want]])
+
+
+def test_inertia_counts_count_an_exactly_zero_pendant_pivot_as_negative():
+    # block-iso layout [core | pendant], q = 3: pendant 4 sits on core site 1, and
+    # its diagonal equals the shift, so its pivot H[4, 4] - sigma is exactly 0; as
+    # -sqrt(tiny) it counts once, and its fold into site 1 stays finite
+    q, sigma = 3, 0.25
+    h = np.zeros((2 * q, 2 * q))
+    h[range(q), range(q)] = [1.0, -2.0, 0.5]
+    h[range(q), [1, 2, 0]] = h[[1, 2, 0], range(q)] = [0.7, -0.3, 0.4]
+    h[range(q, 2 * q), range(q, 2 * q)] = [-1.5, sigma, 2.0]
+    h[range(q, 2 * q), range(q)] = h[range(q), range(q, 2 * q)] = [0.6, 0.9, -0.8]
+    vals = np.linalg.eigvalsh(h)
+    assert np.abs(vals - sigma).min() > 1e-3
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        counts = inertia_counts(h[None], np.array([[sigma]]), pendants=True)
+    assert np.array_equal(counts, [[(vals < sigma).sum()]])
+
+
 def test_inertia_counts_refuse_shifts_without_one_row_per_matrix():
     h, vals = _reduced_stack_and_spectra()
     assert np.array_equal(inertia_counts(h, vals + 1e-3), np.tile(np.arange(1, 10), (3, 1)))

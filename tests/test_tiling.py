@@ -135,7 +135,22 @@ def test_group_word_rejects_unreduced():
     GroupWord(((1, 1), (1, 1), (2, -1)))  # squares are fine
 
 
+def test_group_word_refuses_letters_outside_the_generators():
+    with pytest.raises(ValueError, match="generator index must be a positive integer, got 0"):
+        GroupWord(((1, 1), (0, 1)))
+    word = GroupWord(((1, 1), (5, -1)))  # a letter of genus 3, past 2g = 4
+    with pytest.raises(ValueError, match="letter index 5 out of range for genus 2"):
+        word.matrix(make_generators(TilingParams(2)))
+
+
 # ---------------------------------------------------------------- domain
+
+
+def test_domain_refuses_vertex_and_edge_counts_that_disagree():
+    dom = make_fundamental_domain(TilingParams(2))
+    for vertices, edges in ((dom.vertices[:-4], dom.edges), (dom.vertices, dom.edges[:-4])):
+        with pytest.raises(ValueError, match="domain needs 4g vertices and 4g edges"):
+            FundamentalDomain(vertices, edges)
 
 
 def test_domain_frozen_vertex_values():
