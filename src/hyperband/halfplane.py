@@ -29,6 +29,9 @@ _DEGENERATE_DENOMINATOR = "degenerate Moebius denominator |cz + d| ~ 0"
 
 _EPS = 2.220446049250313e-16
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split constant
+# largest |mu| of e^{mu U}: the determinant gate splits e^|mu| by `_SPLITTER`, which
+# overflows from |mu| = log(DBL_MAX / _SPLITTER) = 691.07
+_MAX_SCALING = 690.0
 
 
 def _two_product(x: float, y: float) -> tuple[float, float]:
@@ -154,9 +157,11 @@ def exp_t(t: float) -> Sl2Element:
 
 
 def exp_u(mu: float) -> Sl2Element:
-    """Scaling subgroup element e^{mu U}, acting as z -> e^{2 mu} z."""
+    """Scaling subgroup element e^{mu U}, acting as z -> e^{2 mu} z, for |mu| <= `_MAX_SCALING`."""
     if not math.isfinite(mu):
         raise ValueError("non-finite scaling parameter")
+    if abs(mu) > _MAX_SCALING:
+        raise ValueError(f"scaling parameter {mu} outside the supported range |mu| <= {_MAX_SCALING:g}")
     e = math.exp(mu)
     return Sl2Element(e, 0.0, 0.0, 1.0 / e)
 

@@ -18,20 +18,30 @@ across the flux orbit into sector m (`reduced --m M`) or all eight (block-aniso)
 By Chambers' relation that matrix has the same spectrum at a momentum with
 k1 in {0, pi/q}, where a gauge makes it real symmetric (`_chambers_stack`).
 The isotropic block model splits into four complex 2q x 2q sectors
-(`_iso_stack`).  Both are assembled from arrays of numerators and momenta,
-solved in batches for eigenvalues only and certified by inertia counts
-(`harper_eigvalsh`), one flux per orbit {p, p+q, q-p, 2q-p} ({p, 2q-p} for
-block-iso, `_flux_representative`); the other fluxes of an orbit reuse its
-spectrum, through that same shift for a rotation sector and block-aniso.
+(`_iso_stack`).  Both are assembled from arrays of numerators and momenta
+into stacks, gated, solved for eigenvalues only and certified by inertia
+counts (`_solve_in_order`), one flux per orbit {p, p+q, q-p, 2q-p}
+({p, 2q-p} for block-iso, `_flux_representative`); the other fluxes of an
+orbit reuse its spectrum, through that same shift for a rotation sector and
+block-aniso.  A sweep sends the stacks of every denominator through one
+pipeline, in handoffs of at most `_BATCH_BYTES` // 2: one worker thread
+runs only LAPACK on handoff i + 1 while the calling thread certifies
+handoff i, so at most two handoffs, `_BATCH_BYTES` of assembled matrices,
+are alive at once.  A run of one handoff (`spectrum`, `verify`, a small
+sweep) has nothing to overlap and is solved inline, with no thread.
 Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import queue
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +59,9 @@ _MAX_SWEEP_Q = 500
 # q_max with a huge k_samples through (q_max 2 at 2e8 momenta is 1e9 rows)
 _MAX_SWEEP_ROWS = 20_000_000
 _HALTON_BASES = (2, 3, 5, 7)
-_BATCH_BYTES = 1 << 20  # one assembled stack of matrices, at its itemsize; bounds peak memory
+# the assembled matrices alive at once, at their itemsize: a handoff of stacks holds at most half,
+# and at most two are alive (one solving on the worker, one built or certified on the caller)
+_BATCH_BYTES = 1 << 20
 _NEG_SQRT_TINY = -math.sqrt(np.finfo(float).tiny)
 _HERMITIAN_TOL = 1e-12  # largest |H - H^dagger| either solver accepts
 RING_WEIGHT = 16.0 / math.pi**2  # weight of the ring term against the Harper core
@@ -358,24 +370,92 @@ def _certify(h: np.ndarray, band: np.ndarray, vals: np.ndarray, pendants: bool) 
         )
 
 
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """LAPACK eigenvalues of a stack, without eigenvectors; a solve that does not converge is a RuntimeError."""
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        dim = h.shape[-1]
+        raise RuntimeError(f"eigensolver did not converge on a stack of {dim}x{dim} matrices: {exc}") from exc
+
+
+def _lapack_worker(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
+    """Solve each list of stacks taken from `inbox` into `outbox`, or put its error there instead, until None."""
+    while (stacks := inbox.get()) is not None:
+        try:
+            outbox.put([_eigvalsh(h) for h in stacks])
+        except Exception as exc:  # the calling thread raises it
+            outbox.put(exc)
+
+
+def _solve_in_order(handoffs: Sequence[Sequence[Callable[[], np.ndarray]]], pendants: bool) -> Iterator[np.ndarray]:
+    """Certified ascending eigenvalues of every stack the `handoffs` assemble, one array per stack, in order.
+
+    A handoff is a list of callables, each assembling one (n, dim, dim)
+    stack in the layout `pendants` selects (`_cyclic_band`).  The calling
+    thread assembles a handoff and gates each stack with `_require_solvable`
+    (which refuses a stack nonzero outside the band, since the certificate
+    reads only the band); `_eigvalsh` solves it, and `_certify` checks
+    every eigenvalue against the matrix that was solved, on the band the
+    gate gathered.  With two handoffs or more they go through one pipeline:
+    a single worker thread runs only `_eigvalsh`, and while it solves
+    handoff i + 1 the calling thread certifies handoff i.  numpy's LAPACK
+    loop releases the GIL and the certificate, a loop of small numpy calls,
+    mostly holds it, so the two run at the same time.  At most two handoffs
+    are alive at once: the one on the worker, and the one being assembled
+    or certified.  With one handoff there is nothing to overlap, and it is
+    solved inline, with no thread.  A failed gate, solve or certificate
+    raises RuntimeError in the calling thread, and the worker is joined
+    before the generator finishes, raises or is closed.
+    """
+
+    def gated(handoff: Sequence[Callable[[], np.ndarray]]) -> list[tuple[np.ndarray, np.ndarray]]:
+        stacks = []
+        for build in handoff:
+            h = build()
+            stacks.append((h, _require_solvable(h, _cyclic_band(h.shape[-1], pendants))))
+        return stacks
+
+    def certified(stacks: list[tuple[np.ndarray, np.ndarray]], spectra: list | Exception) -> Iterator[np.ndarray]:
+        if isinstance(spectra, Exception):
+            raise spectra
+        for (h, band), vals in zip(stacks, spectra, strict=True):
+            _certify(h, band, vals, pendants)
+            yield vals
+
+    if len(handoffs) < 2:
+        for handoff in handoffs:
+            stacks = gated(handoff)
+            yield from certified(stacks, [_eigvalsh(h) for h, _ in stacks])
+        return
+    inbox: queue.SimpleQueue = queue.SimpleQueue()
+    outbox: queue.SimpleQueue = queue.SimpleQueue()
+    worker = threading.Thread(target=_lapack_worker, args=(inbox, outbox), daemon=True)
+    worker.start()
+    try:
+        solving = gated(handoffs[0])
+        inbox.put([h for h, _ in solving])
+        for handoff in handoffs[1:]:
+            upcoming = gated(handoff)
+            inbox.put([h for h, _ in upcoming])
+            yield from certified(solving, outbox.get())
+            solving = upcoming
+        yield from certified(solving, outbox.get())
+    finally:
+        inbox.put(None)
+        worker.join()
+
+
 def harper_eigvalsh(h: np.ndarray, pendants: bool = False) -> np.ndarray:
     """Certified ascending eigenvalues of an (n, dim, dim) stack of cyclic-tridiagonal matrices.
 
     The matrices are Hermitian or real symmetric; `pendants` selects the
-    layout of `_cyclic_band`.  `_require_solvable` refuses a stack that is
-    nonzero outside the band (the certificate reads only the band); one
-    LAPACK call solves it without eigenvectors, and the certificate of
-    `certify_spectra` checks every eigenvalue.  The band is built and
-    gathered once, for the gate and the certificate's norm alike.  Any
-    failure raises RuntimeError.
+    layout of `_cyclic_band`.  This is `_solve_in_order` applied to the one
+    stack, so inline: the gate, one LAPACK call without eigenvectors, and
+    the certificate of `certify_spectra` on every eigenvalue.  Any failure
+    raises RuntimeError.
     """
-    dim = h.shape[-1]
-    band = _require_solvable(h, _cyclic_band(dim, pendants))
-    try:
-        vals = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver did not converge on a stack of {dim}x{dim} matrices: {exc}") from exc
-    _certify(h, band, vals, pendants)
+    (vals,) = _solve_in_order([[lambda: h]], pendants)
     return vals
 
 
@@ -415,43 +495,101 @@ def _solved_numerators(model: HamiltonianModel, ps: Sequence[int], q: int) -> tu
     return np.unique(_flux_representative(model, np.asarray(ps), q), return_inverse=True)
 
 
-def _certified_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
-    """Certified spectra of the matrices solved for `model` at every p of `ps` and momentum, shape (len(ps), len(momenta), count * dim).
+def _solved_spectra(
+    model: HamiltonianModel, jobs: Sequence[tuple[int, Sequence[int]]], momenta: Sequence[BlochMomentum]
+) -> Iterator[np.ndarray]:
+    """Certified spectra of the matrices solved for `model` at each (q, ps) of `jobs`, in order, through one pipeline.
 
+    Yields per job an array shaped (len(ps), len(momenta), count * dim).
     The matrices are the real symmetric Chambers twin of the sector-0
     matrix (`_chambers_stack`) for a rotation sector and block-aniso alike,
     or block-iso's four complex S^2 sectors, whose spectra follow one
-    another unmerged; no other sector is assembled.  A p not coprime to q is
-    a ValueError, also when there is no momentum.  The (p, momentum) items
-    are flattened once, momentum fastest, into a float numerator vector
-    and an (n, 4) momentum array; slices of both are assembled as
-    stacks of at most about `_BATCH_BYTES`, counted at 8 B per real and
-    16 B per complex entry, and solved by `harper_eigvalsh`, which
-    certifies every eigenvalue against the matrix it solved.
+    another unmerged; no other sector is assembled.  A p not coprime to its
+    q is a ValueError, also when there is no momentum, before anything is
+    solved.  Each job's (p, momentum) items are flattened once, momentum
+    fastest, into a float numerator vector and an (n, 4) momentum array;
+    slices of both are assembled as stacks, and consecutive stacks are
+    grouped into handoffs of at most `_BATCH_BYTES` // 2, counted at 8 B
+    per real and 16 B per complex entry.  A job's stacks may share a
+    handoff with the jobs beside it; a single item larger than that still
+    forms a stack of its own.  `_solve_in_order` solves and certifies them.
     """
-    for p in dict.fromkeys(np.asarray(ps).tolist()):
-        FluxParam(p, q)
     iso = isinstance(model, BlockIsotropic)
-    count, dim = _sector_layout(model, q)
-    p = np.repeat(np.asarray(ps, dtype=float), len(momenta))
-    k = np.tile(np.array([[x.k1, x.k2, x.k3, x.k4] for x in momenta]).reshape(-1, 4), (len(ps), 1))
-    per_batch = max(1, _BATCH_BYTES // ((16 if iso else 8) * count * dim * dim))
     stack = _iso_stack if iso else _chambers_stack
-    spectra = [
-        harper_eigvalsh(stack(q, p[i : i + per_batch], k[i : i + per_batch]), pendants=iso)
-        for i in range(0, len(p), per_batch)
-    ]
-    return np.concatenate(spectra or [np.empty(0)]).reshape(len(ps), len(momenta), count * dim)
+    limit = _BATCH_BYTES // 2
+    rows = np.array([[x.k1, x.k2, x.k3, x.k4] for x in momenta]).reshape(-1, 4)
+    handoffs: list[list[Callable[[], np.ndarray]]] = []
+    shapes = []  # per job: its stack count and the shape of its spectra
+    room = 0
+    for q, ps in jobs:
+        for p in dict.fromkeys(np.asarray(ps).tolist()):
+            FluxParam(p, q)
+        count, dim = _sector_layout(model, q)
+        item_bytes = (16 if iso else 8) * count * dim * dim
+        per_stack = max(1, limit // item_bytes)
+        p = np.repeat(np.asarray(ps, dtype=float), len(momenta))
+        k = np.tile(rows, (len(ps), 1))
+        starts = range(0, len(p), per_stack)
+        shapes.append((len(starts), (len(ps), len(momenta), count * dim)))
+        for i in starts:
+            size = item_bytes * min(per_stack, len(p) - i)
+            if size > room:
+                handoffs.append([])
+                room = limit
+            handoffs[-1].append(functools.partial(stack, q, p[i : i + per_stack], k[i : i + per_stack]))
+            room -= size
+    with contextlib.closing(_solve_in_order(handoffs, iso)) as spectra:
+        for n, shape in shapes:
+            vals = [next(spectra) for _ in range(n)]
+            yield np.concatenate(vals or [np.empty(0)]).reshape(shape)
+
+
+def _certified_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
+    """Certified spectra of the matrices solved for `model` at every p of `ps` and momentum, shape (len(ps), len(momenta), count * dim).
+
+    The one-job case of `_solved_spectra`.
+    """
+    (vals,) = _solved_spectra(model, [(q, ps)], momenta)
+    return vals
+
+
+def _orbit_spectra(
+    model: HamiltonianModel, q: int, ps: Sequence[int], solved: np.ndarray, row: np.ndarray, vals: np.ndarray
+) -> np.ndarray:
+    """`model_spectra` at every p of `ps`, from `vals`, the certified spectra at the representatives `solved`.
+
+    `row` indexes each p's representative in `solved` (`_solved_numerators`).
+    """
+    if isinstance(model, BlockIsotropic):
+        return np.sort(vals, axis=-1)[row]
+    sectors = np.array([model.m]) if isinstance(model, ReducedHarper) else np.arange(RING_SIZE)
+    b_p, b_r = np.asarray(ps)[:, None] / (2.0 * q), solved[row, None] / (2.0 * q)
+    shift = RING_WEIGHT * (rotation_sector_shift(b_p, sectors) - rotation_sector_shift(b_r, 0))
+    union = vals[row][:, :, None, :] + shift[:, None, :, None]
+    union = union.reshape(len(ps), vals.shape[1], len(sectors) * vals.shape[-1])
+    return np.sort(union, axis=-1) if len(sectors) > 1 else union
+
+
+def _sweep_spectra(
+    model: HamiltonianModel, numerators: dict[int, Sequence[int]], momenta: Sequence[BlochMomentum]
+) -> Iterator[np.ndarray]:
+    """`model_spectra(model, q, ps, momenta)` for each q: ps of `numerators`, in order, all solved through one pipeline."""
+    solved = {q: _solved_numerators(model, ps, q) for q, ps in numerators.items()}
+    spectra = _solved_spectra(model, [(q, reps) for q, (reps, _) in solved.items()], momenta)
+    for vals, (q, ps), (reps, row) in zip(spectra, numerators.items(), solved.values(), strict=True):
+        yield _orbit_spectra(model, q, ps, reps, row, vals)
 
 
 def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
     """Ascending spectra at flux B = p/(2q) for every p in `ps` and every momentum.
 
     Returns shape (len(ps), len(momenta), dim), dim = q for a rotation sector
-    and 8q for the block models.  One matrix set is solved per flux orbit:
-    only the representative r = `_flux_representative(model, p, q)` of each
-    p is assembled and solved (`_certified_spectra`: batched stacks,
-    `harper_eigvalsh`, every eigenvalue certified).  Sector 0 is the only
+    and 8q for the block models.  This is the one-denominator case of the
+    sweep's route (`_sweep_spectra`).  One matrix set is solved per flux
+    orbit: only the representative r = `_flux_representative(model, p, q)`
+    of each p is assembled and solved (`_solved_spectra`: stacks in
+    handoffs, `_solve_in_order`, every eigenvalue certified), and
+    `_orbit_spectra` derives every p from it.  Sector 0 is the only
     sector matrix solved, and its spectrum at r already holds the ring
     term (16/pi^2) s(B_r, 0) on its diagonal, s(B, t) = 2cos(pi B/4 + t pi/4).
     Every rotation sector t is the Harper core times a constant plus a
@@ -467,16 +605,8 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     spectrum is the union of its four S^2 sectors at r, the same at p.
     `checks.sector_union` holds both block spectra against dense matrices.
     """
-    solved, row = _solved_numerators(model, ps, q)
-    vals = _certified_spectra(model, q, solved, momenta)
-    if isinstance(model, BlockIsotropic):
-        return np.sort(vals, axis=-1)[row]
-    sectors = np.array([model.m]) if isinstance(model, ReducedHarper) else np.arange(RING_SIZE)
-    b_p, b_r = np.asarray(ps)[:, None] / (2.0 * q), solved[row, None] / (2.0 * q)
-    shift = RING_WEIGHT * (rotation_sector_shift(b_p, sectors) - rotation_sector_shift(b_r, 0))
-    union = vals[row][:, :, None, :] + shift[:, None, :, None]
-    union = union.reshape(len(ps), len(momenta), len(sectors) * vals.shape[-1])
-    return np.sort(union, axis=-1) if len(sectors) > 1 else union
+    (spectra,) = _sweep_spectra(model, {q: ps}, momenta)
+    return spectra
 
 
 def model_spectrum(model: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:
@@ -530,8 +660,11 @@ def butterfly_sweep(
 
     Returns one (phi, spectra) pair per flux in ascending phi, where row i of
     the (k_samples, dim) array `spectra` is the ascending spectrum at the i-th
-    momentum sample.  Each denominator is solved in one `model_spectra` call.
-    Output is fully deterministic for fixed inputs.  Two guards refuse a
+    momentum sample.  Every denominator goes through one pipeline
+    (`_sweep_spectra`), so the stacks of the next handoff are solved on the
+    worker thread while this thread certifies the last ones; each
+    denominator's spectra equal `model_spectra`'s bit for bit.  Output is
+    fully deterministic for fixed inputs.  Two guards refuse a
     sweep before any momentum or matrix is built: the workload guard bounds
     the total diagonalization cost, charging what `model_spectra` solves
     (one matrix set per flux orbit and momentum), and the row guard bounds
@@ -563,6 +696,6 @@ def butterfly_sweep(
     momenta = momentum_samples(k_samples, seed)
 
     spectra = {}
-    for q, ps in numerators.items():
-        spectra.update(zip(((p, q) for p in ps), model_spectra(model, q, ps, momenta)))
+    for (q, ps), vals in zip(numerators.items(), _sweep_spectra(model, numerators, momenta), strict=True):
+        spectra.update(zip(((p, q) for p in ps), vals))
     return [(_TWO_PI * p / q, spectra[p, q]) for p, q in pairs]

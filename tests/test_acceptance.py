@@ -139,7 +139,9 @@ def test_criterion_8_butterfly_pipeline(tmp_path, capsys):
     capsys.readouterr()
     first, second = (path.read_bytes() for path in paths)
     identical = first == second
-    # The sweep kernel (spectrum.harper_eigvalsh) raises on a non-finite,
+    # The sweep's pipeline (spectrum._solve_in_order) gates every stack before
+    # its solve and certifies it after, on the calling thread, against the
+    # matrix the LAPACK worker solved: it raises on a non-finite,
     # non-Hermitian or out-of-band matrix and on any eigenvalue failing the
     # inertia certificate |mu_i - lambda_i| <= 1e-8 (1 + ||H||_F), so
     # completing with exit 0 certifies every matrix solved.

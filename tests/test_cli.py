@@ -1057,6 +1057,44 @@ def test_butterfly_solver_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert err.startswith("verification failure: eigensolver did not converge")
 
 
+def test_butterfly_worker_solver_failure_on_a_later_stack_exits_1_without_file_or_thread(
+    tmp_path, monkeypatch, capsys, thread_starts
+):
+    # reduced --q-max 30 at 2 momenta is two handoffs, so its stacks go through the worker
+    import threading
+
+    real_eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def failing_later(a, UPLO="L"):
+        calls.append(threading.current_thread())
+        if len(calls) == 25:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigvalsh(a, UPLO)
+
+    before = threading.active_count()
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_later)
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "butterfly", "--q-max", "30", "--k-samples", "2", "--out", str(out))
+    assert code == 1
+    assert err.startswith("verification failure: eigensolver did not converge")
+    assert not out.exists()
+    assert len(thread_starts) == 1 and calls[24] is thread_starts[0]
+    assert threading.active_count() == before
+
+
+def test_verify_spectrum_and_a_one_handoff_sweep_start_no_thread(tmp_path, capsys, thread_starts):
+    assert run(capsys, "verify", "--g", "2", "--B", "1/4")[0] == 0
+    assert run(capsys, "spectrum", "--B", "1/6", "--model", "block-iso")[0] == 0
+    out = str(tmp_path / "b.csv")
+    argv = ["butterfly", "--model", "block-aniso", "--q-max", "20", "--k-samples", "4", "--out", out]
+    assert run(capsys, *argv)[0] == 0
+    assert thread_starts == []
+    # the count bites: a sweep of two handoffs starts its one worker
+    assert run(capsys, "butterfly", "--model", "reduced", "--q-max", "30", "--k-samples", "2", "--out", out)[0] == 0
+    assert len(thread_starts) == 1
+
+
 def test_butterfly_failed_certificate_on_a_representative_exits_1(tmp_path, monkeypatch, capsys):
     # at q = 5 the sweep solves only the orbit representatives p = 1 and 2 and
     # derives the other six fluxes; a wrong eigenvalue of theirs is a verification failure

@@ -179,6 +179,20 @@ def test_subgroup_elements_refuse_a_non_finite_parameter(exp, name, value):
         exp(value)
 
 
+@pytest.mark.parametrize("mu", [690.5, 800.0, -745.0, -800.0, 1e300])
+def test_scaling_refuses_a_parameter_past_its_bound_with_a_value_error(mu):
+    # past |mu| = 690 the determinant gate's split of e^|mu| overflows; math.exp itself
+    # overflows from 709.8 and e^-mu from 745.2 divides by zero
+    with pytest.raises(ValueError, match=r"scaling parameter .* outside the supported range \|mu\| <= 690"):
+        exp_u(mu)
+
+
+@pytest.mark.parametrize("mu", [690.0, -690.0])
+def test_scaling_admits_its_bound(mu):
+    g = exp_u(mu)
+    assert g.a == math.exp(mu) and g.b == g.c == 0.0
+
+
 def test_rotation_fixes_i():
     for th in (0.1, 1.0, -2.3, math.pi / 2):
         w = moebius_act(exp_s(th), HPoint(0.0, 1.0))

@@ -442,6 +442,12 @@ def test_factor_refuses_a_non_finite_value_before_building_its_matrix(kind, valu
         MagneticFactor(kind, value)
 
 
+def test_scaling_factor_past_the_bound_is_a_value_error():
+    # a finite mu above about 709 overflowed math.exp into an OverflowError
+    with pytest.raises(ValueError, match=r"\|mu\| <= 690"):
+        MagneticFactor("U", 800.0)
+
+
 # ---------------------------------------------------------------- covering
 
 

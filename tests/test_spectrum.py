@@ -1,5 +1,6 @@
 """Lattice Hamiltonian assembly, diagonalization, sweeps, and their oracles."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -972,14 +973,16 @@ def test_batches_count_eight_bytes_per_real_and_sixteen_per_complex_entry(monkey
     import hyperband.spectrum as spectrum
 
     stacks = []
-    real_kernel = spectrum.harper_eigvalsh
+    real_eigvalsh = np.linalg.eigvalsh
 
-    def recording(h, pendants=False):
+    def recording(h):
         stacks.append((len(h), h.dtype))
-        return real_kernel(h, pendants)
+        return real_eigvalsh(h)
 
-    monkeypatch.setattr(spectrum, "harper_eigvalsh", recording)
-    monkeypatch.setattr(spectrum, "_BATCH_BYTES", 16 * 5 * 5 * 3)  # three complex 5 x 5 matrices
+    # every stack the sweep solves reaches LAPACK here, on the worker thread or inline
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    # handoffs of at most half of it: three complex 5 x 5 matrices
+    monkeypatch.setattr(spectrum, "_BATCH_BYTES", 2 * 16 * 5 * 5 * 3)
     momenta = [BlochMomentum(0.4 * i, 0.2, 0.3, 0.4) for i in range(13)]
     for model in (ReducedHarper(2), BlockAnisotropic()):
         stacks.clear()
@@ -1144,6 +1147,82 @@ def test_butterfly_sweep_reproducible():
     assert [(phi, e.tobytes()) for phi, e in a] == [(phi, e.tobytes()) for phi, e in b]
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([ReducedHarper(0), ReducedHarper(3), BlockAnisotropic(), BlockIsotropic()]),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**9),
+    st.sampled_from([None, 4096]),
+)
+def test_sweep_spectra_equal_model_spectra_bit_for_bit(model, q_max, k_samples, seed, batch_bytes):
+    # the sweep sends every denominator through one pipeline; each flux must still read
+    # exactly what the one-denominator route gives, inline or on the worker thread
+    import unittest.mock
+
+    import hyperband.spectrum as spectrum
+
+    with unittest.mock.patch.object(spectrum, "_BATCH_BYTES", batch_bytes or spectrum._BATCH_BYTES):
+        sweep = butterfly_sweep(model, q_max, k_samples, seed)
+        momenta = momentum_samples(k_samples, seed)
+        numerators: dict[int, list[int]] = {}
+        for p, q in coprime_flux_pairs(q_max):
+            numerators.setdefault(q, []).append(p)
+        want = {}
+        for q, ps in numerators.items():
+            want.update(zip(((p, q) for p in ps), model_spectra(model, q, ps, momenta)))
+    for (phi, spectra), (p, q) in zip(sweep, coprime_flux_pairs(q_max), strict=True):
+        assert spectra.tobytes() == want[p, q].tobytes()
+
+
+def test_a_moved_worker_eigenvalue_fails_the_certificate(monkeypatch, thread_starts):
+    # every spectrum the worker returns goes through the certificate: one eigenvalue of a
+    # later stack, moved by 1e-6 on the worker thread, stops the sweep
+    import threading
+
+    real_eigvalsh = np.linalg.eigvalsh
+    solvers = []
+
+    def moved(h):
+        vals = real_eigvalsh(h)
+        solvers.append(threading.current_thread())
+        if len(solvers) == 20:
+            vals[0, 3] += 1e-6
+        return vals
+
+    before = threading.active_count()
+    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    with pytest.raises(RuntimeError, match="inertia certificate failed for eigenvalue 3"):
+        butterfly_sweep(ReducedHarper(0), 30, 2, 0)
+    assert len(thread_starts) == 1 and solvers[19] is thread_starts[0]
+    assert threading.active_count() == before
+
+
+def test_the_pipeline_joins_its_worker_when_closed_or_failing(thread_starts):
+    import threading
+
+    import hyperband.spectrum as spectrum
+
+    before = threading.active_count()
+    k = np.array([[0.3, 0.4, 0.5, 0.6]])
+    good = [functools.partial(spectrum._chambers_stack, 5, np.array([float(p)]), k) for p in (1, 2)]
+    # closed after the first spectrum, while the worker may still be solving the second handoff
+    spectra = spectrum._solve_in_order([good[:1], good[1:], good[:1]], False)
+    assert next(spectra).shape == (1, 5)
+    spectra.close()
+    assert len(thread_starts) == 1 and threading.active_count() == before
+
+    def skewed():
+        h = spectrum._chambers_stack(5, np.array([1.0]), k)
+        h[0, 0, 1] += 1e-9
+        return h
+
+    # the gate refuses a later handoff before it is handed over
+    with pytest.raises(RuntimeError, match="fails Hermiticity"):
+        list(spectrum._solve_in_order([good[:1], good[1:], [skewed]], False))
+    assert len(thread_starts) == 2 and threading.active_count() == before
+
+
 def test_butterfly_sweep_guards():
     with pytest.raises(ValueError):
         butterfly_sweep(ReducedHarper(0), 1, 1, 0)
@@ -1175,17 +1254,18 @@ def test_sweep_row_guard_refuses_before_any_momentum(monkeypatch, tmp_path, caps
 def test_sweep_guard_charges_the_solved_dimension(monkeypatch):
     # block-aniso solves one q x q matrix per flux orbit {p, p+q, q-p, 2q-p} and
     # momentum, block-iso four 2q x 2q S^2 sectors per orbit {p, 2q-p}; the guard
-    # is checked before model_spectra is first called
+    # is checked before the sweep's route (`_sweep_spectra`) is entered
     import hyperband.spectrum as spectrum
 
     butterfly_sweep(BlockAnisotropic(), 21, 4, 0)
     solved = []
 
-    def stub(model, q, ps, momenta):
-        solved.append(q)
-        return np.zeros((len(ps), len(momenta), 1))
+    def stub(model, numerators, momenta):
+        for q, ps in numerators.items():
+            solved.append(q)
+            yield np.zeros((len(ps), len(momenta), 1))
 
-    monkeypatch.setattr(spectrum, "model_spectra", stub)
+    monkeypatch.setattr(spectrum, "_sweep_spectra", stub)
     for model, refused_from in ((BlockIsotropic(), 42), (ReducedHarper(0), 97), (BlockAnisotropic(), 97)):
         butterfly_sweep(model, refused_from - 1, 4, 0)
         assert solved
@@ -1265,7 +1345,9 @@ def test_dense_oracle_never_calls_the_sweep_route(monkeypatch):
         raise _SweepRouteCalled
 
     expected = defects()
-    for name in ("_chambers_stack", "_chambers_momenta", "harper_eigvalsh", "_certified_spectra", "model_spectra"):
+    for name in (
+        "_chambers_stack", "_chambers_momenta", "_solve_in_order", "harper_eigvalsh", "_certified_spectra", "model_spectra"
+    ):
         monkeypatch.setattr(spectrum, name, refuse)
     # the patch bites: the checks that compare the two routes now stop
     with pytest.raises(_SweepRouteCalled):
