@@ -29,11 +29,11 @@ shares only `_harper_stack` (checked by `harper_oracle_compare`) and the
 gates `_require_dimension` and `_require_solvable` with the kernel, and
 never calls the sweep's route: `_chambers_stack`, `_chambers_momenta`,
 `_solve_in_order`, `harper_eigvalsh`, `_certified_spectra` or
-`model_spectra`.  Two checks
-compare the routes: `sector_union` holds `model_spectra`'s block spectra,
-the sector union that butterfly sweeps print, against the dense 8q x 8q
-spectra, for both block models; `chambers` holds the real Chambers twin
-against the dense complex sector-0 matrix.
+`model_spectra`.  Two checks compare the routes: `sector_union` holds
+`model_spectra`'s block spectra, the sector union that butterfly sweeps
+print, against the dense 8q x 8q spectra, for both block models;
+`chambers` holds the real Chambers twin against the dense complex
+sector-0 matrix.
 """
 
 from __future__ import annotations
