@@ -28,12 +28,13 @@ eigenvectors and a residual certificate for each matrix.  The oracle
 shares only `_harper_stack` (checked by `harper_oracle_compare`) and the
 gates `_require_dimension` and `_require_solvable` with the kernel, and
 never calls the sweep's route: `_chambers_stack`, `_chambers_momenta`,
-`_solve_in_order`, `harper_eigvalsh`, `_certified_spectra` or
-`model_spectra`.  Two checks compare the routes: `sector_union` holds
-`model_spectra`'s block spectra, the sector union that butterfly sweeps
-print, against the dense 8q x 8q spectra, for both block models;
-`chambers` holds the real Chambers twin against the dense complex
-sector-0 matrix.
+`_solve_in_order`, `_solved_spectra`, `_sweep_spectra` or `model_spectra`,
+an eager pipeline whose LAPACK worker, when it starts one, is joined
+before the call returns or raises.  Two checks compare the routes:
+`sector_union` holds `model_spectra`'s block spectra, the sector union
+that butterfly sweeps print, against the dense 8q x 8q spectra, for both
+block models; `chambers` holds the real Chambers twin, solved by
+`_solved_spectra`, against the dense complex sector-0 matrix.
 """
 
 from __future__ import annotations
@@ -373,8 +374,8 @@ def flux_orbits(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) ->
     2q - p (mod 2q) of each pair's flux orbit: `model_spectra` solves one
     flux per orbit and derives the others (block-iso splits the orbit into
     {p, 2q - p} and {p + q, q - p}), while the direct route assembles and
-    certifies every member's own matrices, in one batched stack per model
-    and pair.  Both routes of sector 0 solve its real Chambers twin; the
+    certifies every member's own matrices, in one `_solved_spectra` call
+    per model and pair.  Both routes of sector 0 solve its real Chambers twin; the
     `chambers` check compares that twin with the dense complex matrix.
     """
     pairs, momenta = _listed(pairs, "flux pair list"), _listed(momenta, "momentum list")
@@ -383,29 +384,32 @@ def flux_orbits(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) ->
         p, q = pair.p, pair.q
         ps = sorted({x % (2 * q) for x in (p, p + q, q - p, 2 * q - p)} - {0})
         derived = spectrum.model_spectra(model, q, ps, momenta)
-        direct = spectrum._certified_spectra(model, q, ps, momenta)
+        direct = spectrum._solved_spectra(model, {q: ps}, momenta)[0]
         return float(np.abs(derived - np.sort(direct, axis=-1)).max())
 
     return max_or_nan(gap(model, pair) for pair in pairs for model in (ReducedHarper(0), BlockIsotropic()))
 
 
 def chambers(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> float:
-    """Real Chambers-route spectra (`_certified_spectra`) against the dense complex sector-0 spectrum.
+    """Real Chambers-route spectra (`_solved_spectra`) against the dense complex sector-0 spectrum.
 
     The sweep solves reduced and block-aniso as real symmetric matrices at
-    a moved momentum (k1' in {0, pi/q}, `_chambers_momenta`); the dense
-    route solves `assemble_reduced` at the original momentum with
-    eigenvectors.  Each pair's flux is solved as given, not through its orbit
-    representative.  Besides `momenta`, each pair also runs one fixed momentum
-    on each branch: k1 = 0 gives s = cos(q k1) + cos(q k2) >= 0, k1 = pi/q
-    gives s < 0, so `momenta` may be empty and `pairs` may not.
+    a moved momentum (k1' in {0, pi/q}, `_chambers_momenta`); here
+    `_solved_spectra` assembles, gates, solves and certifies them through
+    the sweep's pipeline, `_solve_in_order`, and returns the certified
+    spectra, its worker (if any) joined.  The dense route solves
+    `assemble_reduced` at the original momentum with eigenvectors.  Each
+    pair's flux is solved as given, not through its orbit representative.
+    Besides `momenta`, each pair also runs one fixed momentum on each
+    branch: k1 = 0 gives s = cos(q k1) + cos(q k2) >= 0, k1 = pi/q gives
+    s < 0, so `momenta` may be empty and `pairs` may not.
     """
     pairs, momenta = _listed(pairs, "flux pair list"), list(momenta)
 
     def gap(pair: FluxParam) -> float:
         p, q = pair.p, pair.q
         ks = momenta + [BlochMomentum(0.0, 0.4, 1.0, 2.0), BlochMomentum(math.pi / q, 0.4, 1.0, 2.0)]
-        real = spectrum._certified_spectra(ReducedHarper(0), q, [p], ks)[0]
+        real = spectrum._solved_spectra(ReducedHarper(0), {q: [p]}, ks)[0][0]
         dense = eigenvalues(_reduced_matrices(p, q, ks, 0))
         return float(np.abs(real - dense).max())
 

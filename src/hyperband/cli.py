@@ -189,7 +189,12 @@ _SVG_HEAD = (
 # `tile --g 2 --depth 5` takes about 0.7k minor page faults at 256 octagons
 # a block, 0.8k at 448 and 13k at 512, where each block's freed
 # temporaries go back to the system and are faulted in again; smaller
-# blocks cost more numpy calls than they save
+# blocks cost more numpy calls than they save.  The 0.7k holds only because
+# `enumerate_tiles` first frees its full row array, which raises glibc's
+# dynamic mmap threshold past a block's word table and its bytes copy
+# (192 KB each at genus 2); where no earlier free raises it that far, every
+# block maps and unmaps them again, and `tile --g 5 --depth 3` already
+# takes about 5.8k faults
 _SVG_BLOCK_CORNERS = 2048
 
 # Path text is built as little-endian uint64 words of up to eight ASCII bytes,

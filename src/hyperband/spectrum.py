@@ -28,20 +28,22 @@ pipeline, in handoffs of at most `_BATCH_BYTES` // 2: one worker thread
 runs only LAPACK on handoff i + 1 while the calling thread certifies
 handoff i, so at most two handoffs, `_BATCH_BYTES` of assembled matrices,
 are alive at once.  A run of one handoff (`spectrum`, `verify`, a small
-sweep) has nothing to overlap and is solved inline, with no thread.
+sweep) has nothing to overlap and is solved inline, with no thread.  The
+pipeline is eager: `_solve_in_order` returns the list of certified spectra
+and joins its worker before it returns or raises, and `_solved_spectra`
+and `_sweep_spectra` return one array per denominator.
 Everything here is hard-wired to genus 2 (ring size 8, phi = 4 pi B);
 the group-theoretic modules stay genus-generic.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -388,7 +390,7 @@ def _lapack_worker(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
             outbox.put(exc)
 
 
-def _solve_in_order(handoffs: Sequence[Sequence[Callable[[], np.ndarray]]], pendants: bool) -> Iterator[np.ndarray]:
+def _solve_in_order(handoffs: Sequence[Sequence[Callable[[], np.ndarray]]], pendants: bool) -> list[np.ndarray]:
     """Certified ascending eigenvalues of every stack the `handoffs` assemble, one array per stack, in order.
 
     A handoff is a list of callables, each assembling one (n, dim, dim)
@@ -405,8 +407,8 @@ def _solve_in_order(handoffs: Sequence[Sequence[Callable[[], np.ndarray]]], pend
     are alive at once: the one on the worker, and the one being assembled
     or certified.  With one handoff there is nothing to overlap, and it is
     solved inline, with no thread.  A failed gate, solve or certificate
-    raises RuntimeError in the calling thread, and the worker is joined
-    before the generator finishes, raises or is closed.
+    raises RuntimeError in the calling thread; the worker is joined before
+    this returns or raises.
     """
 
     def gated(handoff: Sequence[Callable[[], np.ndarray]]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -416,18 +418,19 @@ def _solve_in_order(handoffs: Sequence[Sequence[Callable[[], np.ndarray]]], pend
             stacks.append((h, _require_solvable(h, _cyclic_band(h.shape[-1], pendants))))
         return stacks
 
-    def certified(stacks: list[tuple[np.ndarray, np.ndarray]], spectra: list | Exception) -> Iterator[np.ndarray]:
+    def certified(stacks: list[tuple[np.ndarray, np.ndarray]], spectra: list | Exception) -> list[np.ndarray]:
         if isinstance(spectra, Exception):
             raise spectra
         for (h, band), vals in zip(stacks, spectra, strict=True):
             _certify(h, band, vals, pendants)
-            yield vals
+        return spectra
 
+    spectra: list[np.ndarray] = []
     if len(handoffs) < 2:
         for handoff in handoffs:
             stacks = gated(handoff)
-            yield from certified(stacks, [_eigvalsh(h) for h, _ in stacks])
-        return
+            spectra += certified(stacks, [_eigvalsh(h) for h, _ in stacks])
+        return spectra
     inbox: queue.SimpleQueue = queue.SimpleQueue()
     outbox: queue.SimpleQueue = queue.SimpleQueue()
     worker = threading.Thread(target=_lapack_worker, args=(inbox, outbox), daemon=True)
@@ -438,25 +441,12 @@ def _solve_in_order(handoffs: Sequence[Sequence[Callable[[], np.ndarray]]], pend
         for handoff in handoffs[1:]:
             upcoming = gated(handoff)
             inbox.put([h for h, _ in upcoming])
-            yield from certified(solving, outbox.get())
+            spectra += certified(solving, outbox.get())
             solving = upcoming
-        yield from certified(solving, outbox.get())
+        return spectra + certified(solving, outbox.get())
     finally:
         inbox.put(None)
         worker.join()
-
-
-def harper_eigvalsh(h: np.ndarray, pendants: bool = False) -> np.ndarray:
-    """Certified ascending eigenvalues of an (n, dim, dim) stack of cyclic-tridiagonal matrices.
-
-    The matrices are Hermitian or real symmetric; `pendants` selects the
-    layout of `_cyclic_band`.  This is `_solve_in_order` applied to the one
-    stack, so inline: the gate, one LAPACK call without eigenvectors, and
-    the certificate of `certify_spectra` on every eigenvalue.  Any failure
-    raises RuntimeError.
-    """
-    (vals,) = _solve_in_order([[lambda: h]], pendants)
-    return vals
 
 
 def _sector_layout(model: HamiltonianModel, q: int) -> tuple[int, int]:
@@ -496,32 +486,32 @@ def _solved_numerators(model: HamiltonianModel, ps: Sequence[int], q: int) -> tu
 
 
 def _solved_spectra(
-    model: HamiltonianModel, jobs: Sequence[tuple[int, Sequence[int]]], momenta: Sequence[BlochMomentum]
-) -> Iterator[np.ndarray]:
-    """Certified spectra of the matrices solved for `model` at each (q, ps) of `jobs`, in order, through one pipeline.
+    model: HamiltonianModel, numerators: dict[int, Sequence[int]], momenta: Sequence[BlochMomentum]
+) -> list[np.ndarray]:
+    """Certified spectra of the matrices solved for `model` at each q: ps of `numerators`, in order, in one pipeline.
 
-    Yields per job an array shaped (len(ps), len(momenta), count * dim).
+    Returns per q an array shaped (len(ps), len(momenta), count * dim).
     The matrices are the real symmetric Chambers twin of the sector-0
     matrix (`_chambers_stack`) for a rotation sector and block-aniso alike,
     or block-iso's four complex S^2 sectors, whose spectra follow one
     another unmerged; no other sector is assembled.  A p not coprime to its
     q is a ValueError, also when there is no momentum, before anything is
-    solved.  Each job's (p, momentum) items are flattened once, momentum
+    solved.  Each q's (p, momentum) items are flattened once, momentum
     fastest, into a float numerator vector and an (n, 4) momentum array;
     slices of both are assembled as stacks, and consecutive stacks are
     grouped into handoffs of at most `_BATCH_BYTES` // 2, counted at 8 B
-    per real and 16 B per complex entry.  A job's stacks may share a
-    handoff with the jobs beside it; a single item larger than that still
-    forms a stack of its own.  `_solve_in_order` solves and certifies them.
+    per real and 16 B per complex entry.  A denominator's stacks may share a
+    handoff with the denominators beside it; a single item larger than that
+    still forms a stack of its own.  `_solve_in_order` solves and certifies them.
     """
     iso = isinstance(model, BlockIsotropic)
     stack = _iso_stack if iso else _chambers_stack
     limit = _BATCH_BYTES // 2
     rows = np.array([[x.k1, x.k2, x.k3, x.k4] for x in momenta]).reshape(-1, 4)
     handoffs: list[list[Callable[[], np.ndarray]]] = []
-    shapes = []  # per job: its stack count and the shape of its spectra
-    room = 0
-    for q, ps in jobs:
+    shapes = []  # per q: the range of its stacks and the shape of its spectra
+    stacks = room = 0
+    for q, ps in numerators.items():
         for p in dict.fromkeys(np.asarray(ps).tolist()):
             FluxParam(p, q)
         count, dim = _sector_layout(model, q)
@@ -530,7 +520,8 @@ def _solved_spectra(
         p = np.repeat(np.asarray(ps, dtype=float), len(momenta))
         k = np.tile(rows, (len(ps), 1))
         starts = range(0, len(p), per_stack)
-        shapes.append((len(starts), (len(ps), len(momenta), count * dim)))
+        shapes.append((stacks, stacks + len(starts), (len(ps), len(momenta), count * dim)))
+        stacks += len(starts)
         for i in starts:
             size = item_bytes * min(per_stack, len(p) - i)
             if size > room:
@@ -538,19 +529,8 @@ def _solved_spectra(
                 room = limit
             handoffs[-1].append(functools.partial(stack, q, p[i : i + per_stack], k[i : i + per_stack]))
             room -= size
-    with contextlib.closing(_solve_in_order(handoffs, iso)) as spectra:
-        for n, shape in shapes:
-            vals = [next(spectra) for _ in range(n)]
-            yield np.concatenate(vals or [np.empty(0)]).reshape(shape)
-
-
-def _certified_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
-    """Certified spectra of the matrices solved for `model` at every p of `ps` and momentum, shape (len(ps), len(momenta), count * dim).
-
-    The one-job case of `_solved_spectra`.
-    """
-    (vals,) = _solved_spectra(model, [(q, ps)], momenta)
-    return vals
+    spectra = _solve_in_order(handoffs, iso)
+    return [np.concatenate(spectra[a:b] or [np.empty(0)]).reshape(shape) for a, b, shape in shapes]
 
 
 def _orbit_spectra(
@@ -572,12 +552,14 @@ def _orbit_spectra(
 
 def _sweep_spectra(
     model: HamiltonianModel, numerators: dict[int, Sequence[int]], momenta: Sequence[BlochMomentum]
-) -> Iterator[np.ndarray]:
+) -> list[np.ndarray]:
     """`model_spectra(model, q, ps, momenta)` for each q: ps of `numerators`, in order, all solved through one pipeline."""
     solved = {q: _solved_numerators(model, ps, q) for q, ps in numerators.items()}
-    spectra = _solved_spectra(model, [(q, reps) for q, (reps, _) in solved.items()], momenta)
-    for vals, (q, ps), (reps, row) in zip(spectra, numerators.items(), solved.values(), strict=True):
-        yield _orbit_spectra(model, q, ps, reps, row, vals)
+    spectra = _solved_spectra(model, {q: reps for q, (reps, _) in solved.items()}, momenta)
+    return [
+        _orbit_spectra(model, q, ps, reps, row, vals)
+        for vals, (q, ps), (reps, row) in zip(spectra, numerators.items(), solved.values(), strict=True)
+    ]
 
 
 def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
@@ -605,8 +587,7 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     spectrum is the union of its four S^2 sectors at r, the same at p.
     `checks.sector_union` holds both block spectra against dense matrices.
     """
-    (spectra,) = _sweep_spectra(model, {q: ps}, momenta)
-    return spectra
+    return _sweep_spectra(model, {q: ps}, momenta)[0]
 
 
 def model_spectrum(model: HamiltonianModel, p: int, q: int, k: BlochMomentum) -> np.ndarray:
@@ -650,7 +631,7 @@ def momentum_samples(k_samples: int, seed: int) -> list[BlochMomentum]:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     pts = np.array([[_radical_inverse(seed + i, b) for b in _HALTON_BASES] for i in range(k_samples)])
-    return [BlochMomentum(*row) for row in pts * _TWO_PI]
+    return [BlochMomentum(*row) for row in (pts * _TWO_PI).tolist()]
 
 
 def butterfly_sweep(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
@@ -26,10 +26,10 @@ from hyperband.spectrum import (
     BlockAnisotropic,
     BlockIsotropic,
     ReducedHarper,
+    _solve_in_order,
     butterfly_sweep,
     certify_spectra,
     coprime_flux_pairs,
-    harper_eigvalsh,
     inertia_counts,
     model_spectra,
     model_spectrum,
@@ -560,7 +560,7 @@ def _reduced_stack_and_spectra():
 def test_certificate_accepts_eigvalsh_spectra():
     h, vals = _reduced_stack_and_spectra()
     certify_spectra(h, vals)
-    assert np.array_equal(harper_eigvalsh(h), vals)
+    assert np.array_equal(_solve_in_order([[lambda: h]], False)[0], vals)
 
 
 @pytest.mark.parametrize("mutation", ["up 10 delta", "down 10 delta", "copy of neighbour", "nan"])
@@ -646,13 +646,13 @@ def test_kernel_refuses_entries_outside_the_cyclic_band():
     h, _ = _reduced_stack_and_spectra()
     h[2, 0, 4] = h[2, 4, 0] = 1e-3  # still Hermitian
     with pytest.raises(RuntimeError, match="outside the cyclic band"):
-        harper_eigvalsh(h)
+        _solve_in_order([[lambda: h]], False)
     # a pendant linked to a second core site is no pendant
     iso = spectrum._iso_stack(5, *item_arrays(3, BlochMomentum(0.3, 1.1, 2.5, 4.0)))
-    harper_eigvalsh(iso.copy(), pendants=True)
+    _solve_in_order([[lambda: iso.copy()]], True)
     iso[1, 0, 6] = iso[1, 6, 0] = 1e-3
     with pytest.raises(RuntimeError, match="outside the cyclic band"):
-        harper_eigvalsh(iso, pendants=True)
+        _solve_in_order([[lambda: iso]], True)
 
 
 def test_kernel_refuses_non_hermitian_and_non_finite_stacks():
@@ -662,14 +662,14 @@ def test_kernel_refuses_non_hermitian_and_non_finite_stacks():
     skewed = h.copy()
     skewed[0, 1, 0] += 1e-9
     with pytest.raises(RuntimeError, match="Hermiticity"):
-        harper_eigvalsh(skewed)
+        _solve_in_order([[lambda: skewed]], False)
     # the drift reads both entries of every pair in the band: the cyclic corner
     q = h.shape[-1]
     for row, col in ((0, q - 1), (q - 1, 0)):
         skewed = h.copy()
         skewed[1, row, col] += 1e-9j
         with pytest.raises(RuntimeError, match="Hermiticity by 1.000e-09"):
-            harper_eigvalsh(skewed)
+            _solve_in_order([[lambda: skewed]], False)
     # and a block-iso pendant link
     q = 5
     iso = spectrum._iso_stack(q, *item_arrays(3, BlochMomentum(0.3, 1.1, 2.5, 4.0)))
@@ -678,10 +678,10 @@ def test_kernel_refuses_non_hermitian_and_non_finite_stacks():
             skewed = iso.copy()
             skewed[2, row, col] += 1e-9
             with pytest.raises(RuntimeError, match="Hermiticity by 1.000e-09"):
-                harper_eigvalsh(skewed, pendants=True)
+                _solve_in_order([[lambda: skewed]], True)
     h[1, 3, 3] = math.inf
     with pytest.raises(RuntimeError, match="non-finite"):
-        harper_eigvalsh(h)
+        _solve_in_order([[lambda: h]], False)
 
 
 def test_kernel_reports_lapack_failure_as_runtime_error(monkeypatch):
@@ -932,7 +932,7 @@ def test_chambers_stack_has_the_dense_sector_spectrum(pq, ks):
 
     p, q = pq
     k = BlochMomentum(*ks)
-    solved = spectrum._certified_spectra(ReducedHarper(0), q, [p], [k])[0, 0]
+    solved = spectrum._solved_spectra(ReducedHarper(0), {q: [p]}, [k])[0][0, 0]
     assert np.abs(solved - eigenvalues(assemble_reduced(p, q, k, 0))).max() < 1e-12
     for m in range(8):
         got = model_spectra(ReducedHarper(m), q, [p], [k])[0, 0]
@@ -986,11 +986,11 @@ def test_batches_count_eight_bytes_per_real_and_sixteen_per_complex_entry(monkey
     momenta = [BlochMomentum(0.4 * i, 0.2, 0.3, 0.4) for i in range(13)]
     for model in (ReducedHarper(2), BlockAnisotropic()):
         stacks.clear()
-        spectrum._certified_spectra(model, 5, [1], momenta)
+        spectrum._solved_spectra(model, {5: [1]}, momenta)
         assert stacks == [(6, np.float64), (6, np.float64), (1, np.float64)]
     # block-iso at q = 1: four complex 2 x 2 sectors, 256 B per item
     stacks.clear()
-    spectrum._certified_spectra(BlockIsotropic(), 1, [1], momenta)
+    spectrum._solved_spectra(BlockIsotropic(), {1: [1]}, momenta)
     assert stacks == [(16, np.complex128)] * 3 + [(4, np.complex128)]
 
 
@@ -1005,9 +1005,9 @@ def test_batch_boundaries_keep_each_p_with_its_momenta(monkeypatch):
         (BlockIsotropic(), spectrum._iso_stack, 5, [1, 2, 3, 7, 9]),
     )
     for model, stack, q, ps in cases:
-        default = spectrum._certified_spectra(model, q, ps, momenta)
+        default = spectrum._solved_spectra(model, {q: ps}, momenta)[0]
         monkeypatch.setattr(spectrum, "_BATCH_BYTES", 1)  # one (p, k) item per batch
-        single = spectrum._certified_spectra(model, q, ps, momenta)
+        single = spectrum._solved_spectra(model, {q: ps}, momenta)[0]
         monkeypatch.undo()
         assert np.array_equal(single, default)
         for i, p in enumerate(ps):
@@ -1069,6 +1069,12 @@ def test_momentum_samples_match_scipy_halton(k_samples, seed):
     assert momentum_samples(k_samples, seed) == want  # bit for bit
 
 
+def test_momentum_samples_hold_python_floats():
+    # like `checks.random_momenta` and `cli.parse_momentum`, not numpy scalars
+    for k in momentum_samples(3, 0) + momentum_samples(2, 346_747_834):
+        assert all(type(x) is float for x in (k.k1, k.k2, k.k3, k.k4))
+
+
 def test_momentum_samples_large_seed_is_cheap():
     # the seed indexes the sequence directly; no skipped point is generated
     seed = 346_747_834
@@ -1125,7 +1131,7 @@ def test_sweep_certifies_one_matrix_set_per_orbit_and_momentum(monkeypatch):
         certified.append(len(h))
         real_certify(h, band, vals, pendants)
 
-    # the certificate `harper_eigvalsh` runs on the band it gathered for the gate
+    # the certificate `_solve_in_order` runs on the band it gathered for the gate
     monkeypatch.setattr(spectrum, "_certify", counting)
     q_max, k_samples = 12, 3
     pairs = coprime_flux_pairs(q_max)
@@ -1198,7 +1204,7 @@ def test_a_moved_worker_eigenvalue_fails_the_certificate(monkeypatch, thread_sta
     assert threading.active_count() == before
 
 
-def test_the_pipeline_joins_its_worker_when_closed_or_failing(thread_starts):
+def test_the_pipeline_joins_its_worker_when_returning_or_failing(monkeypatch, thread_starts):
     import threading
 
     import hyperband.spectrum as spectrum
@@ -1206,10 +1212,10 @@ def test_the_pipeline_joins_its_worker_when_closed_or_failing(thread_starts):
     before = threading.active_count()
     k = np.array([[0.3, 0.4, 0.5, 0.6]])
     good = [functools.partial(spectrum._chambers_stack, 5, np.array([float(p)]), k) for p in (1, 2)]
-    # closed after the first spectrum, while the worker may still be solving the second handoff
+    # three handoffs come back as one list, in order, with the one worker already joined
     spectra = spectrum._solve_in_order([good[:1], good[1:], good[:1]], False)
-    assert next(spectra).shape == (1, 5)
-    spectra.close()
+    assert isinstance(spectra, list) and [vals.shape for vals in spectra] == [(1, 5)] * 3
+    assert np.array_equal(spectra[0], spectra[2])
     assert len(thread_starts) == 1 and threading.active_count() == before
 
     def skewed():
@@ -1219,8 +1225,52 @@ def test_the_pipeline_joins_its_worker_when_closed_or_failing(thread_starts):
 
     # the gate refuses a later handoff before it is handed over
     with pytest.raises(RuntimeError, match="fails Hermiticity"):
-        list(spectrum._solve_in_order([good[:1], good[1:], [skewed]], False))
+        spectrum._solve_in_order([good[:1], good[1:], [skewed]], False)
     assert len(thread_starts) == 2 and threading.active_count() == before
+
+    def no_convergence(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    # the worker's solve fails: its error is raised here, after the join
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(RuntimeError, match="did not converge on a stack of 5x5"):
+        spectrum._solve_in_order([good[:1], good[1:]], False)
+    assert len(thread_starts) == 3 and threading.active_count() == before
+
+
+def _split_stacks():
+    # a few small stacks of each layout: Chambers twins (q = 1 puts the corners on the
+    # diagonal) and block-iso pendant stacks, two momenta per stack
+    import hyperband.spectrum as spectrum
+
+    k = np.array([[0.3, 0.4, 0.5, 0.6], [1.1, 2.0, 0.2, 5.0]])
+    p = np.array([1.0, 1.0])
+    chambers = [functools.partial(spectrum._chambers_stack, q, p * r, k) for r, q in ((1, 3), (2, 5), (1, 1), (3, 7))]
+    pendant = [functools.partial(spectrum._iso_stack, q, p * r, k) for r, q in ((1, 3), (3, 5), (1, 1))]
+    return {False: chambers, True: pendant}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.booleans(), st.lists(st.booleans(), min_size=6, max_size=6))
+def test_any_split_into_handoffs_gives_the_inline_spectra(thread_starts, pendants, cuts):
+    # cut after stack i when cuts[i]: 1..n handoffs of the same stacks, in the same order
+    import threading
+
+    import hyperband.spectrum as spectrum
+
+    builds = _split_stacks()[pendants]
+    inline = [spectrum._solve_in_order([[build]], pendants)[0] for build in builds]
+    handoffs = [[builds[0]]]
+    for build, cut in zip(builds[1:], cuts):
+        if cut:
+            handoffs.append([])
+        handoffs[-1].append(build)
+    before = threading.active_count()
+    thread_starts.clear()
+    got = spectrum._solve_in_order(handoffs, pendants)
+    assert [vals.tobytes() for vals in got] == [vals.tobytes() for vals in inline]
+    assert len(thread_starts) == (len(handoffs) > 1)
+    assert threading.active_count() == before
 
 
 def test_butterfly_sweep_guards():
@@ -1261,9 +1311,8 @@ def test_sweep_guard_charges_the_solved_dimension(monkeypatch):
     solved = []
 
     def stub(model, numerators, momenta):
-        for q, ps in numerators.items():
-            solved.append(q)
-            yield np.zeros((len(ps), len(momenta), 1))
+        solved.extend(numerators)
+        return [np.zeros((len(ps), len(momenta), 1)) for ps in numerators.values()]
 
     monkeypatch.setattr(spectrum, "_sweep_spectra", stub)
     for model, refused_from in ((BlockIsotropic(), 42), (ReducedHarper(0), 97), (BlockAnisotropic(), 97)):
@@ -1346,7 +1395,7 @@ def test_dense_oracle_never_calls_the_sweep_route(monkeypatch):
 
     expected = defects()
     for name in (
-        "_chambers_stack", "_chambers_momenta", "_solve_in_order", "harper_eigvalsh", "_certified_spectra", "model_spectra"
+        "_chambers_stack", "_chambers_momenta", "_solve_in_order", "_solved_spectra", "_sweep_spectra", "model_spectra"
     ):
         monkeypatch.setattr(spectrum, name, refuse)
     # the patch bites: the checks that compare the two routes now stop
