@@ -1,8 +1,12 @@
 """Fixtures shared by the test modules."""
 
+import os
 import threading
+from pathlib import Path
 
 import pytest
+
+import hyperband
 
 
 @pytest.fixture
@@ -17,3 +21,12 @@ def thread_starts(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counting)
     return started
+
+
+@pytest.fixture(scope="session")
+def subprocess_env() -> dict[str, str]:
+    """This environment with the package's source directory first on PYTHONPATH, output block-buffered."""
+    src = str(Path(hyperband.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env

@@ -3,20 +3,17 @@
 import decimal
 import functools
 import math
-import os
 import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import hyperband
 from hyperband import checks, cli, magnetic
 from hyperband.checks import assemble_block, eigenvalues
 from hyperband.cli import _svg_paths, main, parse_config_file, parse_model
@@ -42,23 +39,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _subprocess_env() -> dict[str, str]:
-    """This environment with the package's source directory first on PYTHONPATH, output block-buffered."""
-    src = str(Path(hyperband.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
-
-
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(subprocess_env):
     probe = "import sys, hyperband.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=subprocess_env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
 
 
-def test_verify_leaves_numpy_random_unloaded():
+def test_verify_leaves_numpy_random_unloaded(subprocess_env):
     # verify draws its samples from the stdlib random module
     probe = (
         "import contextlib, io, sys, hyperband.cli\n"
@@ -67,7 +56,7 @@ def test_verify_leaves_numpy_random_unloaded():
         "print(code, 'numpy.random' in sys.modules)"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=subprocess_env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "0 False"
 
@@ -85,10 +74,10 @@ def test_verify_leaves_numpy_random_unloaded():
         ([], ["tile", "--g", "2", "--depth", "3", "--out", "/dev/stdout"], 0),
     ],
 )
-def test_closed_stdout_exits_141_without_a_traceback(flags, argv, lines_read):
+def test_closed_stdout_exits_141_without_a_traceback(flags, argv, lines_read, subprocess_env):
     proc = subprocess.Popen(
         [sys.executable, *flags, "-m", "hyperband", *argv],
-        env=_subprocess_env(),
+        env=subprocess_env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -103,19 +92,19 @@ def test_closed_stdout_exits_141_without_a_traceback(flags, argv, lines_read):
 
 
 @pytest.mark.parametrize("argv", [["verify", "--g", "2"], ["spectrum", "--B", "1/6"]])
-def test_unwritable_stdout_exits_2_without_a_traceback(argv):
+def test_unwritable_stdout_exits_2_without_a_traceback(argv, subprocess_env):
     with open("/dev/full", "w") as full:  # every write fails with ENOSPC
         result = subprocess.run(
-            [sys.executable, "-m", "hyperband", *argv], env=_subprocess_env(), stdout=full, stderr=subprocess.PIPE
+            [sys.executable, "-m", "hyperband", *argv], env=subprocess_env, stdout=full, stderr=subprocess.PIPE
         )
     err = result.stderr.decode().splitlines()
     assert result.returncode == 2
     assert len(err) == 1 and err[0].startswith("error: cannot write stdout: ")
 
 
-def test_tile_to_a_full_device_exits_2_without_a_traceback():
+def test_tile_to_a_full_device_exits_2_without_a_traceback(subprocess_env):
     result = subprocess.run(
-        [sys.executable, "-m", "hyperband", "tile", "--out", "/dev/full"], env=_subprocess_env(), capture_output=True
+        [sys.executable, "-m", "hyperband", "tile", "--out", "/dev/full"], env=subprocess_env, capture_output=True
     )
     err = result.stderr.decode().splitlines()
     assert result.returncode == 2 and result.stdout == b""
@@ -1165,12 +1154,15 @@ def test_library_refusals_are_usage_errors(tmp_path, monkeypatch, capsys, argv, 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     # depth is a tile key: one file may serve several subcommands
-    cfg.write_text("# sweep setup\nq_max = 2\nk_samples = 1\ndepth = 1\nout = {}\n".format(tmp_path / "c.csv"))
-    code, text, _ = run(capsys, "butterfly", "--config", str(cfg))
-    assert code == 0 and (tmp_path / "c.csv").exists()
+    cfg.write_text(f"# sweep setup\nq_max = 2\nk_samples = 1\nmodel = block-aniso\ndepth = 1\nout = {tmp_path / 'c.csv'}\n")
+    assert run(capsys, "butterfly", "--config", str(cfg))[0] == 0
     override = tmp_path / "d.csv"
-    code, text, _ = run(capsys, "butterfly", "--config", str(cfg), "--out", str(override))
-    assert code == 0 and override.exists()
+    assert run(capsys, "butterfly", "--config", str(cfg), "--out", str(override))[0] == 0
+    flags = tmp_path / "f.csv"
+    argv = ["butterfly", "--model", "block-aniso", "--q-max", "2", "--k-samples", "1", "--out", str(flags)]
+    assert run(capsys, *argv)[0] == 0
+    # the same sweep as the same flags
+    assert (tmp_path / "c.csv").read_bytes() == override.read_bytes() == flags.read_bytes()
 
 
 def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
@@ -1193,12 +1185,13 @@ def test_config_file_rejects_unknown_key_and_bad_syntax(tmp_path, capsys):
 
 def test_config_values_are_converted_and_reported_as_their_flags(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("g = abc\n")
-    for argv in (["verify", "--config", str(cfg)], ["verify", "--g", "abc"]):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-        assert "argument --g: invalid int value: 'abc'" in capsys.readouterr().err
+    for command, key, flag in (("verify", "g", "--g"), ("butterfly", "q_max", "--q-max")):
+        cfg.write_text(f"{key} = abc\n")
+        for argv in ([command, "--config", str(cfg)], [command, flag, "abc"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert f"argument {flag}: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_config_sector_is_refused_for_a_block_model(tmp_path, capsys):
