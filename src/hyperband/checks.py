@@ -35,6 +35,10 @@ before the call returns or raises.  Two checks compare the routes:
 that butterfly sweeps print, against the dense 8q x 8q spectra, for both
 block models; `chambers` holds the real Chambers twin, solved by
 `_solved_spectra`, against the dense complex sector-0 matrix.
+`flux_orbits` checks the orbit quotient inside the kernel: it merges the
+orbit members of all its pairs into one list per q and runs them through
+the sweep's multi-denominator route (`_sweep_spectra`) and the direct
+solve (`_solved_spectra`), one pipeline call per route and model.
 """
 
 from __future__ import annotations
@@ -368,26 +372,32 @@ def sector_union(model: HamiltonianModel, pair: FluxParam, momenta: Iterable[Blo
 
 
 def flux_orbits(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> float:
-    """Orbit-derived spectra (`model_spectra`) against each orbit member's own certified solve.
+    """Orbit-derived spectra (`_sweep_spectra`) against each orbit member's own certified solve.
 
     For reduced sector 0 and block-iso, at the members p, p + q, q - p and
-    2q - p (mod 2q) of each pair's flux orbit: `model_spectra` solves one
-    flux per orbit and derives the others (block-iso splits the orbit into
-    {p, 2q - p} and {p + q, q - p}), while the direct route assembles and
-    certifies every member's own matrices, in one `_solved_spectra` call
-    per model and pair.  Both routes of sector 0 solve its real Chambers twin; the
-    `chambers` check compares that twin with the dense complex matrix.
+    2q - p (mod 2q) of every pair's flux orbit, merged into one list per q:
+    `_sweep_spectra`, the route of every sweep, solves one flux per orbit
+    and derives the others (block-iso splits the orbit into {p, 2q - p} and
+    {p + q, q - p}), while the direct route (`_solved_spectra`) assembles
+    and certifies every member's own matrices.  Each route takes all the
+    pairs' denominators in one pipeline call per model, and the defect is
+    the worst gap over every q.  Both routes of sector 0 solve its real
+    Chambers twin; the `chambers` check compares that twin with the dense
+    complex matrix.
     """
     pairs, momenta = _listed(pairs, "flux pair list"), _listed(momenta, "momentum list")
-
-    def gap(model: HamiltonianModel, pair: FluxParam) -> float:
+    members: dict[int, set[int]] = {}
+    for pair in pairs:
         p, q = pair.p, pair.q
-        ps = sorted({x % (2 * q) for x in (p, p + q, q - p, 2 * q - p)} - {0})
-        derived = spectrum.model_spectra(model, q, ps, momenta)
-        direct = spectrum._solved_spectra(model, {q: ps}, momenta)[0]
-        return float(np.abs(derived - np.sort(direct, axis=-1)).max())
+        members.setdefault(q, set()).update(x % (2 * q) for x in (p, p + q, q - p, 2 * q - p))
+    numerators = {q: sorted(ps - {0}) for q, ps in members.items()}
 
-    return max_or_nan(gap(model, pair) for pair in pairs for model in (ReducedHarper(0), BlockIsotropic()))
+    def gaps(model: HamiltonianModel) -> list[float]:
+        derived = spectrum._sweep_spectra(model, numerators, momenta)
+        direct = spectrum._solved_spectra(model, numerators, momenta)
+        return [float(np.abs(got - np.sort(want, axis=-1)).max()) for got, want in zip(derived, direct, strict=True)]
+
+    return max_or_nan(gap for model in (ReducedHarper(0), BlockIsotropic()) for gap in gaps(model))
 
 
 def chambers(pairs: Iterable[FluxParam], momenta: Iterable[BlochMomentum]) -> float:

@@ -21,12 +21,13 @@ The isotropic block model splits into four complex 2q x 2q sectors
 (`_iso_stack`).  Both are assembled from arrays of numerators and momenta
 into stacks, gated, solved for eigenvalues only and certified by inertia
 counts (`_solve_in_order`), one flux per orbit {p, p+q, q-p, 2q-p}
-({p, 2q-p} for block-iso, `_flux_representative`); the other fluxes of an
-orbit reuse its spectrum, through that same shift for a rotation sector and
-block-aniso.  A sweep sends the stacks of every denominator through one
-pipeline, in handoffs of at most `_BATCH_BYTES` // 2: one worker thread
-runs only LAPACK on handoff i + 1 while the calling thread certifies
-handoff i, so at most two handoffs, `_BATCH_BYTES` of assembled matrices,
+({p, 2q-p} for block-iso); `_solved_numerators` holds that one orbit
+rule, and `_sweep_spectra` gives the other fluxes of an orbit its
+spectrum, through that same shift for a rotation sector and block-aniso.
+A sweep sends the stacks of every denominator through one pipeline, in
+handoffs of at most `_BATCH_BYTES` // 2: one worker thread runs only
+LAPACK on handoff i + 1 while the calling thread certifies handoff i, so
+at most two handoffs, `_BATCH_BYTES` of assembled matrices,
 are alive at once.  A run of one handoff (`spectrum`, `verify`, a small
 sweep) has nothing to overlap and is solved inline, with no thread.  The
 pipeline is eager: `_solve_in_order` returns the list of certified spectra
@@ -454,35 +455,25 @@ def _sector_layout(model: HamiltonianModel, q: int) -> tuple[int, int]:
     return (4, 2 * q) if isinstance(model, BlockIsotropic) else (1, q)
 
 
-def _flux_representative(model: HamiltonianModel, p: np.ndarray, q: int) -> np.ndarray:
-    """The member of each p's flux orbit whose matrices `model_spectra` solves for flux p/(2q).
-
-    `p` is an integer array.  The Harper core sees phi = 2 pi p/q only
-    modulo 2 pi and up to its sign (reversing the sites and conjugating maps
-    phi to -phi), so for a rotation sector and block-aniso it is
-    min(p mod q, q - p mod q), and 1 at q = 1.  Block-iso's pendant links
-    break the p + q symmetry, but its full spectrum is 4 pi periodic and
-    equal at p and 2q - p, so there it is min(p', 2q - p') with
-    p' = p mod 2q.  A p not coprime to q > 1 keeps a representative that is
-    not coprime either, so the solve still refuses it.
-    """
-    if isinstance(model, BlockIsotropic):
-        p = p % (2 * q)
-        return np.minimum(p, 2 * q - p)
-    if q == 1:
-        return np.ones_like(p)
-    p = p % q
-    return np.minimum(p, q - p)
-
-
 def _solved_numerators(model: HamiltonianModel, ps: Sequence[int], q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(solved, row): the ascending representatives `model_spectra` solves for `ps`, and each p's index into them.
+    """(solved, row): the ascending orbit representatives `model_spectra` solves for `ps`, and each p's index into them.
 
-    The workload guard of `butterfly_sweep` charges len(solved), so it counts
-    exactly the matrix sets the sweep solves.  (np.unique with return_inverse
-    also skips the hash path, whose masked-array test would import numpy.ma.)
+    The Harper core sees phi = 2 pi p/q only modulo 2 pi and up to its sign
+    (reversing the sites and conjugating maps phi to -phi), so a rotation
+    sector and block-aniso have the period q in p.  Block-iso's pendant
+    links break the p + q symmetry, but its full spectrum is 4 pi periodic
+    and equal at p and 2q - p, so its period is 2q.  The representative of
+    p is min(p', period - p') with p' = p mod period, and 1 where the period
+    is 1 (q = 1 outside block-iso).  A p not coprime to q > 1 keeps a
+    representative that is not coprime either, so the solve still refuses
+    it.  The workload guard of `butterfly_sweep` charges len(solved), so it
+    counts exactly the matrix sets the sweep solves.  (np.unique with
+    return_inverse also skips the hash path, whose masked-array test would
+    import numpy.ma.)
     """
-    return np.unique(_flux_representative(model, np.asarray(ps), q), return_inverse=True)
+    period = 2 * q if isinstance(model, BlockIsotropic) else q
+    p = np.asarray(ps) % period
+    return np.unique(np.minimum(p, period - p) if period > 1 else np.ones_like(p), return_inverse=True)
 
 
 def _solved_spectra(
@@ -533,33 +524,28 @@ def _solved_spectra(
     return [np.concatenate(spectra[a:b] or [np.empty(0)]).reshape(shape) for a, b, shape in shapes]
 
 
-def _orbit_spectra(
-    model: HamiltonianModel, q: int, ps: Sequence[int], solved: np.ndarray, row: np.ndarray, vals: np.ndarray
-) -> np.ndarray:
-    """`model_spectra` at every p of `ps`, from `vals`, the certified spectra at the representatives `solved`.
-
-    `row` indexes each p's representative in `solved` (`_solved_numerators`).
-    """
-    if isinstance(model, BlockIsotropic):
-        return np.sort(vals, axis=-1)[row]
-    sectors = np.array([model.m]) if isinstance(model, ReducedHarper) else np.arange(RING_SIZE)
-    b_p, b_r = np.asarray(ps)[:, None] / (2.0 * q), solved[row, None] / (2.0 * q)
-    shift = RING_WEIGHT * (rotation_sector_shift(b_p, sectors) - rotation_sector_shift(b_r, 0))
-    union = vals[row][:, :, None, :] + shift[:, None, :, None]
-    union = union.reshape(len(ps), vals.shape[1], len(sectors) * vals.shape[-1])
-    return np.sort(union, axis=-1) if len(sectors) > 1 else union
-
-
 def _sweep_spectra(
     model: HamiltonianModel, numerators: dict[int, Sequence[int]], momenta: Sequence[BlochMomentum]
 ) -> list[np.ndarray]:
-    """`model_spectra(model, q, ps, momenta)` for each q: ps of `numerators`, in order, all solved through one pipeline."""
+    """`model_spectra(model, q, ps, momenta)` for each q: ps of `numerators`, in order, all solved through one pipeline.
+
+    Each q's representatives (`_solved_numerators`) are solved in one
+    `_solved_spectra` call, and every p takes its representative's spectra:
+    sorted for block-iso, shifted into the model's sectors otherwise.
+    """
     solved = {q: _solved_numerators(model, ps, q) for q, ps in numerators.items()}
     spectra = _solved_spectra(model, {q: reps for q, (reps, _) in solved.items()}, momenta)
-    return [
-        _orbit_spectra(model, q, ps, reps, row, vals)
-        for vals, (q, ps), (reps, row) in zip(spectra, numerators.items(), solved.values(), strict=True)
-    ]
+    if isinstance(model, BlockIsotropic):
+        return [np.sort(vals, axis=-1)[row] for vals, (_, row) in zip(spectra, solved.values(), strict=True)]
+    sectors = np.array([model.m]) if isinstance(model, ReducedHarper) else np.arange(RING_SIZE)
+    derived = []
+    for vals, (q, ps), (reps, row) in zip(spectra, numerators.items(), solved.values(), strict=True):
+        b_p, b_r = np.asarray(ps)[:, None] / (2.0 * q), reps[row, None] / (2.0 * q)
+        shift = RING_WEIGHT * (rotation_sector_shift(b_p, sectors) - rotation_sector_shift(b_r, 0))
+        union = vals[row][:, :, None, :] + shift[:, None, :, None]
+        union = union.reshape(len(ps), len(momenta), len(sectors) * vals.shape[-1])
+        derived.append(np.sort(union, axis=-1) if len(sectors) > 1 else union)
+    return derived
 
 
 def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: Sequence[BlochMomentum]) -> np.ndarray:
@@ -568,10 +554,10 @@ def model_spectra(model: HamiltonianModel, q: int, ps: Sequence[int], momenta: S
     Returns shape (len(ps), len(momenta), dim), dim = q for a rotation sector
     and 8q for the block models.  This is the one-denominator case of the
     sweep's route (`_sweep_spectra`).  One matrix set is solved per flux
-    orbit: only the representative r = `_flux_representative(model, p, q)`
-    of each p is assembled and solved (`_solved_spectra`: stacks in
-    handoffs, `_solve_in_order`, every eigenvalue certified), and
-    `_orbit_spectra` derives every p from it.  Sector 0 is the only
+    orbit: only the representative r of each p (`_solved_numerators`) is
+    assembled and solved (`_solved_spectra`: stacks in handoffs,
+    `_solve_in_order`, every eigenvalue certified), and `_sweep_spectra`
+    derives every p from it in the same call.  Sector 0 is the only
     sector matrix solved, and its spectrum at r already holds the ring
     term (16/pi^2) s(B_r, 0) on its diagonal, s(B, t) = 2cos(pi B/4 + t pi/4).
     Every rotation sector t is the Harper core times a constant plus a

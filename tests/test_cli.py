@@ -823,15 +823,6 @@ def test_tile_count_matches_enumeration(tmp_path, capsys):
     assert len(root.findall("{http://www.w3.org/2000/svg}path")) == expected
 
 
-def test_tile_output_is_byte_deterministic(tmp_path, capsys):
-    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    run(capsys, "tile", "--depth", "1", "--out", str(a))
-    run(capsys, "tile", "--depth", "1", "--out", str(b))
-    data = a.read_bytes()
-    assert data == b.read_bytes()
-    assert b"\r" not in data
-
-
 def test_tile_rejects_bad_depth_and_path(tmp_path, capsys):
     code, _, err = run(capsys, "tile", "--depth", "-1")
     assert code == 2
@@ -914,19 +905,6 @@ def test_butterfly_csv_contract(tmp_path, capsys):
     assert rows == sorted(rows)
     phis = sorted({phi for phi, _ in rows})
     assert max(abs(p - w) for p, w in zip(phis, [math.pi, 2 * math.pi, 3 * math.pi])) < 1e-9
-
-
-def test_butterfly_is_byte_deterministic(tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for argv in (
-        ("--q-max", "3", "--k-samples", "2", "--seed", "5"),
-        ("--model", "block-iso", "--q-max", "8", "--k-samples", "2"),
-    ):
-        assert run(capsys, "butterfly", *argv, "--out", str(a))[0] == 0
-        assert run(capsys, "butterfly", *argv, "--out", str(b))[0] == 0
-        data = a.read_bytes()
-        assert data == b.read_bytes()
-        assert b"\r" not in data
 
 
 def test_butterfly_streamed_rows_equal_a_global_sort(tmp_path, monkeypatch, capsys):

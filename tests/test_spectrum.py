@@ -1015,18 +1015,98 @@ def test_batch_boundaries_keep_each_p_with_its_momenta(monkeypatch):
                 assert np.array_equal(default[i, j], np.linalg.eigvalsh(stack(q, *item_arrays(p, k))).ravel())
 
 
-def test_flux_representative_maps_arrays_and_keeps_non_coprime_p():
+_ORBIT_MODELS = [ReducedHarper(0), ReducedHarper(5), BlockAnisotropic(), BlockIsotropic()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.sampled_from(_ORBIT_MODELS))
+@example(8, ReducedHarper(0))  # 1, 3, 3, 1, 1, 3, 3, 1 at the odd p
+@example(8, BlockIsotropic())  # 1, 3, 5, 7, 7, 5, 3, 1 at the odd p
+@example(1, BlockAnisotropic())  # 1 at every p
+@example(4, ReducedHarper(3))  # p = 4: the representative 0 is not coprime to 4
+@example(1, BlockIsotropic())  # p = 0 keeps 0: block-iso is 4 pi periodic, not 2 pi
+def test_orbit_representative_is_the_smallest_member_and_shared_by_its_orbit(q, model):
     import hyperband.spectrum as spectrum
 
-    ps = np.array([1, 3, 5, 7, 9, 11, 13, 15])
-    assert spectrum._flux_representative(ReducedHarper(0), ps, 8).tolist() == [1, 3, 3, 1, 1, 3, 3, 1]
-    assert spectrum._flux_representative(BlockIsotropic(), ps, 8).tolist() == [1, 3, 5, 7, 7, 5, 3, 1]
-    assert spectrum._flux_representative(BlockAnisotropic(), np.array([1, 0, 2]), 1).tolist() == [1, 1, 1]
-    # p = 4 = 0 mod 4: the representative 0 is not coprime to 4, so the solve refuses it
-    assert spectrum._flux_representative(ReducedHarper(0), np.array([4]), 4).tolist() == [0]
-    for model in (ReducedHarper(3), BlockAnisotropic(), BlockIsotropic()):
-        with pytest.raises(ValueError, match="not coprime"):
-            model_spectra(model, 4, [1, 4], [BlochMomentum.zero()])
+    iso = isinstance(model, BlockIsotropic)
+    period = 2 * q if iso else q
+    ps = list(range(2 * q))
+    solved, row = spectrum._solved_numerators(model, ps, q)
+    assert solved.tolist() == sorted(set(solved.tolist()))
+    rep = solved[row].tolist()
+    for p in ps:
+        r = rep[p]
+        if period == 1:
+            assert r == 1
+        else:
+            # the smallest r >= 0 with r = +-p mod the period; it is 0 only at p = 0 mod the period
+            assert (r - p) % period == 0 or (r + p) % period == 0
+            assert r == min(x for x in range(period) if (x - p) % period == 0 or (x + p) % period == 0)
+        orbit = (p, 2 * q - p) if iso else (p, p + q, q - p, 2 * q - p)
+        assert {rep[member % (2 * q)] for member in orbit} == {r}
+        if q > 1 and math.gcd(p, q) != 1:
+            assert math.gcd(r, q) != 1
+            with pytest.raises(ValueError, match="not coprime"):
+                model_spectra(model, q, [1, p], [])  # nothing to solve, but p is still refused
+
+
+@st.composite
+def _orbit_check_samples(draw):
+    # two pairs at one q (possibly the same pair twice) and a third at any q, in any order
+    q = draw(st.integers(min_value=1, max_value=9))
+    coprime = [p for p in range(1, 2 * q) if math.gcd(p, q) == 1]
+    shared = [FluxParam(p, q) for p in draw(st.lists(st.sampled_from(coprime), min_size=2, max_size=2))]
+    other = FluxParam(*draw(st.sampled_from(coprime_flux_pairs(9))))
+    pairs = draw(st.permutations([*shared, other]))
+    k = st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4)
+    return pairs, [BlochMomentum(*ks) for ks in draw(st.lists(k, min_size=1, max_size=2))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_orbit_check_samples())
+@example(([FluxParam(1, 5), FluxParam(2, 5), FluxParam(1, 2)], [BlochMomentum(0.3, 1.2, 2.0, 4.1)]))
+@example(([FluxParam(1, 1), FluxParam(1, 1), FluxParam(101, 52)], [BlochMomentum.zero()]))
+def test_merged_orbit_check_is_the_worst_of_its_pairs_bit_for_bit(sample):
+    pairs, momenta = sample
+    assert checks.flux_orbits(pairs, momenta) == max(checks.flux_orbits([pair], momenta) for pair in pairs)
+
+
+def test_orbit_check_runs_each_route_once_per_model_over_all_its_pairs(monkeypatch):
+    import hyperband.spectrum as spectrum
+
+    calls, nested, pipelines = [], [], []
+    real_sweep, real_solved, real_solve = spectrum._sweep_spectra, spectrum._solved_spectra, spectrum._solve_in_order
+
+    def sweep(model, numerators, momenta):
+        calls.append(("sweep", model, list(numerators.items())))
+        nested.append(True)
+        try:
+            return real_sweep(model, numerators, momenta)
+        finally:
+            nested.pop()
+
+    def solved(model, numerators, momenta):
+        if not nested:  # the direct route, not the sweep's own solve
+            calls.append(("solved", model, list(numerators.items())))
+        return real_solved(model, numerators, momenta)
+
+    def solve(handoffs, pendants):
+        pipelines.append(pendants)
+        return real_solve(handoffs, pendants)
+
+    monkeypatch.setattr(spectrum, "_sweep_spectra", sweep)
+    monkeypatch.setattr(spectrum, "_solved_spectra", solved)
+    monkeypatch.setattr(spectrum, "_solve_in_order", solve)
+    momenta = [BlochMomentum(0.3, 1.2, 2.0, 4.1), BlochMomentum(2.5, 0.1, 5.0, 1.0)]
+    defect = checks.flux_orbits([FluxParam(3, 7), FluxParam(1, 5)], momenta)
+    assert defect < checks.TOLERANCES["sector"]
+    members = [(7, [3, 4, 10, 11]), (5, [1, 4, 6, 9])]  # each pair's orbit, in pair order
+    assert calls == [
+        (route, model, members)
+        for model in (ReducedHarper(0), BlockIsotropic())
+        for route in ("sweep", "solved")
+    ]
+    assert pipelines == [False, False, True, True]
 
 
 # ---------------------------------------------------------------- sweeps
